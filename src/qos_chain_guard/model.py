@@ -378,17 +378,7 @@ MAX_BLOCKING_TIME_ASSUMPTION = (
 )
 
 
-def default_qos(kind: EndpointKind) -> QosProfile:
-    """The OMG default profile for one endpoint kind.
-
-    Only reliability.kind differs by side: DataWriters default to RELIABLE,
-    DataReaders to BEST_EFFORT.
-    """
-    reliability_kind = (
-        ReliabilityKind.RELIABLE
-        if kind is EndpointKind.DATA_WRITER
-        else ReliabilityKind.BEST_EFFORT
-    )
+def _omg_defaults(reliability_kind: ReliabilityKind) -> QosProfile:
     return QosProfile(
         entity_factory=EntityFactory(autoenable_created_entities=True),
         partition=Partition(names=("",)),
@@ -415,6 +405,20 @@ def default_qos(kind: EndpointKind) -> QosProfile:
             autopurge_no_writer_samples_delay=Duration.infinite(),
         ),
     )
+
+
+# Built once: profiles are frozen, so every caller can share them.
+_WRITER_DEFAULTS = _omg_defaults(ReliabilityKind.RELIABLE)
+_READER_DEFAULTS = _omg_defaults(ReliabilityKind.BEST_EFFORT)
+
+
+def default_qos(kind: EndpointKind) -> QosProfile:
+    """The OMG default profile for one endpoint kind.
+
+    Only reliability.kind differs by side: DataWriters default to RELIABLE,
+    DataReaders to BEST_EFFORT.
+    """
+    return _WRITER_DEFAULTS if kind is EndpointKind.DATA_WRITER else _READER_DEFAULTS
 
 
 def resolve_defaults(partial: QosProfile, kind: EndpointKind) -> QosProfile:

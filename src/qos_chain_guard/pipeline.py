@@ -24,11 +24,15 @@ from .model import (
 )
 from .profiles import ParseDiagnostic, ProfileSet
 from .rules import (
+    CleanCheck,
+    EntityRef,
     Outcome,
     SkippedRule,
     Violation,
+    entity_ref,
     evaluate_endpoint_rules,
     evaluate_pair_rules,
+    pair_topic,
 )
 
 
@@ -44,9 +48,16 @@ def _ms_to_duration(value: object, label: str) -> Duration:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise EnvironmentLoadError(f"{label}: expected a number of milliseconds, got {value!r}")
     # json.loads accepts the Infinity/NaN literals; both are invalid here.
-    if not math.isfinite(value) or value <= 0:
+    # Integers are finite, and may be too large for math.isfinite.
+    if value <= 0 or (isinstance(value, float) and not math.isfinite(value)):
         raise EnvironmentLoadError(f"{label}: must be positive and finite, got {value!r}")
-    return Duration.from_millis(value)
+    try:
+        duration = Duration.from_millis(value)
+    except (OverflowError, ValueError):
+        raise EnvironmentLoadError(f"{label}: {value!r} ms exceeds the 64-bit nanosecond range") from None
+    if duration.nanoseconds == 0:
+        raise EnvironmentLoadError(f"{label}: {value!r} ms is below the 1 ns resolution")
+    return duration
 
 
 def _duration_to_ms(d: Duration) -> int | float:
@@ -110,7 +121,7 @@ def load_environment(text: str) -> EnvironmentModel:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise EnvironmentLoadError(f"environment file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise EnvironmentLoadError("environment file must contain a JSON object")
@@ -183,8 +194,9 @@ def build_pairing_plan(
             )
         if (writer_name, reader_name) in seen:
             continue
-        topic = writer.topic_name if writer.topic_name == reader.topic_name else None
-        plan.append(Pairing(writer_name, reader_name, PairOrigin.EXPLICIT_DIRECTIVE, topic))
+        plan.append(
+            Pairing(writer_name, reader_name, PairOrigin.EXPLICIT_DIRECTIVE, pair_topic(writer, reader))
+        )
         seen.add((writer_name, reader_name))
     return tuple(plan)
 
@@ -230,31 +242,79 @@ def _sort_key(outcome: Violation | SkippedRule):
     )
 
 
+def _stamped(
+    outcome: Violation | SkippedRule, entities: tuple[EntityRef, ...], topic_name: str | None
+) -> Violation | SkippedRule:
+    """A class's outcome re-addressed to one member endpoint or pair."""
+    if isinstance(outcome, Violation):
+        return Violation(
+            outcome.rule_id, outcome.identifier, outcome.stage, outcome.severity,
+            entities, topic_name, outcome.message, outcome.suggestion,
+        )
+    return SkippedRule(outcome.rule_id, outcome.identifier, outcome.stage, entities, outcome.reason)
+
+
+def _findings(outcomes: list[Outcome]) -> list[Violation | SkippedRule]:
+    return [o for o in outcomes if not isinstance(o, CleanCheck)]
+
+
 def run_pipeline(
     profile_set: ProfileSet,
     environment: EnvironmentModel | None = None,
     pairings: tuple[Pairing, ...] | None = None,
     inputs: tuple[str, ...] = (),
 ) -> Report:
-    """Run all three stages over the profile set and assemble the report."""
+    """Run all three stages over the profile set and assemble the report.
+
+    Rule messages, suggestions and skip reasons depend only on the QoS,
+    ``rtt`` and ``pp`` (see ``rules``), so each stage evaluates once per
+    class: stages 1 and 3 per (endpoint kind, QoS, publish period), stage 2
+    per (writer QoS, reader QoS).  The findings of the member evaluated
+    are stamped onto every other member with that member's own entities
+    and topic.  Classes key on QoS identity; ``parse_profiles`` interns
+    equal profiles, and an equal but distinct profile only costs one more
+    evaluation.
+    """
     env = environment if environment is not None else EnvironmentModel()
     plan = pairings if pairings is not None else build_pairing_plan(profile_set)
 
-    outcomes: list[Outcome] = []
     endpoints = [profile_set.profiles[name] for name in sorted(profile_set.profiles)]
-    for endpoint in endpoints:
-        pp = env.publish_period_for(endpoint.profile_name)
-        outcomes.extend(evaluate_endpoint_rules(endpoint, 1, rtt=env.rtt, pp=pp))
+    refs = {e.profile_name: (entity_ref(e),) for e in endpoints}
+    periods = [env.publish_period_for(e.profile_name) for e in endpoints]
+    found: list[Violation | SkippedRule] = []
+
+    def endpoint_stage(stage: int) -> None:
+        by_class: dict[tuple, list[Violation | SkippedRule]] = {}
+        for endpoint, pp in zip(endpoints, periods):
+            key = (endpoint.endpoint_kind, id(endpoint.qos), pp)
+            findings = by_class.get(key)
+            if findings is None:
+                # The member evaluated first: its outcomes already name it.
+                outcomes = evaluate_endpoint_rules(endpoint, stage, rtt=env.rtt, pp=pp)
+                findings = by_class[key] = _findings(outcomes)
+                found.extend(findings)
+            else:
+                entities = refs[endpoint.profile_name]
+                found.extend(_stamped(o, entities, endpoint.topic_name) for o in findings)
+
+    endpoint_stage(1)
+    by_pair_class: dict[tuple[int, int], list[Violation | SkippedRule]] = {}
     for pairing in plan:
         writer = profile_set.profiles[pairing.writer]
         reader = profile_set.profiles[pairing.reader]
-        outcomes.extend(evaluate_pair_rules(writer, reader))
-    for endpoint in endpoints:
-        pp = env.publish_period_for(endpoint.profile_name)
-        outcomes.extend(evaluate_endpoint_rules(endpoint, 3, rtt=env.rtt, pp=pp))
+        key = (id(writer.qos), id(reader.qos))
+        findings = by_pair_class.get(key)
+        if findings is None:
+            findings = by_pair_class[key] = _findings(evaluate_pair_rules(writer, reader))
+            found.extend(findings)
+        else:
+            entities = refs[writer.profile_name] + refs[reader.profile_name]
+            topic = pair_topic(writer, reader)
+            found.extend(_stamped(o, entities, topic) for o in findings)
+    endpoint_stage(3)
 
-    violations = tuple(sorted((o for o in outcomes if isinstance(o, Violation)), key=_sort_key))
-    skipped = tuple(sorted((o for o in outcomes if isinstance(o, SkippedRule)), key=_sort_key))
+    violations = tuple(sorted((o for o in found if isinstance(o, Violation)), key=_sort_key))
+    skipped = tuple(sorted((o for o in found if isinstance(o, SkippedRule)), key=_sort_key))
     return Report(
         tool_version=__version__,
         inputs=tuple(inputs),

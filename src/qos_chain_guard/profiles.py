@@ -183,6 +183,13 @@ def _parse_xml(text: str, path: str) -> _Node:
             path=path,
             line=exc.lineno,
         ) from exc
+    finally:
+        # The handlers close over ``parser``; dropping them breaks the
+        # cycle, so the tree is freed by reference counting, not by the GC.
+        parser.StartElementHandler = None
+        parser.EndElementHandler = None
+        parser.CharacterDataHandler = None
+        parser.EntityDeclHandler = None
     if not root:
         raise ProfileLoadError("document has no root element", path=path)
     return root[0]
@@ -569,8 +576,11 @@ def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
 
     Topic-level QoS fills endpoint gaps (endpoint wins), then OMG defaults
     fill the rest.  Duplicate profile names across documents are an error.
+    Equal resolved profiles are interned, so endpoints sharing a QoS bundle
+    share one ``QosProfile`` object.
     """
     profiles: dict[str, EndpointProfile] = {}
+    interned: dict[QosProfile, QosProfile] = {}
     origins: dict[str, SourceLocation] = {}
     diagnostics: list[ParseDiagnostic] = []
     for document in documents:
@@ -584,11 +594,11 @@ def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
                     path=document.path,
                     line=raw.line,
                 )
-            merged = raw.endpoint_qos.merged_under(raw.topic_qos)
+            qos = resolve_defaults(raw.endpoint_qos.merged_under(raw.topic_qos), raw.endpoint_kind)
             profiles[raw.profile_name] = EndpointProfile(
                 profile_name=raw.profile_name,
                 endpoint_kind=raw.endpoint_kind,
-                qos=resolve_defaults(merged, raw.endpoint_kind),
+                qos=interned.setdefault(qos, qos),
                 topic_name=raw.topic_name,
                 source_location=location,
             )

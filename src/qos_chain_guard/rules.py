@@ -17,6 +17,12 @@ Arithmetic semantics pinned here:
 * Rules 9 and 10 are skipped, not fired, when the lifespan is infinite:
   an infinite lifespan means no expiry is intended, so comparing it to the
   cache window is meaningless.
+
+Invariant: a rule's predicate, message, suggestion and skip reason depend
+only on the QoS of the endpoint(s) under evaluation, ``rtt`` and ``pp``,
+never on a profile name, a topic or a source location.  Only the entities
+and the topic of an outcome name the endpoint.  The pipeline relies on this
+to evaluate each QoS class once and reuse the result for every member.
 """
 
 from __future__ import annotations
@@ -898,14 +904,20 @@ def get_rule(rule_id: int) -> Rule:
     return _BY_ID[rule_id]
 
 
+_BY_STAGE: dict[int, tuple[Rule, ...]] = {
+    stage: tuple(rule for rule in _CATALOG if rule.stage == stage) for stage in (1, 2, 3)
+}
+
+
 def rules_for_stage(stage: int) -> tuple[Rule, ...]:
-    return tuple(rule for rule in _CATALOG if rule.stage == stage)
+    return _BY_STAGE.get(stage, ())
 
 
 # -- evaluation --------------------------------------------------------------
 
 
-def _entity_ref(endpoint: EndpointProfile) -> EntityRef:
+def entity_ref(endpoint: EndpointProfile) -> EntityRef:
+    """How reports name an endpoint: profile, kind and source location."""
     return EntityRef(endpoint.profile_name, endpoint.endpoint_kind, endpoint.source_location)
 
 
@@ -914,21 +926,24 @@ def _context_entities(rule: Rule, ctx: EvalContext) -> tuple[EntityRef, ...]:
     if rule.scope is RuleScope.PAIR:
         if ctx.writer is None or ctx.reader is None:
             raise ValueError(f"rule {rule.id} is pair-scoped and needs both endpoints")
-        return (_entity_ref(ctx.writer), _entity_ref(ctx.reader))
+        return (entity_ref(ctx.writer), entity_ref(ctx.reader))
     if ctx.writer is not None and ctx.reader is not None:
         raise ValueError(f"rule {rule.id} is single-endpoint but got a pair context")
     if rule.scope is RuleScope.DATA_WRITER and ctx.writer is None:
         raise ValueError(f"rule {rule.id} applies to DataWriters only")
     if rule.scope is RuleScope.DATA_READER and ctx.reader is None:
         raise ValueError(f"rule {rule.id} applies to DataReaders only")
-    return (_entity_ref(ctx.subject),)
+    return (entity_ref(ctx.subject),)
+
+
+def pair_topic(writer: EndpointProfile, reader: EndpointProfile) -> str | None:
+    """The topic a pair reports under: the shared topic, else None."""
+    return writer.topic_name if writer.topic_name == reader.topic_name else None
 
 
 def _context_topic(rule: Rule, ctx: EvalContext) -> str | None:
     if rule.scope is RuleScope.PAIR:
-        if ctx.writer.topic_name == ctx.reader.topic_name:
-            return ctx.writer.topic_name
-        return None
+        return pair_topic(ctx.writer, ctx.reader)
     return ctx.subject.topic_name
 
 
@@ -976,6 +991,14 @@ def applicable_to(rule: Rule, kind: EndpointKind) -> bool:
     return kind is wanted
 
 
+# Stage-1/3 rules that apply to each endpoint kind, in id order.
+_APPLICABLE: dict[tuple[int, EndpointKind], tuple[Rule, ...]] = {
+    (stage, kind): tuple(rule for rule in rules_for_stage(stage) if applicable_to(rule, kind))
+    for stage in (1, 3)
+    for kind in EndpointKind
+}
+
+
 def evaluate_endpoint_rules(
     endpoint: EndpointProfile,
     stage: int,
@@ -987,11 +1010,7 @@ def evaluate_endpoint_rules(
         ctx = EvalContext(writer=endpoint, rtt=rtt, pp=pp)
     else:
         ctx = EvalContext(reader=endpoint, rtt=rtt, pp=pp)
-    return [
-        evaluate_rule(rule, ctx)
-        for rule in rules_for_stage(stage)
-        if applicable_to(rule, endpoint.endpoint_kind)
-    ]
+    return [evaluate_rule(rule, ctx) for rule in _APPLICABLE.get((stage, endpoint.endpoint_kind), ())]
 
 
 def evaluate_pair_rules(writer: EndpointProfile, reader: EndpointProfile) -> list[Outcome]:

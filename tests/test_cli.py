@@ -179,6 +179,26 @@ def test_bad_environment_file_exits_2(fixtures, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rtt_ms": 1e300}',
+        '{"rtt_ms": 1.7e308}',
+        '{"default_publish_period_ms": 9223372036855}',
+        '{"rtt_ms": 1' + "0" * 400 + "}",
+        '{"rtt_ms": 1' + "0" * 5000 + "}",
+    ],
+    ids=["1e300", "1.7e308", "past-int64-ns", "401-digits", "5001-digits"],
+)
+def test_huge_environment_value_exits_2(fixtures, tmp_path, capsys, text):
+    env = tmp_path / "env.json"
+    env.write_text(text, encoding="utf-8")
+    assert main(["check", fixtures["clean"], "--env", str(env)]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("qos-chain-guard: error: ")
+    assert "Traceback" not in err
+
+
 def test_environment_enables_stage3_arithmetic(fixtures, tmp_path, capsys):
     env = tmp_path / "env.json"
     env.write_text('{"rtt_ms": 100, "default_publish_period_ms": 50}', encoding="utf-8")

@@ -75,6 +75,19 @@ def test_bad_environment_documents_are_rejected(text):
         load_environment(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rtt_ms": 1e-12}',
+        '{"default_publish_period_ms": 4e-7}',
+        '{"publish_period_ms": {"w": 1e-9}}',
+    ],
+)
+def test_sub_nanosecond_environment_values_name_the_resolution(text):
+    with pytest.raises(EnvironmentLoadError, match="below the 1 ns resolution"):
+        load_environment(text)
+
+
 def test_infinite_environment_durations_are_rejected():
     with pytest.raises(EnvironmentLoadError, match="finite"):
         EnvironmentModel(rtt=Duration.infinite())
@@ -322,3 +335,98 @@ def test_fail_level_counting():
     assert report.count_at_or_above("error") == 0
     assert report.count_at_or_above("warning") == 3
     assert report.count_at_or_above("info") == 3
+
+
+# -- evaluation once per QoS class ----------------------------------------------
+
+# One bundle used by writers and a reader: reliability is explicit, so a
+# DataWriter and a DataReader resolve to the same profile, and only the
+# endpoint kind tells their rules apart.  depth 4 sits on the rule-39
+# retransmission floor at pp=50 (clean) and above it at pp=100 (fires).
+_SHARED_QOS = """<qos>
+      <reliability><kind>BEST_EFFORT</kind></reliability>
+      <durability><kind>TRANSIENT_LOCAL</kind></durability>
+      <history><kind>KEEP_LAST</kind><depth>4</depth></history>
+    </qos>"""
+_STRICT_QOS = "<qos><reliability><kind>RELIABLE</kind></reliability></qos>"
+
+_CLASS_DOC_A = f"""<profiles>
+  <data_writer profile_name="cam_a">
+    <topic><name>cam/a</name></topic>
+    {_SHARED_QOS}
+  </data_writer>
+  <data_reader profile_name="cam_listener">
+    <topic><name>cam/a</name></topic>
+    {_SHARED_QOS}
+  </data_reader>
+  <data_reader profile_name="strict_a">
+    <topic><name>cam/a</name></topic>
+    {_STRICT_QOS}
+  </data_reader>
+</profiles>
+"""
+
+# The same bundles on other lines and topics, in another document.
+_CLASS_DOC_B = f"""<profiles>
+
+
+  <data_writer profile_name="cam_b">
+    <topic><name>cam/b</name></topic>
+    {_SHARED_QOS}
+  </data_writer>
+  <data_reader profile_name="strict_b">
+    <topic><name>cam/other</name></topic>
+    {_STRICT_QOS}
+  </data_reader>
+  <data_writer profile_name="cam_c">
+    <topic><name>cam/c</name></topic>
+    {_SHARED_QOS}
+  </data_writer>
+</profiles>
+"""
+
+
+def _reference_outcomes(ps: ProfileSet, env: EnvironmentModel, plan) -> list:
+    """Every endpoint and pair evaluated on its own, clean results dropped."""
+    outcomes = []
+    endpoints = [ps.profiles[name] for name in sorted(ps.profiles)]
+    for stage in (1, 3):
+        for endpoint in endpoints:
+            pp = env.publish_period_for(endpoint.profile_name)
+            outcomes += evaluate_endpoint_rules(endpoint, stage, rtt=env.rtt, pp=pp)
+    for pairing in plan:
+        outcomes += evaluate_pair_rules(ps.profiles[pairing.writer], ps.profiles[pairing.reader])
+    return [o for o in outcomes if not isinstance(o, CleanCheck)]
+
+
+def test_class_evaluation_matches_per_endpoint_evaluation():
+    ps = parse_profiles(
+        [parse_document(_CLASS_DOC_A, "a.xml"), parse_document(_CLASS_DOC_B, "b.xml")]
+    )
+    # These documents exercise shared classes only if equal profiles are interned.
+    shared = ps.profiles["cam_a"].qos
+    assert all(ps.profiles[name].qos is shared for name in ("cam_b", "cam_c", "cam_listener"))
+    assert ps.profiles["strict_a"].qos is ps.profiles["strict_b"].qos
+    env = load_environment(
+        '{"rtt_ms": 100, "default_publish_period_ms": 50, "publish_period_ms": {"cam_b": 100}}'
+    )
+    # cam_b:strict_b is the same (writer QoS, reader QoS) class as the
+    # topic pair cam_a:strict_a, but across topics, so its topic is None.
+    plan = build_pairing_plan(ps, [("cam_b", "strict_b")])
+    assert [p.topic_name for p in plan if p.writer == "cam_b"] == [None]
+
+    report = run_pipeline(ps, env, plan)
+
+    expected = _reference_outcomes(ps, env, plan)
+    assert sorted(report.violations, key=repr) == sorted(
+        (o for o in expected if isinstance(o, Violation)), key=repr
+    )
+    assert sorted(report.skipped, key=repr) == sorted(
+        (o for o in expected if not isinstance(o, Violation)), key=repr
+    )
+    # The split, kind and cross-topic cases each produced a finding.
+    fired = {(v.rule_id, v.entities[0].profile_name, v.topic_name) for v in report.violations}
+    assert (39, "cam_b", "cam/b") in fired and (39, "cam_a", "cam/a") not in fired
+    assert (38, "cam_a", "cam/a") in fired and (38, "cam_listener", "cam/a") not in fired
+    assert (38, "cam_c", "cam/c") in fired
+    assert (21, "cam_b", None) in fired and (21, "cam_a", "cam/a") in fired

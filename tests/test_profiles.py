@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -199,6 +201,18 @@ def test_entity_declarations_are_rejected():
             <!DOCTYPE profiles [<!ENTITY x "boom">]>
             <profiles/>"""
         )
+
+
+def test_parse_leaves_no_cyclic_garbage():
+    # The expat handlers must not keep the parser, and with it the whole
+    # element tree, alive in a reference cycle.
+    gc.collect()
+    gc.disable()
+    try:
+        parse_document(WRITER_XML, "w.xml")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_duplicate_containers_and_policies_are_load_errors():
