@@ -19,10 +19,23 @@ NANOSECONDS_PER_SECOND = 1_000_000_000
 NANOSECONDS_PER_MILLISECOND = 1_000_000
 
 
-class Ordering(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
+# Error messages echo at most this many characters of an offending literal.
+ECHO_LIMIT = 40
+
+
+def shorten_literal(value: object) -> str:
+    """``repr(value)`` for an error message, cut to about ECHO_LIMIT characters.
+
+    A cut literal keeps its first and last characters and states its full
+    length, so a 5000-digit input cannot fill the error line.
+    """
+    try:
+        text = repr(value)
+    except ValueError:  # an integer past Python's digit limit for str()
+        return f"<an integer of {value.bit_length()} bits>"
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT - 8]}...{text[-8:]} ({len(text)} characters)"
 
 
 @total_ordering
@@ -45,20 +58,20 @@ class Duration:
         if self.nanoseconds < 0:
             raise ValueError(f"duration must be nonnegative, got {self.nanoseconds}ns")
         if self.nanoseconds > NANOSECONDS_MAX:
-            raise ValueError(f"duration overflows the 64-bit range: {self.nanoseconds}ns")
+            literal = shorten_literal(self.nanoseconds)
+            raise ValueError(f"duration overflows the 64-bit range: {literal}ns")
 
     @classmethod
     def infinite(cls) -> "Duration":
         return cls(None)
 
     @classmethod
-    def finite(cls, nanoseconds: int) -> "Duration":
-        if nanoseconds is None:
-            raise ValueError("finite duration requires a nanosecond value")
-        return cls(nanoseconds)
-
-    @classmethod
     def from_sec_nanosec(cls, sec: int, nanosec: int) -> "Duration":
+        if sec < 0 or nanosec < 0:
+            raise ValueError("duration components must be nonnegative")
+        if nanosec >= NANOSECONDS_PER_SECOND:
+            literal = shorten_literal(nanosec)
+            raise ValueError(f"nanosec must be below {NANOSECONDS_PER_SECOND}, got {literal}")
         return cls(sec * NANOSECONDS_PER_SECOND + nanosec)
 
     @classmethod
@@ -101,13 +114,6 @@ class Duration:
         return format_duration(self)
 
 
-def compare_duration(a: Duration, b: Duration) -> Ordering:
-    """Three-way comparison under the total order with infinity on top."""
-    if a == b:
-        return Ordering.EQUAL
-    return Ordering.LESS if a < b else Ordering.GREATER
-
-
 def format_duration(d: Duration) -> str:
     """Render a duration compactly with the largest whole unit."""
     if d.nanoseconds is None:
@@ -143,12 +149,6 @@ class Count:
     @classmethod
     def unlimited(cls) -> "Count":
         return cls(None)
-
-    @classmethod
-    def finite(cls, value: int) -> "Count":
-        if value is None:
-            raise ValueError("finite count requires a value")
-        return cls(value)
 
     @property
     def is_unlimited(self) -> bool:
@@ -204,19 +204,6 @@ class OwnershipKind(enum.Enum):
 class HistoryKind(enum.Enum):
     KEEP_LAST = "KEEP_LAST"
     KEEP_ALL = "KEEP_ALL"
-
-
-# Kinds whose RxO check is "offered >= requested" under a strict total order.
-ORDERED_KINDS = (ReliabilityKind, DurabilityKind, LivelinessKind, DestinationOrderKind)
-
-
-def kind_ge(offered: enum.IntEnum, requested: enum.IntEnum) -> bool:
-    """True iff the offered kind dominates the requested one (RxO direction)."""
-    if type(offered) is not type(requested):
-        raise TypeError(f"cannot compare {type(offered).__name__} with {type(requested).__name__}")
-    if not isinstance(offered, ORDERED_KINDS):
-        raise TypeError(f"{type(offered).__name__} has no RxO order")
-    return offered.value >= requested.value
 
 
 class EndpointKind(enum.Enum):
@@ -286,7 +273,7 @@ class History:
 
     def __post_init__(self) -> None:
         if self.depth < 1:
-            raise ValueError(f"history depth must be >= 1, got {self.depth}")
+            raise ValueError(f"history.depth: must be >= 1, got {shorten_literal(self.depth)}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .model import (
     EndpointKind,
     MAX_BLOCKING_TIME_ASSUMPTION,
     NANOSECONDS_PER_MILLISECOND,
+    shorten_literal,
 )
 from .profiles import ParseDiagnostic, ProfileSet
 from .rules import (
@@ -45,18 +46,19 @@ class PairingError(ValueError):
 
 
 def _ms_to_duration(value: object, label: str) -> Duration:
+    literal = shorten_literal(value)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise EnvironmentLoadError(f"{label}: expected a number of milliseconds, got {value!r}")
+        raise EnvironmentLoadError(f"{label}: expected a number of milliseconds, got {literal}")
     # json.loads accepts the Infinity/NaN literals; both are invalid here.
     # Integers are finite, and may be too large for math.isfinite.
     if value <= 0 or (isinstance(value, float) and not math.isfinite(value)):
-        raise EnvironmentLoadError(f"{label}: must be positive and finite, got {value!r}")
+        raise EnvironmentLoadError(f"{label}: must be positive and finite, got {literal}")
     try:
         duration = Duration.from_millis(value)
     except (OverflowError, ValueError):
-        raise EnvironmentLoadError(f"{label}: {value!r} ms exceeds the 64-bit nanosecond range") from None
+        raise EnvironmentLoadError(f"{label}: {literal} ms exceeds the 64-bit nanosecond range") from None
     if duration.nanoseconds == 0:
-        raise EnvironmentLoadError(f"{label}: {value!r} ms is below the 1 ns resolution")
+        raise EnvironmentLoadError(f"{label}: {literal} ms is below the 1 ns resolution")
     return duration
 
 
@@ -325,11 +327,6 @@ def run_pipeline(
         violations=violations,
         skipped=skipped,
     )
-
-
-def suggest_fix(violation: Violation) -> str:
-    """The corrective suggestion rendered for a violation."""
-    return violation.suggestion
 
 
 # -- rendering ---------------------------------------------------------------

@@ -17,51 +17,42 @@ The accepted grammar is a deliberately small, Fast-DDS-flavored dialect:
       <data_reader profile_name="r1"> ... </data_reader>
     </profiles>
 
-Durations are <sec>/<nanosec> integer pairs or the token DURATION_INFINITY;
-counts are nonnegative integers, the token UNLIMITED, or the conventional -1
-alias; enumeration tokens are the uppercase forms (RELIABLE, KEEP_ALL, ...);
-user/group/topic data values are hex strings.  Unknown elements are skipped
-with an info diagnostic; they never abort a parse.
+One table, ``POLICY_SCHEMA``, drives both parsing and canonical output.  It
+is derived from the model at import: every ``QosProfile`` field is a policy
+element, in declaration order (the canonical order), and every field of
+that policy's dataclass is a parameter element, read and written by the
+codec of its default value's type.  Durations are <sec>/<nanosec> integer
+pairs (nanosec below 10**9) or the token DURATION_INFINITY; counts are
+nonnegative integers, the token UNLIMITED, or the conventional -1 alias;
+enumeration tokens are the uppercase forms (RELIABLE, KEEP_ALL, ...);
+user/group/topic data values are hex strings; partition names are <name>
+elements inside <names>.
+
+A parameter absent from a policy element takes the endpoint kind's OMG
+default (``default_qos``); an endpoint's policy element still replaces the
+topic's as a whole.  Unknown elements are skipped with an info diagnostic
+and never abort a parse; a repeated policy or parameter element is a load
+error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import enum
+from dataclasses import dataclass, field, fields
+from typing import Callable
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
 from .model import (
     Count,
-    DEFAULT_MAX_BLOCKING_TIME,
-    Deadline,
-    DestinationOrder,
-    DestinationOrderKind,
-    Durability,
-    DurabilityKind,
     Duration,
     EndpointKind,
     EndpointProfile,
-    EntityFactory,
-    GroupData,
-    History,
-    HistoryKind,
-    Lifespan,
-    Liveliness,
-    LivelinessKind,
-    Ownership,
-    OwnershipKind,
-    OwnershipStrength,
-    Partition,
     QosProfile,
-    ReaderDataLifecycle,
-    Reliability,
-    ReliabilityKind,
-    ResourceLimits,
     SourceLocation,
-    TopicData,
-    UserData,
-    WriterDataLifecycle,
+    default_qos,
     resolve_defaults,
+    shorten_literal,
     NANOSECONDS_PER_SECOND,
 )
 
@@ -72,28 +63,6 @@ ENDPOINT_TAGS = {
     "data_writer": EndpointKind.DATA_WRITER,
     "data_reader": EndpointKind.DATA_READER,
 }
-
-# Policy element tags in canonical (serialization) order; ownership_strength
-# rides along with ownership as one policy group.
-POLICY_TAGS = (
-    "entity_factory",
-    "partition",
-    "user_data",
-    "group_data",
-    "topic_data",
-    "reliability",
-    "durability",
-    "deadline",
-    "liveliness",
-    "history",
-    "resource_limits",
-    "lifespan",
-    "ownership",
-    "ownership_strength",
-    "destination_order",
-    "writer_data_lifecycle",
-    "reader_data_lifecycle",
-)
 
 
 class ProfileLoadError(Exception):
@@ -244,80 +213,12 @@ class ProfileSet:
         return {t: (tuple(w), tuple(r)) for t, (w, r) in topics.items()}
 
 
-# -- value parsers ----------------------------------------------------------
+# -- the policy schema -------------------------------------------------------
 
 
-def _fail(message: str, path: str, line: int) -> ProfileLoadError:
-    return ProfileLoadError(message, path=path, line=line)
-
-
-def _parse_int(node: _Node, label: str, path: str) -> int:
-    try:
-        return int(node.text)
-    except ValueError:
-        raise _fail(f"{label}: expected an integer, got {node.text!r}", path, node.line) from None
-
-
-def _parse_bool(node: _Node, label: str, path: str) -> bool:
-    token = node.text.lower()
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise _fail(f"{label}: expected true or false, got {node.text!r}", path, node.line)
-
-
-def _parse_duration(node: _Node, label: str, path: str) -> Duration:
-    if node.text.upper() == INFINITY_TOKEN:
-        return Duration.infinite()
-    sec_node = node.child("sec")
-    nanosec_node = node.child("nanosec")
-    if sec_node is None and nanosec_node is None:
-        raise _fail(
-            f"{label}: expected <sec>/<nanosec> or {INFINITY_TOKEN}, got {node.text!r}",
-            path,
-            node.line,
-        )
-    sec = _parse_int(sec_node, f"{label}.sec", path) if sec_node is not None else 0
-    nanosec = _parse_int(nanosec_node, f"{label}.nanosec", path) if nanosec_node is not None else 0
-    if sec < 0 or nanosec < 0:
-        raise _fail(f"{label}: duration components must be nonnegative", path, node.line)
-    try:
-        return Duration.from_sec_nanosec(sec, nanosec)
-    except ValueError as exc:
-        raise _fail(f"{label}: {exc}", path, node.line) from None
-
-
-def _parse_count(node: _Node, label: str, path: str) -> Count:
-    token = node.text.upper()
-    if token == UNLIMITED_TOKEN:
-        return Count.unlimited()
-    value = _parse_int(node, label, path)
-    if value == -1:  # conventional vendor alias for unlimited
-        return Count.unlimited()
-    if value < 0:
-        raise _fail(f"{label}: count must be nonnegative, -1, or {UNLIMITED_TOKEN}", path, node.line)
-    return Count.finite(value)
-
-
-def _parse_enum(node: _Node, enum_cls, label: str, path: str):
-    token = node.text.upper()
-    try:
-        return enum_cls[token]
-    except KeyError:
-        expected = ", ".join(member.name for member in enum_cls)
-        raise _fail(f"{label}: unknown kind {node.text!r} (expected one of {expected})", path, node.line) from None
-
-
-def _parse_bytes(node: _Node, label: str, path: str) -> bytes:
-    token = "".join(node.text.split())
-    try:
-        return bytes.fromhex(token)
-    except ValueError:
-        raise _fail(f"{label}: expected a hex string, got {node.text!r}", path, node.line) from None
-
-
-# -- policy parsers ---------------------------------------------------------
+def _bad_value(node: _Node, context: str, message: str, path: str) -> ProfileLoadError:
+    """Load error naming the field ``context.tag`` of ``node``."""
+    return ProfileLoadError(f"{context}.{node.tag}: {message}", path, node.line)
 
 
 def _note_unknown(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> None:
@@ -326,171 +227,198 @@ def _note_unknown(node: _Node, context: str, path: str, diags: list[ParseDiagnos
     )
 
 
-def _expect_params(
-    node: _Node, known: dict[str, _Node | None], path: str, diags: list[ParseDiagnostic]
-) -> None:
+@dataclass(frozen=True)
+class Codec:
+    """How one parameter element is read from and written to XML.
+
+    ``parse(node, context, path, diags)`` returns the value; ``context``
+    names the enclosing element (``history``), so load errors can name the
+    field (``history.depth``).
+    ``render(tag, value, indent)`` returns the element's canonical lines.
+    """
+
+    parse: Callable[[_Node, str, str, list[ParseDiagnostic]], object]
+    render: Callable[[str, object, str], list[str]]
+
+
+def _parse_params(
+    node: _Node, codecs: dict[str, Codec], label: str, path: str, diags: list[ParseDiagnostic]
+) -> dict[str, object]:
+    """Parse each child of ``node`` with the codec of its tag.
+
+    ``label`` names ``node`` in load errors (``deadline.period``).  Unknown
+    children get an info note; a repeated child is a load error.
+    """
+    values: dict[str, object] = {}
     for child in node.children:
-        if child.tag in known:
-            known[child.tag] = child
+        codec = codecs.get(child.tag)
+        if codec is None:
+            _note_unknown(child, f"<{node.tag}>", path, diags)
+        elif child.tag in values:
+            raise ProfileLoadError(f"duplicate <{child.tag}> element in <{node.tag}>", path, child.line)
+        else:
+            values[child.tag] = codec.parse(child, label, path, diags)
+    return values
+
+
+def _element(tag: str, body: object, indent: str) -> list[str]:
+    return [f"{indent}<{tag}>{body}</{tag}>"]
+
+
+def _parse_int(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
+    try:
+        return int(node.text)
+    except ValueError:
+        got = shorten_literal(node.text)
+        raise _bad_value(node, context, f"expected an integer, got {got}", path) from None
+
+
+def _parse_bool(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> bool:
+    token = node.text.lower()
+    if token == "true":
+        return True
+    if token == "false":
+        return False
+    raise _bad_value(node, context, f"expected true or false, got {shorten_literal(node.text)}", path)
+
+
+def _parse_bytes(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> bytes:
+    try:
+        return bytes.fromhex("".join(node.text.split()))
+    except ValueError:
+        got = shorten_literal(node.text)
+        raise _bad_value(node, context, f"expected a hex string, got {got}", path) from None
+
+
+def _parse_count(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Count:
+    if node.text.upper() == UNLIMITED_TOKEN:
+        return Count.unlimited()
+    value = _parse_int(node, context, path, diags)
+    if value == -1:  # conventional vendor alias for unlimited
+        return Count.unlimited()
+    if value < 0:
+        raise _bad_value(node, context, f"count must be nonnegative, -1, or {UNLIMITED_TOKEN}", path)
+    return Count(value)
+
+
+def _count_token(value: Count) -> object:
+    return UNLIMITED_TOKEN if value.is_unlimited else value.value
+
+
+_INT = Codec(_parse_int, _element)
+_SEC_NANOSEC = {"sec": _INT, "nanosec": _INT}
+
+
+def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Duration:
+    if node.text.upper() == INFINITY_TOKEN:
+        return Duration.infinite()
+    parts = _parse_params(node, _SEC_NANOSEC, f"{context}.{node.tag}", path, diags)
+    if not parts:
+        got = shorten_literal(node.text)
+        raise _bad_value(node, context, f"expected <sec>/<nanosec> or {INFINITY_TOKEN}, got {got}", path)
+    try:
+        return Duration.from_sec_nanosec(parts.get("sec", 0), parts.get("nanosec", 0))
+    except ValueError as exc:
+        raise _bad_value(node, context, str(exc), path) from None
+
+
+def _render_duration(tag: str, value: Duration, indent: str) -> list[str]:
+    if value.is_infinite:
+        return _element(tag, INFINITY_TOKEN, indent)
+    sec, nanosec = divmod(value.nanoseconds, NANOSECONDS_PER_SECOND)
+    return [
+        f"{indent}<{tag}>",
+        f"{indent}  <sec>{sec}</sec>",
+        f"{indent}  <nanosec>{nanosec}</nanosec>",
+        f"{indent}</{tag}>",
+    ]
+
+
+def _parse_names(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> tuple[str, ...]:
+    names: list[str] = []
+    for child in node.children:
+        if child.tag == "name":
+            names.append("".join(child.text_parts))  # unstripped: "" and " " are distinct names
         else:
             _note_unknown(child, f"<{node.tag}>", path, diags)
+    return tuple(names)
 
 
-def _parse_policy(node: _Node, path: str, diags: list[ParseDiagnostic]):
-    tag = node.tag
-    if tag == "entity_factory":
-        params: dict[str, _Node | None] = {"autoenable_created_entities": None}
-        _expect_params(node, params, path, diags)
-        autoenable = params["autoenable_created_entities"]
-        if autoenable is None:
-            raise _fail("entity_factory: missing <autoenable_created_entities>", path, node.line)
-        return EntityFactory(_parse_bool(autoenable, "entity_factory.autoenable_created_entities", path))
-    if tag == "partition":
-        names_node = node.child("names")
-        names: list[str] = []
-        if names_node is not None:
-            for child in names_node.children:
-                if child.tag == "name":
-                    names.append("".join(child.text_parts))
-                else:
-                    _note_unknown(child, "<names>", path, diags)
-        for child in node.children:
-            if child.tag != "names":
-                _note_unknown(child, "<partition>", path, diags)
-        return Partition(names=tuple(names))
-    if tag in ("user_data", "group_data", "topic_data"):
-        value_node = node.child("value")
-        value = _parse_bytes(value_node, f"{tag}.value", path) if value_node is not None else b""
-        cls = {"user_data": UserData, "group_data": GroupData, "topic_data": TopicData}[tag]
-        return cls(value=value)
-    if tag == "reliability":
-        params = {"kind": None, "max_blocking_time": None}
-        _expect_params(node, params, path, diags)
-        kind = (
-            _parse_enum(params["kind"], ReliabilityKind, "reliability.kind", path)
-            if params["kind"] is not None
-            else None
-        )
-        blocking = (
-            _parse_duration(params["max_blocking_time"], "reliability.max_blocking_time", path)
-            if params["max_blocking_time"] is not None
-            else None
-        )
-        if kind is None:
-            raise _fail("reliability: missing <kind>", path, node.line)
-        if blocking is None:
-            blocking = DEFAULT_MAX_BLOCKING_TIME
-        return Reliability(kind=kind, max_blocking_time=blocking)
-    if tag == "durability":
-        params = {"kind": None}
-        _expect_params(node, params, path, diags)
-        if params["kind"] is None:
-            raise _fail("durability: missing <kind>", path, node.line)
-        return Durability(kind=_parse_enum(params["kind"], DurabilityKind, "durability.kind", path))
-    if tag == "deadline":
-        params = {"period": None}
-        _expect_params(node, params, path, diags)
-        if params["period"] is None:
-            raise _fail("deadline: missing <period>", path, node.line)
-        return Deadline(period=_parse_duration(params["period"], "deadline.period", path))
-    if tag == "liveliness":
-        params = {"kind": None, "lease_duration": None}
-        _expect_params(node, params, path, diags)
-        kind = (
-            _parse_enum(params["kind"], LivelinessKind, "liveliness.kind", path)
-            if params["kind"] is not None
-            else LivelinessKind.AUTOMATIC
-        )
-        lease = (
-            _parse_duration(params["lease_duration"], "liveliness.lease_duration", path)
-            if params["lease_duration"] is not None
-            else Duration.infinite()
-        )
-        return Liveliness(kind=kind, lease_duration=lease)
-    if tag == "history":
-        params = {"kind": None, "depth": None}
-        _expect_params(node, params, path, diags)
-        kind = (
-            _parse_enum(params["kind"], HistoryKind, "history.kind", path)
-            if params["kind"] is not None
-            else HistoryKind.KEEP_LAST
-        )
-        depth = _parse_int(params["depth"], "history.depth", path) if params["depth"] is not None else 1
-        if depth < 1:
-            raise _fail(f"history.depth: must be >= 1, got {depth}", path, node.line)
-        return History(kind=kind, depth=depth)
-    if tag == "resource_limits":
-        params = {"max_samples": None, "max_instances": None, "max_samples_per_instance": None}
-        _expect_params(node, params, path, diags)
-        counts = {
-            name: _parse_count(param, f"resource_limits.{name}", path)
-            if param is not None
-            else Count.unlimited()
-            for name, param in params.items()
-        }
-        return ResourceLimits(**counts)
-    if tag == "lifespan":
-        params = {"duration": None}
-        _expect_params(node, params, path, diags)
-        if params["duration"] is None:
-            raise _fail("lifespan: missing <duration>", path, node.line)
-        return Lifespan(duration=_parse_duration(params["duration"], "lifespan.duration", path))
-    if tag == "ownership":
-        params = {"kind": None}
-        _expect_params(node, params, path, diags)
-        if params["kind"] is None:
-            raise _fail("ownership: missing <kind>", path, node.line)
-        return Ownership(kind=_parse_enum(params["kind"], OwnershipKind, "ownership.kind", path))
-    if tag == "ownership_strength":
-        params = {"value": None}
-        _expect_params(node, params, path, diags)
-        if params["value"] is None:
-            raise _fail("ownership_strength: missing <value>", path, node.line)
-        return OwnershipStrength(value=_parse_int(params["value"], "ownership_strength.value", path))
-    if tag == "destination_order":
-        params = {"kind": None}
-        _expect_params(node, params, path, diags)
-        if params["kind"] is None:
-            raise _fail("destination_order: missing <kind>", path, node.line)
-        return DestinationOrder(
-            kind=_parse_enum(params["kind"], DestinationOrderKind, "destination_order.kind", path)
-        )
-    if tag == "writer_data_lifecycle":
-        params = {"autodispose_unregistered_instances": None}
-        _expect_params(node, params, path, diags)
-        if params["autodispose_unregistered_instances"] is None:
-            raise _fail(
-                "writer_data_lifecycle: missing <autodispose_unregistered_instances>", path, node.line
-            )
-        return WriterDataLifecycle(
-            autodispose_unregistered_instances=_parse_bool(
-                params["autodispose_unregistered_instances"],
-                "writer_data_lifecycle.autodispose_unregistered_instances",
-                path,
-            )
-        )
-    if tag == "reader_data_lifecycle":
-        params = {"autopurge_disposed_samples_delay": None, "autopurge_no_writer_samples_delay": None}
-        _expect_params(node, params, path, diags)
-        delays = {
-            name: _parse_duration(param, f"reader_data_lifecycle.{name}", path)
-            if param is not None
-            else Duration.infinite()
-            for name, param in params.items()
-        }
-        return ReaderDataLifecycle(**delays)
-    raise AssertionError(f"no parser for policy tag {tag!r}")
+def _render_names(tag: str, names: tuple[str, ...], indent: str) -> list[str]:
+    lines = [f"{indent}<{tag}>"]
+    lines.extend(f"{indent}  <name>{escape(name)}</name>" for name in names)
+    lines.append(f"{indent}</{tag}>")
+    return lines
 
 
-def _parse_qos(node: _Node, path: str, diags: list[ParseDiagnostic]) -> QosProfile:
+def _enum_codec(enum_cls: type[enum.Enum]) -> Codec:
+    def parse(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> enum.Enum:
+        try:
+            return enum_cls[node.text.upper()]
+        except KeyError:
+            got = shorten_literal(node.text)
+            expected = ", ".join(member.name for member in enum_cls)
+            message = f"unknown kind {got} (expected one of {expected})"
+            raise _bad_value(node, context, message, path) from None
+
+    return Codec(parse, lambda tag, kind, indent: _element(tag, kind.name, indent))
+
+
+_CODECS: dict[type, Codec] = {
+    bool: Codec(_parse_bool, lambda tag, value, indent: _element(tag, "true" if value else "false", indent)),
+    int: _INT,
+    bytes: Codec(_parse_bytes, lambda tag, value, indent: _element(tag, value.hex(), indent)),
+    Count: Codec(_parse_count, lambda tag, value, indent: _element(tag, _count_token(value), indent)),
+    Duration: Codec(_parse_duration, _render_duration),
+    tuple: Codec(_parse_names, _render_names),
+}
+
+
+def _codec_for(value: object) -> Codec:
+    if isinstance(value, enum.Enum):
+        return _enum_codec(type(value))
+    return _CODECS[type(value)]
+
+
+def _build_schema() -> dict[str, dict[str, Codec]]:
+    defaults = default_qos(EndpointKind.DATA_WRITER)
+    policies = {f.name: getattr(defaults, f.name) for f in fields(QosProfile)}
+    return {
+        tag: {param.name: _codec_for(getattr(policy, param.name)) for param in fields(policy)}
+        for tag, policy in policies.items()
+    }
+
+
+# Policy tag -> parameter tag -> codec, both in canonical order.  The policy's
+# dataclass is the type of its entry in ``default_qos``; parsing builds it
+# from that entry's parameters, overridden by the ones present.
+POLICY_SCHEMA = _build_schema()
+
+
+def _parse_policy(node: _Node, defaults: QosProfile, path: str, diags: list[ParseDiagnostic]):
+    """One policy element; ``defaults`` (the endpoint kind's ``default_qos``)
+    supplies every parameter the element leaves out."""
+    codecs = POLICY_SCHEMA[node.tag]
+    values = _parse_params(node, codecs, node.tag, path, diags)
+    default = getattr(defaults, node.tag)
+    if len(values) < len(codecs):
+        values = {**default.__dict__, **values}
+    try:
+        return type(default)(**values)
+    except ValueError as exc:  # a constraint of the policy's dataclass
+        raise ProfileLoadError(str(exc), path, node.line) from None
+
+
+def _parse_qos(node: _Node, kind: EndpointKind, path: str, diags: list[ParseDiagnostic]) -> QosProfile:
+    defaults = default_qos(kind)
     policies: dict[str, object] = {}
     for child in node.children:
-        if child.tag not in POLICY_TAGS:
+        if child.tag not in POLICY_SCHEMA:
             _note_unknown(child, "<qos>", path, diags)
-            continue
-        if child.tag in policies:
-            raise _fail(f"duplicate <{child.tag}> policy element", path, child.line)
-        policies[child.tag] = _parse_policy(child, path, diags)
+        elif child.tag in policies:
+            raise ProfileLoadError(f"duplicate <{child.tag}> policy element", path, child.line)
+        else:
+            policies[child.tag] = _parse_policy(child, defaults, path, diags)
     return QosProfile(**policies)  # type: ignore[arg-type]
 
 
@@ -503,21 +431,21 @@ def _parse_endpoint(node: _Node, kind: EndpointKind, path: str, diags: list[Pars
     for child in node.children:
         if child.tag == "topic":
             if saw_topic:
-                raise _fail(f"duplicate <topic> element in <{node.tag}>", path, child.line)
+                raise ProfileLoadError(f"duplicate <topic> element in <{node.tag}>", path, child.line)
             saw_topic = True
             name_node = child.child("name")
             if name_node is not None:
                 topic_name = name_node.text or None
             qos_node = child.child("qos")
             if qos_node is not None:
-                topic_qos = _parse_qos(qos_node, path, diags)
+                topic_qos = _parse_qos(qos_node, kind, path, diags)
             for sub in child.children:
                 if sub.tag not in ("name", "qos"):
                     _note_unknown(sub, "<topic>", path, diags)
         elif child.tag == "qos":
             if endpoint_qos is not None:
-                raise _fail(f"duplicate <qos> element in <{node.tag}>", path, child.line)
-            endpoint_qos = _parse_qos(child, path, diags)
+                raise ProfileLoadError(f"duplicate <qos> element in <{node.tag}>", path, child.line)
+            endpoint_qos = _parse_qos(child, kind, path, diags)
         else:
             _note_unknown(child, f"<{node.tag}>", path, diags)
     return RawEndpoint(
@@ -622,108 +550,15 @@ def load_profile_files(paths: list[str]) -> ProfileSet:
 # -- canonical serialization ------------------------------------------------
 
 
-def _duration_xml(tag: str, d: Duration, indent: str) -> list[str]:
-    if d.is_infinite:
-        return [f"{indent}<{tag}>{INFINITY_TOKEN}</{tag}>"]
-    sec, nanosec = divmod(d.nanoseconds, NANOSECONDS_PER_SECOND)
-    return [
-        f"{indent}<{tag}>",
-        f"{indent}  <sec>{sec}</sec>",
-        f"{indent}  <nanosec>{nanosec}</nanosec>",
-        f"{indent}</{tag}>",
-    ]
-
-
-def _count_xml(tag: str, c: Count, indent: str) -> str:
-    body = UNLIMITED_TOKEN if c.is_unlimited else str(c.value)
-    return f"{indent}<{tag}>{body}</{tag}>"
-
-
-def _bool_xml(tag: str, value: bool, indent: str) -> str:
-    return f"{indent}<{tag}>{'true' if value else 'false'}</{tag}>"
-
-
 def _qos_xml(qos: QosProfile, indent: str) -> list[str]:
     pad = indent + "  "
-    inner = pad + "  "
     lines = [f"{indent}<qos>"]
-    lines.append(f"{pad}<entity_factory>")
-    lines.append(_bool_xml("autoenable_created_entities", qos.entity_factory.autoenable_created_entities, inner))
-    lines.append(f"{pad}</entity_factory>")
-    lines.append(f"{pad}<partition>")
-    lines.append(f"{inner}<names>")
-    for name in qos.partition.names:
-        lines.append(f"{inner}  <name>{escape(name)}</name>")
-    lines.append(f"{inner}</names>")
-    lines.append(f"{pad}</partition>")
-    for tag, value in (
-        ("user_data", qos.user_data.value),
-        ("group_data", qos.group_data.value),
-        ("topic_data", qos.topic_data.value),
-    ):
+    for tag, params in POLICY_SCHEMA.items():
+        policy = getattr(qos, tag)
         lines.append(f"{pad}<{tag}>")
-        lines.append(f"{inner}<value>{value.hex()}</value>")
+        for name, codec in params.items():
+            lines.extend(codec.render(name, getattr(policy, name), pad + "  "))
         lines.append(f"{pad}</{tag}>")
-    lines.append(f"{pad}<reliability>")
-    lines.append(f"{inner}<kind>{qos.reliability.kind.name}</kind>")
-    lines.extend(_duration_xml("max_blocking_time", qos.reliability.max_blocking_time, inner))
-    lines.append(f"{pad}</reliability>")
-    lines.append(f"{pad}<durability>")
-    lines.append(f"{inner}<kind>{qos.durability.kind.name}</kind>")
-    lines.append(f"{pad}</durability>")
-    lines.append(f"{pad}<deadline>")
-    lines.extend(_duration_xml("period", qos.deadline.period, inner))
-    lines.append(f"{pad}</deadline>")
-    lines.append(f"{pad}<liveliness>")
-    lines.append(f"{inner}<kind>{qos.liveliness.kind.name}</kind>")
-    lines.extend(_duration_xml("lease_duration", qos.liveliness.lease_duration, inner))
-    lines.append(f"{pad}</liveliness>")
-    lines.append(f"{pad}<history>")
-    lines.append(f"{inner}<kind>{qos.history.kind.name}</kind>")
-    lines.append(f"{inner}<depth>{qos.history.depth}</depth>")
-    lines.append(f"{pad}</history>")
-    lines.append(f"{pad}<resource_limits>")
-    lines.append(_count_xml("max_samples", qos.resource_limits.max_samples, inner))
-    lines.append(_count_xml("max_instances", qos.resource_limits.max_instances, inner))
-    lines.append(_count_xml("max_samples_per_instance", qos.resource_limits.max_samples_per_instance, inner))
-    lines.append(f"{pad}</resource_limits>")
-    lines.append(f"{pad}<lifespan>")
-    lines.extend(_duration_xml("duration", qos.lifespan.duration, inner))
-    lines.append(f"{pad}</lifespan>")
-    lines.append(f"{pad}<ownership>")
-    lines.append(f"{inner}<kind>{qos.ownership.kind.name}</kind>")
-    lines.append(f"{pad}</ownership>")
-    lines.append(f"{pad}<ownership_strength>")
-    lines.append(f"{inner}<value>{qos.ownership_strength.value}</value>")
-    lines.append(f"{pad}</ownership_strength>")
-    lines.append(f"{pad}<destination_order>")
-    lines.append(f"{inner}<kind>{qos.destination_order.kind.name}</kind>")
-    lines.append(f"{pad}</destination_order>")
-    lines.append(f"{pad}<writer_data_lifecycle>")
-    lines.append(
-        _bool_xml(
-            "autodispose_unregistered_instances",
-            qos.writer_data_lifecycle.autodispose_unregistered_instances,
-            inner,
-        )
-    )
-    lines.append(f"{pad}</writer_data_lifecycle>")
-    lines.append(f"{pad}<reader_data_lifecycle>")
-    lines.extend(
-        _duration_xml(
-            "autopurge_disposed_samples_delay",
-            qos.reader_data_lifecycle.autopurge_disposed_samples_delay,
-            inner,
-        )
-    )
-    lines.extend(
-        _duration_xml(
-            "autopurge_no_writer_samples_delay",
-            qos.reader_data_lifecycle.autopurge_no_writer_samples_delay,
-            inner,
-        )
-    )
-    lines.append(f"{pad}</reader_data_lifecycle>")
     lines.append(f"{indent}</qos>")
     return lines
 

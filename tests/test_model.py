@@ -16,14 +16,11 @@ from qos_chain_guard.model import (
     HistoryKind,
     LivelinessKind,
     NANOSECONDS_MAX,
-    Ordering,
     OwnershipKind,
     QosProfile,
     ReliabilityKind,
-    compare_duration,
     default_qos,
     format_duration,
-    kind_ge,
     resolve_defaults,
 )
 
@@ -35,15 +32,6 @@ counts = st.one_of(
     st.just(Count.unlimited()),
     st.integers(min_value=0, max_value=2**32).map(Count),
 )
-
-
-def test_compare_duration_examples():
-    assert compare_duration(Duration.from_sec_nanosec(1, 0), Duration.infinite()) is Ordering.LESS
-    assert compare_duration(Duration.infinite(), Duration.infinite()) is Ordering.EQUAL
-    assert (
-        compare_duration(Duration.from_sec_nanosec(2, 0), Duration.from_sec_nanosec(1, 0))
-        is Ordering.GREATER
-    )
 
 
 @given(durations, durations)
@@ -107,26 +95,6 @@ def test_format_duration_uses_largest_whole_unit():
 
 
 @pytest.mark.parametrize(
-    "offered,requested,expected",
-    [
-        (ReliabilityKind.RELIABLE, ReliabilityKind.BEST_EFFORT, True),
-        (DurabilityKind.VOLATILE, DurabilityKind.TRANSIENT_LOCAL, False),
-        (LivelinessKind.MANUAL_BY_TOPIC, LivelinessKind.MANUAL_BY_TOPIC, True),
-        (DestinationOrderKind.BY_SOURCE_TIMESTAMP, DestinationOrderKind.BY_RECEPTION_TIMESTAMP, True),
-    ],
-)
-def test_kind_ge(offered, requested, expected):
-    assert kind_ge(offered, requested) is expected
-
-
-def test_kind_ge_rejects_mixed_and_unordered_kinds():
-    with pytest.raises(TypeError):
-        kind_ge(ReliabilityKind.RELIABLE, DurabilityKind.VOLATILE)
-    with pytest.raises(TypeError):
-        kind_ge(OwnershipKind.SHARED, OwnershipKind.SHARED)
-
-
-@pytest.mark.parametrize(
     "kinds,order",
     [
         (ReliabilityKind, ["BEST_EFFORT", "RELIABLE"]),
@@ -139,7 +107,6 @@ def test_ordered_kind_lattices(kinds, order):
     assert [k.name for k in sorted(kinds)] == order
     for low, high in itertools.combinations(sorted(kinds), 2):
         assert low < high
-        assert kind_ge(high, low) and not kind_ge(low, high)
 
 
 def test_defaults_for_writer_and_reader():

@@ -16,7 +16,6 @@ from qos_chain_guard.pipeline import (
     load_environment,
     render_report,
     run_pipeline,
-    suggest_fix,
 )
 from qos_chain_guard.profiles import ProfileSet, parse_document, parse_profiles
 from qos_chain_guard.rules import (
@@ -91,6 +90,15 @@ def test_sub_nanosecond_environment_values_name_the_resolution(text):
 def test_infinite_environment_durations_are_rejected():
     with pytest.raises(EnvironmentLoadError, match="finite"):
         EnvironmentModel(rtt=Duration.infinite())
+
+
+def test_long_environment_literal_is_shortened_in_the_error():
+    with pytest.raises(EnvironmentLoadError) as excinfo:
+        load_environment('{"rtt_ms": 1' + "0" * 400 + "}")
+    message = str(excinfo.value)
+    assert message.startswith("rtt_ms: 1000")
+    assert "(401 characters)" in message
+    assert len(message) < 120
 
 
 # -- pairing plan --------------------------------------------------------------
@@ -309,17 +317,6 @@ def test_json_schema_fields():
         {"writer": "w1", "reader": "r1", "origin": "topic-index", "topic": "t"}
     ]
     assert payload["summary"]["errors"] == 1
-
-
-def test_suggest_fix_returns_rendered_suggestion():
-    ps = profile_set(
-        writer("w1", reliability=reliability(ReliabilityKind.BEST_EFFORT), topic="t"),
-        reader("r1", reliability=reliability(ReliabilityKind.RELIABLE), topic="t"),
-    )
-    report = run_pipeline(ps)
-    violation = next(v for v in report.violations if v.rule_id == 21)
-    assert suggest_fix(violation) == violation.suggestion
-    assert "RELIABLE" in suggest_fix(violation)
 
 
 def test_fail_level_counting():

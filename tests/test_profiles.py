@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import enum
 import gc
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,8 +41,10 @@ from qos_chain_guard.model import (
     TopicData,
     UserData,
     WriterDataLifecycle,
+    default_qos,
 )
 from qos_chain_guard.profiles import (
+    POLICY_SCHEMA,
     ProfileLoadError,
     ProfileSet,
     parse_document,
@@ -226,6 +232,120 @@ def test_duplicate_containers_and_policies_are_load_errors():
             <qos><history><depth>2</depth></history><history><depth>3</depth></history></qos>
             </data_writer></profiles>"""
         )
+
+
+def test_repeated_parameter_element_is_load_error():
+    with pytest.raises(ProfileLoadError, match=r"doc0\.xml:2: duplicate <depth> element in <history>"):
+        parse_set(
+            """<profiles><data_writer profile_name="w">
+            <qos><history><depth>2</depth><depth>3</depth></history></qos>
+            </data_writer></profiles>"""
+        )
+
+
+@pytest.mark.parametrize(
+    "policy,expected",
+    [
+        (
+            "<deadline><period><sec>2</sec><millisec>5</millisec></period></deadline>",
+            Deadline(Duration.from_sec_nanosec(2, 0)),
+        ),
+        ("<user_data><value>ab</value><comment>x</comment></user_data>", UserData(b"\xab")),
+    ],
+    ids=["duration", "user_data"],
+)
+def test_unknown_children_of_any_parameter_get_an_info_note(policy, expected):
+    ps = parse_set(f'<profiles><data_writer profile_name="w"><qos>{policy}</qos></data_writer></profiles>')
+    tag = re.match(r"<(\w+)>", policy).group(1)
+    assert getattr(ps.profiles["w"].qos, tag) == expected
+    [note] = ps.diagnostics
+    assert note.level == "info" and "unknown element" in note.message
+
+
+@pytest.mark.parametrize("nanosec", [1_000_000_000, 5_000_000_000])
+def test_nanosec_of_a_second_or_more_is_load_error(nanosec):
+    with pytest.raises(ProfileLoadError, match=rf"deadline\.period: nanosec must be below 1000000000, got {nanosec}"):
+        parse_set(
+            '<profiles><data_writer profile_name="w1"><qos><deadline><period>'
+            f"<sec>1</sec><nanosec>{nanosec}</nanosec>"
+            "</period></deadline></qos></data_writer></profiles>"
+        )
+
+
+@pytest.mark.parametrize(
+    "policy,start,end",
+    [
+        (
+            f"<history><depth>{'7' * 5000}</depth></history>",
+            "history.depth: expected an integer, got '777",
+            "(5002 characters)",
+        ),
+        # Past Python's 4300-digit limit for str(): the value cannot be echoed at all.
+        (
+            f"<deadline><period><sec>{'9' * 4299}</sec></period></deadline>",
+            "deadline.period: duration overflows the 64-bit range: <an integer of",
+            "bits>ns",
+        ),
+    ],
+    ids=["5000-digit-depth", "4299-digit-sec"],
+)
+def test_long_literal_is_shortened_in_the_error(policy, start, end):
+    with pytest.raises(ProfileLoadError) as excinfo:
+        parse_set(f'<profiles><data_writer profile_name="w1"><qos>{policy}</qos></data_writer></profiles>')
+    message = str(excinfo.value)
+    assert message.startswith(f"doc0.xml:1: {start}")
+    assert message.endswith(end)
+    assert len(message) < 120
+
+
+@pytest.mark.parametrize("kind", list(EndpointKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("tag", [f.name for f in fields(QosProfile)])
+def test_policy_element_without_parameters_takes_the_default(tag, kind):
+    ps = parse_set(f'<profiles><{kind.value} profile_name="e"><qos><{tag}/></qos></{kind.value}></profiles>')
+    assert getattr(ps.profiles["e"].qos, tag) == getattr(default_qos(kind), tag)
+
+
+def test_partial_endpoint_policy_still_replaces_the_topic_policy():
+    ps = parse_set(
+        """<profiles><data_reader profile_name="r1">
+          <topic><name>t</name><qos>
+            <reliability><kind>RELIABLE</kind><max_blocking_time><sec>5</sec></max_blocking_time></reliability>
+          </qos></topic>
+          <qos><reliability><kind>RELIABLE</kind></reliability></qos>
+        </data_reader></profiles>"""
+    )
+    reliability = ps.profiles["r1"].qos.reliability
+    assert reliability.kind is ReliabilityKind.RELIABLE
+    # The endpoint left max_blocking_time out: the OMG default, not the topic's 5 s.
+    assert reliability.max_blocking_time == default_qos(EndpointKind.DATA_READER).reliability.max_blocking_time
+
+
+def _readme_policy_table() -> dict[str, list[str]]:
+    """The README's "Policy element | Parameters" table as tag -> parameter cells."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.split("| Policy element | Parameters |", 1)[1].splitlines()[2:]
+    table = {}
+    for line in lines:
+        if not line.strip().startswith("|"):
+            break
+        tags, params = line.strip().strip("|").split("|")
+        for tag in re.findall(r"`(\w+)`", tags):
+            table[tag] = params
+    return table
+
+
+def test_readme_policy_table_matches_the_schema():
+    table = _readme_policy_table()
+    assert list(table) == list(POLICY_SCHEMA)
+    writer_defaults = default_qos(EndpointKind.DATA_WRITER)
+    for tag, cell in table.items():
+        # Parameter names are the backquoted words outside parentheses.
+        names = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell))
+        assert names == list(POLICY_SCHEMA[tag]), tag
+        for name, tokens in re.findall(r"`(\w+)` \(([^)]*)\)", cell):
+            default = getattr(getattr(writer_defaults, tag), name)
+            if isinstance(default, enum.Enum):
+                assert re.findall(r"`(\w+)`", tokens) == [m.name for m in type(default)], f"{tag}.{name}"
 
 
 def test_topic_qos_merges_under_endpoint_qos():
