@@ -1,9 +1,13 @@
 """The policy dependency-chain graph and its DOT/JSON exports.
 
-The graph is the cell-for-cell transcription of the 16x16 dependency
-matrix: one edge record per non-empty cell, keeping the cell's severity
-and arrow direction exactly as published (mirror cells are not
-reconciled).  Nodes carry the lifecycle phases each policy touches.
+The graph is the 16x16 dependency matrix, one edge record per non-empty
+cell, keeping the cell's severity and arrow direction (mirror cells are not
+reconciled).  The cells are derived from the rule catalog's identifiers:
+``A→B`` gives a forward cell in row A and a reverse cell in row B, ``A↔B``
+a two-way cell in both rows, and rules sharing a cell give it their highest
+severity.  ``MATRIX_DEVIATIONS`` lists the few cells where the published
+matrix departs from the identifiers.  Nodes carry the lifecycle phases each
+policy touches.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .rules import Severity
+from .rules import Severity, rule_catalog
 
 
 class EdgeDirection(enum.Enum):
@@ -25,20 +29,7 @@ class EdgeDirection(enum.Enum):
 class PolicyNode:
     abbreviation: str
     policy_name: str
-    discovery: bool
-    data_exchange: bool
-    disassociation: bool
-
-    @property
-    def lifecycle(self) -> tuple[str, ...]:
-        phases = []
-        if self.discovery:
-            phases.append("discovery")
-        if self.data_exchange:
-            phases.append("data-exchange")
-        if self.disassociation:
-            phases.append("disassociation")
-        return tuple(phases)
+    lifecycle: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -51,114 +42,85 @@ class ChainEdge:
     direction: EdgeDirection
 
 
+_DISCOVERY = "discovery"
+_DATA = "data-exchange"
+_DISASSOCIATION = "disassociation"
+
 POLICY_NODES: tuple[PolicyNode, ...] = (
-    PolicyNode("ENTFAC", "ENTITY_FACTORY", True, False, False),
-    PolicyNode("PART", "PARTITION", True, False, False),
-    PolicyNode("USRDATA", "USER_DATA", True, False, False),
-    PolicyNode("GRPDATA", "GROUP_DATA", True, False, False),
-    PolicyNode("TOPDATA", "TOPIC_DATA", True, False, False),
-    PolicyNode("RELIAB", "RELIABILITY", True, True, True),
-    PolicyNode("DURABL", "DURABILITY", True, True, True),
-    PolicyNode("DEADLN", "DEADLINE", True, True, False),
-    PolicyNode("LIVENS", "LIVELINESS", True, True, True),
-    PolicyNode("HIST", "HISTORY", False, True, False),
-    PolicyNode("RESLIM", "RESOURCE_LIMITS", False, True, False),
-    PolicyNode("LFSPAN", "LIFESPAN", False, True, False),
-    PolicyNode("OWNST", "OWNERSHIP (+STRENGTH)", True, True, True),
-    PolicyNode("DESTORD", "DESTINATION_ORDER", True, True, False),
-    PolicyNode("WDLIFE", "WRITER_DATA_LIFECYCLE", False, False, True),
-    PolicyNode("RDLIFE", "READER_DATA_LIFECYCLE", False, False, True),
+    PolicyNode("ENTFAC", "ENTITY_FACTORY", (_DISCOVERY,)),
+    PolicyNode("PART", "PARTITION", (_DISCOVERY,)),
+    PolicyNode("USRDATA", "USER_DATA", (_DISCOVERY,)),
+    PolicyNode("GRPDATA", "GROUP_DATA", (_DISCOVERY,)),
+    PolicyNode("TOPDATA", "TOPIC_DATA", (_DISCOVERY,)),
+    PolicyNode("RELIAB", "RELIABILITY", (_DISCOVERY, _DATA, _DISASSOCIATION)),
+    PolicyNode("DURABL", "DURABILITY", (_DISCOVERY, _DATA, _DISASSOCIATION)),
+    PolicyNode("DEADLN", "DEADLINE", (_DISCOVERY, _DATA)),
+    PolicyNode("LIVENS", "LIVELINESS", (_DISCOVERY, _DATA, _DISASSOCIATION)),
+    PolicyNode("HIST", "HISTORY", (_DATA,)),
+    PolicyNode("RESLIM", "RESOURCE_LIMITS", (_DATA,)),
+    PolicyNode("LFSPAN", "LIFESPAN", (_DATA,)),
+    PolicyNode("OWNST", "OWNERSHIP (+STRENGTH)", (_DISCOVERY, _DATA, _DISASSOCIATION)),
+    PolicyNode("DESTORD", "DESTINATION_ORDER", (_DISCOVERY, _DATA)),
+    PolicyNode("WDLIFE", "WRITER_DATA_LIFECYCLE", (_DISASSOCIATION,)),
+    PolicyNode("RDLIFE", "READER_DATA_LIFECYCLE", (_DISASSOCIATION,)),
 )
 
-_CRIT = Severity.CRITICAL
-_COND = Severity.CONDITIONAL
-_INCI = Severity.INCIDENTAL
-_FWD = EdgeDirection.FORWARD
-_REV = EdgeDirection.REVERSE
-_BI = EdgeDirection.BIDIRECTIONAL
+Cell = tuple[Severity, EdgeDirection]
 
-# Row-major transcription of the non-empty matrix cells.
-CHAIN_EDGES: tuple[ChainEdge, ...] = (
-    # ENTFAC row
-    ChainEdge("ENTFAC", "DURABL", _INCI, _FWD),
-    # PART row
-    ChainEdge("PART", "PART", _CRIT, _BI),
-    ChainEdge("PART", "DURABL", _INCI, _FWD),
-    ChainEdge("PART", "DEADLN", _INCI, _FWD),
-    ChainEdge("PART", "LIVENS", _INCI, _FWD),
-    # USRDATA, GRPDATA, TOPDATA rows are empty: discovery-only metadata
-    # policies depend on nothing.
-    # RELIAB row
-    ChainEdge("RELIAB", "RELIAB", _CRIT, _BI),
-    ChainEdge("RELIAB", "DURABL", _CRIT, _FWD),
-    ChainEdge("RELIAB", "DEADLN", _COND, _FWD),
-    ChainEdge("RELIAB", "LIVENS", _COND, _FWD),
-    ChainEdge("RELIAB", "HIST", _COND, _REV),
-    ChainEdge("RELIAB", "RESLIM", _COND, _REV),
-    ChainEdge("RELIAB", "LFSPAN", _COND, _REV),
-    ChainEdge("RELIAB", "OWNST", _CRIT, _FWD),
-    ChainEdge("RELIAB", "WDLIFE", _COND, _FWD),
-    # DURABL row
-    ChainEdge("DURABL", "ENTFAC", _INCI, _REV),
-    ChainEdge("DURABL", "PART", _INCI, _REV),
-    ChainEdge("DURABL", "RELIAB", _CRIT, _REV),
-    ChainEdge("DURABL", "DURABL", _CRIT, _BI),
-    ChainEdge("DURABL", "DEADLN", _INCI, _FWD),
-    ChainEdge("DURABL", "HIST", _COND, _REV),
-    ChainEdge("DURABL", "RESLIM", _COND, _REV),
-    ChainEdge("DURABL", "LFSPAN", _COND, _REV),
-    ChainEdge("DURABL", "RDLIFE", _INCI, _REV),
-    # DEADLN row
-    ChainEdge("DEADLN", "PART", _INCI, _REV),
-    ChainEdge("DEADLN", "RELIAB", _COND, _REV),
-    ChainEdge("DEADLN", "DURABL", _INCI, _REV),
-    ChainEdge("DEADLN", "DEADLN", _CRIT, _BI),
-    ChainEdge("DEADLN", "LIVENS", _COND, _REV),
-    ChainEdge("DEADLN", "OWNST", _COND, _FWD),
-    # LIVENS row
-    ChainEdge("LIVENS", "PART", _INCI, _REV),
-    ChainEdge("LIVENS", "RELIAB", _COND, _REV),
-    ChainEdge("LIVENS", "DEADLN", _COND, _FWD),
-    ChainEdge("LIVENS", "LIVENS", _CRIT, _BI),
-    ChainEdge("LIVENS", "OWNST", _COND, _FWD),
-    ChainEdge("LIVENS", "RDLIFE", _COND, _FWD),
-    # HIST row
-    ChainEdge("HIST", "RELIAB", _COND, _FWD),
-    ChainEdge("HIST", "DURABL", _COND, _FWD),
-    ChainEdge("HIST", "RESLIM", _CRIT, _BI),
-    ChainEdge("HIST", "LFSPAN", _COND, _BI),
-    ChainEdge("HIST", "DESTORD", _COND, _BI),
-    # RESLIM row
-    ChainEdge("RESLIM", "RELIAB", _COND, _FWD),
-    ChainEdge("RESLIM", "DURABL", _COND, _FWD),
-    ChainEdge("RESLIM", "HIST", _CRIT, _BI),
-    ChainEdge("RESLIM", "RESLIM", _CRIT, _BI),
-    ChainEdge("RESLIM", "LFSPAN", _COND, _BI),
-    ChainEdge("RESLIM", "DESTORD", _COND, _FWD),
-    # LFSPAN row
-    ChainEdge("LFSPAN", "RELIAB", _COND, _FWD),
-    ChainEdge("LFSPAN", "DURABL", _COND, _FWD),
-    ChainEdge("LFSPAN", "HIST", _COND, _BI),
-    ChainEdge("LFSPAN", "RESLIM", _COND, _BI),
-    # OWNST row
-    ChainEdge("OWNST", "RELIAB", _CRIT, _REV),
-    ChainEdge("OWNST", "DEADLN", _COND, _REV),
-    ChainEdge("OWNST", "LIVENS", _COND, _REV),
-    ChainEdge("OWNST", "OWNST", _CRIT, _BI),
-    ChainEdge("OWNST", "WDLIFE", _INCI, _FWD),
-    # DESTORD row
-    ChainEdge("DESTORD", "HIST", _COND, _REV),
-    ChainEdge("DESTORD", "RESLIM", _COND, _REV),
-    ChainEdge("DESTORD", "DESTORD", _CRIT, _BI),
-    # WDLIFE row
-    ChainEdge("WDLIFE", "RELIAB", _COND, _REV),
-    ChainEdge("WDLIFE", "OWNST", _INCI, _REV),
-    ChainEdge("WDLIFE", "RDLIFE", _COND, _FWD),
-    # RDLIFE row
-    ChainEdge("RDLIFE", "DURABL", _INCI, _FWD),
-    ChainEdge("RDLIFE", "LIVENS", _COND, _REV),
-    ChainEdge("RDLIFE", "WDLIFE", _COND, _REV),
-)
+# Severities from highest to lowest.
+_SEVERITY_RANK = tuple(Severity)
+
+
+def identifier_cells() -> dict[tuple[str, str], Cell]:
+    """The (row, column) -> (severity, direction) cells the rule identifiers give."""
+    cells: dict[tuple[str, str], Cell] = {}
+
+    def put(row: str, column: str, severity: Severity, direction: EdgeDirection) -> None:
+        # Rules sharing a cell all point the same way; the highest severity wins.
+        held, _ = cells.get((row, column), (severity, direction))
+        cells[row, column] = (min(held, severity, key=_SEVERITY_RANK.index), direction)
+
+    for rule in rule_catalog():
+        if "↔" in rule.identifier:
+            a, b = rule.identifier.split("↔")
+            put(a, b, rule.severity, EdgeDirection.BIDIRECTIONAL)
+            put(b, a, rule.severity, EdgeDirection.BIDIRECTIONAL)
+        else:
+            a, b = rule.identifier.split("→")
+            put(a, b, rule.severity, EdgeDirection.FORWARD)
+            put(b, a, rule.severity, EdgeDirection.REVERSE)
+    return cells
+
+
+# Matrix cells the identifiers do not give: (row, column) -> the published
+# cell, or None where the matrix leaves the cell empty.
+MATRIX_DEVIATIONS: dict[tuple[str, str], Cell | None] = {
+    # Rule 32 (RELIAB→OWNST) is conditional; the matrix marks both cells critical.
+    ("RELIAB", "OWNST"): (Severity.CRITICAL, EdgeDirection.FORWARD),
+    ("OWNST", "RELIAB"): (Severity.CRITICAL, EdgeDirection.REVERSE),
+    # Rule 4 (HIST→DESTORD) runs one way; the matrix's HIST row draws it both
+    # ways, while the DESTORD row keeps the one-way arrow.
+    ("HIST", "DESTORD"): (Severity.CONDITIONAL, EdgeDirection.BIDIRECTIONAL),
+    # Rule 3 (LFSPAN→DEADLN) has no cell in the matrix.
+    ("LFSPAN", "DEADLN"): None,
+    ("DEADLN", "LFSPAN"): None,
+}
+
+
+def _matrix_edges() -> tuple[ChainEdge, ...]:
+    """The non-empty matrix cells, row-major in ``POLICY_NODES`` order."""
+    position = {node.abbreviation: index for index, node in enumerate(POLICY_NODES)}
+    cells = {**identifier_cells(), **MATRIX_DEVIATIONS}
+    return tuple(
+        ChainEdge(row, column, *cell)
+        for (row, column), cell in sorted(
+            cells.items(), key=lambda item: (position[item[0][0]], position[item[0][1]])
+        )
+        if cell is not None
+    )
+
+
+CHAIN_EDGES: tuple[ChainEdge, ...] = _matrix_edges()
 
 
 @dataclass(frozen=True)
@@ -173,21 +135,13 @@ class ChainGraph:
         bidirectional cells contribute both; exact duplicates (each pair of
         mirror cells names the same dependency) collapse to one.
         """
-        seen: set[tuple[str, str, Severity]] = set()
-        ordered: list[tuple[str, str, Severity]] = []
+        arrows: list[tuple[str, str, Severity]] = []
         for edge in self.edges:
-            if edge.direction is EdgeDirection.FORWARD:
-                arrows = [(edge.source, edge.target)]
-            elif edge.direction is EdgeDirection.REVERSE:
-                arrows = [(edge.target, edge.source)]
-            else:
-                arrows = [(edge.source, edge.target), (edge.target, edge.source)]
-            for source, target in arrows:
-                triple = (source, target, edge.severity)
-                if triple not in seen:
-                    seen.add(triple)
-                    ordered.append(triple)
-        return tuple(ordered)
+            if edge.direction is not EdgeDirection.REVERSE:
+                arrows.append((edge.source, edge.target, edge.severity))
+            if edge.direction is not EdgeDirection.FORWARD:
+                arrows.append((edge.target, edge.source, edge.severity))
+        return tuple(dict.fromkeys(arrows))
 
 
 def chain_graph() -> ChainGraph:
@@ -239,21 +193,14 @@ def export_chain_graph(fmt: str = "dot") -> str:
             f'  {node.abbreviation} [label="{node.abbreviation}", tooltip="{node.policy_name} ({phases})"];'
         )
     directed = graph.directed_edges()
-    directed_set = set(directed)
-    emitted: set[tuple[str, str, Severity]] = set()
+    drawn: set[tuple[str, str, Severity]] = set()
     for source, target, severity in directed:
-        if (source, target, severity) in emitted:
+        if (source, target, severity) in drawn:
             continue
-        color = _EDGE_COLORS[severity]
-        if source == target:
-            lines.append(f"  {source} -> {target} [color={color}, dir=both];")
-            emitted.add((source, target, severity))
-        elif (target, source, severity) in directed_set:
-            lines.append(f"  {source} -> {target} [color={color}, dir=both];")
-            emitted.add((source, target, severity))
-            emitted.add((target, source, severity))
-        else:
-            lines.append(f"  {source} -> {target} [color={color}];")
-            emitted.add((source, target, severity))
+        # An arrow whose mirror (or a self-loop) has the same severity is drawn once, both ways.
+        mirror = (target, source, severity)
+        both = ", dir=both" if mirror in directed else ""
+        drawn.add(mirror)
+        lines.append(f"  {source} -> {target} [color={_EDGE_COLORS[severity]}{both}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -112,6 +112,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 environment = load_environment(handle.read())
         except OSError as exc:
             raise EnvironmentLoadError(f"cannot read environment file {args.env}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise EnvironmentLoadError(
+                f"cannot read environment file {args.env}: not valid UTF-8 ({exc.reason})"
+            ) from None
     else:
         environment = EnvironmentModel()
     profile_set = load_profile_files(files)

@@ -125,6 +125,8 @@ def load_environment(text: str) -> EnvironmentModel:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise EnvironmentLoadError(f"environment file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise EnvironmentLoadError("environment file nests too deeply to parse") from None
     if not isinstance(data, dict):
         raise EnvironmentLoadError("environment file must contain a JSON object")
     known = {"rtt_ms", "default_publish_period_ms", "publish_period_ms"}
@@ -403,6 +405,18 @@ def _human_report(report: Report, color: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _entities_json(entities: tuple[EntityRef, ...]) -> list[dict[str, object]]:
+    return [
+        {
+            "profile": e.profile_name,
+            "kind": e.endpoint_kind.display,
+            "document": e.source_location.document,
+            "line": e.source_location.line,
+        }
+        for e in entities
+    ]
+
+
 def _json_report(report: Report) -> str:
     payload = {
         "schema_version": 1,
@@ -430,15 +444,7 @@ def _json_report(report: Report) -> str:
                 "stage": v.stage,
                 "severity": v.severity.value,
                 "level": v.severity.level,
-                "entities": [
-                    {
-                        "profile": e.profile_name,
-                        "kind": e.endpoint_kind.display,
-                        "document": e.source_location.document,
-                        "line": e.source_location.line,
-                    }
-                    for e in v.entities
-                ],
+                "entities": _entities_json(v.entities),
                 "topic": v.topic_name,
                 "message": v.message,
                 "suggestion": v.suggestion,
@@ -450,15 +456,7 @@ def _json_report(report: Report) -> str:
                 "rule_id": s.rule_id,
                 "identifier": s.identifier,
                 "stage": s.stage,
-                "entities": [
-                    {
-                        "profile": e.profile_name,
-                        "kind": e.endpoint_kind.display,
-                        "document": e.source_location.document,
-                        "line": e.source_location.line,
-                    }
-                    for e in s.entities
-                ],
+                "entities": _entities_json(s.entities),
                 "reason": s.reason.value,
             }
             for s in report.skipped

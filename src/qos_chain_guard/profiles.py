@@ -105,11 +105,12 @@ class _Node:
     def text(self) -> str:
         return "".join(self.text_parts).strip()
 
-    def child(self, tag: str) -> "_Node | None":
-        for c in self.children:
-            if c.tag == tag:
-                return c
-        return None
+    def only_child(self, tag: str, path: str) -> "_Node | None":
+        """The one ``tag`` child, or None; a repeated one is a load error."""
+        found = [c for c in self.children if c.tag == tag]
+        if len(found) > 1:
+            raise ProfileLoadError(f"duplicate <{tag}> element in <{self.tag}>", path, found[1].line)
+        return found[0] if found else None
 
 
 def _parse_xml(text: str, path: str) -> _Node:
@@ -433,10 +434,10 @@ def _parse_endpoint(node: _Node, kind: EndpointKind, path: str, diags: list[Pars
             if saw_topic:
                 raise ProfileLoadError(f"duplicate <topic> element in <{node.tag}>", path, child.line)
             saw_topic = True
-            name_node = child.child("name")
+            name_node = child.only_child("name", path)
             if name_node is not None:
                 topic_name = name_node.text or None
-            qos_node = child.child("qos")
+            qos_node = child.only_child("qos", path)
             if qos_node is not None:
                 topic_qos = _parse_qos(qos_node, kind, path, diags)
             for sub in child.children:
@@ -467,7 +468,7 @@ def parse_document(text: str, path: str = "<string>") -> ProfileDocument:
     root = _parse_xml(text, path)
     diags: list[ParseDiagnostic] = []
     if root.tag == "dds":
-        profiles_node = root.child("profiles")
+        profiles_node = root.only_child("profiles", path)
         if profiles_node is None:
             raise ProfileLoadError("<dds> root contains no <profiles> element", path=path, line=root.line)
         for child in root.children:
@@ -543,6 +544,8 @@ def load_profile_files(paths: list[str]) -> ProfileSet:
                 text = handle.read()
         except OSError as exc:
             raise ProfileLoadError(f"cannot read file: {exc.strerror or exc}", path=path) from exc
+        except UnicodeDecodeError as exc:
+            raise ProfileLoadError(f"cannot read file: not valid UTF-8 ({exc.reason})", path=path) from None
         documents.append(parse_document(text, path))
     return parse_profiles(documents)
 

@@ -276,14 +276,21 @@ def _build_catalog() -> tuple[Rule, ...]:
             f"resource_limits.max_samples_per_instance={c.qos.resource_limits.max_samples_per_instance}"
         ),
         suggestion=lambda c: (
-            f"raise resource_limits.max_samples to ≥ {c.qos.resource_limits.max_samples_per_instance} "
-            f"or lower resource_limits.max_samples_per_instance to ≤ {c.qos.resource_limits.max_samples}"
+            (
+                "set resource_limits.max_samples to UNLIMITED "
+                if c.qos.resource_limits.max_samples_per_instance.is_unlimited
+                else f"raise resource_limits.max_samples to ≥ "
+                f"{c.qos.resource_limits.max_samples_per_instance} "
+            )
+            + f"or lower resource_limits.max_samples_per_instance to ≤ {c.qos.resource_limits.max_samples}"
         ),
     ))
     add(Rule(
         3, "LFSPAN→DEADLN", 1, Severity.CRITICAL, RuleScope.EITHER,
-        "lifespan.duration < deadline.period",
-        predicate=lambda c: c.qos.lifespan.duration < c.qos.deadline.period,
+        "deadline.period > 0 and lifespan.duration < deadline.period",
+        predicate=lambda c: (
+            _deadline_enabled(c.qos) and c.qos.lifespan.duration < c.qos.deadline.period
+        ),
         message=lambda c: (
             f"lifespan.duration={_fmt(c.qos.lifespan.duration)} is shorter than "
             f"deadline.period={_fmt(c.qos.deadline.period)}: samples can expire before the "

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import json
 
-from qos_chain_guard.chain import chain_graph, export_chain_graph
+from qos_chain_guard.chain import (
+    MATRIX_DEVIATIONS,
+    POLICY_NODES,
+    chain_graph,
+    export_chain_graph,
+    identifier_cells,
+)
 from qos_chain_guard.rules import Severity
 
 # Hand transcription of the dependency matrix, row-major, one entry per
@@ -100,6 +106,20 @@ def test_edge_multiset_matches_transcription_cell_for_cell():
     expected = sorted((s, t, sev, _DIRECTIONS[d]) for s, t, sev, d in EXPECTED_CELLS)
     assert actual == expected
     assert len(graph.edges) == len(EXPECTED_CELLS) == 64
+
+
+def test_every_matrix_deviation_departs_from_the_identifiers():
+    # An entry the identifiers already give is stale and should be deleted.
+    derived = identifier_cells()
+    assert len(MATRIX_DEVIATIONS) == 5
+    for cell, published in MATRIX_DEVIATIONS.items():
+        assert derived.get(cell) != published, f"deviation {cell} is given by the rule identifiers"
+
+
+def test_edges_are_row_major_in_node_order():
+    position = {node.abbreviation: index for index, node in enumerate(POLICY_NODES)}
+    keys = [(position[e.source], position[e.target]) for e in chain_graph().edges]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_discovery_only_metadata_policies_have_no_edges():

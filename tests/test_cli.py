@@ -199,6 +199,33 @@ def test_huge_environment_value_exits_2(fixtures, tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+def test_non_utf8_profile_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.xml"
+    bad.write_bytes('<profiles><data_writer profile_name="caf\xe9"/></profiles>'.encode("latin-1"))
+    assert main(["check", str(bad)]) == 2
+    _, err = capsys.readouterr()
+    assert err == (
+        f"qos-chain-guard: error: {bad}: cannot read file: not valid UTF-8 (invalid continuation byte)\n"
+    )
+
+
+def test_non_utf8_environment_file_exits_2(fixtures, tmp_path, capsys):
+    env = tmp_path / "env.json"
+    env.write_bytes('{"publish_period_ms": {"caf\xe9": 10}}'.encode("latin-1"))
+    assert main(["check", fixtures["clean"], "--env", str(env)]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith(f"qos-chain-guard: error: cannot read environment file {env}: not valid UTF-8")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_environment_file_exits_2(fixtures, tmp_path, capsys):
+    env = tmp_path / "env.json"
+    env.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["check", fixtures["clean"], "--env", str(env)]) == 2
+    _, err = capsys.readouterr()
+    assert err == "qos-chain-guard: error: environment file nests too deeply to parse\n"
+
+
 def test_environment_enables_stage3_arithmetic(fixtures, tmp_path, capsys):
     env = tmp_path / "env.json"
     env.write_text('{"rtt_ms": 100, "default_publish_period_ms": 50}', encoding="utf-8")

@@ -114,7 +114,7 @@ def expected_single(rule_id: int, q: dict, rtt: int | None, pp: int | None):
     conditions = {
         1: lambda: q["hist"] == "KL" and (q["mspi"] is not None and q["depth"] > q["mspi"]),
         2: lambda: _lt(q["max_samples"], q["mspi"]),
-        3: lambda: _lt(q["lifespan"], q["deadline"]),
+        3: lambda: _positive(q["deadline"]) and _lt(q["lifespan"], q["deadline"]),
         4: lambda: q["dest"] == "BS" and q["hist"] == "KL" and q["depth"] == 1,
         5: lambda: q["dest"] == "BS" and q["hist"] == "KA" and q["mspi"] == 1,
         6: lambda: _dur_ge(q["dur"], "TL") and q["hist"] == "KL" and _below_floor(q["depth"], rtt, pp),

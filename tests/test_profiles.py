@@ -226,10 +226,26 @@ def test_duplicate_containers_and_policies_are_load_errors():
         parse_set('<profiles><data_writer profile_name="w"><qos/><qos/></data_writer></profiles>')
     with pytest.raises(ProfileLoadError, match="duplicate <topic>"):
         parse_set('<profiles><data_writer profile_name="w"><topic/><topic/></data_writer></profiles>')
+    with pytest.raises(ProfileLoadError, match="duplicate <profiles> element in <dds>"):
+        parse_set("<dds><profiles/><profiles/></dds>")
     with pytest.raises(ProfileLoadError, match="duplicate <history> policy"):
         parse_set(
             """<profiles><data_writer profile_name="w">
             <qos><history><depth>2</depth></history><history><depth>3</depth></history></qos>
+            </data_writer></profiles>"""
+        )
+
+
+@pytest.mark.parametrize(
+    "tag, topic",
+    [("name", "<name>a</name><name>b</name>"), ("qos", "<name>a</name><qos/><qos/>")],
+    ids=["name", "qos"],
+)
+def test_repeated_topic_child_is_load_error(tag, topic):
+    with pytest.raises(ProfileLoadError, match=rf"doc0\.xml:2: duplicate <{tag}> element in <topic>"):
+        parse_set(
+            f"""<profiles><data_writer profile_name="w">
+            <topic>{topic}</topic>
             </data_writer></profiles>"""
         )
 

@@ -229,6 +229,14 @@ def test_infinite_lifespan_exemption_beats_env_and_predicate():
         assert outcome.reason is SkipReason.INFINITE_LIFESPAN_EXEMPTION
 
 
+def test_rule_3_is_clean_when_the_deadline_is_infinite():
+    # An infinite deadline turns monitoring off: no window for a sample to outlive.
+    w = writer(lifespan=lifespan(ms(50)))
+    r = reader(lifespan=lifespan(ms(50)))
+    for ctx in (EvalContext(writer=w), EvalContext(reader=r)):
+        assert isinstance(evaluate_rule(get_rule(3), ctx), CleanCheck)
+
+
 def test_unlimited_max_samples_per_instance_semantics():
     # Unlimited can never sit below the floor (rules 7/30) but always sits
     # above it (rule 40).
@@ -298,6 +306,18 @@ def test_rule_1_suggestion_contains_computed_bound():
     assert "≥ 10" in outcome.suggestion
     assert "history.depth=10" in outcome.message
     assert "max_samples_per_instance=5" in outcome.message
+
+
+def test_rule_2_suggestion_for_unlimited_max_samples_per_instance():
+    w = writer(resource_limits=reslim(max_samples=5))
+    outcome = evaluate_rule(get_rule(2), EvalContext(writer=w))
+    assert outcome.suggestion == (
+        "set resource_limits.max_samples to UNLIMITED "
+        "or lower resource_limits.max_samples_per_instance to ≤ 5"
+    )
+    violating, _ = RULE_FIXTURES[2]
+    outcome = evaluate_rule(get_rule(2), context_for(get_rule(2), violating))
+    assert outcome.suggestion.startswith("raise resource_limits.max_samples to ≥ 10 or")
 
 
 def test_rule_29_suggestion_contains_floor():
