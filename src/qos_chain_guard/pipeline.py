@@ -13,6 +13,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Sequence
 
 from ._version import __version__
@@ -405,65 +406,102 @@ def _human_report(report: Report, color: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entities_json(entities: tuple[EntityRef, ...]) -> list[dict[str, object]]:
-    return [
-        {
-            "profile": e.profile_name,
-            "kind": e.endpoint_kind.display,
-            "document": e.source_location.document,
-            "line": e.source_location.line,
-        }
-        for e in entities
-    ]
+def _json_section(value: object) -> str:
+    """``value`` as pretty JSON indented one level, to sit under a top-level key.
+
+    Replacing every newline re-indents exactly: JSON strings hold no raw newline.
+    """
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", "\n  ")
+
+
+def _json_rows(rows: list[str]) -> str:
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
 
 def _json_report(report: Report) -> str:
-    payload = {
-        "schema_version": 1,
-        "tool": {"name": "qos-chain-guard", "version": report.tool_version},
-        "inputs": list(report.inputs),
-        "environment": report.environment.echo(),
-        "assumptions": list(report.assumptions),
-        "pairs": [
-            {
-                "writer": p.writer,
-                "reader": p.reader,
-                "origin": p.origin.value,
-                "topic": p.topic_name,
-            }
-            for p in report.pairings
-        ],
-        "parse_diagnostics": [
-            {"path": d.path, "line": d.line, "level": d.level, "message": d.message}
-            for d in report.parse_diagnostics
-        ],
-        "diagnostics": [
-            {
-                "rule_id": v.rule_id,
-                "identifier": v.identifier,
-                "stage": v.stage,
-                "severity": v.severity.value,
-                "level": v.severity.level,
-                "entities": _entities_json(v.entities),
-                "topic": v.topic_name,
-                "message": v.message,
-                "suggestion": v.suggestion,
-            }
-            for v in report.violations
-        ],
-        "skipped": [
-            {
-                "rule_id": s.rule_id,
-                "identifier": s.identifier,
-                "stage": s.stage,
-                "entities": _entities_json(s.entities),
-                "reason": s.reason.value,
-            }
-            for s in report.skipped
-        ],
-        "summary": report.summary,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The report as the bytes of ``json.dumps(payload, indent=2, sort_keys=True,
+    ensure_ascii=False)``.
+
+    The large arrays are written row by row, keys in sorted order, because
+    ``json.dumps`` with ``indent`` never uses the C encoder.  Strings go
+    through ``encode_basestring``, the escaper that ``json.dumps`` itself
+    calls.  ``tests/test_pipeline.py`` holds the payload as a dict and
+    checks the two agree.
+    """
+    enc = encode_basestring
+    entity_json: dict[EntityRef, str] = {}
+
+    def entities(refs: tuple[EntityRef, ...]) -> str:
+        parts = []
+        for e in refs:
+            text = entity_json.get(e)
+            if text is None:
+                text = entity_json[e] = (
+                    "        {\n"
+                    f'          "document": {enc(e.source_location.document)},\n'
+                    f'          "kind": {enc(e.endpoint_kind.display)},\n'
+                    f'          "line": {e.source_location.line},\n'
+                    f'          "profile": {enc(e.profile_name)}\n'
+                    "        }"
+                )
+            parts.append(text)
+        return ",\n".join(parts)
+
+    def topic(name: str | None) -> str:
+        return "null" if name is None else enc(name)
+
+    diagnostics = [
+        "    {\n"
+        f'      "entities": [\n{entities(v.entities)}\n      ],\n'
+        f'      "identifier": {enc(v.identifier)},\n'
+        f'      "level": {enc(v.severity.level)},\n'
+        f'      "message": {enc(v.message)},\n'
+        f'      "rule_id": {v.rule_id},\n'
+        f'      "severity": {enc(v.severity.value)},\n'
+        f'      "stage": {v.stage},\n'
+        f'      "suggestion": {enc(v.suggestion)},\n'
+        f'      "topic": {topic(v.topic_name)}\n'
+        "    }"
+        for v in report.violations
+    ]
+    skipped = [
+        "    {\n"
+        f'      "entities": [\n{entities(s.entities)}\n      ],\n'
+        f'      "identifier": {enc(s.identifier)},\n'
+        f'      "reason": {enc(s.reason.value)},\n'
+        f'      "rule_id": {s.rule_id},\n'
+        f'      "stage": {s.stage}\n'
+        "    }"
+        for s in report.skipped
+    ]
+    pairs = [
+        "    {\n"
+        f'      "origin": {enc(p.origin.value)},\n'
+        f'      "reader": {enc(p.reader)},\n'
+        f'      "topic": {topic(p.topic_name)},\n'
+        f'      "writer": {enc(p.writer)}\n'
+        "    }"
+        for p in report.pairings
+    ]
+    parse_diagnostics = [
+        {"path": d.path, "line": d.line, "level": d.level, "message": d.message}
+        for d in report.parse_diagnostics
+    ]
+    tool = {"name": "qos-chain-guard", "version": report.tool_version}
+    return (
+        "{\n"
+        f'  "assumptions": {_json_section(list(report.assumptions))},\n'
+        f'  "diagnostics": {_json_rows(diagnostics)},\n'
+        f'  "environment": {_json_section(report.environment.echo())},\n'
+        f'  "inputs": {_json_section(list(report.inputs))},\n'
+        f'  "pairs": {_json_rows(pairs)},\n'
+        f'  "parse_diagnostics": {_json_section(parse_diagnostics)},\n'
+        '  "schema_version": 1,\n'
+        f'  "skipped": {_json_rows(skipped)},\n'
+        f'  "summary": {_json_section(report.summary)},\n'
+        f'  "tool": {_json_section(tool)}\n'
+        "}\n"
+    )
 
 
 def render_report(report: Report, fmt: str = "human", color: bool = False) -> str:

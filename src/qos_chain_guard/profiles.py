@@ -21,9 +21,11 @@ One table, ``POLICY_SCHEMA``, drives both parsing and canonical output.  It
 is derived from the model at import: every ``QosProfile`` field is a policy
 element, in declaration order (the canonical order), and every field of
 that policy's dataclass is a parameter element, read and written by the
-codec of its default value's type.  Durations are <sec>/<nanosec> integer
-pairs (nanosec below 10**9) or the token DURATION_INFINITY; counts are
-nonnegative integers, the token UNLIMITED, or the conventional -1 alias;
+codec of its default value's type.  Integers are XML Schema integers (an
+optional sign and ASCII digits); history depth, ownership strength and
+finite counts must fit DDS's 32-bit ``long``.  Durations are <sec>/<nanosec>
+integer pairs (nanosec below 10**9) or the token DURATION_INFINITY; counts
+are nonnegative integers, the token UNLIMITED, or the conventional -1 alias;
 enumeration tokens are the uppercase forms (RELIABLE, KEEP_ALL, ...);
 user/group/topic data values are hex strings; partition names are <name>
 elements inside <names>.
@@ -38,6 +40,7 @@ error.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field, fields
 from typing import Callable
 from xml.parsers import expat
@@ -58,6 +61,11 @@ from .model import (
 
 INFINITY_TOKEN = "DURATION_INFINITY"
 UNLIMITED_TOKEN = "UNLIMITED"
+
+# DDS's ``long``, the type of history depth, ownership strength and counts.
+LONG_MIN = -(2**31)
+LONG_MAX = 2**31 - 1
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 ENDPOINT_TAGS = {
     "data_writer": EndpointKind.DATA_WRITER,
@@ -267,11 +275,21 @@ def _element(tag: str, body: object, indent: str) -> list[str]:
 
 
 def _parse_int(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
-    try:
-        return int(node.text)
-    except ValueError:
+    """An XML Schema integer: ``int()`` alone would also take ``1_000`` and non-ASCII digits."""
+    if _INTEGER.fullmatch(node.text):
+        try:
+            return int(node.text)
+        except ValueError:  # past Python's digit limit
+            pass
+    raise _bad_value(node, context, f"expected an integer, got {shorten_literal(node.text)}", path)
+
+
+def _parse_long(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
+    value = _parse_int(node, context, path, diags)
+    if not LONG_MIN <= value <= LONG_MAX:
         got = shorten_literal(node.text)
-        raise _bad_value(node, context, f"expected an integer, got {got}", path) from None
+        raise _bad_value(node, context, f"{got} is outside the 32-bit range [{LONG_MIN}, {LONG_MAX}]", path)
+    return value
 
 
 def _parse_bool(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> bool:
@@ -294,7 +312,7 @@ def _parse_bytes(node: _Node, context: str, path: str, diags: list[ParseDiagnost
 def _parse_count(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Count:
     if node.text.upper() == UNLIMITED_TOKEN:
         return Count.unlimited()
-    value = _parse_int(node, context, path, diags)
+    value = _parse_long(node, context, path, diags)
     if value == -1:  # conventional vendor alias for unlimited
         return Count.unlimited()
     if value < 0:
@@ -367,7 +385,7 @@ def _enum_codec(enum_cls: type[enum.Enum]) -> Codec:
 
 _CODECS: dict[type, Codec] = {
     bool: Codec(_parse_bool, lambda tag, value, indent: _element(tag, "true" if value else "false", indent)),
-    int: _INT,
+    int: Codec(_parse_long, _element),
     bytes: Codec(_parse_bytes, lambda tag, value, indent: _element(tag, value.hex(), indent)),
     Count: Codec(_parse_count, lambda tag, value, indent: _element(tag, _count_token(value), indent)),
     Duration: Codec(_parse_duration, _render_duration),

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qos_chain_guard
+from qos_chain_guard import __version__
 from qos_chain_guard.cli import main
 
 CLEAN_XML = """<profiles>
@@ -266,3 +272,22 @@ def test_usage_error_exits_2(capsys):
         main(["frobnicate"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def _run_package(*args: str) -> subprocess.CompletedProcess:
+    """``python -m qos_chain_guard ARGS`` with this checkout's package on the path."""
+    src = str(Path(qos_chain_guard.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+    return subprocess.run(
+        [sys.executable, "-m", "qos_chain_guard", *args], env=env, capture_output=True, timeout=60
+    )
+
+
+def test_package_runs_as_a_module(fixtures, capsys):
+    version = _run_package("--version")
+    assert version.returncode == 0
+    assert version.stdout.decode() == f"qos-chain-guard {__version__}\n"
+    for name in ("clean", "critical"):
+        check = _run_package("check", fixtures[name], "--format", "json")
+        assert check.returncode == main(["check", fixtures[name], "--format", "json"])
+        assert check.stdout.decode("utf-8") == capsys.readouterr().out

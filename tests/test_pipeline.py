@@ -5,22 +5,28 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qos_chain_guard.model import DurabilityKind, Duration, ReliabilityKind
+from qos_chain_guard.model import DurabilityKind, Duration, EndpointKind, ReliabilityKind, SourceLocation
 from qos_chain_guard.pipeline import (
     EnvironmentLoadError,
     EnvironmentModel,
     PairOrigin,
+    Pairing,
     PairingError,
+    Report,
     build_pairing_plan,
     load_environment,
     render_report,
     run_pipeline,
 )
-from qos_chain_guard.profiles import ProfileSet, parse_document, parse_profiles
+from qos_chain_guard.profiles import ParseDiagnostic, ProfileSet, parse_document, parse_profiles
 from qos_chain_guard.rules import (
     CleanCheck,
+    EntityRef,
+    Severity,
     SkipReason,
+    SkippedRule,
     Violation,
     applicable_to,
     evaluate_endpoint_rules,
@@ -427,3 +433,119 @@ def test_class_evaluation_matches_per_endpoint_evaluation():
     assert (38, "cam_a", "cam/a") in fired and (38, "cam_listener", "cam/a") not in fired
     assert (38, "cam_c", "cam/c") in fired
     assert (21, "cam_b", None) in fired and (21, "cam_a", "cam/a") in fired
+
+
+# -- JSON rendering ------------------------------------------------------------
+
+
+def _reference_payload(report: Report) -> dict:
+    """The report as a dict; ``json.dumps`` of it is the byte contract of the JSON format."""
+
+    def entities(refs):
+        return [
+            {
+                "profile": e.profile_name,
+                "kind": e.endpoint_kind.display,
+                "document": e.source_location.document,
+                "line": e.source_location.line,
+            }
+            for e in refs
+        ]
+
+    return {
+        "schema_version": 1,
+        "tool": {"name": "qos-chain-guard", "version": report.tool_version},
+        "inputs": list(report.inputs),
+        "environment": report.environment.echo(),
+        "assumptions": list(report.assumptions),
+        "pairs": [
+            {"writer": p.writer, "reader": p.reader, "origin": p.origin.value, "topic": p.topic_name}
+            for p in report.pairings
+        ],
+        "parse_diagnostics": [
+            {"path": d.path, "line": d.line, "level": d.level, "message": d.message}
+            for d in report.parse_diagnostics
+        ],
+        "diagnostics": [
+            {
+                "rule_id": v.rule_id,
+                "identifier": v.identifier,
+                "stage": v.stage,
+                "severity": v.severity.value,
+                "level": v.severity.level,
+                "entities": entities(v.entities),
+                "topic": v.topic_name,
+                "message": v.message,
+                "suggestion": v.suggestion,
+            }
+            for v in report.violations
+        ],
+        "skipped": [
+            {
+                "rule_id": s.rule_id,
+                "identifier": s.identifier,
+                "stage": s.stage,
+                "entities": entities(s.entities),
+                "reason": s.reason.value,
+            }
+            for s in report.skipped
+        ],
+        "summary": report.summary,
+    }
+
+
+# Arbitrary text, or text of the characters JSON escapes or passes through
+# raw: quotes, backslashes, control characters, U+2028/U+2029, non-ASCII.
+_text = st.text(max_size=8) | st.text('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u2029é中😀', max_size=8)
+_ints = st.integers(min_value=-(10**6), max_value=10**9)
+_topics = st.none() | _text
+# Nanoseconds that echo as integer milliseconds and as fractional ones.
+_durations = st.one_of(st.integers(1, 10**6), st.integers(1, 10**9).map(lambda n: n * 10**6)).map(Duration)
+
+
+@st.composite
+def _reports(draw) -> Report:
+    # A small pool of endpoints, so the rows name the same entity many times,
+    # and distinct entities may share a profile name.
+    pool = draw(
+        st.lists(
+            st.builds(
+                EntityRef,
+                st.sampled_from(["w", "r"]) | _text,
+                st.sampled_from(EndpointKind),
+                st.builds(SourceLocation, _text, _ints),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    entities = st.lists(st.sampled_from(pool), min_size=1, max_size=2).map(tuple)
+    violation = st.builds(
+        Violation, _ints, _text, _ints, st.sampled_from(Severity), entities, _topics, _text, _text
+    )
+    skip = st.builds(SkippedRule, _ints, _text, _ints, entities, st.sampled_from(SkipReason))
+    pairing = st.builds(Pairing, _text, _text, st.sampled_from(PairOrigin), _topics)
+    note = st.builds(ParseDiagnostic, _text, _ints, _text, st.sampled_from(["info", "warning"]))
+    environment = st.builds(
+        EnvironmentModel,
+        st.none() | _durations,
+        st.none() | _durations,
+        st.dictionaries(_text, _durations, max_size=3),
+    )
+    return Report(
+        tool_version=draw(_text),
+        inputs=tuple(draw(st.lists(_text, max_size=3))),
+        environment=draw(environment),
+        assumptions=tuple(draw(st.lists(_text, max_size=2))),
+        pairings=tuple(draw(st.lists(pairing, max_size=4))),
+        parse_diagnostics=tuple(draw(st.lists(note, max_size=3))),
+        violations=tuple(draw(st.lists(violation, max_size=5))),
+        skipped=tuple(draw(st.lists(skip, max_size=5))),
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_reports())
+def test_json_report_matches_json_dumps_of_the_reference_payload(report):
+    expected = json.dumps(_reference_payload(report), indent=2, sort_keys=True, ensure_ascii=False)
+    assert render_report(report, "json") == expected + "\n"

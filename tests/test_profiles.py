@@ -314,6 +314,71 @@ def test_long_literal_is_shortened_in_the_error(policy, start, end):
     assert len(message) < 120
 
 
+def _writer_qos(policy: str):
+    ps = parse_set(f'<profiles><data_writer profile_name="w1"><qos>{policy}</qos></data_writer></profiles>')
+    return ps.profiles["w1"].qos
+
+
+@pytest.mark.parametrize(
+    "policy,error",
+    [
+        (
+            "<history><depth>1_000</depth></history>",
+            "history.depth: expected an integer, got '1_000'",
+        ),
+        (
+            "<history><depth>١٢</depth></history>",  # Arabic-Indic digits
+            "history.depth: expected an integer, got '١٢'",
+        ),
+        (
+            "<history><depth>2147483648</depth></history>",
+            "history.depth: '2147483648' is outside the 32-bit range [-2147483648, 2147483647]",
+        ),
+        (
+            f"<ownership_strength><value>1{'0' * 399}</value></ownership_strength>",
+            "ownership_strength.value: '1000000000000000000000000000000...0000000' (402 characters) "
+            "is outside the 32-bit range [-2147483648, 2147483647]",
+        ),
+        (
+            "<ownership_strength><value>-2147483649</value></ownership_strength>",
+            "ownership_strength.value: '-2147483649' is outside the 32-bit range [-2147483648, 2147483647]",
+        ),
+        (
+            f"<resource_limits><max_samples>{'9' * 60}</max_samples></resource_limits>",
+            "resource_limits.max_samples: '9999999999999999999999999999999...9999999' (62 characters) "
+            "is outside the 32-bit range [-2147483648, 2147483647]",
+        ),
+        (
+            "<deadline><period><sec>1_0</sec></period></deadline>",
+            "deadline.period.sec: expected an integer, got '1_0'",
+        ),
+    ],
+    ids=["underscore", "non-ascii-digits", "depth-past-long", "400-digit-strength",
+         "strength-below-long", "60-digit-count", "underscore-sec"],
+)
+def test_integer_outside_the_xml_schema_form_or_the_long_range_is_load_error(policy, error):
+    with pytest.raises(ProfileLoadError) as excinfo:
+        _writer_qos(policy)
+    assert str(excinfo.value) == f"doc0.xml:1: {error}"
+
+
+def test_integer_bounds_and_sign_are_accepted():
+    qos = _writer_qos(
+        "<history><depth>+2147483647</depth></history>"
+        "<ownership_strength><value>-2147483648</value></ownership_strength>"
+        "<resource_limits><max_samples>2147483647</max_samples></resource_limits>"
+    )
+    assert qos.history.depth == 2**31 - 1
+    assert qos.ownership_strength.value == -(2**31)
+    assert qos.resource_limits.max_samples == Count(2**31 - 1)
+
+
+def test_duration_seconds_keep_the_64_bit_nanosecond_range():
+    # 2**32 s is past a 32-bit long but within 64-bit nanoseconds.
+    qos = _writer_qos("<deadline><period><sec>4294967296</sec></period></deadline>")
+    assert qos.deadline.period == Duration.from_sec_nanosec(2**32, 0)
+
+
 @pytest.mark.parametrize("kind", list(EndpointKind), ids=lambda kind: kind.value)
 @pytest.mark.parametrize("tag", [f.name for f in fields(QosProfile)])
 def test_policy_element_without_parameters_takes_the_default(tag, kind):
