@@ -116,9 +116,17 @@ class Duration:
 
 def format_duration(d: Duration) -> str:
     """Render a duration compactly with the largest whole unit."""
-    if d.nanoseconds is None:
+    return format_nanoseconds(d.nanoseconds)
+
+
+def format_nanoseconds(ns: int | None) -> str:
+    """``format_duration`` of a nanosecond count (None is infinite).
+
+    Any integer renders, so a product of durations past the 64-bit range
+    can still be quoted in a message.
+    """
+    if ns is None:
         return "infinite"
-    ns = d.nanoseconds
     if ns % NANOSECONDS_PER_SECOND == 0:
         return f"{ns // NANOSECONDS_PER_SECOND}s"
     if ns % NANOSECONDS_PER_MILLISECOND == 0:

@@ -56,6 +56,7 @@ from .model import (
     default_qos,
     resolve_defaults,
     shorten_literal,
+    NANOSECONDS_MAX,
     NANOSECONDS_PER_SECOND,
 )
 
@@ -274,19 +275,27 @@ def _element(tag: str, body: object, indent: str) -> list[str]:
     return [f"{indent}<{tag}>{body}</{tag}>"]
 
 
-def _parse_int(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
-    """An XML Schema integer: ``int()`` alone would also take ``1_000`` and non-ASCII digits."""
-    if _INTEGER.fullmatch(node.text):
+def _parse_int(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int | None:
+    """An XML Schema integer: ``int()`` alone would also take ``1_000`` and non-ASCII digits.
+
+    None stands for a value too long for ``int()`` (past 4300 digits), which
+    is outside every parameter's range; the caller's range error echoes it.
+    """
+    if not _INTEGER.fullmatch(node.text):
+        raise _bad_value(node, context, f"expected an integer, got {shorten_literal(node.text)}", path)
+    try:
+        return int(node.text)
+    except ValueError:  # past Python's digit limit, perhaps only by leading zeros
+        sign = "-" if node.text.startswith("-") else ""
         try:
-            return int(node.text)
-        except ValueError:  # past Python's digit limit
-            pass
-    raise _bad_value(node, context, f"expected an integer, got {shorten_literal(node.text)}", path)
+            return int(sign + (node.text.lstrip("+-").lstrip("0") or "0"))
+        except ValueError:
+            return None
 
 
 def _parse_long(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
     value = _parse_int(node, context, path, diags)
-    if not LONG_MIN <= value <= LONG_MAX:
+    if value is None or not LONG_MIN <= value <= LONG_MAX:
         got = shorten_literal(node.text)
         raise _bad_value(node, context, f"{got} is outside the 32-bit range [{LONG_MIN}, {LONG_MAX}]", path)
     return value
@@ -324,8 +333,22 @@ def _count_token(value: Count) -> object:
     return UNLIMITED_TOKEN if value.is_unlimited else value.value
 
 
-_INT = Codec(_parse_int, _element)
-_SEC_NANOSEC = {"sec": _INT, "nanosec": _INT}
+def _parse_duration_part(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
+    """``<sec>`` or ``<nanosec>``.  A part past its range on its own is
+    rejected here, so the error can echo the literal as written."""
+    value = _parse_int(node, context, path, diags)
+    got = shorten_literal(node.text)
+    if node.tag == "sec" and (value is None or value > NANOSECONDS_MAX // NANOSECONDS_PER_SECOND):
+        message = f"duration overflows the 64-bit range: sec {got}"
+    elif value is None:
+        message = f"nanosec must be below {NANOSECONDS_PER_SECOND}, got {got}"
+    else:
+        return value
+    raise ProfileLoadError(f"{context}: {message}", path, node.line)
+
+
+_PART = Codec(_parse_duration_part, _element)
+_SEC_NANOSEC = {"sec": _PART, "nanosec": _PART}
 
 
 def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Duration:

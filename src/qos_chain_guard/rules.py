@@ -1,22 +1,35 @@
 """The dependency-violation rule catalog and its evaluator.
 
-Each rule is data: an id, a policy-pair identifier, the pipeline stage,
-a severity class, an entity scope, the environment inputs it needs, and a
-predicate over an evaluation context (true means violation).  Rules 1-19
-are per-endpoint consistency checks, 20-27 compare a writer/reader pair
-(the RxO checks), and 28-41 need environment assumptions (round-trip time
-and publish period) on top of the endpoint settings.
+Each rule is data: an id, a policy-pair identifier, the pipeline stage, a
+severity class, an entity scope, a condition, and message and suggestion
+templates.  Rules 1-19 are per-endpoint consistency checks, 20-27 compare a
+writer/reader pair (the RxO checks), and 28-41 need environment assumptions
+(round-trip time and publish period) on top of the endpoint settings.
 
-Arithmetic semantics pinned here:
+The ``condition`` text, which ``rules`` lists, is the rule's executable
+definition: ``compile_condition`` reads it at import and derives the
+predicate (true means violation) and the environment inputs the rule needs.
+The condition language:
 
-* ``value < rtt/pp + 2`` style thresholds are evaluated exactly by integer
-  cross-multiplication; equality at the threshold is clean for both the
-  ``<`` and ``>`` variants.
-* ``deadline.period > 0`` (and purge-delay ``> 0``) means finite and
-  positive; an infinite value means the mechanism is disabled.
-* Rules 9 and 10 are skipped, not fired, when the lifespan is infinite:
-  an infinite lifespan means no expiry is intended, so comparing it to the
-  cache window is meaningless.
+* Conjuncts are joined by `` and ``; rule 24's two alternatives by ``, or ``.
+* A conjunct is ``LEFT op RIGHT`` with ``op`` one of ``= != < > >=``;
+  ``PATH configured`` (at least one non-empty name); or
+  ``writer PATH and reader PATH share no name``.
+* An operand is a ``policy.param`` path, or a parameter name only one policy
+  has (``lease_duration``), prefixed by ``writer``/``reader`` in pair rules;
+  a literal read in the type of the left operand's default (an enumeration
+  token, ``true``/``false``, an integer or ``infinite``); or a derived term:
+  ``rtt``, ``rtt/pp + 2``, or ``N * pp`` with N an integer or a path.
+* Durations compare as integer nanoseconds and counts as sample counts;
+  infinite and unlimited are +inf.
+* ``X op rtt/pp + 2`` is decided exactly, as ``X * pp op rtt + 2 * pp``;
+  equality at the threshold is clean for both ``<`` and ``>``.
+* ``> 0`` on a duration means finite and positive: an infinite deadline or
+  delay means the mechanism is disabled.
+
+Rules 9 and 10 are skipped, not fired, when the lifespan is infinite: an
+infinite lifespan means no expiry is intended, so comparing it to the cache
+window is meaningless.
 
 Invariant: a rule's predicate, message, suggestion and skip reason depend
 only on the QoS of the endpoint(s) under evaluation, ``rtt`` and ``pp``,
@@ -28,23 +41,22 @@ to evaluate each QoS class once and reuse the result for every member.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+import re
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .model import (
     Count,
-    DestinationOrderKind,
-    DurabilityKind,
     Duration,
     EndpointKind,
     EndpointProfile,
-    HistoryKind,
-    LivelinessKind,
-    OwnershipKind,
     QosProfile,
-    ReliabilityKind,
     SourceLocation,
+    default_qos,
     format_duration,
+    format_nanoseconds,
 )
 
 
@@ -156,40 +168,137 @@ class Rule:
     severity: Severity
     scope: RuleScope
     condition: str
-    predicate: _Pred = field(repr=False)
     message: _Text = field(repr=False)
     suggestion: _Text = field(repr=False)
-    requires_rtt: bool = False
-    requires_pp: bool = False
     exemption: Callable[[EvalContext], SkipReason | None] | None = field(default=None, repr=False)
+    # Compiled from ``condition``.
+    predicate: _Pred = field(init=False, repr=False)
+    requires_env: frozenset[str] = field(init=False)
+    requires_rtt: bool = field(init=False)
+    requires_pp: bool = field(init=False)
 
-    @property
-    def requires_env(self) -> frozenset[str]:
-        needs = set()
-        if self.requires_rtt:
-            needs.add("rtt")
-        if self.requires_pp:
-            needs.add("pp")
-        return frozenset(needs)
-
-
-# -- predicate vocabulary ----------------------------------------------------
-
-
-def _deadline_enabled(qos: QosProfile) -> bool:
-    # "period > 0": finite and positive; infinite disables monitoring.
-    period = qos.deadline.period
-    return period.is_finite and period.nanoseconds > 0
+    def __post_init__(self) -> None:
+        predicate, needs = compile_condition(self.condition, pair=self.scope is RuleScope.PAIR)
+        object.__setattr__(self, "predicate", predicate)
+        object.__setattr__(self, "requires_env", frozenset(needs))
+        object.__setattr__(self, "requires_rtt", "rtt" in needs)
+        object.__setattr__(self, "requires_pp", "pp" in needs)
 
 
-def _delay_enabled(delay: Duration) -> bool:
-    return delay.is_finite and delay.nanoseconds > 0
+# -- the condition compiler --------------------------------------------------
+#
+# A condition compiles to the source of one Python function of the context
+# ``c``, run through ``exec`` once, at import: the predicate then costs what a
+# hand-written one would.  The text is the catalog's own constant, never input.
+
+_DEFAULTS = default_qos(EndpointKind.DATA_WRITER)
+# ``policy.param`` -> the parameter's OMG default, which gives its type.
+_PARAMETERS = {
+    f"{policy.name}.{param.name}": getattr(getattr(_DEFAULTS, policy.name), param.name)
+    for policy in fields(QosProfile)
+    for param in fields(getattr(_DEFAULTS, policy.name))
+}
+_NAME_COUNTS = Counter(path.split(".")[1] for path in _PARAMETERS)
+# A parameter name only one policy uses stands for its path.
+_PARAMETER_PATHS = {
+    path.split(".")[1]: path for path in _PARAMETERS if _NAME_COUNTS[path.split(".")[1]] == 1
+}
+_NAMESPACE = {"INF": math.inf} | {
+    kind.__name__: kind for kind in map(type, _PARAMETERS.values()) if issubclass(kind, enum.Enum)
+}
+_CONJUNCTS = re.compile(r" and (?!reader \S+ share no name)")
+_SHARE_NO_NAME = re.compile(r"writer (\S+) and reader (\S+) share no name")
+_CONFIGURED = re.compile(r"(\S+) configured")
+_COMPARISON = re.compile(r"(.+?) (>=|!=|=|<|>) (.+)")
+_FLOOR = re.compile(r"rtt/pp \+ (\d+)")
+_TIMES_PP = re.compile(r"(\S+) \* pp")
 
 
-def _has_named_partition(qos: QosProfile) -> bool:
-    # The default partition list holds a single empty name; "configured"
-    # means at least one non-empty name.
-    return any(name != "" for name in qos.partition.names)
+def _parameter(text: str, pair: bool) -> tuple[str, object] | None:
+    """Expression and OMG default of a parameter operand; None if ``text`` names none."""
+    side, _, rest = text.partition(" ")
+    prefixed = side in ("writer", "reader")
+    name = rest if prefixed else text
+    path = _PARAMETER_PATHS.get(name, name)
+    if "." not in path or " " in path:
+        return None
+    if prefixed is not pair:
+        raise ValueError(f"{text!r}: pair rules prefix each parameter with writer/reader, others never")
+    default = _PARAMETERS[path]
+    value = f"{side[0]}.{path}" if prefixed else f"q.{path}"  # the prelude binds q, w and r
+    if isinstance(default, (Duration, Count)):
+        number = f"{value}.{'nanoseconds' if isinstance(default, Duration) else 'value'}"
+        value = f"(INF if {number} is None else {number})"
+    return value, default
+
+
+def _operand(text: str, pair: bool, needs: set[str]) -> tuple[str, object] | None:
+    """Expression and default (None for a derived term) of an operand; None for a literal."""
+    if text == "rtt":
+        needs.add("rtt")
+        return "c.rtt.nanoseconds", None
+    times = _TIMES_PP.fullmatch(text)
+    if times is None:
+        return _parameter(text, pair)
+    needs.add("pp")
+    factor = _parameter(times[1], pair)
+    return f"{factor[0] if factor else int(times[1])} * c.pp.nanoseconds", None
+
+
+def _literal(token: str, default: object) -> str:
+    """A literal read in the type of ``default``, as an expression."""
+    if isinstance(default, enum.Enum):
+        return f"{type(default).__name__}.{type(default)[token].name}"
+    if isinstance(default, bool):
+        return repr({"true": True, "false": False}[token])
+    if token == "infinite" and isinstance(default, Duration):
+        return "INF"
+    return str(int(token))
+
+
+def _conjunct(text: str, pair: bool, needs: set[str]) -> str:
+    shared = _SHARE_NO_NAME.fullmatch(text)
+    if shared:
+        writer_names, _ = _parameter(f"writer {shared[1]}", pair)
+        reader_names, _ = _parameter(f"reader {shared[2]}", pair)
+        return f"set({writer_names}).isdisjoint({reader_names})"
+    configured = _CONFIGURED.fullmatch(text)
+    if configured:
+        names, _ = _parameter(configured[1], pair)
+        return f"any({names})"  # the default list holds one empty name
+    comparison = _COMPARISON.fullmatch(text)
+    if comparison is None:
+        raise ValueError(f"unknown conjunct {text!r}")
+    left_text, op, right_text = comparison.groups()
+    left, default = _operand(left_text, pair, needs)
+    op = "==" if op == "=" else op
+    floor = _FLOOR.fullmatch(right_text)
+    if floor:
+        needs.update(("rtt", "pp"))
+        return f"{left} * c.pp.nanoseconds {op} c.rtt.nanoseconds + {floor[1]} * c.pp.nanoseconds"
+    right = _operand(right_text, pair, needs)
+    if right is not None:
+        return f"{left} {op} {right[0]}"
+    value = _literal(right_text, default)
+    if op == ">" and isinstance(default, Duration):
+        return f"{value} < {left} < INF"
+    return f"{left} {op} {value}"
+
+
+def compile_condition(text: str, pair: bool) -> tuple[_Pred, set[str]]:
+    """The predicate a condition states and the environment inputs it reads."""
+    needs: set[str] = set()
+    source = " or ".join(
+        "(" + " and ".join(f"({_conjunct(c, pair, needs)})" for c in _CONJUNCTS.split(alternative)) + ")"
+        for alternative in text.split(", or ")
+    )
+    prelude = "w, r = c.writer.qos, c.reader.qos" if pair else "q = c.qos"
+    namespace = dict(_NAMESPACE)
+    exec(f"def predicate(c):\n    {prelude}\n    return {source}\n", namespace)
+    return namespace["predicate"], needs
+
+
+# -- message vocabulary ------------------------------------------------------
 
 
 def _retransmission_floor(ctx: EvalContext) -> int:
@@ -197,36 +306,9 @@ def _retransmission_floor(ctx: EvalContext) -> int:
     return -(-ctx.rtt.nanoseconds // ctx.pp.nanoseconds) + 2
 
 
-def _below_floor(value: Count | int, ctx: EvalContext) -> bool:
-    """Exact ``value < rtt/pp + 2`` by cross-multiplication."""
-    if isinstance(value, Count):
-        if value.is_unlimited:
-            return False
-        value = value.value
-    return value * ctx.pp.nanoseconds < ctx.rtt.nanoseconds + 2 * ctx.pp.nanoseconds
-
-
-def _above_floor(value: Count | int, ctx: EvalContext) -> bool:
-    """Exact ``value > rtt/pp + 2`` by cross-multiplication."""
-    if isinstance(value, Count):
-        if value.is_unlimited:
-            return True
-        value = value.value
-    return value * ctx.pp.nanoseconds > ctx.rtt.nanoseconds + 2 * ctx.pp.nanoseconds
-
-
-def _cache_window(samples: int, ctx: EvalContext) -> Duration:
-    """Time the cache can cover: ``samples`` times the publish period."""
-    return ctx.pp.times(samples)
-
-
-def _lifespan_exceeds_window(lifespan: Duration, capacity: Count | int, ctx: EvalContext) -> bool:
-    if isinstance(capacity, Count):
-        if capacity.is_unlimited:
-            return False  # finite lifespan never exceeds an unbounded window
-        capacity = capacity.value
-    # Exemption guarantees a finite lifespan here.
-    return lifespan.nanoseconds > capacity * ctx.pp.nanoseconds
+def _pp_times(n: int, ctx: EvalContext) -> str:
+    """``n × pp``, formatted from integer nanoseconds: it may pass the 64-bit range."""
+    return format_nanoseconds(n * ctx.pp.nanoseconds)
 
 
 def _infinite_lifespan_exemption(ctx: EvalContext) -> SkipReason | None:
@@ -244,17 +326,11 @@ def _fmt(d: Duration) -> str:
 
 def _build_catalog() -> tuple[Rule, ...]:
     rules: list[Rule] = []
-
-    def add(rule: Rule) -> None:
-        rules.append(rule)
+    add = rules.append
 
     add(Rule(
         1, "HIST↔RESLIM", 1, Severity.CRITICAL, RuleScope.EITHER,
         "history.kind = KEEP_LAST and history.depth > resource_limits.max_samples_per_instance",
-        predicate=lambda c: (
-            c.qos.history.kind is HistoryKind.KEEP_LAST
-            and Count(c.qos.history.depth) > c.qos.resource_limits.max_samples_per_instance
-        ),
         message=lambda c: (
             f"history.kind=KEEP_LAST with history.depth={c.qos.history.depth} above "
             f"resource_limits.max_samples_per_instance={c.qos.resource_limits.max_samples_per_instance}: "
@@ -268,9 +344,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         2, "RESLIM↔RESLIM", 1, Severity.CRITICAL, RuleScope.EITHER,
         "resource_limits.max_samples < resource_limits.max_samples_per_instance",
-        predicate=lambda c: (
-            c.qos.resource_limits.max_samples < c.qos.resource_limits.max_samples_per_instance
-        ),
         message=lambda c: (
             f"resource_limits.max_samples={c.qos.resource_limits.max_samples} is below "
             f"resource_limits.max_samples_per_instance={c.qos.resource_limits.max_samples_per_instance}"
@@ -288,9 +361,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         3, "LFSPAN→DEADLN", 1, Severity.CRITICAL, RuleScope.EITHER,
         "deadline.period > 0 and lifespan.duration < deadline.period",
-        predicate=lambda c: (
-            _deadline_enabled(c.qos) and c.qos.lifespan.duration < c.qos.deadline.period
-        ),
         message=lambda c: (
             f"lifespan.duration={_fmt(c.qos.lifespan.duration)} is shorter than "
             f"deadline.period={_fmt(c.qos.deadline.period)}: samples can expire before the "
@@ -304,11 +374,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         4, "HIST→DESTORD", 1, Severity.CONDITIONAL, RuleScope.DATA_READER,
         "destination_order.kind = BY_SOURCE_TIMESTAMP and history.kind = KEEP_LAST and history.depth = 1",
-        predicate=lambda c: (
-            c.qos.destination_order.kind is DestinationOrderKind.BY_SOURCE_TIMESTAMP
-            and c.qos.history.kind is HistoryKind.KEEP_LAST
-            and c.qos.history.depth == 1
-        ),
         message=lambda c: (
             "destination_order.kind=BY_SOURCE_TIMESTAMP cannot reorder samples with "
             "history.kind=KEEP_LAST and history.depth=1: only the newest sample is retained"
@@ -319,11 +384,6 @@ def _build_catalog() -> tuple[Rule, ...]:
         5, "RESLIM→DESTORD", 1, Severity.CONDITIONAL, RuleScope.DATA_READER,
         "destination_order.kind = BY_SOURCE_TIMESTAMP and history.kind = KEEP_ALL "
         "and resource_limits.max_samples_per_instance = 1",
-        predicate=lambda c: (
-            c.qos.destination_order.kind is DestinationOrderKind.BY_SOURCE_TIMESTAMP
-            and c.qos.history.kind is HistoryKind.KEEP_ALL
-            and c.qos.resource_limits.max_samples_per_instance == Count(1)
-        ),
         message=lambda c: (
             "destination_order.kind=BY_SOURCE_TIMESTAMP cannot reorder samples with "
             "history.kind=KEEP_ALL and resource_limits.max_samples_per_instance=1: "
@@ -334,28 +394,17 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         6, "HIST→DURABL", 1, Severity.CONDITIONAL, RuleScope.DATA_WRITER,
         "durability.kind >= TRANSIENT_LOCAL and history.kind = KEEP_LAST and history.depth < rtt/pp + 2",
-        predicate=lambda c: (
-            c.qos.durability.kind >= DurabilityKind.TRANSIENT_LOCAL
-            and c.qos.history.kind is HistoryKind.KEEP_LAST
-            and _below_floor(c.qos.history.depth, c)
-        ),
         message=lambda c: (
             f"durability.kind={c.qos.durability.kind.name} with history.depth={c.qos.history.depth} "
             f"below the retransmission floor rtt/pp + 2 = {_retransmission_floor(c)} "
             f"(rtt={_fmt(c.rtt)}, pp={_fmt(c.pp)}): late joiners may miss retained samples"
         ),
         suggestion=lambda c: f"raise history.depth to ≥ {_retransmission_floor(c)}",
-        requires_rtt=True, requires_pp=True,
     ))
     add(Rule(
         7, "RESLIM→DURABL", 1, Severity.CONDITIONAL, RuleScope.DATA_WRITER,
         "durability.kind >= TRANSIENT_LOCAL and history.kind = KEEP_ALL "
         "and resource_limits.max_samples_per_instance < rtt/pp + 2",
-        predicate=lambda c: (
-            c.qos.durability.kind >= DurabilityKind.TRANSIENT_LOCAL
-            and c.qos.history.kind is HistoryKind.KEEP_ALL
-            and _below_floor(c.qos.resource_limits.max_samples_per_instance, c)
-        ),
         message=lambda c: (
             f"durability.kind={c.qos.durability.kind.name} with "
             f"resource_limits.max_samples_per_instance={c.qos.resource_limits.max_samples_per_instance} "
@@ -365,74 +414,53 @@ def _build_catalog() -> tuple[Rule, ...]:
         suggestion=lambda c: (
             f"raise resource_limits.max_samples_per_instance to ≥ {_retransmission_floor(c)}"
         ),
-        requires_rtt=True, requires_pp=True,
     ))
     add(Rule(
         8, "LFSPAN→DURABL", 1, Severity.CONDITIONAL, RuleScope.DATA_WRITER,
         "durability.kind >= TRANSIENT_LOCAL and lifespan.duration < rtt",
-        predicate=lambda c: (
-            c.qos.durability.kind >= DurabilityKind.TRANSIENT_LOCAL
-            and c.qos.lifespan.duration < c.rtt
-        ),
         message=lambda c: (
             f"durability.kind={c.qos.durability.kind.name} but "
             f"lifespan.duration={_fmt(c.qos.lifespan.duration)} is below rtt={_fmt(c.rtt)}: "
             f"retained samples expire before they can reach a late joiner"
         ),
         suggestion=lambda c: f"raise lifespan.duration above {_fmt(c.rtt)}",
-        requires_rtt=True,
     ))
     add(Rule(
         9, "HIST↔LFSPAN", 1, Severity.CONDITIONAL, RuleScope.DATA_WRITER,
         "history.kind = KEEP_LAST and lifespan.duration > history.depth * pp",
-        predicate=lambda c: (
-            c.qos.history.kind is HistoryKind.KEEP_LAST
-            and _lifespan_exceeds_window(c.qos.lifespan.duration, c.qos.history.depth, c)
-        ),
         message=lambda c: (
             f"lifespan.duration={_fmt(c.qos.lifespan.duration)} outlives the KEEP_LAST cache "
-            f"window history.depth × pp = {_fmt(_cache_window(c.qos.history.depth, c))} "
+            f"window history.depth × pp = {_pp_times(c.qos.history.depth, c)} "
             f"(depth={c.qos.history.depth}, pp={_fmt(c.pp)}): samples are overwritten before they expire"
         ),
         suggestion=lambda c: (
-            f"lower lifespan.duration to ≤ {_fmt(_cache_window(c.qos.history.depth, c))} "
+            f"lower lifespan.duration to ≤ {_pp_times(c.qos.history.depth, c)} "
             f"or raise history.depth to ≥ "
             f"{-(-c.qos.lifespan.duration.nanoseconds // c.pp.nanoseconds)}"
         ),
-        requires_pp=True,
         exemption=_infinite_lifespan_exemption,
     ))
     add(Rule(
         10, "RESLIM↔LFSPAN", 1, Severity.CONDITIONAL, RuleScope.DATA_WRITER,
         "history.kind = KEEP_ALL and lifespan.duration > resource_limits.max_samples_per_instance * pp",
-        predicate=lambda c: (
-            c.qos.history.kind is HistoryKind.KEEP_ALL
-            and _lifespan_exceeds_window(
-                c.qos.lifespan.duration, c.qos.resource_limits.max_samples_per_instance, c
-            )
-        ),
         message=lambda c: (
             f"lifespan.duration={_fmt(c.qos.lifespan.duration)} outlives the KEEP_ALL cache window "
             f"max_samples_per_instance × pp = "
-            f"{_fmt(_cache_window(c.qos.resource_limits.max_samples_per_instance.value, c))} "
+            f"{_pp_times(c.qos.resource_limits.max_samples_per_instance.value, c)} "
             f"(max_samples_per_instance={c.qos.resource_limits.max_samples_per_instance}, "
             f"pp={_fmt(c.pp)}): samples are dropped before they expire"
         ),
         suggestion=lambda c: (
             f"lower lifespan.duration to ≤ "
-            f"{_fmt(_cache_window(c.qos.resource_limits.max_samples_per_instance.value, c))} "
+            f"{_pp_times(c.qos.resource_limits.max_samples_per_instance.value, c)} "
             f"or raise resource_limits.max_samples_per_instance to ≥ "
             f"{-(-c.qos.lifespan.duration.nanoseconds // c.pp.nanoseconds)}"
         ),
-        requires_pp=True,
         exemption=_infinite_lifespan_exemption,
     ))
     add(Rule(
         11, "DEADLN→OWNST", 1, Severity.CONDITIONAL, RuleScope.DATA_READER,
         "ownership.kind = EXCLUSIVE and deadline.period = infinite",
-        predicate=lambda c: (
-            c.qos.ownership.kind is OwnershipKind.EXCLUSIVE and c.qos.deadline.period.is_infinite
-        ),
         message=lambda c: (
             "ownership.kind=EXCLUSIVE but deadline.period=infinite: a silent owner is never "
             "detected, so ownership can never fail over"
@@ -442,10 +470,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         12, "LIVENS→OWNST", 1, Severity.CONDITIONAL, RuleScope.DATA_READER,
         "ownership.kind = EXCLUSIVE and liveliness.lease_duration = infinite",
-        predicate=lambda c: (
-            c.qos.ownership.kind is OwnershipKind.EXCLUSIVE
-            and c.qos.liveliness.lease_duration.is_infinite
-        ),
         message=lambda c: (
             "ownership.kind=EXCLUSIVE but liveliness.lease_duration=infinite: a dead owner is "
             "never declared not-alive, so ownership can never fail over"
@@ -456,10 +480,6 @@ def _build_catalog() -> tuple[Rule, ...]:
         13, "LIVENS→RDLIFE", 1, Severity.CONDITIONAL, RuleScope.DATA_READER,
         "reader_data_lifecycle.autopurge_no_writer_samples_delay > 0 "
         "and liveliness.lease_duration = infinite",
-        predicate=lambda c: (
-            _delay_enabled(c.qos.reader_data_lifecycle.autopurge_no_writer_samples_delay)
-            and c.qos.liveliness.lease_duration.is_infinite
-        ),
         message=lambda c: (
             f"reader_data_lifecycle.autopurge_no_writer_samples_delay="
             f"{_fmt(c.qos.reader_data_lifecycle.autopurge_no_writer_samples_delay)} is configured, "
@@ -472,10 +492,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         14, "RDLIFE→DURABL", 1, Severity.INCIDENTAL, RuleScope.DATA_READER,
         "durability.kind >= TRANSIENT and reader_data_lifecycle.autopurge_disposed_samples_delay = 0",
-        predicate=lambda c: (
-            c.qos.durability.kind >= DurabilityKind.TRANSIENT
-            and c.qos.reader_data_lifecycle.autopurge_disposed_samples_delay == Duration(0)
-        ),
         message=lambda c: (
             f"durability.kind={c.qos.durability.kind.name} delivers historical samples, but "
             f"reader_data_lifecycle.autopurge_disposed_samples_delay=0s purges disposed instances "
@@ -486,10 +502,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         15, "ENTFAC→DURABL", 1, Severity.INCIDENTAL, RuleScope.EITHER,
         "durability.kind = VOLATILE and entity_factory.autoenable_created_entities = false",
-        predicate=lambda c: (
-            c.qos.durability.kind is DurabilityKind.VOLATILE
-            and not c.qos.entity_factory.autoenable_created_entities
-        ),
         message=lambda c: (
             "durability.kind=VOLATILE with autoenable_created_entities=false: samples published "
             "before enable() is called are lost for this endpoint"
@@ -502,9 +514,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         16, "PART→DURABL", 1, Severity.INCIDENTAL, RuleScope.EITHER,
         "durability.kind >= TRANSIENT_LOCAL and partition.names configured",
-        predicate=lambda c: (
-            c.qos.durability.kind >= DurabilityKind.TRANSIENT_LOCAL and _has_named_partition(c.qos)
-        ),
         message=lambda c: (
             f"partition.names={list(c.qos.partition.names)} with "
             f"durability.kind={c.qos.durability.kind.name}: a runtime partition change rematches "
@@ -517,7 +526,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         17, "PART→DEADLN", 1, Severity.INCIDENTAL, RuleScope.EITHER,
         "deadline.period > 0 and partition.names configured",
-        predicate=lambda c: _deadline_enabled(c.qos) and _has_named_partition(c.qos),
         message=lambda c: (
             f"partition.names={list(c.qos.partition.names)} with finite "
             f"deadline.period={_fmt(c.qos.deadline.period)}: a runtime partition change rematches "
@@ -528,9 +536,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         18, "PART→LIVENS", 1, Severity.INCIDENTAL, RuleScope.DATA_READER,
         "liveliness.kind = MANUAL_BY_TOPIC and partition.names configured",
-        predicate=lambda c: (
-            c.qos.liveliness.kind is LivelinessKind.MANUAL_BY_TOPIC and _has_named_partition(c.qos)
-        ),
         message=lambda c: (
             f"partition.names={list(c.qos.partition.names)} with liveliness.kind=MANUAL_BY_TOPIC: "
             f"a partition change breaks the match, and the writer appears not alive until rematched"
@@ -540,10 +545,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         19, "OWNST→WDLIFE", 1, Severity.INCIDENTAL, RuleScope.DATA_WRITER,
         "writer_data_lifecycle.autodispose_unregistered_instances = true and ownership.kind = EXCLUSIVE",
-        predicate=lambda c: (
-            c.qos.writer_data_lifecycle.autodispose_unregistered_instances
-            and c.qos.ownership.kind is OwnershipKind.EXCLUSIVE
-        ),
         message=lambda c: (
             "autodispose_unregistered_instances=true with ownership.kind=EXCLUSIVE: an unregister "
             "by any writer auto-disposes the instance even when a stronger owner still updates it"
@@ -558,9 +559,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         20, "PART↔PART", 2, Severity.CRITICAL, RuleScope.PAIR,
         "writer partition.names and reader partition.names share no name",
-        predicate=lambda c: not (
-            set(c.writer.qos.partition.names) & set(c.reader.qos.partition.names)
-        ),
         message=lambda c: (
             f"no common partition name: writer offers {list(c.writer.qos.partition.names)}, "
             f"reader requests {list(c.reader.qos.partition.names)}; the pair will not match"
@@ -570,7 +568,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         21, "RELIAB↔RELIAB", 2, Severity.CRITICAL, RuleScope.PAIR,
         "writer reliability.kind < reader reliability.kind",
-        predicate=lambda c: c.writer.qos.reliability.kind < c.reader.qos.reliability.kind,
         message=lambda c: (
             f"writer offers reliability.kind={c.writer.qos.reliability.kind.name} below the reader "
             f"request {c.reader.qos.reliability.kind.name}; the pair will not match"
@@ -583,7 +580,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         22, "DURABL↔DURABL", 2, Severity.CRITICAL, RuleScope.PAIR,
         "writer durability.kind < reader durability.kind",
-        predicate=lambda c: c.writer.qos.durability.kind < c.reader.qos.durability.kind,
         message=lambda c: (
             f"writer offers durability.kind={c.writer.qos.durability.kind.name} below the reader "
             f"request {c.reader.qos.durability.kind.name}; the pair will not match"
@@ -596,7 +592,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         23, "DEADLN↔DEADLN", 2, Severity.CRITICAL, RuleScope.PAIR,
         "writer deadline.period > reader deadline.period",
-        predicate=lambda c: c.writer.qos.deadline.period > c.reader.qos.deadline.period,
         message=lambda c: (
             f"writer deadline.period={_fmt(c.writer.qos.deadline.period)} exceeds the reader "
             f"requirement {_fmt(c.reader.qos.deadline.period)}; the pair will not match"
@@ -610,10 +605,6 @@ def _build_catalog() -> tuple[Rule, ...]:
         24, "LIVENS↔LIVENS", 2, Severity.CRITICAL, RuleScope.PAIR,
         "writer liveliness.kind < reader liveliness.kind, "
         "or writer lease_duration > reader lease_duration",
-        predicate=lambda c: (
-            c.writer.qos.liveliness.kind < c.reader.qos.liveliness.kind
-            or c.writer.qos.liveliness.lease_duration > c.reader.qos.liveliness.lease_duration
-        ),
         message=lambda c: (
             f"liveliness offer below request: writer kind={c.writer.qos.liveliness.kind.name} "
             f"lease={_fmt(c.writer.qos.liveliness.lease_duration)}, reader kind="
@@ -628,7 +619,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         25, "OWNST↔OWNST", 2, Severity.CRITICAL, RuleScope.PAIR,
         "writer ownership.kind != reader ownership.kind",
-        predicate=lambda c: c.writer.qos.ownership.kind is not c.reader.qos.ownership.kind,
         message=lambda c: (
             f"ownership.kind mismatch: writer={c.writer.qos.ownership.kind.name}, "
             f"reader={c.reader.qos.ownership.kind.name}; the pair will not match"
@@ -638,9 +628,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         26, "DESTORD↔DESTORD", 2, Severity.CRITICAL, RuleScope.PAIR,
         "writer destination_order.kind < reader destination_order.kind",
-        predicate=lambda c: (
-            c.writer.qos.destination_order.kind < c.reader.qos.destination_order.kind
-        ),
         message=lambda c: (
             f"writer offers destination_order.kind={c.writer.qos.destination_order.kind.name} below "
             f"the reader request {c.reader.qos.destination_order.kind.name}; the pair will not match"
@@ -653,10 +640,6 @@ def _build_catalog() -> tuple[Rule, ...]:
         27, "WDLIFE→RDLIFE", 2, Severity.CONDITIONAL, RuleScope.PAIR,
         "writer autodispose_unregistered_instances = false "
         "and reader autopurge_disposed_samples_delay > 0",
-        predicate=lambda c: (
-            not c.writer.qos.writer_data_lifecycle.autodispose_unregistered_instances
-            and _delay_enabled(c.reader.qos.reader_data_lifecycle.autopurge_disposed_samples_delay)
-        ),
         message=lambda c: (
             f"writer autodispose_unregistered_instances=false, but the reader configures "
             f"autopurge_disposed_samples_delay="
@@ -673,10 +656,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         28, "RELIAB→DURABL", 3, Severity.CRITICAL, RuleScope.EITHER,
         "durability.kind >= TRANSIENT_LOCAL and reliability.kind = BEST_EFFORT",
-        predicate=lambda c: (
-            c.qos.durability.kind >= DurabilityKind.TRANSIENT_LOCAL
-            and c.qos.reliability.kind is ReliabilityKind.BEST_EFFORT
-        ),
         message=lambda c: (
             f"durability.kind={c.qos.durability.kind.name} requires reliable delivery of retained "
             f"samples, but reliability.kind=BEST_EFFORT"
@@ -688,11 +667,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         29, "HIST→RELIAB", 3, Severity.CONDITIONAL, RuleScope.DATA_WRITER,
         "reliability.kind = RELIABLE and history.kind = KEEP_LAST and history.depth < rtt/pp + 2",
-        predicate=lambda c: (
-            c.qos.reliability.kind is ReliabilityKind.RELIABLE
-            and c.qos.history.kind is HistoryKind.KEEP_LAST
-            and _below_floor(c.qos.history.depth, c)
-        ),
         message=lambda c: (
             f"reliability.kind=RELIABLE with history.depth={c.qos.history.depth} below the "
             f"retransmission floor rtt/pp + 2 = {_retransmission_floor(c)} "
@@ -700,17 +674,11 @@ def _build_catalog() -> tuple[Rule, ...]:
             f"can be repaired"
         ),
         suggestion=lambda c: f"raise history.depth to ≥ {_retransmission_floor(c)}",
-        requires_rtt=True, requires_pp=True,
     ))
     add(Rule(
         30, "RESLIM→RELIAB", 3, Severity.CONDITIONAL, RuleScope.DATA_WRITER,
         "reliability.kind = RELIABLE and history.kind = KEEP_ALL "
         "and resource_limits.max_samples_per_instance < rtt/pp + 2",
-        predicate=lambda c: (
-            c.qos.reliability.kind is ReliabilityKind.RELIABLE
-            and c.qos.history.kind is HistoryKind.KEEP_ALL
-            and _below_floor(c.qos.resource_limits.max_samples_per_instance, c)
-        ),
         message=lambda c: (
             f"reliability.kind=RELIABLE with "
             f"resource_limits.max_samples_per_instance="
@@ -721,29 +689,20 @@ def _build_catalog() -> tuple[Rule, ...]:
         suggestion=lambda c: (
             f"raise resource_limits.max_samples_per_instance to ≥ {_retransmission_floor(c)}"
         ),
-        requires_rtt=True, requires_pp=True,
     ))
     add(Rule(
         31, "LFSPAN→RELIAB", 3, Severity.CONDITIONAL, RuleScope.DATA_WRITER,
         "reliability.kind = RELIABLE and lifespan.duration < rtt",
-        predicate=lambda c: (
-            c.qos.reliability.kind is ReliabilityKind.RELIABLE and c.qos.lifespan.duration < c.rtt
-        ),
         message=lambda c: (
             f"reliability.kind=RELIABLE but lifespan.duration={_fmt(c.qos.lifespan.duration)} is "
             f"below rtt={_fmt(c.rtt)}: samples expire before one repair round-trip completes, so "
             f"delivery degrades to best-effort"
         ),
         suggestion=lambda c: f"raise lifespan.duration above {_fmt(c.rtt)}",
-        requires_rtt=True,
     ))
     add(Rule(
         32, "RELIAB→OWNST", 3, Severity.CONDITIONAL, RuleScope.EITHER,
         "ownership.kind = EXCLUSIVE and reliability.kind = BEST_EFFORT",
-        predicate=lambda c: (
-            c.qos.ownership.kind is OwnershipKind.EXCLUSIVE
-            and c.qos.reliability.kind is ReliabilityKind.BEST_EFFORT
-        ),
         message=lambda c: (
             "ownership.kind=EXCLUSIVE with reliability.kind=BEST_EFFORT: packet loss can look "
             "like owner failure and trigger spurious ownership switches"
@@ -753,9 +712,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         33, "RELIAB→DEADLN", 3, Severity.CONDITIONAL, RuleScope.EITHER,
         "deadline.period > 0 and reliability.kind = BEST_EFFORT",
-        predicate=lambda c: (
-            _deadline_enabled(c.qos) and c.qos.reliability.kind is ReliabilityKind.BEST_EFFORT
-        ),
         message=lambda c: (
             f"finite deadline.period={_fmt(c.qos.deadline.period)} with "
             f"reliability.kind=BEST_EFFORT: undetected sample loss surfaces as deadline misses"
@@ -767,10 +723,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         34, "LIVENS→DEADLN", 3, Severity.CONDITIONAL, RuleScope.DATA_READER,
         "deadline.period > 0 and liveliness.lease_duration < deadline.period",
-        predicate=lambda c: (
-            _deadline_enabled(c.qos)
-            and c.qos.liveliness.lease_duration < c.qos.deadline.period
-        ),
         message=lambda c: (
             f"liveliness.lease_duration={_fmt(c.qos.liveliness.lease_duration)} is shorter than "
             f"deadline.period={_fmt(c.qos.deadline.period)}: liveliness expires first and stops "
@@ -783,10 +735,6 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         35, "RELIAB→LIVENS", 3, Severity.CONDITIONAL, RuleScope.EITHER,
         "liveliness.kind = MANUAL_BY_TOPIC and reliability.kind = BEST_EFFORT",
-        predicate=lambda c: (
-            c.qos.liveliness.kind is LivelinessKind.MANUAL_BY_TOPIC
-            and c.qos.reliability.kind is ReliabilityKind.BEST_EFFORT
-        ),
         message=lambda c: (
             "liveliness.kind=MANUAL_BY_TOPIC with reliability.kind=BEST_EFFORT: lost liveliness "
             "assertions make a healthy writer appear not alive"
@@ -796,41 +744,27 @@ def _build_catalog() -> tuple[Rule, ...]:
     add(Rule(
         36, "DEADLN→OWNST", 3, Severity.CONDITIONAL, RuleScope.DATA_READER,
         "ownership.kind = EXCLUSIVE and deadline.period < 2 * pp",
-        predicate=lambda c: (
-            c.qos.ownership.kind is OwnershipKind.EXCLUSIVE
-            and c.qos.deadline.period < c.pp.times(2)
-        ),
         message=lambda c: (
             f"ownership.kind=EXCLUSIVE with deadline.period={_fmt(c.qos.deadline.period)} below "
-            f"2 × pp = {_fmt(c.pp.times(2))}: ordinary publish jitter will trigger ownership "
+            f"2 × pp = {_pp_times(2, c)}: ordinary publish jitter will trigger ownership "
             f"handovers"
         ),
-        suggestion=lambda c: f"raise deadline.period to ≥ {_fmt(c.pp.times(2))}",
-        requires_pp=True,
+        suggestion=lambda c: f"raise deadline.period to ≥ {_pp_times(2, c)}",
     ))
     add(Rule(
         37, "LIVENS→OWNST", 3, Severity.CONDITIONAL, RuleScope.DATA_READER,
         "ownership.kind = EXCLUSIVE and liveliness.lease_duration < 2 * pp",
-        predicate=lambda c: (
-            c.qos.ownership.kind is OwnershipKind.EXCLUSIVE
-            and c.qos.liveliness.lease_duration < c.pp.times(2)
-        ),
         message=lambda c: (
             f"ownership.kind=EXCLUSIVE with liveliness.lease_duration="
-            f"{_fmt(c.qos.liveliness.lease_duration)} below 2 × pp = {_fmt(c.pp.times(2))}: "
+            f"{_fmt(c.qos.liveliness.lease_duration)} below 2 × pp = {_pp_times(2, c)}: "
             f"ordinary publish jitter will trigger ownership handovers"
         ),
-        suggestion=lambda c: f"raise liveliness.lease_duration to ≥ {_fmt(c.pp.times(2))}",
-        requires_pp=True,
+        suggestion=lambda c: f"raise liveliness.lease_duration to ≥ {_pp_times(2, c)}",
     ))
     add(Rule(
         38, "RELIAB→WDLIFE", 3, Severity.CONDITIONAL, RuleScope.DATA_WRITER,
         "writer_data_lifecycle.autodispose_unregistered_instances = true "
         "and reliability.kind = BEST_EFFORT",
-        predicate=lambda c: (
-            c.qos.writer_data_lifecycle.autodispose_unregistered_instances
-            and c.qos.reliability.kind is ReliabilityKind.BEST_EFFORT
-        ),
         message=lambda c: (
             "autodispose_unregistered_instances=true with reliability.kind=BEST_EFFORT: dispose "
             "notifications can be lost, leaving readers with stale instances"
@@ -841,11 +775,6 @@ def _build_catalog() -> tuple[Rule, ...]:
         39, "HIST→DURABL", 3, Severity.INCIDENTAL, RuleScope.DATA_WRITER,
         "durability.kind >= TRANSIENT_LOCAL and history.kind = KEEP_LAST "
         "and history.depth > rtt/pp + 2",
-        predicate=lambda c: (
-            c.qos.durability.kind >= DurabilityKind.TRANSIENT_LOCAL
-            and c.qos.history.kind is HistoryKind.KEEP_LAST
-            and _above_floor(c.qos.history.depth, c)
-        ),
         message=lambda c: (
             f"durability.kind={c.qos.durability.kind.name} with history.depth={c.qos.history.depth} "
             f"above the retransmission floor rtt/pp + 2 = {_retransmission_floor(c)} "
@@ -853,17 +782,11 @@ def _build_catalog() -> tuple[Rule, ...]:
             f"the network"
         ),
         suggestion=lambda c: f"lower history.depth to ≤ {_retransmission_floor(c)}",
-        requires_rtt=True, requires_pp=True,
     ))
     add(Rule(
         40, "RESLIM→DURABL", 3, Severity.INCIDENTAL, RuleScope.DATA_WRITER,
         "durability.kind >= TRANSIENT_LOCAL and history.kind = KEEP_ALL "
         "and resource_limits.max_samples_per_instance > rtt/pp + 2",
-        predicate=lambda c: (
-            c.qos.durability.kind >= DurabilityKind.TRANSIENT_LOCAL
-            and c.qos.history.kind is HistoryKind.KEEP_ALL
-            and _above_floor(c.qos.resource_limits.max_samples_per_instance, c)
-        ),
         message=lambda c: (
             f"durability.kind={c.qos.durability.kind.name} with "
             f"resource_limits.max_samples_per_instance="
@@ -874,15 +797,10 @@ def _build_catalog() -> tuple[Rule, ...]:
         suggestion=lambda c: (
             f"lower resource_limits.max_samples_per_instance to ≤ {_retransmission_floor(c)}"
         ),
-        requires_rtt=True, requires_pp=True,
     ))
     add(Rule(
         41, "DURABL→DEADLN", 3, Severity.INCIDENTAL, RuleScope.EITHER,
         "deadline.period > 0 and durability.kind >= TRANSIENT_LOCAL",
-        predicate=lambda c: (
-            _deadline_enabled(c.qos)
-            and c.qos.durability.kind >= DurabilityKind.TRANSIENT_LOCAL
-        ),
         message=lambda c: (
             f"finite deadline.period={_fmt(c.qos.deadline.period)} with "
             f"durability.kind={c.qos.durability.kind.name}: historical retransmissions keep "

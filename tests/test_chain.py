@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
 
 from qos_chain_guard.chain import (
     MATRIX_DEVIATIONS,
@@ -11,7 +13,8 @@ from qos_chain_guard.chain import (
     export_chain_graph,
     identifier_cells,
 )
-from qos_chain_guard.rules import Severity
+from qos_chain_guard.model import EndpointKind, QosProfile, default_qos
+from qos_chain_guard.rules import Severity, rule_catalog
 
 # Hand transcription of the dependency matrix, row-major, one entry per
 # non-empty cell: (row, column, severity, direction).  Direction 'f' points
@@ -120,6 +123,38 @@ def test_edges_are_row_major_in_node_order():
     position = {node.abbreviation: index for index, node in enumerate(POLICY_NODES)}
     keys = [(position[e.source], position[e.target]) for e in chain_graph().edges]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def _policies_named_in(condition: str) -> set[str]:
+    """Policies a condition names: ``policy.param`` paths, and parameter
+    names that only one policy has (``lease_duration``)."""
+    defaults = default_qos(EndpointKind.DATA_WRITER)
+    owners: dict[str, set[str]] = {}
+    for policy in fields(QosProfile):
+        for param in fields(getattr(defaults, policy.name)):
+            owners.setdefault(param.name, set()).add(policy.name)
+    named = set()
+    for token in re.findall(r"\b[a-z_]+(?:\.[a-z_]+)?\b", condition):
+        policy, dot, _ = token.partition(".")
+        if dot:
+            named.add(policy)
+        elif len(owners.get(token, ())) == 1:
+            named |= owners[token]
+    return named
+
+
+def test_every_identifier_policy_appears_in_the_rule_condition():
+    # The identifiers drive the graph and the conditions drive evaluation.
+    policy_of = {node.abbreviation: node.policy_name.split()[0].lower() for node in POLICY_NODES}
+    extra = {}
+    for rule in rule_catalog():
+        named = _policies_named_in(rule.condition)
+        identified = {policy_of[abbreviation] for abbreviation in re.split("[→↔]", rule.identifier)}
+        assert identified <= named, (rule.id, rule.identifier, rule.condition)
+        if named - identified:
+            extra[rule.id] = named - identified
+    # The only other policy a condition names: the KEEP_ALL guard.
+    assert extra == {rule_id: {"history"} for rule_id in (5, 7, 10, 30, 40)}
 
 
 def test_discovery_only_metadata_policies_have_no_edges():

@@ -243,6 +243,29 @@ def test_environment_enables_stage3_arithmetic(fixtures, tmp_path, capsys):
     assert payload["environment"]["rtt_ms"] == 100
 
 
+def test_publish_period_whose_double_overflows_reports_rules_36_and_37(tmp_path, capsys):
+    # 2 × pp is past the 64-bit nanosecond range, while pp itself is not.
+    profile = tmp_path / "exclusive.xml"
+    profile.write_text(
+        """<profiles><data_reader profile_name="r1"><qos>
+          <ownership><kind>EXCLUSIVE</kind></ownership>
+          <deadline><period><sec>1</sec></period></deadline>
+          <liveliness><lease_duration><sec>1</sec></lease_duration></liveliness>
+        </qos></data_reader></profiles>""",
+        encoding="utf-8",
+    )
+    env = tmp_path / "env.json"
+    env.write_text('{"default_publish_period_ms": 9000000000000}', encoding="utf-8")
+    argv = ["check", str(profile), "--env", str(env), "--format", "json", "--fail-on", "warning"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    diagnostics = {d["rule_id"]: d for d in json.loads(out)["diagnostics"]}
+    assert {36, 37} <= set(diagnostics)
+    assert "2 × pp = 18000000000s" in diagnostics[36]["message"]
+    assert diagnostics[37]["suggestion"] == "raise liveliness.lease_duration to ≥ 18000000000s"
+
+
 def test_rules_subcommand_lists_41(capsys):
     assert main(["rules"]) == 0
     out, _ = capsys.readouterr()
@@ -253,6 +276,16 @@ def test_rules_subcommand_lists_41(capsys):
     payload = json.loads(out)
     assert len(payload) == 41
     assert payload[0]["id"] == 1 and payload[40]["id"] == 41
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt, golden", [("table", "rules.table.txt"), ("json", "rules.json")])
+def test_rules_output_matches_the_golden_file(capsys, fmt, golden):
+    assert main(["rules", "--format", fmt]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_graph_subcommand(capsys):

@@ -169,6 +169,8 @@ def _profile_documents(draw) -> str:
 _grammatical_ms = st.integers(min_value=1, max_value=500)
 _any_ms = st.one_of(
     st.integers(min_value=-5, max_value=10**30),
+    # Publish periods whose doubles or sums pass the 64-bit nanosecond range.
+    st.sampled_from([4_700_000_000_000, 9_200_000_000_000]),
     st.floats(),
     st.sampled_from(["10", None, True, [], {}]),
 )
