@@ -1,5 +1,12 @@
 """Typed model of the 16 DDS QoS policies handled by the linter.
 
+Each policy is declared once, by a ``_policy`` line below.  Those
+declarations are the one source of the parameter names, their types (the
+type of each default) and the OMG defaults: the policy classes,
+``QosProfile``, ``default_qos``, ``PARAMETERS`` and, through it, the XML
+schema in ``profiles`` and the condition operands in ``rules`` all derive
+from them.
+
 Durations and counts carry explicit infinity sentinels with a total order,
 kind enumerations expose the RxO orderings, and ``resolve_defaults`` fills
 absent policies with the OMG defaults so that downstream rule predicates
@@ -9,8 +16,9 @@ never see an unset value.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, make_dataclass, replace
 from functools import total_ordering
+from typing import Callable
 
 # Finite durations are kept as 64-bit nanosecond integers; exact integer
 # comparisons keep rule predicates free of float drift.
@@ -94,21 +102,6 @@ class Duration:
         if other.nanoseconds is None:
             return True
         return self.nanoseconds < other.nanoseconds
-
-    def times(self, count: int) -> "Duration":
-        """Multiply by a nonnegative integer count.
-
-        ``anything * 0 == 0`` (including the infinite sentinel); the sentinel
-        times a positive count stays infinite.  Finite products beyond the
-        64-bit range raise rather than wrap.
-        """
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        if count == 0:
-            return Duration(0)
-        if self.nanoseconds is None:
-            return Duration.infinite()
-        return Duration(self.nanoseconds * count)
 
     def __str__(self) -> str:
         return format_duration(self)
@@ -223,146 +216,6 @@ class EndpointKind(enum.Enum):
         return "DataWriter" if self is EndpointKind.DATA_WRITER else "DataReader"
 
 
-# One frozen dataclass per policy group; field names follow the OMG
-# parameter names so diagnostics can quote them verbatim.
-
-
-@dataclass(frozen=True)
-class EntityFactory:
-    autoenable_created_entities: bool
-
-
-@dataclass(frozen=True)
-class Partition:
-    names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class UserData:
-    value: bytes
-
-
-@dataclass(frozen=True)
-class GroupData:
-    value: bytes
-
-
-@dataclass(frozen=True)
-class TopicData:
-    value: bytes
-
-
-@dataclass(frozen=True)
-class Reliability:
-    kind: ReliabilityKind
-    max_blocking_time: Duration
-
-
-@dataclass(frozen=True)
-class Durability:
-    kind: DurabilityKind
-
-
-@dataclass(frozen=True)
-class Deadline:
-    period: Duration
-
-
-@dataclass(frozen=True)
-class Liveliness:
-    kind: LivelinessKind
-    lease_duration: Duration
-
-
-@dataclass(frozen=True)
-class History:
-    kind: HistoryKind
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError(f"history.depth: must be >= 1, got {shorten_literal(self.depth)}")
-
-
-@dataclass(frozen=True)
-class ResourceLimits:
-    max_samples: Count
-    max_instances: Count
-    max_samples_per_instance: Count
-
-
-@dataclass(frozen=True)
-class Lifespan:
-    duration: Duration
-
-
-@dataclass(frozen=True)
-class Ownership:
-    kind: OwnershipKind
-
-
-@dataclass(frozen=True)
-class OwnershipStrength:
-    value: int
-
-
-@dataclass(frozen=True)
-class DestinationOrder:
-    kind: DestinationOrderKind
-
-
-@dataclass(frozen=True)
-class WriterDataLifecycle:
-    autodispose_unregistered_instances: bool
-
-
-@dataclass(frozen=True)
-class ReaderDataLifecycle:
-    autopurge_disposed_samples_delay: Duration
-    autopurge_no_writer_samples_delay: Duration
-
-
-@dataclass(frozen=True)
-class QosProfile:
-    """The 16-policy bundle of one endpoint.
-
-    Every field is optional so the same type serves both the partially
-    specified form coming out of the parser and the fully resolved form
-    produced by ``resolve_defaults``.
-    """
-
-    entity_factory: EntityFactory | None = None
-    partition: Partition | None = None
-    user_data: UserData | None = None
-    group_data: GroupData | None = None
-    topic_data: TopicData | None = None
-    reliability: Reliability | None = None
-    durability: Durability | None = None
-    deadline: Deadline | None = None
-    liveliness: Liveliness | None = None
-    history: History | None = None
-    resource_limits: ResourceLimits | None = None
-    lifespan: Lifespan | None = None
-    ownership: Ownership | None = None
-    ownership_strength: OwnershipStrength | None = None
-    destination_order: DestinationOrder | None = None
-    writer_data_lifecycle: WriterDataLifecycle | None = None
-    reader_data_lifecycle: ReaderDataLifecycle | None = None
-
-    def merged_under(self, fallback: "QosProfile") -> "QosProfile":
-        """Fill unset policies from ``fallback`` (self wins on conflicts)."""
-        updates = {
-            f.name: getattr(fallback, f.name)
-            for f in fields(self)
-            if getattr(self, f.name) is None and getattr(fallback, f.name) is not None
-        }
-        return replace(self, **updates) if updates else self
-
-    @property
-    def is_resolved(self) -> bool:
-        return all(getattr(self, f.name) is not None for f in fields(self))
-
-
 # Default for reliability.max_blocking_time: the OMG text names the parameter
 # without a default; 100 ms is the common vendor choice.  Reports flag it as
 # tool-assumed.  No catalog rule reads this parameter.
@@ -372,39 +225,102 @@ MAX_BLOCKING_TIME_ASSUMPTION = (
     "(no standard default); no catalog rule consumes it"
 )
 
+# Policy attribute -> its class, and -> parameter -> OMG default; both in
+# canonical order, the order of the declarations below.
+POLICIES: dict[str, type] = {}
+PARAMETERS: dict[str, dict[str, object]] = {}
 
-def _omg_defaults(reliability_kind: ReliabilityKind) -> QosProfile:
-    return QosProfile(
-        entity_factory=EntityFactory(autoenable_created_entities=True),
-        partition=Partition(names=("",)),
-        user_data=UserData(value=b""),
-        group_data=GroupData(value=b""),
-        topic_data=TopicData(value=b""),
-        reliability=Reliability(kind=reliability_kind, max_blocking_time=DEFAULT_MAX_BLOCKING_TIME),
-        durability=Durability(kind=DurabilityKind.VOLATILE),
-        deadline=Deadline(period=Duration.infinite()),
-        liveliness=Liveliness(kind=LivelinessKind.AUTOMATIC, lease_duration=Duration.infinite()),
-        history=History(kind=HistoryKind.KEEP_LAST, depth=1),
-        resource_limits=ResourceLimits(
-            max_samples=Count.unlimited(),
-            max_instances=Count.unlimited(),
-            max_samples_per_instance=Count.unlimited(),
-        ),
-        lifespan=Lifespan(duration=Duration.infinite()),
-        ownership=Ownership(kind=OwnershipKind.SHARED),
-        ownership_strength=OwnershipStrength(value=0),
-        destination_order=DestinationOrder(kind=DestinationOrderKind.BY_RECEPTION_TIMESTAMP),
-        writer_data_lifecycle=WriterDataLifecycle(autodispose_unregistered_instances=True),
-        reader_data_lifecycle=ReaderDataLifecycle(
-            autopurge_disposed_samples_delay=Duration.infinite(),
-            autopurge_no_writer_samples_delay=Duration.infinite(),
-        ),
+
+def _policy(attribute: str, *, post_init: Callable[[object], None] | None = None, **defaults: object) -> type:
+    """Declare one policy: a frozen dataclass with one field per parameter.
+
+    The class is named after ``attribute`` (``entity_factory`` ->
+    ``EntityFactory``), each field defaults to its OMG value for a
+    DataWriter and is named after the OMG parameter, so diagnostics can
+    quote it verbatim.  ``post_init`` validates a new instance.
+    """
+    namespace: dict[str, object] = {"__module__": __name__}
+    if post_init is not None:
+        namespace["__post_init__"] = post_init
+    cls = make_dataclass(
+        "".join(word.capitalize() for word in attribute.split("_")),
+        [(name, type(default), default) for name, default in defaults.items()],
+        namespace=namespace,
+        frozen=True,
     )
+    POLICIES[attribute] = cls
+    PARAMETERS[attribute] = defaults
+    return cls
 
+
+def _check_depth(history) -> None:
+    if history.depth < 1:
+        raise ValueError(f"history.depth: must be >= 1, got {shorten_literal(history.depth)}")
+
+
+EntityFactory = _policy("entity_factory", autoenable_created_entities=True)
+Partition = _policy("partition", names=("",))
+UserData = _policy("user_data", value=b"")
+GroupData = _policy("group_data", value=b"")
+TopicData = _policy("topic_data", value=b"")
+Reliability = _policy(
+    "reliability", kind=ReliabilityKind.RELIABLE, max_blocking_time=DEFAULT_MAX_BLOCKING_TIME
+)
+Durability = _policy("durability", kind=DurabilityKind.VOLATILE)
+Deadline = _policy("deadline", period=Duration.infinite())
+Liveliness = _policy("liveliness", kind=LivelinessKind.AUTOMATIC, lease_duration=Duration.infinite())
+History = _policy("history", kind=HistoryKind.KEEP_LAST, depth=1, post_init=_check_depth)
+ResourceLimits = _policy(
+    "resource_limits",
+    max_samples=Count.unlimited(),
+    max_instances=Count.unlimited(),
+    max_samples_per_instance=Count.unlimited(),
+)
+Lifespan = _policy("lifespan", duration=Duration.infinite())
+Ownership = _policy("ownership", kind=OwnershipKind.SHARED)
+OwnershipStrength = _policy("ownership_strength", value=0)
+DestinationOrder = _policy("destination_order", kind=DestinationOrderKind.BY_RECEPTION_TIMESTAMP)
+WriterDataLifecycle = _policy("writer_data_lifecycle", autodispose_unregistered_instances=True)
+ReaderDataLifecycle = _policy(
+    "reader_data_lifecycle",
+    autopurge_disposed_samples_delay=Duration.infinite(),
+    autopurge_no_writer_samples_delay=Duration.infinite(),
+)
+
+
+def _merged_under(self: "QosProfile", fallback: "QosProfile") -> "QosProfile":
+    """Fill unset policies from ``fallback`` (self wins on conflicts)."""
+    updates = {
+        name: getattr(fallback, name)
+        for name in POLICIES
+        if getattr(self, name) is None and getattr(fallback, name) is not None
+    }
+    return replace(self, **updates) if updates else self
+
+
+def _is_resolved(self: "QosProfile") -> bool:
+    return all(getattr(self, name) is not None for name in POLICIES)
+
+
+QosProfile = make_dataclass(
+    "QosProfile",
+    [(name, cls | None, None) for name, cls in POLICIES.items()],
+    namespace={"__module__": __name__, "merged_under": _merged_under, "is_resolved": property(_is_resolved)},
+    frozen=True,
+)
+QosProfile.__doc__ = """The 16-policy bundle of one endpoint: one field per ``POLICIES`` entry.
+
+Every field is optional so the same type serves both the partially
+specified form coming out of the parser and the fully resolved form
+produced by ``resolve_defaults``.
+"""
 
 # Built once: profiles are frozen, so every caller can share them.
-_WRITER_DEFAULTS = _omg_defaults(ReliabilityKind.RELIABLE)
-_READER_DEFAULTS = _omg_defaults(ReliabilityKind.BEST_EFFORT)
+_WRITER_DEFAULTS = QosProfile(*(cls() for cls in POLICIES.values()))
+_READER_DEFAULTS = replace(
+    _WRITER_DEFAULTS,
+    reliability=replace(_WRITER_DEFAULTS.reliability, kind=ReliabilityKind.BEST_EFFORT),
+)
 
 
 def default_qos(kind: EndpointKind) -> QosProfile:
@@ -425,7 +341,7 @@ def resolve_defaults(partial: QosProfile, kind: EndpointKind) -> QosProfile:
     """
     resolved = partial.merged_under(default_qos(kind))
     if resolved.partition is not None and not resolved.partition.names:
-        resolved = replace(resolved, partition=Partition(names=("",)))
+        resolved = replace(resolved, partition=Partition())
     return resolved
 
 

@@ -18,17 +18,16 @@ The accepted grammar is a deliberately small, Fast-DDS-flavored dialect:
     </profiles>
 
 One table, ``POLICY_SCHEMA``, drives both parsing and canonical output.  It
-is derived from the model at import: every ``QosProfile`` field is a policy
-element, in declaration order (the canonical order), and every field of
-that policy's dataclass is a parameter element, read and written by the
-codec of its default value's type.  Integers are XML Schema integers (an
-optional sign and ASCII digits); history depth, ownership strength and
-finite counts must fit DDS's 32-bit ``long``.  Durations are <sec>/<nanosec>
-integer pairs (nanosec below 10**9) or the token DURATION_INFINITY; counts
-are nonnegative integers, the token UNLIMITED, or the conventional -1 alias;
-enumeration tokens are the uppercase forms (RELIABLE, KEEP_ALL, ...);
-user/group/topic data values are hex strings; partition names are <name>
-elements inside <names>.
+is derived from ``model.PARAMETERS`` at import: every policy is an element,
+in declaration order (the canonical order), and every parameter of it is a
+child element, read and written by the codec of its default value's type.
+Integers are XML Schema integers (an optional sign and ASCII digits);
+history depth, ownership strength and finite counts must fit DDS's 32-bit
+``long``.  Durations are <sec>/<nanosec> integer pairs (nanosec below
+10**9) or the token DURATION_INFINITY; counts are nonnegative integers, the
+token UNLIMITED, or the conventional -1 alias; enumeration tokens are the
+uppercase forms (RELIABLE, KEEP_ALL, ...); user/group/topic data values are
+hex strings; partition names are <name> elements inside <names>.
 
 A parameter absent from a policy element takes the endpoint kind's OMG
 default (``default_qos``); an endpoint's policy element still replaces the
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
@@ -51,6 +50,7 @@ from .model import (
     Duration,
     EndpointKind,
     EndpointProfile,
+    PARAMETERS,
     QosProfile,
     SourceLocation,
     default_qos,
@@ -191,7 +191,6 @@ class ProfileDocument:
     """A parsed profile document: raw endpoints plus parse diagnostics."""
 
     path: str
-    text: str
     endpoints: list[RawEndpoint]
     diagnostics: list[ParseDiagnostic]
 
@@ -358,8 +357,15 @@ def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagn
     if not parts:
         got = shorten_literal(node.text)
         raise _bad_value(node, context, f"expected <sec>/<nanosec> or {INFINITY_TOKEN}, got {got}", path)
+    sec, nanosec = parts.get("sec", 0), parts.get("nanosec", 0)
+    if nanosec < NANOSECONDS_PER_SECOND and sec * NANOSECONDS_PER_SECOND + nanosec > NANOSECONDS_MAX:
+        # Only the largest whole second gets here (a larger <sec> fails on its
+        # own), so both parts are present; quote them as written.
+        sec_text, nanosec_text = (shorten_literal(node.only_child(tag, path).text) for tag in _SEC_NANOSEC)
+        message = f"duration overflows the 64-bit range: sec {sec_text}, nanosec {nanosec_text}"
+        raise _bad_value(node, context, message, path)
     try:
-        return Duration.from_sec_nanosec(parts.get("sec", 0), parts.get("nanosec", 0))
+        return Duration.from_sec_nanosec(sec, nanosec)
     except ValueError as exc:
         raise _bad_value(node, context, str(exc), path) from None
 
@@ -422,19 +428,13 @@ def _codec_for(value: object) -> Codec:
     return _CODECS[type(value)]
 
 
-def _build_schema() -> dict[str, dict[str, Codec]]:
-    defaults = default_qos(EndpointKind.DATA_WRITER)
-    policies = {f.name: getattr(defaults, f.name) for f in fields(QosProfile)}
-    return {
-        tag: {param.name: _codec_for(getattr(policy, param.name)) for param in fields(policy)}
-        for tag, policy in policies.items()
-    }
-
-
-# Policy tag -> parameter tag -> codec, both in canonical order.  The policy's
-# dataclass is the type of its entry in ``default_qos``; parsing builds it
-# from that entry's parameters, overridden by the ones present.
-POLICY_SCHEMA = _build_schema()
+# Policy tag -> parameter tag -> codec, both in canonical order.  Parsing
+# builds a policy from its entry in ``default_qos``, overridden by the
+# parameters present.
+POLICY_SCHEMA = {
+    tag: {name: _codec_for(default) for name, default in params.items()}
+    for tag, params in PARAMETERS.items()
+}
 
 
 def _parse_policy(node: _Node, defaults: QosProfile, path: str, diags: list[ParseDiagnostic]):
@@ -538,7 +538,7 @@ def parse_document(text: str, path: str = "<string>") -> ProfileDocument:
         if not child.attrib["profile_name"]:
             raise ProfileLoadError("profile_name must be non-empty", path=path, line=child.line)
         endpoints.append(_parse_endpoint(child, kind, path, diags))
-    return ProfileDocument(path=path, text=text, endpoints=endpoints, diagnostics=diags)
+    return ProfileDocument(path=path, endpoints=endpoints, diagnostics=diags)
 
 
 def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:

@@ -44,7 +44,7 @@ import enum
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .model import (
@@ -52,9 +52,9 @@ from .model import (
     Duration,
     EndpointKind,
     EndpointProfile,
+    PARAMETERS,
     QosProfile,
     SourceLocation,
-    default_qos,
     format_duration,
     format_nanoseconds,
 )
@@ -191,12 +191,11 @@ class Rule:
 # ``c``, run through ``exec`` once, at import: the predicate then costs what a
 # hand-written one would.  The text is the catalog's own constant, never input.
 
-_DEFAULTS = default_qos(EndpointKind.DATA_WRITER)
 # ``policy.param`` -> the parameter's OMG default, which gives its type.
 _PARAMETERS = {
-    f"{policy.name}.{param.name}": getattr(getattr(_DEFAULTS, policy.name), param.name)
-    for policy in fields(QosProfile)
-    for param in fields(getattr(_DEFAULTS, policy.name))
+    f"{policy}.{param}": default
+    for policy, params in PARAMETERS.items()
+    for param, default in params.items()
 }
 _NAME_COUNTS = Counter(path.split(".")[1] for path in _PARAMETERS)
 # A parameter name only one policy uses stands for its path.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,12 +14,16 @@ from qos_chain_guard.model import (
     DurabilityKind,
     Duration,
     EndpointKind,
+    GroupData,
     HistoryKind,
     LivelinessKind,
     NANOSECONDS_MAX,
     OwnershipKind,
+    PARAMETERS,
+    POLICIES,
     QosProfile,
     ReliabilityKind,
+    UserData,
     default_qos,
     format_duration,
     resolve_defaults,
@@ -73,17 +78,6 @@ def test_duration_rejects_negative_and_overflow():
         Duration(-1)
     with pytest.raises(ValueError):
         Duration(NANOSECONDS_MAX + 1)
-
-
-def test_duration_multiplication():
-    assert Duration(5).times(3) == Duration(15)
-    assert Duration.infinite().times(7) == Duration.infinite()
-    assert Duration.infinite().times(0) == Duration(0)
-    assert Duration(123).times(0) == Duration(0)
-    with pytest.raises(ValueError):
-        Duration(NANOSECONDS_MAX).times(2)  # detected, never wrapped
-    with pytest.raises(ValueError):
-        Duration(5).times(-1)
 
 
 def test_format_duration_uses_largest_whole_unit():
@@ -169,3 +163,42 @@ def test_history_depth_must_be_positive():
 
     with pytest.raises(ValueError):
         History(kind=HistoryKind.KEEP_LAST, depth=0)
+
+
+@pytest.mark.parametrize("attribute", list(POLICIES))
+def test_policy_declaration_builds_a_frozen_importable_dataclass(attribute):
+    import qos_chain_guard.model as model
+
+    cls = POLICIES[attribute]
+    assert is_dataclass(cls) and cls.__dataclass_params__.frozen
+    assert cls.__module__ == "qos_chain_guard.model"
+    assert getattr(model, cls.__name__) is cls
+    assert [f.name for f in fields(cls)] == list(PARAMETERS[attribute])
+
+
+def test_qos_profile_has_one_field_per_policy_in_declaration_order():
+    assert [f.name for f in fields(QosProfile)] == list(POLICIES)
+
+
+def test_policies_of_different_types_with_equal_values_are_unequal():
+    assert UserData(b"") != GroupData(b"")
+    assert len({UserData(b""), GroupData(b""), UserData(b"")}) == 2
+
+
+def test_policies_and_profiles_are_immutable():
+    with pytest.raises(FrozenInstanceError):
+        UserData(b"").value = b"\x01"
+    with pytest.raises(FrozenInstanceError):
+        default_qos(EndpointKind.DATA_WRITER).history = None
+
+
+def test_reader_defaults_differ_from_writer_defaults_only_in_reliability_kind():
+    w = default_qos(EndpointKind.DATA_WRITER)
+    r = default_qos(EndpointKind.DATA_READER)
+    differing = [
+        f"{policy}.{param}"
+        for policy, params in PARAMETERS.items()
+        for param in params
+        if getattr(getattr(w, policy), param) != getattr(getattr(r, policy), param)
+    ]
+    assert differing == ["reliability.kind"]

@@ -319,6 +319,24 @@ def test_long_literal_is_shortened_in_the_error(policy, start, end):
     assert len(message) < 150
 
 
+@pytest.mark.parametrize("nanosec", ["854775808", "999999999", "854775807"])
+def test_duration_past_the_64_bit_range_quotes_both_literals(nanosec):
+    document = (
+        '<profiles><data_writer profile_name="w1"><qos><deadline><period>'
+        f"<sec>9223372036</sec><nanosec>{nanosec}</nanosec>"
+        "</period></deadline></qos></data_writer></profiles>"
+    )
+    if nanosec == "854775807":  # the largest finite duration
+        assert parse_set(document).profiles["w1"].qos.deadline.period == Duration(2**63 - 1)
+        return
+    with pytest.raises(ProfileLoadError) as excinfo:
+        parse_set(document)
+    assert str(excinfo.value) == (
+        "doc0.xml:1: deadline.period: duration overflows the 64-bit range: "
+        f"sec '9223372036', nanosec '{nanosec}'"
+    )
+
+
 def _writer_qos(policy: str):
     ps = parse_set(f'<profiles><data_writer profile_name="w1"><qos>{policy}</qos></data_writer></profiles>')
     return ps.profiles["w1"].qos

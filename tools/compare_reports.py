@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Compare the reports of the working tree with those of another revision.
+
+    python3 tools/compare_reports.py --base HEAD~1 --seeds 3 41 97
+
+The ``src/`` tree of ``--base`` is extracted with ``git archive``.  Both
+sides run ``check`` on each perfbench workload at each seed, in both report
+formats, and ``rules`` and ``graph`` in both of their formats.  Each run is
+a fresh ``python -m qos_chain_guard.cli`` with ``PYTHONPATH`` set to that
+side's ``src/``.  The inputs are generated once per workload and seed by
+``perfbench/workloads.py``, so both sides read the same files at the same
+paths.
+
+One line is printed per case.  The exit code is 1 if the stdout or the exit
+code of any case differs between the two sides, 0 otherwise.  Needs only
+the standard library and git; run it from anywhere inside the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/workloads.py, found through the path above)
+
+
+def extract_src(rev: str, directory: str) -> str:
+    """Write ``src/`` as of ``rev`` under ``directory``; return its path."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev, "src"], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(directory, filter="data")
+    return os.path.join(directory, "src")
+
+
+def cases(seeds: list[int], directory: str):
+    """(label, argv) of every case, writing each workload's inputs on the way."""
+    for fmt in ("table", "json"):
+        yield f"rules --format {fmt}", ["rules", "--format", fmt]
+    for fmt in ("dot", "json"):
+        yield f"graph --format {fmt}", ["graph", "--format", fmt]
+    for name in workloads.WORKLOADS:
+        for seed in seeds:
+            workload = workloads.generate(name, seed)
+            written = workloads.write(workload, os.path.join(directory, f"{name}-{seed}"))
+            for fmt in ("json", "human"):
+                argv = workloads.check_argv(dataclasses.replace(workload, fmt=fmt), written)
+                yield f"check {name} seed {seed} --format {fmt}", argv
+
+
+def run_side(src: str, argv: list[str]) -> tuple[int, bytes]:
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "qos_chain_guard.cli", *argv], env=env, capture_output=True
+    )
+    return done.returncode, done.stdout
+
+
+def difference(base: tuple[int, bytes], head: tuple[int, bytes]) -> str | None:
+    """How two (exit code, stdout) results differ, or None if they do not."""
+    if base[0] != head[0]:
+        return f"exit code {base[0]} vs {head[0]}"
+    if base[1] != head[1]:
+        base_lines, head_lines = base[1].splitlines(), head[1].splitlines()
+        line = next(
+            (i for i, (a, b) in enumerate(zip(base_lines, head_lines), 1) if a != b),
+            min(len(base_lines), len(head_lines)) + 1,
+        )
+        return f"stdout differs from line {line} ({len(base[1])} vs {len(head[1])} bytes)"
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, metavar="REV", help="git revision to compare against")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1], metavar="N", help="workload seeds")
+    args = parser.parse_args(argv)
+
+    head_src = str(ROOT / "src")
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="compare_reports_") as workdir:
+        base_src = extract_src(args.base, os.path.join(workdir, "base"))
+        for label, case_argv in cases(args.seeds, os.path.join(workdir, "inputs")):
+            diff = difference(run_side(base_src, case_argv), run_side(head_src, case_argv))
+            differing += diff is not None
+            print(f"{'same' if diff is None else 'DIFF'}  {label}" + (f": {diff}" if diff else ""), flush=True)
+    print(f"{differing} case(s) differ from {args.base}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
