@@ -29,6 +29,7 @@ from .rules import (
     CleanCheck,
     EntityRef,
     Outcome,
+    Severity,
     SkippedRule,
     Violation,
     entity_ref,
@@ -238,12 +239,15 @@ class Report:
 
 
 def _sort_key(outcome: Violation | SkippedRule):
+    # An outcome names one endpoint, or a writer and a reader.
+    entities = outcome.entities
+    first = entities[0].profile_name
     return (
         outcome.stage,
         outcome.rule_id,
-        outcome.entities[0].profile_name,
+        first,
         getattr(outcome, "topic_name", None) or "",
-        tuple(e.profile_name for e in outcome.entities),
+        (first,) if len(entities) == 1 else (first, entities[1].profile_name),
     )
 
 
@@ -344,11 +348,30 @@ _ANSI = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
 _ANSI_RESET = "\x1b[0m"
 
 
-def _entity_list(entities) -> str:
-    return " + ".join(str(e) for e in entities)
-
-
 def _human_report(report: Report, color: bool) -> str:
+    # Each level label is built once per report, and each entity's text once.
+    # Both tables key on identity: an Enum or EntityRef hash runs Python code,
+    # and the one EntityRef of an endpoint names it in every outcome.  The
+    # report keeps every key alive, so no id is reused while rendering.
+    labels = {
+        id(severity): (
+            f"{_ANSI[severity.level]}{severity.level.upper()}{_ANSI_RESET}"
+            if color
+            else severity.level.upper()
+        )
+        for severity in Severity
+    }
+    texts: dict[int, str] = {}
+
+    def entity_list(entities: tuple[EntityRef, ...]) -> str:
+        parts = []
+        for e in entities:
+            text = texts.get(id(e))
+            if text is None:
+                text = texts[id(e)] = str(e)
+            parts.append(text)
+        return " + ".join(parts)
+
     lines: list[str] = []
     env = report.environment.echo()
     if report.inputs:
@@ -374,11 +397,9 @@ def _human_report(report: Report, color: bool) -> str:
                 continue
             lines.append(_STAGE_TITLES[stage])
             for v in stage_violations:
-                level = v.severity.level.upper()
-                if color:
-                    level = f"{_ANSI[v.severity.level]}{level}{_ANSI_RESET}"
+                level = labels[id(v.severity)]
                 lines.append(
-                    f"  {level} [rule {v.rule_id} {v.identifier}] {_entity_list(v.entities)} "
+                    f"  {level} [rule {v.rule_id} {v.identifier}] {entity_list(v.entities)} "
                     f"— {v.message}; {v.suggestion}"
                 )
             lines.append("")
@@ -387,7 +408,7 @@ def _human_report(report: Report, color: bool) -> str:
         lines.append("skipped checks (undecidable with the given inputs)")
         for s in report.skipped:
             lines.append(
-                f"  SKIP [rule {s.rule_id} {s.identifier}] {_entity_list(s.entities)} "
+                f"  SKIP [rule {s.rule_id} {s.identifier}] {entity_list(s.entities)} "
                 f"— {s.reason.value}"
             )
         lines.append("")
@@ -429,14 +450,14 @@ def _json_report(report: Report) -> str:
     checks the two agree.
     """
     enc = encode_basestring
-    entity_json: dict[EntityRef, str] = {}
+    entity_json: dict[int, str] = {}  # by identity, as in _human_report
 
     def entities(refs: tuple[EntityRef, ...]) -> str:
         parts = []
         for e in refs:
-            text = entity_json.get(e)
+            text = entity_json.get(id(e))
             if text is None:
-                text = entity_json[e] = (
+                text = entity_json[id(e)] = (
                     "        {\n"
                     f'          "document": {enc(e.source_location.document)},\n'
                     f'          "kind": {enc(e.endpoint_kind.display)},\n'

@@ -337,12 +337,14 @@ def _parse_duration_part(node: _Node, context: str, path: str, diags: list[Parse
     rejected here, so the error can echo the literal as written."""
     value = _parse_int(node, context, path, diags)
     got = shorten_literal(node.text)
-    if node.tag == "sec" and (value is None or value > NANOSECONDS_MAX // NANOSECONDS_PER_SECOND):
+    if node.tag == "sec":
+        if value is not None and value <= NANOSECONDS_MAX // NANOSECONDS_PER_SECOND:
+            return value
         message = f"duration overflows the 64-bit range: sec {got}"
-    elif value is None:
-        message = f"nanosec must be below {NANOSECONDS_PER_SECOND}, got {got}"
-    else:
+    elif value is not None and value < NANOSECONDS_PER_SECOND:
         return value
+    else:
+        message = f"nanosec must be below {NANOSECONDS_PER_SECOND}, got {got}"
     raise ProfileLoadError(f"{context}: {message}", path, node.line)
 
 
@@ -358,7 +360,7 @@ def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagn
         got = shorten_literal(node.text)
         raise _bad_value(node, context, f"expected <sec>/<nanosec> or {INFINITY_TOKEN}, got {got}", path)
     sec, nanosec = parts.get("sec", 0), parts.get("nanosec", 0)
-    if nanosec < NANOSECONDS_PER_SECOND and sec * NANOSECONDS_PER_SECOND + nanosec > NANOSECONDS_MAX:
+    if sec * NANOSECONDS_PER_SECOND + nanosec > NANOSECONDS_MAX:
         # Only the largest whole second gets here (a larger <sec> fails on its
         # own), so both parts are present; quote them as written.
         sec_text, nanosec_text = (shorten_literal(node.only_child(tag, path).text) for tag in _SEC_NANOSEC)

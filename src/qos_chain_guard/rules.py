@@ -36,6 +36,11 @@ only on the QoS of the endpoint(s) under evaluation, ``rtt`` and ``pp``,
 never on a profile name, a topic or a source location.  Only the entities
 and the topic of an outcome name the endpoint.  The pipeline relies on this
 to evaluate each QoS class once and reuse the result for every member.
+
+``evaluate_endpoint_rules`` and ``evaluate_pair_rules`` check scope, name
+the entities and find the topic once per call, then run each rule through
+the core that ``evaluate_rule`` also uses: exemption, missing rtt, missing
+pp, predicate.  ``entity_ref`` returns one shared object per endpoint.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ from .model import (
     Duration,
     EndpointKind,
     EndpointProfile,
+    EntityRef,
     PARAMETERS,
     QosProfile,
-    SourceLocation,
     format_duration,
     format_nanoseconds,
 )
@@ -115,16 +120,6 @@ class EvalContext:
     @property
     def qos(self) -> QosProfile:
         return self.subject.qos
-
-
-@dataclass(frozen=True)
-class EntityRef:
-    profile_name: str
-    endpoint_kind: EndpointKind
-    source_location: SourceLocation
-
-    def __str__(self) -> str:
-        return f"{self.profile_name}({self.endpoint_kind.display})@{self.source_location}"
 
 
 @dataclass(frozen=True)
@@ -841,8 +836,8 @@ def rules_for_stage(stage: int) -> tuple[Rule, ...]:
 
 
 def entity_ref(endpoint: EndpointProfile) -> EntityRef:
-    """How reports name an endpoint: profile, kind and source location."""
-    return EntityRef(endpoint.profile_name, endpoint.endpoint_kind, endpoint.source_location)
+    """How reports name an endpoint: one shared object per endpoint."""
+    return endpoint.entity
 
 
 def _context_entities(rule: Rule, ctx: EvalContext) -> tuple[EntityRef, ...]:
@@ -850,14 +845,14 @@ def _context_entities(rule: Rule, ctx: EvalContext) -> tuple[EntityRef, ...]:
     if rule.scope is RuleScope.PAIR:
         if ctx.writer is None or ctx.reader is None:
             raise ValueError(f"rule {rule.id} is pair-scoped and needs both endpoints")
-        return (entity_ref(ctx.writer), entity_ref(ctx.reader))
+        return (ctx.writer.entity, ctx.reader.entity)
     if ctx.writer is not None and ctx.reader is not None:
         raise ValueError(f"rule {rule.id} is single-endpoint but got a pair context")
     if rule.scope is RuleScope.DATA_WRITER and ctx.writer is None:
         raise ValueError(f"rule {rule.id} applies to DataWriters only")
     if rule.scope is RuleScope.DATA_READER and ctx.reader is None:
         raise ValueError(f"rule {rule.id} applies to DataReaders only")
-    return (entity_ref(ctx.subject),)
+    return (ctx.subject.entity,)
 
 
 def pair_topic(writer: EndpointProfile, reader: EndpointProfile) -> str | None:
@@ -865,20 +860,10 @@ def pair_topic(writer: EndpointProfile, reader: EndpointProfile) -> str | None:
     return writer.topic_name if writer.topic_name == reader.topic_name else None
 
 
-def _context_topic(rule: Rule, ctx: EvalContext) -> str | None:
-    if rule.scope is RuleScope.PAIR:
-        return pair_topic(ctx.writer, ctx.reader)
-    return ctx.subject.topic_name
-
-
-def evaluate_rule(rule: Rule, ctx: EvalContext) -> Outcome:
-    """Evaluate one rule: Violation, CleanCheck, or SkippedRule.
-
-    A rule is skipped when a required environment input is absent (rtt
-    checked before pp) or when its exemption applies; a scope-mismatched
-    context is a programming error and raises.
-    """
-    entities = _context_entities(rule, ctx)
+def _evaluate(
+    rule: Rule, ctx: EvalContext, entities: tuple[EntityRef, ...], topic_name: str | None
+) -> Outcome:
+    """Evaluate one rule on a context already checked against its scope."""
     if rule.exemption is not None:
         reason = rule.exemption(ctx)
         if reason is not None:
@@ -894,11 +879,26 @@ def evaluate_rule(rule: Rule, ctx: EvalContext) -> Outcome:
             stage=rule.stage,
             severity=rule.severity,
             entities=entities,
-            topic_name=_context_topic(rule, ctx),
+            topic_name=topic_name,
             message=rule.message(ctx),
             suggestion=rule.suggestion(ctx),
         )
     return CleanCheck(rule.id, entities)
+
+
+def evaluate_rule(rule: Rule, ctx: EvalContext) -> Outcome:
+    """Evaluate one rule: Violation, CleanCheck, or SkippedRule.
+
+    A rule is skipped when its exemption applies or when a required
+    environment input is absent (rtt checked before pp); a scope-mismatched
+    context is a programming error and raises.
+    """
+    entities = _context_entities(rule, ctx)
+    if rule.scope is RuleScope.PAIR:
+        topic_name = pair_topic(ctx.writer, ctx.reader)
+    else:
+        topic_name = ctx.subject.topic_name
+    return _evaluate(rule, ctx, entities, topic_name)
 
 
 def applicable_to(rule: Rule, kind: EndpointKind) -> bool:
@@ -934,7 +934,13 @@ def evaluate_endpoint_rules(
         ctx = EvalContext(writer=endpoint, rtt=rtt, pp=pp)
     else:
         ctx = EvalContext(reader=endpoint, rtt=rtt, pp=pp)
-    return [evaluate_rule(rule, ctx) for rule in _APPLICABLE.get((stage, endpoint.endpoint_kind), ())]
+    # _APPLICABLE holds only the rules whose scope admits this kind.
+    entities = (endpoint.entity,)
+    topic_name = endpoint.topic_name
+    return [
+        _evaluate(rule, ctx, entities, topic_name)
+        for rule in _APPLICABLE.get((stage, endpoint.endpoint_kind), ())
+    ]
 
 
 def evaluate_pair_rules(writer: EndpointProfile, reader: EndpointProfile) -> list[Outcome]:
@@ -944,4 +950,6 @@ def evaluate_pair_rules(writer: EndpointProfile, reader: EndpointProfile) -> lis
     if reader.endpoint_kind is not EndpointKind.DATA_READER:
         raise ValueError(f"{reader.profile_name!r} is not a DataReader")
     ctx = EvalContext(writer=writer, reader=reader)
-    return [evaluate_rule(rule, ctx) for rule in rules_for_stage(2)]
+    entities = (writer.entity, reader.entity)
+    topic_name = pair_topic(writer, reader)
+    return [_evaluate(rule, ctx, entities, topic_name) for rule in _BY_STAGE[2]]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -549,3 +550,90 @@ def _reports(draw) -> Report:
 def test_json_report_matches_json_dumps_of_the_reference_payload(report):
     expected = json.dumps(_reference_payload(report), indent=2, sort_keys=True, ensure_ascii=False)
     assert render_report(report, "json") == expected + "\n"
+
+
+# -- human rendering -----------------------------------------------------------
+
+
+_REFERENCE_STAGE_TITLES = {
+    1: "Stage 1: per-endpoint consistency",
+    2: "Stage 2: writer/reader compatibility (RxO)",
+    3: "Stage 3: environment-dependent checks",
+}
+_REFERENCE_ANSI = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
+
+
+def _reference_human(report: Report, color: bool) -> str:
+    """The human report, written row by row with no caching: the byte contract."""
+
+    def entity_list(entities) -> str:
+        return " + ".join(str(e) for e in entities)
+
+    lines: list[str] = []
+    env = report.environment.echo()
+    if report.inputs:
+        lines.append(f"inputs: {', '.join(report.inputs)}")
+    env_bits = []
+    if env["rtt_ms"] is not None:
+        env_bits.append(f"rtt={env['rtt_ms']}ms")
+    if env["default_publish_period_ms"] is not None:
+        env_bits.append(f"default publish period={env['default_publish_period_ms']}ms")
+    for name, value in env["publish_period_ms"].items():
+        env_bits.append(f"publish period[{name}]={value}ms")
+    lines.append(f"environment: {', '.join(env_bits) if env_bits else 'none provided'}")
+    for assumption in report.assumptions:
+        lines.append(f"note: {assumption}")
+    lines.append("")
+
+    if not report.violations:
+        lines.append("no violations found")
+    else:
+        for stage in (1, 2, 3):
+            stage_violations = [v for v in report.violations if v.stage == stage]
+            if not stage_violations:
+                continue
+            lines.append(_REFERENCE_STAGE_TITLES[stage])
+            for v in stage_violations:
+                level = v.severity.level.upper()
+                if color:
+                    level = f"{_REFERENCE_ANSI[v.severity.level]}{level}\x1b[0m"
+                lines.append(
+                    f"  {level} [rule {v.rule_id} {v.identifier}] {entity_list(v.entities)} "
+                    f"— {v.message}; {v.suggestion}"
+                )
+            lines.append("")
+
+    if report.skipped:
+        lines.append("skipped checks (undecidable with the given inputs)")
+        for s in report.skipped:
+            lines.append(
+                f"  SKIP [rule {s.rule_id} {s.identifier}] {entity_list(s.entities)} "
+                f"— {s.reason.value}"
+            )
+        lines.append("")
+
+    if report.parse_diagnostics:
+        lines.append("parse notes")
+        for diagnostic in report.parse_diagnostics:
+            lines.append(f"  {diagnostic}")
+        lines.append("")
+
+    counts = report.summary
+    lines.append(
+        f"summary: {counts['errors']} error(s), {counts['warnings']} warning(s), "
+        f"{counts['infos']} info(s), {counts['skipped']} skipped"
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _staged(report: Report) -> Report:
+    """``report`` with each violation's stage folded into 0-4: most rows then
+    land in the three rendered stages, and some stay outside them."""
+    return replace(report, violations=tuple(replace(v, stage=v.stage % 5) for v in report.violations))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_reports().map(_staged))
+def test_human_report_matches_the_reference_rendering(report):
+    for color in (True, False):
+        assert render_report(report, "human", color=color) == _reference_human(report, color)

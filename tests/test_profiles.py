@@ -278,9 +278,11 @@ def test_unknown_children_of_any_parameter_get_an_info_note(policy, expected):
     assert note.level == "info" and "unknown element" in note.message
 
 
-@pytest.mark.parametrize("nanosec", [1_000_000_000, 5_000_000_000])
+@pytest.mark.parametrize("nanosec", ["1000000000", "5000000000", "0001000000000", "+1000000000"])
 def test_nanosec_of_a_second_or_more_is_load_error(nanosec):
-    with pytest.raises(ProfileLoadError, match=rf"deadline\.period: nanosec must be below 1000000000, got {nanosec}"):
+    # The literal is quoted as written, as in every other duration error.
+    got = re.escape(repr(nanosec))
+    with pytest.raises(ProfileLoadError, match=rf"deadline\.period: nanosec must be below 1000000000, got {got}$"):
         parse_set(
             '<profiles><data_writer profile_name="w1"><qos><deadline><period>'
             f"<sec>1</sec><nanosec>{nanosec}</nanosec>"

@@ -12,6 +12,7 @@ from qos_chain_guard.model import (
     DestinationOrderKind,
     DurabilityKind,
     Duration,
+    EndpointKind,
     HistoryKind,
     LivelinessKind,
     OwnershipKind,
@@ -25,10 +26,14 @@ from qos_chain_guard.rules import (
     SkipReason,
     SkippedRule,
     Violation,
+    applicable_to,
+    entity_ref,
+    evaluate_endpoint_rules,
     evaluate_pair_rules,
     evaluate_rule,
     get_rule,
     rule_catalog,
+    rules_for_stage,
 )
 
 from catalog_fixture import EXPECTED_CATALOG, EXPECTED_ENV
@@ -372,3 +377,50 @@ def test_evaluate_pair_rules_covers_stage_two():
 def test_evaluate_pair_rules_rejects_kind_mismatch():
     with pytest.raises(ValueError):
         evaluate_pair_rules(reader(), reader())
+
+
+# -- the stage evaluators against the per-rule path ----------------------------
+
+
+def _environments(case: Case):
+    """(rtt, pp): the case's values, each one alone, and neither."""
+    rtt = ms(case.rtt_ms if case.rtt_ms is not None else 100)
+    pp = ms(case.pp_ms if case.pp_ms is not None else 20)
+    return [(rtt, pp), (rtt, None), (None, pp), (None, None)]
+
+
+@pytest.mark.parametrize("rule_id", sorted(RULE_FIXTURES))
+def test_evaluate_pair_rules_matches_evaluate_rule(rule_id):
+    for case in RULE_FIXTURES[rule_id]:
+        for reader_topic in ("scan", "other"):  # a shared topic, and none
+            w, r = writer(**case.writer), reader(topic=reader_topic, **case.reader)
+            expected = [evaluate_rule(rule, EvalContext(writer=w, reader=r)) for rule in rules_for_stage(2)]
+            assert evaluate_pair_rules(w, r) == expected
+
+
+@pytest.mark.parametrize("rule_id", sorted(RULE_FIXTURES))
+def test_evaluate_endpoint_rules_matches_evaluate_rule(rule_id):
+    for case in RULE_FIXTURES[rule_id]:
+        for endpoint in (writer(**case.writer), reader(**case.reader)):
+            side = "writer" if endpoint.endpoint_kind is EndpointKind.DATA_WRITER else "reader"
+            for rtt, pp in _environments(case):
+                for stage in (1, 3):
+                    expected = [
+                        evaluate_rule(rule, EvalContext(**{side: endpoint}, rtt=rtt, pp=pp))
+                        for rule in rules_for_stage(stage)
+                        if applicable_to(rule, endpoint.endpoint_kind)
+                    ]
+                    outcomes = evaluate_endpoint_rules(endpoint, stage, rtt=rtt, pp=pp)
+                    assert outcomes == expected
+                    # Independent of the shared core: a missing rtt is named first.
+                    for outcome in outcomes:
+                        if rtt is None and get_rule(outcome.rule_id).requires_rtt:
+                            assert getattr(outcome, "reason", None) is not SkipReason.MISSING_ENV_PP
+
+
+def test_entity_ref_is_one_object_per_endpoint():
+    w, r = writer(), reader()
+    assert entity_ref(w) is entity_ref(w)
+    assert evaluate_pair_rules(w, r)[0].entities[0] is entity_ref(w)
+    assert evaluate_endpoint_rules(r, 1)[0].entities == (entity_ref(r),)
+    assert str(entity_ref(w)) == "w1(DataWriter)@<test>:1"

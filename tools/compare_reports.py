@@ -4,8 +4,9 @@
     python3 tools/compare_reports.py --base HEAD~1 --seeds 3 41 97
 
 The ``src/`` tree of ``--base`` is extracted with ``git archive``.  Both
-sides run ``check`` on each perfbench workload at each seed, in both report
-formats, and ``rules`` and ``graph`` in both of their formats.  Each run is
+sides run ``check`` on each perfbench workload at each seed, in JSON, in
+human text and in human text with ``--color on``, and ``rules`` and
+``graph`` in both of their formats.  Each run is
 a fresh ``python -m qos_chain_guard.cli`` with ``PYTHONPATH`` set to that
 side's ``src/``.  The inputs are generated once per workload and seed by
 ``perfbench/workloads.py``, so both sides read the same files at the same
@@ -54,9 +55,10 @@ def cases(seeds: list[int], directory: str):
         for seed in seeds:
             workload = workloads.generate(name, seed)
             written = workloads.write(workload, os.path.join(directory, f"{name}-{seed}"))
-            for fmt in ("json", "human"):
+            for fmt, color in (("json", ()), ("human", ()), ("human", ("--color", "on"))):
                 argv = workloads.check_argv(dataclasses.replace(workload, fmt=fmt), written)
-                yield f"check {name} seed {seed} --format {fmt}", argv
+                # A later --color overrides the workload's own --color off.
+                yield " ".join([f"check {name} seed {seed} --format {fmt}", *color]), [*argv, *color]
 
 
 def run_side(src: str, argv: list[str]) -> tuple[int, bytes]:
