@@ -32,7 +32,6 @@ from .rules import (
     Severity,
     SkippedRule,
     Violation,
-    entity_ref,
     evaluate_endpoint_rules,
     evaluate_pair_rules,
     pair_topic,
@@ -232,10 +231,11 @@ class Report:
 
     def count_at_or_above(self, level: str) -> int:
         """Diagnostics at or above a report level (error > warning > info)."""
-        included = {"error": ("error",), "warning": ("error", "warning")}.get(
-            level, ("error", "warning", "info")
+        included = {"error": ("errors",), "warning": ("errors", "warnings")}.get(
+            level, ("errors", "warnings", "infos")
         )
-        return sum(1 for v in self.violations if v.severity.level in included)
+        counts = self.summary
+        return sum(counts[key] for key in included)
 
 
 def _sort_key(outcome: Violation | SkippedRule):
@@ -288,7 +288,6 @@ def run_pipeline(
     plan = pairings if pairings is not None else build_pairing_plan(profile_set)
 
     endpoints = [profile_set.profiles[name] for name in sorted(profile_set.profiles)]
-    refs = {e.profile_name: (entity_ref(e),) for e in endpoints}
     periods = [env.publish_period_for(e.profile_name) for e in endpoints]
     found: list[Violation | SkippedRule] = []
 
@@ -303,7 +302,7 @@ def run_pipeline(
                 findings = by_class[key] = _findings(outcomes)
                 found.extend(findings)
             else:
-                entities = refs[endpoint.profile_name]
+                entities = (endpoint.entity,)
                 found.extend(_stamped(o, entities, endpoint.topic_name) for o in findings)
 
     endpoint_stage(1)
@@ -317,7 +316,7 @@ def run_pipeline(
             findings = by_pair_class[key] = _findings(evaluate_pair_rules(writer, reader))
             found.extend(findings)
         else:
-            entities = refs[writer.profile_name] + refs[reader.profile_name]
+            entities = (writer.entity, reader.entity)
             topic = pair_topic(writer, reader)
             found.extend(_stamped(o, entities, topic) for o in findings)
     endpoint_stage(3)

@@ -31,9 +31,11 @@ hex strings; partition names are <name> elements inside <names>.
 
 A parameter absent from a policy element takes the endpoint kind's OMG
 default (``default_qos``); an endpoint's policy element still replaces the
-topic's as a whole.  Unknown elements are skipped with an info diagnostic
-and never abort a parse; a repeated policy or parameter element is a load
-error.
+topic's as a whole.  One walker, ``_parse_params``, reads the children of
+every element but <profiles> and <names> (whose children repeat by design)
+in document order: an unknown child is skipped with an info note and never
+aborts a parse, and a repeated child is a load error, ``duplicate <X>
+element in <Y>``.  Parse notes follow document order.
 """
 
 from __future__ import annotations
@@ -113,13 +115,6 @@ class _Node:
     @property
     def text(self) -> str:
         return "".join(self.text_parts).strip()
-
-    def only_child(self, tag: str, path: str) -> "_Node | None":
-        """The one ``tag`` child, or None; a repeated one is a load error."""
-        found = [c for c in self.children if c.tag == tag]
-        if len(found) > 1:
-            raise ProfileLoadError(f"duplicate <{tag}> element in <{self.tag}>", path, found[1].line)
-        return found[0] if found else None
 
 
 def _parse_xml(text: str, path: str) -> _Node:
@@ -236,37 +231,40 @@ def _note_unknown(node: _Node, context: str, path: str, diags: list[ParseDiagnos
     )
 
 
+# ``parse(node, context, path, diags)`` reads one element; ``context`` names
+# the enclosing element (``history``), so load errors can name the field
+# (``history.depth``).
+Parser = Callable[[_Node, str, str, list[ParseDiagnostic]], object]
+
+
 @dataclass(frozen=True)
 class Codec:
     """How one parameter element is read from and written to XML.
 
-    ``parse(node, context, path, diags)`` returns the value; ``context``
-    names the enclosing element (``history``), so load errors can name the
-    field (``history.depth``).
     ``render(tag, value, indent)`` returns the element's canonical lines.
     """
 
-    parse: Callable[[_Node, str, str, list[ParseDiagnostic]], object]
+    parse: Parser
     render: Callable[[str, object, str], list[str]]
 
 
 def _parse_params(
-    node: _Node, codecs: dict[str, Codec], label: str, path: str, diags: list[ParseDiagnostic]
+    node: _Node, parsers: dict[str, Parser], label: str, path: str, diags: list[ParseDiagnostic]
 ) -> dict[str, object]:
-    """Parse each child of ``node`` with the codec of its tag.
+    """Parse each child of ``node``, in document order, by the parser of its tag.
 
-    ``label`` names ``node`` in load errors (``deadline.period``).  Unknown
-    children get an info note; a repeated child is a load error.
+    ``label`` names ``node`` in load errors (``deadline.period``).  An unknown
+    child gets an info note; a repeated child is a load error.
     """
     values: dict[str, object] = {}
     for child in node.children:
-        codec = codecs.get(child.tag)
-        if codec is None:
+        parse = parsers.get(child.tag)
+        if parse is None:
             _note_unknown(child, f"<{node.tag}>", path, diags)
         elif child.tag in values:
             raise ProfileLoadError(f"duplicate <{child.tag}> element in <{node.tag}>", path, child.line)
         else:
-            values[child.tag] = codec.parse(child, label, path, diags)
+            values[child.tag] = parse(child, label, path, diags)
     return values
 
 
@@ -348,8 +346,7 @@ def _parse_duration_part(node: _Node, context: str, path: str, diags: list[Parse
     raise ProfileLoadError(f"{context}: {message}", path, node.line)
 
 
-_PART = Codec(_parse_duration_part, _element)
-_SEC_NANOSEC = {"sec": _PART, "nanosec": _PART}
+_SEC_NANOSEC = {"sec": _parse_duration_part, "nanosec": _parse_duration_part}
 
 
 def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Duration:
@@ -362,8 +359,9 @@ def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagn
     sec, nanosec = parts.get("sec", 0), parts.get("nanosec", 0)
     if sec * NANOSECONDS_PER_SECOND + nanosec > NANOSECONDS_MAX:
         # Only the largest whole second gets here (a larger <sec> fails on its
-        # own), so both parts are present; quote them as written.
-        sec_text, nanosec_text = (shorten_literal(node.only_child(tag, path).text) for tag in _SEC_NANOSEC)
+        # own), so both parts are present, each once; quote them as written.
+        texts = {child.tag: child.text for child in node.children}
+        sec_text, nanosec_text = (shorten_literal(texts[tag]) for tag in _SEC_NANOSEC)
         message = f"duration overflows the 64-bit range: sec {sec_text}, nanosec {nanosec_text}"
         raise _bad_value(node, context, message, path)
     try:
@@ -439,65 +437,57 @@ POLICY_SCHEMA = {
 }
 
 
-def _parse_policy(node: _Node, defaults: QosProfile, path: str, diags: list[ParseDiagnostic]):
-    """One policy element; ``defaults`` (the endpoint kind's ``default_qos``)
-    supplies every parameter the element leaves out."""
-    codecs = POLICY_SCHEMA[node.tag]
-    values = _parse_params(node, codecs, node.tag, path, diags)
-    default = getattr(defaults, node.tag)
-    if len(values) < len(codecs):
-        values = {**default.__dict__, **values}
-    try:
-        return type(default)(**values)
-    except ValueError as exc:  # a constraint of the policy's dataclass
-        raise ProfileLoadError(str(exc), path, node.line) from None
+def _policy_parser(tag: str, default: object) -> Parser:
+    """The parser of one policy element; ``default`` (the endpoint kind's
+    ``default_qos`` policy) supplies every parameter the element leaves out."""
+    parsers = {name: codec.parse for name, codec in POLICY_SCHEMA[tag].items()}
+    policy = type(default)
+
+    def parse(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> object:
+        values = _parse_params(node, parsers, tag, path, diags)
+        if len(values) < len(parsers):
+            values = {**default.__dict__, **values}
+        try:
+            return policy(**values)
+        except ValueError as exc:  # a constraint of the policy's dataclass
+            raise ProfileLoadError(str(exc), path, node.line) from None
+
+    return parse
 
 
-def _parse_qos(node: _Node, kind: EndpointKind, path: str, diags: list[ParseDiagnostic]) -> QosProfile:
+def _endpoint_parsers(kind: EndpointKind) -> dict[str, Parser]:
+    """The parsers of a ``kind`` endpoint's children.  Built once per kind at
+    import, since the kinds' defaults differ and a table built per call costs
+    a measurable share of parsing."""
     defaults = default_qos(kind)
-    policies: dict[str, object] = {}
-    for child in node.children:
-        if child.tag not in POLICY_SCHEMA:
-            _note_unknown(child, "<qos>", path, diags)
-        elif child.tag in policies:
-            raise ProfileLoadError(f"duplicate <{child.tag}> policy element", path, child.line)
-        else:
-            policies[child.tag] = _parse_policy(child, defaults, path, diags)
-    return QosProfile(**policies)  # type: ignore[arg-type]
+    policies = {tag: _policy_parser(tag, getattr(defaults, tag)) for tag in POLICY_SCHEMA}
+
+    def parse_qos(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> QosProfile:
+        return QosProfile(**_parse_params(node, policies, "qos", path, diags))
+
+    topic: dict[str, Parser] = {"name": lambda node, *_: node.text or None, "qos": parse_qos}
+
+    def parse_topic(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> dict:
+        return _parse_params(node, topic, "topic", path, diags)
+
+    return {"topic": parse_topic, "qos": parse_qos}
+
+
+_ENDPOINT_PARSERS = {kind: _endpoint_parsers(kind) for kind in EndpointKind}
+_DDS_PARSERS: dict[str, Parser] = {"profiles": lambda node, *_: node}
+# Shared by every endpoint without a <qos>: profiles are frozen.
+_NO_QOS = QosProfile()
 
 
 def _parse_endpoint(node: _Node, kind: EndpointKind, path: str, diags: list[ParseDiagnostic]) -> RawEndpoint:
-    name = node.attrib.get("profile_name", "")
-    topic_name: str | None = None
-    endpoint_qos: QosProfile | None = None
-    topic_qos: QosProfile | None = None
-    saw_topic = False
-    for child in node.children:
-        if child.tag == "topic":
-            if saw_topic:
-                raise ProfileLoadError(f"duplicate <topic> element in <{node.tag}>", path, child.line)
-            saw_topic = True
-            name_node = child.only_child("name", path)
-            if name_node is not None:
-                topic_name = name_node.text or None
-            qos_node = child.only_child("qos", path)
-            if qos_node is not None:
-                topic_qos = _parse_qos(qos_node, kind, path, diags)
-            for sub in child.children:
-                if sub.tag not in ("name", "qos"):
-                    _note_unknown(sub, "<topic>", path, diags)
-        elif child.tag == "qos":
-            if endpoint_qos is not None:
-                raise ProfileLoadError(f"duplicate <qos> element in <{node.tag}>", path, child.line)
-            endpoint_qos = _parse_qos(child, kind, path, diags)
-        else:
-            _note_unknown(child, f"<{node.tag}>", path, diags)
+    parts = _parse_params(node, _ENDPOINT_PARSERS[kind], node.tag, path, diags)
+    topic = parts.get("topic", {})
     return RawEndpoint(
-        profile_name=name,
+        profile_name=node.attrib["profile_name"],
         endpoint_kind=kind,
-        topic_name=topic_name,
-        endpoint_qos=endpoint_qos if endpoint_qos is not None else QosProfile(),
-        topic_qos=topic_qos if topic_qos is not None else QosProfile(),
+        topic_name=topic.get("name"),
+        endpoint_qos=parts.get("qos", _NO_QOS),
+        topic_qos=topic.get("qos", _NO_QOS),
         line=node.line,
     )
 
@@ -511,12 +501,9 @@ def parse_document(text: str, path: str = "<string>") -> ProfileDocument:
     root = _parse_xml(text, path)
     diags: list[ParseDiagnostic] = []
     if root.tag == "dds":
-        profiles_node = root.only_child("profiles", path)
+        profiles_node = _parse_params(root, _DDS_PARSERS, "dds", path, diags).get("profiles")
         if profiles_node is None:
             raise ProfileLoadError("<dds> root contains no <profiles> element", path=path, line=root.line)
-        for child in root.children:
-            if child.tag != "profiles":
-                _note_unknown(child, "<dds>", path, diags)
     elif root.tag == "profiles":
         profiles_node = root
     else:

@@ -66,21 +66,19 @@ from .model import (
 
 
 class Severity(enum.Enum):
-    CRITICAL = "critical"
-    CONDITIONAL = "conditional"
-    INCIDENTAL = "incidental"
+    CRITICAL = "critical", "error"
+    CONDITIONAL = "conditional", "warning"
+    INCIDENTAL = "incidental", "info"
 
-    @property
-    def level(self) -> str:
-        """Report level: error / warning / info."""
-        return _LEVELS[self]
+    level: str  # report level: error / warning / info
 
-
-_LEVELS = {
-    Severity.CRITICAL: "error",
-    Severity.CONDITIONAL: "warning",
-    Severity.INCIDENTAL: "info",
-}
+    def __new__(cls, value: str, level: str) -> "Severity":
+        # Set here, not in __init__, so the value stays the plain name and
+        # Severity("critical") still finds the member.
+        member = object.__new__(cls)
+        member._value_ = value
+        member.level = level
+        return member
 
 
 class RuleScope(enum.Enum):

@@ -12,6 +12,12 @@ side's ``src/``.  The inputs are generated once per workload and seed by
 ``perfbench/workloads.py``, so both sides read the same files at the same
 paths.
 
+No workload has an unknown element, so no workload report has a parse
+note.  Both sides therefore also run ``check`` on one fixed noisy document,
+``NOISY_DOCUMENT``, in the same three forms: it has unknown elements under
+``<dds>``, ``<profiles>``, an endpoint, ``<qos>``, a policy and a duration,
+and none inside ``<topic>``.
+
 One line is printed per case.  The exit code is 1 if the stdout or the exit
 code of any case differs between the two sides, 0 otherwise.  Needs only
 the standard library and git; run it from anywhere inside the repository.
@@ -35,6 +41,30 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, found through the path above)
 
 
+NOISY_DOCUMENT = """<?xml version="1.0" encoding="UTF-8"?>
+<dds>
+  <log_config/>
+  <profiles>
+    <transport_descriptors/>
+    <data_writer profile_name="noisy_writer">
+      <throughput_controller/>
+      <topic><name>noisy</name></topic>
+      <qos>
+        <publish_mode/>
+        <reliability><kind>RELIABLE</kind><retries>3</retries></reliability>
+        <deadline><period><sec>1</sec><millisec>5</millisec></period></deadline>
+      </qos>
+    </data_writer>
+    <data_reader profile_name="noisy_reader">
+      <topic><name>noisy</name></topic>
+      <qos><deadline><period><nanosec>500000000</nanosec></period></deadline></qos>
+    </data_reader>
+  </profiles>
+</dds>
+"""
+CHECK_FORMS = (("json", ()), ("human", ()), ("human", ("--color", "on")))
+
+
 def extract_src(rev: str, directory: str) -> str:
     """Write ``src/`` as of ``rev`` under ``directory``; return its path."""
     archive = subprocess.run(
@@ -55,10 +85,15 @@ def cases(seeds: list[int], directory: str):
         for seed in seeds:
             workload = workloads.generate(name, seed)
             written = workloads.write(workload, os.path.join(directory, f"{name}-{seed}"))
-            for fmt, color in (("json", ()), ("human", ()), ("human", ("--color", "on"))):
+            for fmt, color in CHECK_FORMS:
                 argv = workloads.check_argv(dataclasses.replace(workload, fmt=fmt), written)
                 # A later --color overrides the workload's own --color off.
                 yield " ".join([f"check {name} seed {seed} --format {fmt}", *color]), [*argv, *color]
+    noisy = os.path.join(directory, "noisy.xml")
+    with open(noisy, "w", encoding="utf-8") as handle:
+        handle.write(NOISY_DOCUMENT)
+    for fmt, color in CHECK_FORMS:
+        yield " ".join([f"check noisy.xml --format {fmt}", *color]), ["check", noisy, "--format", fmt, *color]
 
 
 def run_side(src: str, argv: list[str]) -> tuple[int, bytes]:
