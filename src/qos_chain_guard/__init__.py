@@ -4,10 +4,12 @@ Parses DDS-style XML profile documents, resolves OMG defaults, evaluates a
 41-rule catalog of policy dependency violations across three stages
 (per-endpoint consistency, writer/reader RxO compatibility, and
 environment-dependent checks), and renders deterministic reports.
+
+The dependency-graph names (``ChainGraph``, ``chain_graph``, ...) load the
+``chain`` module on first use, so ``check`` never imports it.
 """
 
 from ._version import __version__
-from .chain import ChainEdge, ChainGraph, EdgeDirection, PolicyNode, chain_graph, export_chain_graph
 from .model import (
     Count,
     Duration,
@@ -114,3 +116,15 @@ __all__ = [
     "run_pipeline",
     "serialize_canonical",
 ]
+
+_CHAIN_NAMES = frozenset(
+    {"ChainEdge", "ChainGraph", "EdgeDirection", "PolicyNode", "chain_graph", "export_chain_graph"}
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _CHAIN_NAMES:
+        from . import chain
+
+        return getattr(chain, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Sequence
 
 from ._version import __version__
-from .chain import export_chain_graph
 from .pipeline import (
     EnvironmentLoadError,
     EnvironmentModel,
@@ -156,6 +155,8 @@ def _cmd_rules(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from .chain import export_chain_graph  # only this command needs the graph
+
     sys.stdout.write(export_chain_graph(args.format))
     return EXIT_CLEAN
 

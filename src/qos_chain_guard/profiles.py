@@ -35,7 +35,10 @@ topic's as a whole.  One walker, ``_parse_params``, reads the children of
 every element but <profiles> and <names> (whose children repeat by design)
 in document order: an unknown child is skipped with an info note and never
 aborts a parse, and a repeated child is a load error, ``duplicate <X>
-element in <Y>``.  Parse notes follow document order.
+element in <Y>``.  A child element of a value element, such as <x/> in
+``<depth>5<x/></depth>``, is unknown too, and ``_leaf`` notes it; text
+inside an element that holds elements is ignored without a note.  Parse
+notes follow document order.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 from xml.parsers import expat
-from xml.sax.saxutils import escape, quoteattr
 
 from .model import (
     Count,
@@ -91,7 +93,7 @@ class ProfileLoadError(Exception):
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    """Non-fatal note emitted while parsing (unknown element, ignored text)."""
+    """Non-fatal note emitted while parsing (unknown element, endpoint without profile_name)."""
 
     path: str
     line: int
@@ -268,6 +270,19 @@ def _parse_params(
     return values
 
 
+def _leaf(parse: Parser) -> Parser:
+    """``parse`` for a value element, which holds only text: each child
+    element gets an unknown-element note.  Every leaf parser in the tables
+    is wrapped once, so a codec that calls another notes nothing twice."""
+
+    def parse_leaf(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> object:
+        for child in node.children:
+            _note_unknown(child, f"<{node.tag}>", path, diags)
+        return parse(node, context, path, diags)
+
+    return parse_leaf
+
+
 def _element(tag: str, body: object, indent: str) -> list[str]:
     return [f"{indent}<{tag}>{body}</{tag}>"]
 
@@ -346,12 +361,13 @@ def _parse_duration_part(node: _Node, context: str, path: str, diags: list[Parse
     raise ProfileLoadError(f"{context}: {message}", path, node.line)
 
 
-_SEC_NANOSEC = {"sec": _parse_duration_part, "nanosec": _parse_duration_part}
+_SEC_NANOSEC = dict.fromkeys(("sec", "nanosec"), _leaf(_parse_duration_part))
+_parse_infinite = _leaf(lambda *_: Duration.infinite())
 
 
 def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Duration:
     if node.text.upper() == INFINITY_TOKEN:
-        return Duration.infinite()
+        return _parse_infinite(node, context, path, diags)
     parts = _parse_params(node, _SEC_NANOSEC, f"{context}.{node.tag}", path, diags)
     if not parts:
         got = shorten_literal(node.text)
@@ -382,17 +398,23 @@ def _render_duration(tag: str, value: Duration, indent: str) -> list[str]:
     ]
 
 
+# Unstripped: "" and " " are distinct partition names.
+_parse_name = _leaf(lambda node, *_: "".join(node.text_parts))
+
+
 def _parse_names(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> tuple[str, ...]:
     names: list[str] = []
     for child in node.children:
         if child.tag == "name":
-            names.append("".join(child.text_parts))  # unstripped: "" and " " are distinct names
+            names.append(_parse_name(child, context, path, diags))
         else:
             _note_unknown(child, f"<{node.tag}>", path, diags)
     return tuple(names)
 
 
 def _render_names(tag: str, names: tuple[str, ...], indent: str) -> list[str]:
+    from xml.sax.saxutils import escape  # see serialize_canonical
+
     lines = [f"{indent}<{tag}>"]
     lines.extend(f"{indent}  <name>{escape(name)}</name>" for name in names)
     lines.append(f"{indent}</{tag}>")
@@ -409,14 +431,16 @@ def _enum_codec(enum_cls: type[enum.Enum]) -> Codec:
             message = f"unknown kind {got} (expected one of {expected})"
             raise _bad_value(node, context, message, path) from None
 
-    return Codec(parse, lambda tag, kind, indent: _element(tag, kind.name, indent))
+    return Codec(_leaf(parse), lambda tag, kind, indent: _element(tag, kind.name, indent))
 
 
 _CODECS: dict[type, Codec] = {
-    bool: Codec(_parse_bool, lambda tag, value, indent: _element(tag, "true" if value else "false", indent)),
-    int: Codec(_parse_long, _element),
-    bytes: Codec(_parse_bytes, lambda tag, value, indent: _element(tag, value.hex(), indent)),
-    Count: Codec(_parse_count, lambda tag, value, indent: _element(tag, _count_token(value), indent)),
+    bool: Codec(
+        _leaf(_parse_bool), lambda tag, value, indent: _element(tag, "true" if value else "false", indent)
+    ),
+    int: Codec(_leaf(_parse_long), _element),
+    bytes: Codec(_leaf(_parse_bytes), lambda tag, value, indent: _element(tag, value.hex(), indent)),
+    Count: Codec(_leaf(_parse_count), lambda tag, value, indent: _element(tag, _count_token(value), indent)),
     Duration: Codec(_parse_duration, _render_duration),
     tuple: Codec(_parse_names, _render_names),
 }
@@ -455,6 +479,9 @@ def _policy_parser(tag: str, default: object) -> Parser:
     return parse
 
 
+_parse_topic_name = _leaf(lambda node, *_: node.text or None)
+
+
 def _endpoint_parsers(kind: EndpointKind) -> dict[str, Parser]:
     """The parsers of a ``kind`` endpoint's children.  Built once per kind at
     import, since the kinds' defaults differ and a table built per call costs
@@ -465,7 +492,7 @@ def _endpoint_parsers(kind: EndpointKind) -> dict[str, Parser]:
     def parse_qos(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> QosProfile:
         return QosProfile(**_parse_params(node, policies, "qos", path, diags))
 
-    topic: dict[str, Parser] = {"name": lambda node, *_: node.text or None, "qos": parse_qos}
+    topic: dict[str, Parser] = {"name": _parse_topic_name, "qos": parse_qos}
 
     def parse_topic(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> dict:
         return _parse_params(node, topic, "topic", path, diags)
@@ -600,6 +627,10 @@ def serialize_canonical(profile_set: ProfileSet) -> str:
     """Deterministic canonical form: profiles sorted by name, policies in
     catalog order, every default materialized.  parse(serialize(s)) == s.
     """
+    # Imported here, not at the top: xml.sax.saxutils pulls in urllib.request,
+    # http, email and ssl, which ``check`` would otherwise load at start-up.
+    from xml.sax.saxutils import escape, quoteattr
+
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<profiles>"]
     for name in sorted(profile_set.profiles):
         endpoint = profile_set.profiles[name]

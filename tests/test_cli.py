@@ -324,3 +324,53 @@ def test_package_runs_as_a_module(fixtures, capsys):
         check = _run_package("check", fixtures[name], "--format", "json")
         assert check.returncode == main(["check", fixtures[name], "--format", "json"])
         assert check.stdout.decode("utf-8") == capsys.readouterr().out
+
+
+# Run in a fresh interpreter: ``check`` on argv[1], then ``graph``.  Prints
+# the modules of UNUSED loaded after each, as JSON.
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+from qos_chain_guard import cli
+
+UNUSED = ("urllib.request", "http", "email", "ssl", "xml.sax", "qos_chain_guard.chain")
+
+def loaded():
+    return sorted(m for m in sys.modules if m in UNUSED or m.startswith(tuple(u + "." for u in UNUSED)))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    check = cli.main(["check", sys.argv[1], "--format", "json"])
+after_check = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as graph_out:
+    graph = cli.main(["graph", "--format", "json"])
+json.loads(graph_out.getvalue())
+print(json.dumps({"check": check, "after_check": after_check, "graph": graph, "after_graph": loaded()}))
+"""
+
+
+def test_check_loads_neither_the_graph_nor_the_web_stack(fixtures):
+    # ``xml.sax.saxutils`` pulls in urllib.request, http, email and ssl.
+    # Bare ``urllib`` is not checked: ``site`` may load urllib.parse.
+    src = str(Path(qos_chain_guard.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, fixtures["critical"]],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    result = json.loads(probe.stdout)
+    assert result["check"] == 1
+    assert result["after_check"] == []
+    assert result["graph"] == 0
+    assert result["after_graph"] == ["qos_chain_guard.chain"]
+
+
+def test_every_public_name_resolves():
+    from qos_chain_guard import ChainGraph, chain_graph, export_chain_graph
+    from qos_chain_guard import chain
+
+    for name in qos_chain_guard.__all__:
+        getattr(qos_chain_guard, name)
+    assert (ChainGraph, chain_graph, export_chain_graph) == (
+        chain.ChainGraph, chain.chain_graph, chain.export_chain_graph
+    )
+    with pytest.raises(AttributeError, match="module 'qos_chain_guard' has no attribute 'no_such_name'"):
+        qos_chain_guard.no_such_name

@@ -4,10 +4,12 @@ Profile documents follow the README grammar: its policy table gives the
 policy elements, their parameters and the values each parameter takes.
 Half of the documents keep to the grammar; the other half are noisy, with
 out-of-grammar values, repeated and unknown elements, empty or missing
-profile names and foreign roots.  Environment documents use the README's
-keys, noisy ones with values of any JSON type.  Either file may instead be
-raw bytes, or a document encoded as Latin-1, so input that is not UTF-8 is
-covered too.
+profile names and foreign roots.  Any document may also hold unknown
+elements inside ``<qos>``, a policy, a duration or a value element, which
+the parser notes and otherwise ignores.  Environment documents use the
+README's keys, noisy ones with values of any JSON type.  Either file may
+instead be raw bytes, or a document encoded as Latin-1, so input that is
+not UTF-8 is covered too.
 """
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ def _weighted(*choices: tuple[int, st.SearchStrategy]) -> st.SearchStrategy:
 
 
 @st.composite
+def _with_unknown(draw, bodies: st.SearchStrategy[str]) -> str:
+    """A body from ``bodies``, now and then with an unknown element before or after it."""
+    body = draw(bodies)
+    if draw(st.integers(min_value=0, max_value=3)):
+        return body
+    unknown = draw(st.sampled_from(["<bogus/>", "<extra>1</extra>"]))
+    return draw(st.sampled_from([unknown + body, body + unknown]))
+
+
+@st.composite
 def _durations(
     draw, parts: st.SearchStrategy[str], values: st.SearchStrategy[str], min_parts: int = 0
 ) -> str:
@@ -57,21 +69,21 @@ def _partition_names(draw, values: st.SearchStrategy[str]) -> str:
 
 def _grammar_values(annotation: str) -> st.SearchStrategy[str]:
     """Bodies of a parameter element that the README's annotation allows."""
-    small = st.integers(min_value=0, max_value=30).map(str)
+    small = _with_unknown(st.integers(min_value=0, max_value=30).map(str))
     tokens = re.findall(r"`([A-Z_]+)`", annotation)
     if tokens:
-        return st.sampled_from(tokens)
+        return _with_unknown(st.sampled_from(tokens))
     if "duration" in annotation:
         return _durations(st.sampled_from(["sec", "nanosec"]), small, min_parts=1)
     if "count" in annotation:
-        return small | st.sampled_from(["UNLIMITED", "-1"])
+        return small | _with_unknown(st.sampled_from(["UNLIMITED", "-1"]))
     if "integer" in annotation:
         return small
     if "bool" in annotation:
-        return st.sampled_from(["true", "false", "TRUE"])
+        return _with_unknown(st.sampled_from(["true", "false", "TRUE"]))
     if "hex" in annotation:
-        return st.sampled_from(["", "0a1B", "ff"])
-    return _partition_names(st.sampled_from(["", "a", "b"]))
+        return _with_unknown(st.sampled_from(["", "0a1B", "ff"]))
+    return _partition_names(_with_unknown(st.sampled_from(["", "a", "b"])))
 
 
 def _readme_grammar() -> dict[str, dict[str, st.SearchStrategy[str]]]:
@@ -127,10 +139,12 @@ def _qos(draw, noise: _Noise) -> str:
     for tag in draw(noise.tags(sorted(_GRAMMAR), max_size=4)):
         parameters = _GRAMMAR.get(tag, {})
         names = draw(noise.tags(sorted(parameters), max_size=3))
-        policies.append(_element(tag, "".join(
-            _element(name, draw(noise.value(parameters.get(name, _ANY_VALUE)))) for name in names
-        )))
-    return _element("qos", "".join(policies))
+        body = "".join(
+            _element(name, draw(_with_unknown(noise.value(parameters.get(name, _ANY_VALUE)))))
+            for name in names
+        )
+        policies.append(_element(tag, draw(_with_unknown(st.just(body)))))
+    return _element("qos", draw(_with_unknown(st.just("".join(policies)))))
 
 
 @st.composite
@@ -142,7 +156,7 @@ def _endpoints(draw, name: str | None, noise: _Noise) -> str:
         if child == "qos":
             children.append(draw(_qos(noise)))
         elif child == "topic":
-            topic_name = noise.value(st.sampled_from(["t", "t", "u"]))
+            topic_name = _with_unknown(noise.value(st.sampled_from(["t", "t", "u"])))
             parts = draw(noise.tags(["name", "qos"], max_size=2))
             children.append(_element("topic", "".join(
                 draw(_qos(noise)) if part == "qos" else _element(part, draw(topic_name)) for part in parts

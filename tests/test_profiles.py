@@ -321,6 +321,46 @@ def test_unknown_children_of_any_parameter_get_an_info_note(policy, expected):
     assert note.level == "info" and "unknown element" in note.message
 
 
+@pytest.mark.parametrize(
+    "element,holder,read,expected",
+    [
+        ("<qos><history><depth>5\n<x/></depth></history></qos>", "depth", lambda e: e.qos.history.depth, 5),
+        (
+            "<qos><history><kind>KEEP_ALL\n<x/></kind></history></qos>",
+            "kind",
+            lambda e: e.qos.history.kind,
+            HistoryKind.KEEP_ALL,
+        ),
+        (
+            "<qos><deadline><period><sec>2\n<x/></sec></period></deadline></qos>",
+            "sec",
+            lambda e: e.qos.deadline.period,
+            Duration.from_sec_nanosec(2, 0),
+        ),
+        (
+            "<qos><deadline><period>DURATION_INFINITY\n<x/></period></deadline></qos>",
+            "period",
+            lambda e: e.qos.deadline.period,
+            Duration.infinite(),
+        ),
+        ("<topic><name>t\n<x/></name></topic>", "name", lambda e: e.topic_name, "t"),
+        (
+            # A partition name keeps its whitespace, so the newline goes first.
+            "\n<qos><partition><names><name>a<x/></name></names></partition></qos>",
+            "name",
+            lambda e: e.qos.partition.names,
+            ("a",),
+        ),
+    ],
+    ids=["integer", "enum", "duration-sec", "infinite-duration", "topic-name", "partition-name"],
+)
+def test_child_element_of_a_value_element_gets_an_info_note(element, holder, read, expected):
+    # Each child <x/> is on line 3 of the document.
+    ps = parse_set(_writer_with(element))
+    assert read(ps.profiles["w"]) == expected
+    assert [(d.line, d.message) for d in ps.diagnostics] == [(3, f"unknown element <x> in <{holder}>; ignored")]
+
+
 @pytest.mark.parametrize("nanosec", ["1000000000", "5000000000", "0001000000000", "+1000000000"])
 def test_nanosec_of_a_second_or_more_is_load_error(nanosec):
     # The literal is quoted as written, as in every other duration error.
@@ -740,8 +780,8 @@ def test_parse_serialize_parse_is_identity(ps):
 # -- the walker against the parser it replaced --------------------------------
 #
 # The endpoint, <qos> and <dds> levels as they were before one walker read
-# every element, kept as a reference.  Policies are read by the current
-# parser on both sides.
+# every element, kept as a reference.  Policies and the topic's <name> are
+# read by the current parsers on both sides.
 
 
 def _reference_only_child(node, tag: str, path: str):
@@ -775,11 +815,15 @@ def _reference_endpoint(node, kind: EndpointKind, path: str, diags: list) -> pro
                 raise ProfileLoadError(f"duplicate <topic> element in <{node.tag}>", path, child.line)
             saw_topic = True
             name_node = _reference_only_child(child, "name", path)
-            if name_node is not None:
-                topic_name = name_node.text or None
             qos_node = _reference_only_child(child, "qos", path)
-            if qos_node is not None:
-                topic_qos = _reference_qos(qos_node, kind, path, diags)
+            # The topic's <name> is a value element, read by the current
+            # parser, which notes a child element inside it; so its notes and
+            # those of <qos> come in document order.
+            for sub in sorted(filter(None, (name_node, qos_node)), key=child.children.index):
+                if sub is name_node:
+                    topic_name = profiles._parse_topic_name(sub, "topic", path, diags)
+                else:
+                    topic_qos = _reference_qos(sub, kind, path, diags)
             for sub in child.children:
                 if sub.tag not in ("name", "qos"):
                     profiles._note_unknown(sub, "<topic>", path, diags)
