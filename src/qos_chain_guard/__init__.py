@@ -117,13 +117,10 @@ __all__ = [
     "serialize_canonical",
 ]
 
-_CHAIN_NAMES = frozenset(
-    {"ChainEdge", "ChainGraph", "EdgeDirection", "PolicyNode", "chain_graph", "export_chain_graph"}
-)
-
 
 def __getattr__(name: str) -> object:
-    if name in _CHAIN_NAMES:
+    # Only the chain names listed in __all__ are missing from the globals.
+    if name in __all__:
         from . import chain
 
         return getattr(chain, name)

@@ -72,17 +72,17 @@ def _grammar_values(annotation: str) -> st.SearchStrategy[str]:
     small = _with_unknown(st.integers(min_value=0, max_value=30).map(str))
     tokens = re.findall(r"`([A-Z_]+)`", annotation)
     if tokens:
-        return _with_unknown(st.sampled_from(tokens))
+        return st.sampled_from(tokens)
     if "duration" in annotation:
         return _durations(st.sampled_from(["sec", "nanosec"]), small, min_parts=1)
     if "count" in annotation:
-        return small | _with_unknown(st.sampled_from(["UNLIMITED", "-1"]))
+        return small | st.sampled_from(["UNLIMITED", "-1"])
     if "integer" in annotation:
         return small
     if "bool" in annotation:
-        return _with_unknown(st.sampled_from(["true", "false", "TRUE"]))
+        return st.sampled_from(["true", "false", "TRUE"])
     if "hex" in annotation:
-        return _with_unknown(st.sampled_from(["", "0a1B", "ff"]))
+        return st.sampled_from(["", "0a1B", "ff"])
     return _partition_names(_with_unknown(st.sampled_from(["", "a", "b"])))
 
 

@@ -780,8 +780,8 @@ def test_parse_serialize_parse_is_identity(ps):
 # -- the walker against the parser it replaced --------------------------------
 #
 # The endpoint, <qos> and <dds> levels as they were before one walker read
-# every element, kept as a reference.  Policies and the topic's <name> are
-# read by the current parsers on both sides.
+# every element, kept as a reference.  Policies are read by the current
+# parser on both sides.
 
 
 def _reference_only_child(node, tag: str, path: str):
@@ -816,12 +816,13 @@ def _reference_endpoint(node, kind: EndpointKind, path: str, diags: list) -> pro
             saw_topic = True
             name_node = _reference_only_child(child, "name", path)
             qos_node = _reference_only_child(child, "qos", path)
-            # The topic's <name> is a value element, read by the current
-            # parser, which notes a child element inside it; so its notes and
-            # those of <qos> come in document order.
+            # A child element inside <name> is noted, so the notes of <name>
+            # and of <qos> come in document order.
             for sub in sorted(filter(None, (name_node, qos_node)), key=child.children.index):
                 if sub is name_node:
-                    topic_name = profiles._parse_topic_name(sub, "topic", path, diags)
+                    for c in sub.children:
+                        profiles._note_unknown(c, "<name>", path, diags)
+                    topic_name = sub.text or None
                 else:
                     topic_qos = _reference_qos(sub, kind, path, diags)
             for sub in child.children:
