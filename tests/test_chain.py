@@ -125,14 +125,20 @@ def test_edges_are_row_major_in_node_order():
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
-def _policies_named_in(condition: str) -> set[str]:
-    """Policies a condition names: ``policy.param`` paths, and parameter
-    names that only one policy has (``lease_duration``)."""
+def _owners() -> dict[str, set[str]]:
+    """Parameter name -> the policies that have a parameter of that name."""
     defaults = default_qos(EndpointKind.DATA_WRITER)
     owners: dict[str, set[str]] = {}
     for policy in fields(QosProfile):
         for param in fields(getattr(defaults, policy.name)):
             owners.setdefault(param.name, set()).add(policy.name)
+    return owners
+
+
+def _policies_named_in(condition: str) -> set[str]:
+    """Policies a condition names: ``policy.param`` paths, and parameter
+    names that only one policy has (``lease_duration``)."""
+    owners = _owners()
     named = set()
     for token in re.findall(r"\b[a-z_]+(?:\.[a-z_]+)?\b", condition):
         policy, dot, _ = token.partition(".")
@@ -141,6 +147,24 @@ def _policies_named_in(condition: str) -> set[str]:
         elif len(owners.get(token, ())) == 1:
             named |= owners[token]
     return named
+
+
+def _reads_named_in(condition: str) -> set[str]:
+    """What a condition reads: each ``policy.param`` path (a parameter name
+    only one policy has stands for its path), with the ``writer``/``reader``
+    that precedes it, and ``rtt`` and ``pp``."""
+    owners = _owners()
+    reads = set()
+    for side, token in re.findall(r"(?:\b(writer|reader) )?\b([a-z_]+(?:\.[a-z_]+)?)\b", condition):
+        if token in ("rtt", "pp"):
+            reads.add(token)
+            continue
+        if "." not in token:
+            if len(owners.get(token, ())) != 1:
+                continue
+            token = f"{next(iter(owners[token]))}.{token}"
+        reads.add(f"{side} {token}" if side else token)
+    return reads
 
 
 def test_every_identifier_policy_appears_in_the_rule_condition():
@@ -155,6 +179,16 @@ def test_every_identifier_policy_appears_in_the_rule_condition():
             extra[rule.id] = named - identified
     # The only other policy a condition names: the KEEP_ALL guard.
     assert extra == {rule_id: {"history"} for rule_id in (5, 7, 10, 30, 40)}
+
+
+def test_rule_reads_are_what_the_condition_names():
+    # The compiler rejects a text that reads beyond its condition, so the
+    # condition alone tells what each rule's result depends on.
+    for rule in rule_catalog():
+        policies = {path.split()[-1].split(".")[0] for path in rule.reads - {"rtt", "pp"}}
+        assert policies == _policies_named_in(rule.condition), (rule.id, rule.reads)
+        assert rule.reads == _reads_named_in(rule.condition), (rule.id, rule.reads)
+        assert rule.requires_env == rule.reads & {"rtt", "pp"}, rule.id
 
 
 def test_discovery_only_metadata_policies_have_no_edges():

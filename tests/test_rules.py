@@ -21,6 +21,7 @@ from qos_chain_guard.model import (
 from qos_chain_guard.rules import (
     CleanCheck,
     EvalContext,
+    Rule,
     RuleScope,
     Severity,
     SkipReason,
@@ -96,6 +97,62 @@ def test_duplicate_identifier_rows_stay_distinct():
         ra, rb = get_rule(a), get_rule(b)
         assert ra.identifier == rb.identifier
         assert (ra.stage, ra.condition) != (rb.stage, rb.condition)
+
+
+# -- the compiler's import-time checks ------------------------------------------
+
+
+def _rule(scope=RuleScope.DATA_WRITER, condition="history.kind = KEEP_LAST and history.depth > 1", **texts):
+    return Rule(99, "HIST→HIST", 1, Severity.INCIDENTAL, scope, condition, **{
+        "message": "history.depth={history.depth}", "suggestion": "lower history.depth", **texts,
+    })
+
+
+_BAD_TEXTS = {
+    "a path the condition does not read": (
+        dict(message="{history.depth} with {durability.kind}"), r"\['durability.kind'\]"
+    ),
+    "rtt without an rtt need": (dict(suggestion="raise history.depth above {rtt}"), r"\['rtt'\]"),
+    "a product with pp without a pp need": (dict(message="{history.depth * pp}"), r"\['pp'\]"),
+    "an exemption the condition does not read": (
+        dict(exemption="lifespan.duration = infinite"), r"\['lifespan.duration'\]"
+    ),
+    "a writer prefix in a single-endpoint rule": (
+        dict(message="{writer history.depth}"), "pair rules prefix each parameter"
+    ),
+    "a reader prefix in a guard": (
+        dict(suggestion=(("reader history.depth = 1", "a"), "b")), "pair rules prefix each parameter"
+    ),
+    "an unknown placeholder": (dict(message="{cache_size}"), "'cache_size' is not an operand"),
+    "an unknown parameter": (dict(message="{history.size}"), "no such parameter"),
+    "an unbalanced brace": (dict(message="depth={history.depth"), "unbalanced brace"),
+    "an unknown enumeration literal in a guard": (
+        dict(suggestion=(("history.kind = KEEP_SOME", "a"), "b")), "'KEEP_SOME' is not a HistoryKind literal"
+    ),
+    "infinite for a count in a guard": (
+        dict(condition="resource_limits.max_samples < history.depth",
+             message="m", suggestion=(("resource_limits.max_samples = infinite", "a"), "b")),
+        "'infinite' is not a Count literal",
+    ),
+}
+
+
+@pytest.mark.parametrize("texts, error", _BAD_TEXTS.values(), ids=list(_BAD_TEXTS))
+def test_compiler_rejects_a_bad_text_at_import(texts, error):
+    with pytest.raises(ValueError, match=error):
+        _rule(**texts)
+
+
+def test_compiler_records_what_a_rule_reads():
+    rule = _rule(suggestion=(("history.depth = 2", "drop one sample"), "lower history.depth"))
+    assert rule.reads == {"history.kind", "history.depth"}
+    assert rule.outcome(EvalContext(writer=writer(history=hist(depth=2)))) == (
+        "history.depth=2", "drop one sample"
+    )
+    pair = _rule(
+        RuleScope.PAIR, "writer lease_duration > reader liveliness.lease_duration", message="{reader lease_duration}"
+    )
+    assert pair.reads == {"writer liveliness.lease_duration", "reader liveliness.lease_duration"}
 
 
 # -- per-rule fixtures ---------------------------------------------------------

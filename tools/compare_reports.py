@@ -18,8 +18,11 @@ note.  Both sides therefore also run ``check`` on one fixed noisy document,
 ``<dds>``, ``<profiles>``, an endpoint, ``<qos>``, a policy and a duration,
 and none inside ``<topic>``.
 
-One line is printed per case.  The exit code is 1 if the stdout or the exit
-code of any case differs between the two sides, 0 otherwise.  Needs only
+One line is printed per case.  A last line lists the rules that fired in
+no ``check`` case of the working tree, read from its JSON reports: a seed
+set that leaves a rule's message unexercised says so.  The exit code is 1
+if the stdout or the exit code of any case differs between the two sides,
+0 otherwise.  Needs only
 the standard library and git; run it from anywhere inside the repository.
 """
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import json
 import os
 import subprocess
 import sys
@@ -126,12 +130,21 @@ def main(argv: list[str] | None = None) -> int:
 
     head_src = str(ROOT / "src")
     differing = 0
+    catalog: list[int] = []
+    fired: set[int] = set()
     with tempfile.TemporaryDirectory(prefix="compare_reports_") as workdir:
         base_src = extract_src(args.base, os.path.join(workdir, "base"))
         for label, case_argv in cases(args.seeds, os.path.join(workdir, "inputs")):
-            diff = difference(run_side(base_src, case_argv), run_side(head_src, case_argv))
+            head = run_side(head_src, case_argv)
+            diff = difference(run_side(base_src, case_argv), head)
             differing += diff is not None
             print(f"{'same' if diff is None else 'DIFF'}  {label}" + (f": {diff}" if diff else ""), flush=True)
+            if label == "rules --format json":
+                catalog = [rule["id"] for rule in json.loads(head[1])]
+            elif label.startswith("check ") and label.endswith("--format json") and head[0] in (0, 1):
+                fired.update(finding["rule_id"] for finding in json.loads(head[1])["diagnostics"])
+    unfired = [rule_id for rule_id in catalog if rule_id not in fired]
+    print(f"rules that fired in no check case: {' '.join(map(str, unfired)) or 'none'}")
     print(f"{differing} case(s) differ from {args.base}")
     return 1 if differing else 0
 
