@@ -68,7 +68,7 @@ import enum
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .model import (
@@ -168,33 +168,31 @@ class SkippedRule:
 Outcome = Violation | CleanCheck | SkippedRule
 
 
-@dataclass(frozen=True)
 class Rule:
-    id: int
-    identifier: str
-    stage: int
-    severity: Severity
-    scope: RuleScope
-    condition: str
-    message: str = field(repr=False)
-    # One text, or guarded alternatives: (guard, text) pairs, then a text.
-    suggestion: str | tuple[tuple[str, str] | str, ...] = field(repr=False)
-    exemption: str | None = field(default=None, repr=False)
-    # Compiled from the texts above.  ``outcome`` returns None (clean), a
-    # SkipReason, or the (message, suggestion) of a violation.
-    outcome: Callable[[EvalContext], tuple[str, str] | SkipReason | None] = field(init=False, repr=False)
-    reads: frozenset[str] = field(init=False)
-    requires_env: frozenset[str] = field(init=False)
-    requires_rtt: bool = field(init=False)
-    requires_pp: bool = field(init=False)
+    """One catalog row, compiled at construction.
 
-    def __post_init__(self) -> None:
-        outcome, reads = _compile(self)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "reads", frozenset(reads))
-        object.__setattr__(self, "requires_env", self.reads & {"rtt", "pp"})
-        object.__setattr__(self, "requires_rtt", "rtt" in reads)
-        object.__setattr__(self, "requires_pp", "pp" in reads)
+    ``suggestion`` is one text, or guarded alternatives: (guard, text)
+    pairs, then a text.  ``outcome`` returns None (clean), a SkipReason, or
+    the (message, suggestion) of a violation; ``reads`` holds what the rule
+    reads, and ``requires_*`` the environment inputs among them.  A plain
+    class: nothing compares, hashes or copies a rule, and building a
+    dataclass at import would cost about what compiling the texts does.
+    """
+
+    def __init__(
+        self, id: int, identifier: str, stage: int, severity: Severity, scope: RuleScope, condition: str,
+        *, message: str, suggestion: str | tuple[tuple[str, str] | str, ...], exemption: str | None = None,
+    ) -> None:
+        self.id, self.identifier, self.stage, self.severity = id, identifier, stage, severity
+        self.scope, self.condition = scope, condition
+        self.message, self.suggestion, self.exemption = message, suggestion, exemption
+        self.outcome, reads = _compile(self)
+        self.reads = frozenset(reads)
+        self.requires_env = self.reads & {"rtt", "pp"}
+        self.requires_rtt, self.requires_pp = "rtt" in reads, "pp" in reads
+
+    def __repr__(self) -> str:
+        return f"Rule({self.id}, {self.identifier!r})"
 
 
 # -- the compiler --------------------------------------------------------------
@@ -291,7 +289,7 @@ def _literal(token: str, default: object) -> str:
         return str(token == "true")
     if token == _SENTINELS.get(kind):
         return "INF"
-    if kind in (int, Duration, Count) and re.fullmatch("[0-9]+", token):
+    if kind in (int, Duration, Count) and token.isascii() and token.isdigit():
         return token
     raise ValueError(f"{token!r} is not a {kind.__name__} literal")
 
@@ -335,7 +333,7 @@ def _condition(text: str, pair: bool, reads: set[str]) -> str:
 
 
 def _placeholder(text: str, pair: bool, reads: set[str]) -> str:
-    """The f-string expression that quotes one placeholder."""
+    """The expression whose ``str`` quotes one placeholder."""
     quotient = _QUOTIENT.fullmatch(text)
     if quotient:  # the smallest integer at or above the exact value
         numerator, _ = _term(quotient[1], pair, reads)
@@ -355,13 +353,14 @@ def _placeholder(text: str, pair: bool, reads: set[str]) -> str:
 
 
 def _template(text: str, pair: bool, reads: set[str]) -> str:
-    """An f-string expression that renders a message template."""
+    """An expression that renders a message template: its text ``%``-formatted
+    with its placeholders (which compiles faster than an f-string)."""
     parts = _PLACEHOLDER.split(text)  # literal, placeholder, literal, ...
     if any("{" in literal or "}" in literal for literal in parts[::2]):
         raise ValueError(f"unbalanced brace in {text!r}")
-    return "f" + repr("".join(
-        f"{{{_placeholder(part, pair, reads)}}}" if i % 2 else part for i, part in enumerate(parts)
-    ))
+    values = [_placeholder(part, pair, reads) for part in parts[1::2]]
+    literal = repr("%s".join(part.replace("%", "%%") for part in parts[::2]))
+    return f"{literal} % ({', '.join(values)},)" if values else literal
 
 
 def _text(text: str | tuple[tuple[str, str] | str, ...], pair: bool, reads: set[str]) -> str:
