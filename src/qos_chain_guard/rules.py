@@ -51,8 +51,8 @@ Invariant, enforced by the compiler: a rule's outcome, message, suggestion
 and skip reason depend only on the QoS of the endpoint(s) under evaluation,
 ``rtt`` and ``pp`` (the operands have no way to name a profile, a topic or a
 source location), and a text or exemption reads nothing its condition does
-not (else ``ValueError`` at import).  So ``Rule.reads`` is exactly what the
-rule's result depends on.  Only the entities and the topic of an outcome
+not (else ``ValueError`` at import).  So ``Rule.reads`` holds everything
+the rule's result depends on.  Only the entities and the topic of an outcome
 name the endpoint.  The pipeline relies on this to evaluate each QoS class
 once and reuse the result for every member.
 
@@ -386,7 +386,7 @@ def _compile(rule: Rule) -> tuple[Callable, set[str]]:
         lines.append(f"if {_condition(rule.exemption, pair, text_reads)}: return EXEMPT")
     if text_reads - reads:
         unread = sorted(text_reads - reads)
-        raise ValueError(f"rule {rule.id}: its texts read {unread}, which its condition does not")
+        raise ValueError(f"rule {rule.id}: its texts or exemption read {unread}; its condition does not")
     lines += [f"if c.{need} is None: return NO_{need.upper()}" for need in ("rtt", "pp") if need in reads]
     lines += [f"if not ({condition}): return None", f"return {texts}"]
     namespace = dict(_NAMESPACE)

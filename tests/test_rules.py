@@ -149,9 +149,8 @@ def test_compiler_records_what_a_rule_reads():
     assert rule.outcome(EvalContext(writer=writer(history=hist(depth=2)))) == (
         "history.depth=2", "drop one sample"
     )
-    pair = _rule(
-        RuleScope.PAIR, "writer lease_duration > reader liveliness.lease_duration", message="{reader lease_duration}"
-    )
+    condition = "writer lease_duration > reader liveliness.lease_duration"
+    pair = _rule(RuleScope.PAIR, condition, message="{reader lease_duration}")
     assert pair.reads == {"writer liveliness.lease_duration", "reader liveliness.lease_duration"}
 
 
