@@ -50,8 +50,6 @@ from .profiles import (
     serialize_canonical,
 )
 from .rules import (
-    CleanCheck,
-    EvalContext,
     Rule,
     RuleScope,
     Severity,
@@ -67,7 +65,6 @@ __all__ = [
     "__version__",
     "ChainEdge",
     "ChainGraph",
-    "CleanCheck",
     "Count",
     "DestinationOrderKind",
     "DurabilityKind",
@@ -77,7 +74,6 @@ __all__ = [
     "EndpointProfile",
     "EnvironmentLoadError",
     "EnvironmentModel",
-    "EvalContext",
     "HistoryKind",
     "LivelinessKind",
     "OwnershipKind",

@@ -26,9 +26,8 @@ from .model import (
 )
 from .profiles import ParseDiagnostic, ProfileSet
 from .rules import (
-    CleanCheck,
     EntityRef,
-    Outcome,
+    Finding,
     Severity,
     SkippedRule,
     Violation,
@@ -238,33 +237,29 @@ class Report:
         return sum(counts[key] for key in included)
 
 
-def _sort_key(outcome: Violation | SkippedRule):
-    # An outcome names one endpoint, or a writer and a reader.
-    entities = outcome.entities
+def _sort_key(finding: Finding):
+    # A finding names one endpoint, or a writer and a reader.
+    entities = finding.entities
     first = entities[0].profile_name
     return (
-        outcome.stage,
-        outcome.rule_id,
+        finding.stage,
+        finding.rule_id,
         first,
-        getattr(outcome, "topic_name", None) or "",
+        getattr(finding, "topic_name", None) or "",
         (first,) if len(entities) == 1 else (first, entities[1].profile_name),
     )
 
 
 def _stamped(
-    outcome: Violation | SkippedRule, entities: tuple[EntityRef, ...], topic_name: str | None
-) -> Violation | SkippedRule:
-    """A class's outcome re-addressed to one member endpoint or pair."""
-    if isinstance(outcome, Violation):
+    finding: Finding, entities: tuple[EntityRef, ...], topic_name: str | None
+) -> Finding:
+    """A class's finding re-addressed to one member endpoint or pair."""
+    if isinstance(finding, Violation):
         return Violation(
-            outcome.rule_id, outcome.identifier, outcome.stage, outcome.severity,
-            entities, topic_name, outcome.message, outcome.suggestion,
+            finding.rule_id, finding.identifier, finding.stage, finding.severity,
+            entities, topic_name, finding.message, finding.suggestion,
         )
-    return SkippedRule(outcome.rule_id, outcome.identifier, outcome.stage, entities, outcome.reason)
-
-
-def _findings(outcomes: list[Outcome]) -> list[Violation | SkippedRule]:
-    return [o for o in outcomes if not isinstance(o, CleanCheck)]
+    return SkippedRule(finding.rule_id, finding.identifier, finding.stage, entities, finding.reason)
 
 
 def run_pipeline(
@@ -289,31 +284,30 @@ def run_pipeline(
 
     endpoints = [profile_set.profiles[name] for name in sorted(profile_set.profiles)]
     periods = [env.publish_period_for(e.profile_name) for e in endpoints]
-    found: list[Violation | SkippedRule] = []
+    found: list[Finding] = []
 
     def endpoint_stage(stage: int) -> None:
-        by_class: dict[tuple, list[Violation | SkippedRule]] = {}
+        by_class: dict[tuple, list[Finding]] = {}
         for endpoint, pp in zip(endpoints, periods):
             key = (endpoint.endpoint_kind, id(endpoint.qos), pp)
             findings = by_class.get(key)
             if findings is None:
-                # The member evaluated first: its outcomes already name it.
-                outcomes = evaluate_endpoint_rules(endpoint, stage, rtt=env.rtt, pp=pp)
-                findings = by_class[key] = _findings(outcomes)
+                # The member evaluated first: its findings already name it.
+                findings = by_class[key] = evaluate_endpoint_rules(endpoint, stage, rtt=env.rtt, pp=pp)
                 found.extend(findings)
             else:
                 entities = (endpoint.entity,)
                 found.extend(_stamped(o, entities, endpoint.topic_name) for o in findings)
 
     endpoint_stage(1)
-    by_pair_class: dict[tuple[int, int], list[Violation | SkippedRule]] = {}
+    by_pair_class: dict[tuple[int, int], list[Finding]] = {}
     for pairing in plan:
         writer = profile_set.profiles[pairing.writer]
         reader = profile_set.profiles[pairing.reader]
         key = (id(writer.qos), id(reader.qos))
         findings = by_pair_class.get(key)
         if findings is None:
-            findings = by_pair_class[key] = _findings(evaluate_pair_rules(writer, reader))
+            findings = by_pair_class[key] = evaluate_pair_rules(writer, reader)
             found.extend(findings)
         else:
             entities = (writer.entity, reader.entity)
@@ -350,7 +344,7 @@ _ANSI_RESET = "\x1b[0m"
 def _human_report(report: Report, color: bool) -> str:
     # Each level label is built once per report, and each entity's text once.
     # Both tables key on identity: an Enum or EntityRef hash runs Python code,
-    # and the one EntityRef of an endpoint names it in every outcome.  The
+    # and the one EntityRef of an endpoint names it in every finding.  The
     # report keeps every key alive, so no id is reused while rendering.
     labels = {
         id(severity): (

@@ -52,14 +52,18 @@ and skip reason depend only on the QoS of the endpoint(s) under evaluation,
 ``rtt`` and ``pp`` (the operands have no way to name a profile, a topic or a
 source location), and a text or exemption reads nothing its condition does
 not (else ``ValueError`` at import).  So ``Rule.reads`` holds everything
-the rule's result depends on.  Only the entities and the topic of an outcome
+the rule's result depends on.  Only the entities and the topic of a finding
 name the endpoint.  The pipeline relies on this to evaluate each QoS class
 once and reuse the result for every member.
 
-``evaluate_endpoint_rules`` and ``evaluate_pair_rules`` check scope, name
-the entities and find the topic once per call, then run each rule through
-the core that ``evaluate_rule`` also uses: exemption, missing rtt, missing
-pp, condition.  ``entity_ref`` returns one shared object per endpoint.
+Clean is the absence of a finding.  ``Rule.outcome`` takes its inputs
+directly, ``(qos, rtt, pp)`` for an endpoint rule and ``(writer qos, reader
+qos)`` for a pair rule, which reads neither environment input (else
+``ValueError`` at import).  ``evaluate_rule`` returns a ``Violation``, a
+``SkippedRule`` or None; ``evaluate_endpoint_rules`` and
+``evaluate_pair_rules`` check scope, name the entities and find the topic
+once per call, and return the findings of a stage in rule order.  A finding
+names an endpoint by its one shared ``endpoint.entity``.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ from .model import (
     EndpointProfile,
     EntityRef,
     PARAMETERS,
-    QosProfile,
     format_nanoseconds,
 )
 
@@ -113,32 +116,6 @@ class SkipReason(enum.Enum):
 
 
 @dataclass(frozen=True)
-class EvalContext:
-    """Inputs for one rule evaluation.
-
-    Single-endpoint rules see exactly one endpoint (writer or reader);
-    pair rules see both.  ``pp`` is the publish period resolved for the
-    endpoint under evaluation.
-    """
-
-    writer: EndpointProfile | None = None
-    reader: EndpointProfile | None = None
-    rtt: Duration | None = None
-    pp: Duration | None = None
-
-    @property
-    def subject(self) -> EndpointProfile:
-        endpoint = self.writer if self.writer is not None else self.reader
-        if endpoint is None:
-            raise ValueError("evaluation context has no endpoint")
-        return endpoint
-
-    @property
-    def qos(self) -> QosProfile:
-        return self.subject.qos
-
-
-@dataclass(frozen=True)
 class Violation:
     rule_id: int
     identifier: str
@@ -151,12 +128,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class CleanCheck:
-    rule_id: int
-    entities: tuple[EntityRef, ...]
-
-
-@dataclass(frozen=True)
 class SkippedRule:
     rule_id: int
     identifier: str
@@ -165,16 +136,17 @@ class SkippedRule:
     reason: SkipReason
 
 
-Outcome = Violation | CleanCheck | SkippedRule
+Finding = Violation | SkippedRule
 
 
 class Rule:
     """One catalog row, compiled at construction.
 
     ``suggestion`` is one text, or guarded alternatives: (guard, text)
-    pairs, then a text.  ``outcome`` returns None (clean), a SkipReason, or
+    pairs, then a text.  ``outcome(qos, rtt, pp)``, or ``outcome(writer qos,
+    reader qos)`` for a pair rule, returns None (clean), a SkipReason, or
     the (message, suggestion) of a violation; ``reads`` holds what the rule
-    reads, and ``requires_*`` the environment inputs among them.  A plain
+    reads, and ``requires_env`` the environment inputs among them.  A plain
     class: nothing compares, hashes or copies a rule, and building a
     dataclass at import would cost about what compiling the texts does.
     """
@@ -189,7 +161,6 @@ class Rule:
         self.outcome, reads = _compile(self)
         self.reads = frozenset(reads)
         self.requires_env = self.reads & {"rtt", "pp"}
-        self.requires_rtt, self.requires_pp = "rtt" in reads, "pp" in reads
 
     def __repr__(self) -> str:
         return f"Rule({self.id}, {self.identifier!r})"
@@ -197,11 +168,12 @@ class Rule:
 
 # -- the compiler --------------------------------------------------------------
 #
-# A rule compiles to the source of one Python function of the context ``c``,
-# run through ``exec`` once, at import: the check then costs what a
-# hand-written one would.  The texts are the catalog's own constants, never
-# input.  Each helper adds what it reads to ``reads``: ``policy.param`` paths
-# (``writer ``/``reader `` prefixed in pair rules), ``rtt`` and ``pp``.
+# A rule compiles to the source of one Python function of ``(q, rtt, pp)``,
+# or of ``(w, r)`` for a pair rule, run through ``exec`` once, at import: the
+# check then costs what a hand-written one would.  The texts are the
+# catalog's own constants, never input.  Each helper adds what it reads to
+# ``reads``: ``policy.param`` paths (``writer ``/``reader `` prefixed in pair
+# rules), ``rtt`` and ``pp``.
 
 # ``policy.param`` -> the parameter's OMG default, which gives its type.
 _PARAMETERS = {
@@ -244,7 +216,7 @@ def _parameter(text: str, pair: bool, reads: set[str]) -> tuple[str, object] | N
     if prefixed is not pair:
         raise ValueError(f"{text!r}: pair rules prefix each parameter with writer/reader, others never")
     reads.add(f"{side} {path}" if prefixed else path)
-    return (f"{side[0]}.{path}" if prefixed else f"q.{path}"), _PARAMETERS[path]  # the prelude binds q, w, r
+    return (f"{side[0]}.{path}" if prefixed else f"q.{path}"), _PARAMETERS[path]
 
 
 def _number(text: str, pair: bool, reads: set[str]) -> tuple[str, object] | None:
@@ -263,13 +235,13 @@ def _operand(text: str, pair: bool, reads: set[str]) -> tuple[str, object] | Non
     """Numeric expression and default (None for a derived term) of an operand; None for a literal."""
     if text in ("rtt", "pp"):
         reads.add(text)
-        return f"c.{text}.nanoseconds", None
+        return f"{text}.nanoseconds", None
     times = _TIMES_PP.fullmatch(text)
     if times is None:
         return _number(text, pair, reads)
     reads.add("pp")
     factor = _number(times[1], pair, reads)
-    return f"{factor[0] if factor else int(times[1])} * c.pp.nanoseconds", None
+    return f"{factor[0] if factor else int(times[1])} * pp.nanoseconds", None
 
 
 def _term(text: str, pair: bool, reads: set[str]) -> tuple[str, object]:
@@ -314,7 +286,7 @@ def _conjunct(text: str, pair: bool, reads: set[str]) -> str:
     if quotient:
         numerator, _ = _term(quotient[1], pair, reads)
         reads.add("pp")
-        return f"{left} * c.pp.nanoseconds {op} {numerator} + {quotient[2] or 0} * c.pp.nanoseconds"
+        return f"{left} * pp.nanoseconds {op} {numerator} + {quotient[2] or 0} * pp.nanoseconds"
     right = _operand(right_text, pair, reads)
     if right is not None:
         return f"{left} {op} {right[0]}"
@@ -338,7 +310,7 @@ def _placeholder(text: str, pair: bool, reads: set[str]) -> str:
     if quotient:  # the smallest integer at or above the exact value
         numerator, _ = _term(quotient[1], pair, reads)
         reads.add("pp")
-        return f"-(-{numerator} // c.pp.nanoseconds) + {quotient[2] or 0}"
+        return f"-(-{numerator} // pp.nanoseconds) + {quotient[2] or 0}"
     parameter = _parameter(text, pair, reads)
     if parameter is None:  # rtt, pp or a product with pp, in nanoseconds
         return f"fmt({_term(text, pair, reads)[0]})"
@@ -381,16 +353,19 @@ def _compile(rule: Rule) -> tuple[Callable, set[str]]:
     condition = _condition(rule.condition, pair, reads)
     text_reads: set[str] = set()
     texts = f"{_text(rule.message, pair, text_reads)}, {_text(rule.suggestion, pair, text_reads)}"
-    lines = ["w, r = c.writer.qos, c.reader.qos" if pair else "q = c.qos"]
+    lines = []
     if rule.exemption is not None:
         lines.append(f"if {_condition(rule.exemption, pair, text_reads)}: return EXEMPT")
     if text_reads - reads:
         unread = sorted(text_reads - reads)
         raise ValueError(f"rule {rule.id}: its texts or exemption read {unread}; its condition does not")
-    lines += [f"if c.{need} is None: return NO_{need.upper()}" for need in ("rtt", "pp") if need in reads]
+    if pair and reads & {"rtt", "pp"}:
+        raise ValueError(f"rule {rule.id}: a pair rule reads no rtt or pp")
+    lines += [f"if {need} is None: return NO_{need.upper()}" for need in ("rtt", "pp") if need in reads]
     lines += [f"if not ({condition}): return None", f"return {texts}"]
     namespace = dict(_NAMESPACE)
-    exec(f"def rule_{rule.id}(c):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    params = "w, r" if pair else "q, rtt, pp"
+    exec(f"def rule_{rule.id}({params}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
     return namespace[f"rule_{rule.id}"], reads
 
 
@@ -777,38 +752,15 @@ def rules_for_stage(stage: int) -> tuple[Rule, ...]:
 # -- evaluation --------------------------------------------------------------
 
 
-def entity_ref(endpoint: EndpointProfile) -> EntityRef:
-    """How reports name an endpoint: one shared object per endpoint."""
-    return endpoint.entity
-
-
-def _context_entities(rule: Rule, ctx: EvalContext) -> tuple[EntityRef, ...]:
-    """Validate the context against the rule scope and name the entities."""
-    if rule.scope is RuleScope.PAIR:
-        if ctx.writer is None or ctx.reader is None:
-            raise ValueError(f"rule {rule.id} is pair-scoped and needs both endpoints")
-        return (ctx.writer.entity, ctx.reader.entity)
-    if ctx.writer is not None and ctx.reader is not None:
-        raise ValueError(f"rule {rule.id} is single-endpoint but got a pair context")
-    if rule.scope is RuleScope.DATA_WRITER and ctx.writer is None:
-        raise ValueError(f"rule {rule.id} applies to DataWriters only")
-    if rule.scope is RuleScope.DATA_READER and ctx.reader is None:
-        raise ValueError(f"rule {rule.id} applies to DataReaders only")
-    return (ctx.subject.entity,)
-
-
 def pair_topic(writer: EndpointProfile, reader: EndpointProfile) -> str | None:
     """The topic a pair reports under: the shared topic, else None."""
     return writer.topic_name if writer.topic_name == reader.topic_name else None
 
 
-def _evaluate(
-    rule: Rule, ctx: EvalContext, entities: tuple[EntityRef, ...], topic_name: str | None
-) -> Outcome:
-    """Evaluate one rule on a context already checked against its scope."""
-    result = rule.outcome(ctx)
-    if result is None:
-        return CleanCheck(rule.id, entities)
+def _finding(
+    rule: Rule, result: SkipReason | tuple[str, str], entities: tuple[EntityRef, ...], topic_name: str | None
+) -> Finding:
+    """The finding a rule's non-clean ``outcome`` result stands for."""
     if isinstance(result, SkipReason):
         return SkippedRule(rule.id, rule.identifier, rule.stage, entities, result)
     message, suggestion = result
@@ -824,19 +776,39 @@ def _evaluate(
     )
 
 
-def evaluate_rule(rule: Rule, ctx: EvalContext) -> Outcome:
-    """Evaluate one rule: Violation, CleanCheck, or SkippedRule.
+def evaluate_rule(
+    rule: Rule,
+    *,
+    writer: EndpointProfile | None = None,
+    reader: EndpointProfile | None = None,
+    rtt: Duration | None = None,
+    pp: Duration | None = None,
+) -> Finding | None:
+    """Evaluate one rule: a Violation, a SkippedRule, or None when clean.
 
-    A rule is skipped when its exemption applies or when a required
-    environment input is absent (rtt checked before pp); a scope-mismatched
-    context is a programming error and raises.
+    A single-endpoint rule takes exactly one endpoint, a pair rule both.  A
+    rule is skipped when its exemption applies or when a required
+    environment input is absent (rtt checked before pp); a scope mismatch
+    is a programming error and raises ValueError.
     """
-    entities = _context_entities(rule, ctx)
     if rule.scope is RuleScope.PAIR:
-        topic_name = pair_topic(ctx.writer, ctx.reader)
+        if writer is None or reader is None:
+            raise ValueError(f"rule {rule.id} is pair-scoped and needs both endpoints")
+        result = rule.outcome(writer.qos, reader.qos)
+        entities, topic_name = (writer.entity, reader.entity), pair_topic(writer, reader)
     else:
-        topic_name = ctx.subject.topic_name
-    return _evaluate(rule, ctx, entities, topic_name)
+        if writer is not None and reader is not None:
+            raise ValueError(f"rule {rule.id} is single-endpoint but got a pair")
+        if rule.scope is RuleScope.DATA_WRITER and writer is None:
+            raise ValueError(f"rule {rule.id} applies to DataWriters only")
+        if rule.scope is RuleScope.DATA_READER and reader is None:
+            raise ValueError(f"rule {rule.id} applies to DataReaders only")
+        endpoint = writer if writer is not None else reader
+        if endpoint is None:
+            raise ValueError(f"rule {rule.id} needs an endpoint")
+        result = rule.outcome(endpoint.qos, rtt, pp)
+        entities, topic_name = (endpoint.entity,), endpoint.topic_name
+    return None if result is None else _finding(rule, result, entities, topic_name)
 
 
 def applicable_to(rule: Rule, kind: EndpointKind) -> bool:
@@ -866,28 +838,32 @@ def evaluate_endpoint_rules(
     stage: int,
     rtt: Duration | None = None,
     pp: Duration | None = None,
-) -> list[Outcome]:
-    """Evaluate every scope-applicable single-endpoint rule of a stage."""
-    if endpoint.endpoint_kind is EndpointKind.DATA_WRITER:
-        ctx = EvalContext(writer=endpoint, rtt=rtt, pp=pp)
-    else:
-        ctx = EvalContext(reader=endpoint, rtt=rtt, pp=pp)
-    # _APPLICABLE holds only the rules whose scope admits this kind.
+) -> list[Finding]:
+    """The findings of every scope-applicable single-endpoint rule of a stage."""
+    q = endpoint.qos
     entities = (endpoint.entity,)
     topic_name = endpoint.topic_name
-    return [
-        _evaluate(rule, ctx, entities, topic_name)
-        for rule in _APPLICABLE.get((stage, endpoint.endpoint_kind), ())
-    ]
+    findings = []
+    # _APPLICABLE holds only the rules whose scope admits this kind.
+    for rule in _APPLICABLE.get((stage, endpoint.endpoint_kind), ()):
+        result = rule.outcome(q, rtt, pp)
+        if result is not None:
+            findings.append(_finding(rule, result, entities, topic_name))
+    return findings
 
 
-def evaluate_pair_rules(writer: EndpointProfile, reader: EndpointProfile) -> list[Outcome]:
-    """Evaluate the stage-2 RxO rules (20-27) for one writer/reader pair."""
+def evaluate_pair_rules(writer: EndpointProfile, reader: EndpointProfile) -> list[Finding]:
+    """The findings of the stage-2 RxO rules (20-27) for one writer/reader pair."""
     if writer.endpoint_kind is not EndpointKind.DATA_WRITER:
         raise ValueError(f"{writer.profile_name!r} is not a DataWriter")
     if reader.endpoint_kind is not EndpointKind.DATA_READER:
         raise ValueError(f"{reader.profile_name!r} is not a DataReader")
-    ctx = EvalContext(writer=writer, reader=reader)
+    w, r = writer.qos, reader.qos
     entities = (writer.entity, reader.entity)
     topic_name = pair_topic(writer, reader)
-    return [_evaluate(rule, ctx, entities, topic_name) for rule in _BY_STAGE[2]]
+    findings = []
+    for rule in _BY_STAGE[2]:
+        result = rule.outcome(w, r)
+        if result is not None:
+            findings.append(_finding(rule, result, entities, topic_name))
+    return findings

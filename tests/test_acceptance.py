@@ -39,8 +39,6 @@ from qos_chain_guard.profiles import (
     serialize_canonical,
 )
 from qos_chain_guard.rules import (
-    CleanCheck,
-    EvalContext,
     SkipReason,
     Violation,
     evaluate_rule,
@@ -100,11 +98,11 @@ def test_criterion_per_rule_fixtures():
     assert sorted(RULE_FIXTURES) == list(range(1, 42))
     for rule_id, (violating, clean) in RULE_FIXTURES.items():
         rule = get_rule(rule_id)
-        fired = evaluate_rule(rule, context_for(rule, violating))
+        fired = evaluate_rule(rule, **context_for(rule, violating))
         assert isinstance(fired, Violation), f"rule {rule_id} fixture did not fire"
         assert fired.rule_id == rule_id and fired.severity is rule.severity
-        twin = evaluate_rule(rule, context_for(rule, clean))
-        assert isinstance(twin, CleanCheck), f"rule {rule_id} twin not clean"
+        twin = evaluate_rule(rule, **context_for(rule, clean))
+        assert twin is None, f"rule {rule_id} twin not clean"
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     _pass(f"82 per-rule fixtures: each rule fires at its severity, each twin is clean ({elapsed * 1000:.0f}ms)")
@@ -120,17 +118,17 @@ def test_criterion_rxo_ordering_suite():
     for rule_id, kinds, build in sweeps:
         rule = get_rule(rule_id)
         for offered, requested in product(kinds, kinds):
-            ctx = EvalContext(writer=writer(**build(offered)), reader=reader(**build(requested)))
-            outcome = evaluate_rule(rule, ctx)
+            ctx = dict(writer=writer(**build(offered)), reader=reader(**build(requested)))
+            outcome = evaluate_rule(rule, **ctx)
             assert isinstance(outcome, Violation) == (offered < requested), (rule_id, offered, requested)
             checked += 1
     rule = get_rule(24)
     for offered, requested in product(LivelinessKind, LivelinessKind):
-        ctx = EvalContext(
+        ctx = dict(
             writer=writer(liveliness=liveliness(offered, lease=INF)),
             reader=reader(liveliness=liveliness(requested, lease=INF)),
         )
-        outcome = evaluate_rule(rule, ctx)
+        outcome = evaluate_rule(rule, **ctx)
         assert isinstance(outcome, Violation) == (offered < requested), (24, offered, requested)
         checked += 1
     assert checked == 4 + 16 + 4 + 9
@@ -168,16 +166,14 @@ def test_criterion_arithmetic_thresholds():
     for pp_ms, depth in product((10, 20, 25, 50, 100), range(1, 13)):
         expected = Fraction(depth) < Fraction(rtt_ms, pp_ms) + 2  # independent oracle
         w = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=depth))
-        outcome = evaluate_rule(
-            get_rule(29), EvalContext(writer=w, rtt=ms(rtt_ms), pp=ms(pp_ms))
-        )
+        outcome = evaluate_rule(get_rule(29), writer=w, rtt=ms(rtt_ms), pp=ms(pp_ms))
         assert isinstance(outcome, Violation) == expected, (pp_ms, depth)
         checked += 1
     # spot checks by hand: pp=20 -> threshold 7
     w6 = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=6))
     w7 = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=7))
-    assert isinstance(evaluate_rule(get_rule(29), EvalContext(writer=w6, rtt=ms(100), pp=ms(20))), Violation)
-    assert isinstance(evaluate_rule(get_rule(29), EvalContext(writer=w7, rtt=ms(100), pp=ms(20))), CleanCheck)
+    assert isinstance(evaluate_rule(get_rule(29), writer=w6, rtt=ms(100), pp=ms(20)), Violation)
+    assert evaluate_rule(get_rule(29), writer=w7, rtt=ms(100), pp=ms(20)) is None
     _pass(f"rule 29 threshold matches the exact rational oracle over {checked} grid points")
 
 

@@ -40,8 +40,6 @@ from qos_chain_guard.model import (
     default_qos,
 )
 from qos_chain_guard.rules import (
-    CleanCheck,
-    EvalContext,
     SkippedRule,
     Violation,
     applicable_to,
@@ -215,7 +213,7 @@ def build_endpoint(q: dict, kind: EndpointKind, name: str) -> EndpointProfile:
 def classify(outcome) -> tuple[str, str | None]:
     if isinstance(outcome, Violation):
         return ("violation", None)
-    if isinstance(outcome, CleanCheck):
+    if outcome is None:
         return ("clean", None)
     assert isinstance(outcome, SkippedRule)
     return ("skip", outcome.reason.value)
@@ -262,15 +260,15 @@ _env_pool = st.sampled_from([None, 20, 50, 100])
 def test_single_endpoint_rules_match_the_independent_transcription(record, kind, rtt, pp):
     endpoint = build_endpoint(record, kind, "ep")
     ctx = (
-        EvalContext(writer=endpoint, rtt=Duration(rtt) if rtt else None, pp=Duration(pp) if pp else None)
+        dict(writer=endpoint, rtt=Duration(rtt) if rtt else None, pp=Duration(pp) if pp else None)
         if kind is EndpointKind.DATA_WRITER
-        else EvalContext(reader=endpoint, rtt=Duration(rtt) if rtt else None, pp=Duration(pp) if pp else None)
+        else dict(reader=endpoint, rtt=Duration(rtt) if rtt else None, pp=Duration(pp) if pp else None)
     )
     for stage in (1, 3):
         for rule in rules_for_stage(stage):
             if not applicable_to(rule, kind):
                 continue
-            actual = classify(evaluate_rule(rule, ctx))
+            actual = classify(evaluate_rule(rule, **ctx))
             expected = expected_single(rule.id, record, rtt, pp)
             assert actual == expected, (rule.id, record, rtt, pp, actual, expected)
 
@@ -280,8 +278,8 @@ def test_single_endpoint_rules_match_the_independent_transcription(record, kind,
 def test_pair_rules_match_the_independent_transcription(writer_record, reader_record):
     w = build_endpoint(writer_record, EndpointKind.DATA_WRITER, "w")
     r = build_endpoint(reader_record, EndpointKind.DATA_READER, "r")
-    ctx = EvalContext(writer=w, reader=r)
+    ctx = dict(writer=w, reader=r)
     for rule in rules_for_stage(2):
-        actual = classify(evaluate_rule(rule, ctx))
+        actual = classify(evaluate_rule(rule, **ctx))
         expected = expected_pair(rule.id, writer_record, reader_record)
         assert actual == expected, (rule.id, writer_record, reader_record, actual, expected)

@@ -23,7 +23,6 @@ from qos_chain_guard.pipeline import (
 )
 from qos_chain_guard.profiles import ParseDiagnostic, ProfileSet, parse_document, parse_profiles
 from qos_chain_guard.rules import (
-    CleanCheck,
     EntityRef,
     Severity,
     SkipReason,
@@ -180,18 +179,24 @@ def test_with_environment_no_env_skips_remain():
 
 
 def test_skip_accounting_per_endpoint():
-    # Every scope-applicable rule yields exactly one outcome per endpoint.
+    # Every scope-applicable rule runs once per endpoint; a clean one finds nothing.
+    # With no environment, all-defaults endpoints find only the skips of the
+    # rules that read rtt or pp or have an exemption, in rule order.
     w, r = writer("w1"), reader("r1")
     for endpoint in (w, r):
         for stage in (1, 3):
-            outcomes = evaluate_endpoint_rules(endpoint, stage)
+            findings = evaluate_endpoint_rules(endpoint, stage)
             applicable = [
                 rule for rule in rules_for_stage(stage)
                 if applicable_to(rule, endpoint.endpoint_kind)
             ]
-            assert len(outcomes) == len(applicable)
-            assert [o.rule_id for o in outcomes] == [rule.id for rule in applicable]
-    assert len(evaluate_pair_rules(w, r)) == 8
+            assert all(isinstance(f, SkippedRule) for f in findings)
+            assert [f.rule_id for f in findings] == [
+                rule.id for rule in applicable if rule.requires_env or rule.exemption
+            ]
+    assert evaluate_endpoint_rules(r, 1) == []
+    assert len(rules_for_stage(2)) == 8
+    assert evaluate_pair_rules(w, r) == []
     # Stage totals over one writer + one reader + one pair: 23 + 21 + 8.
     writer_rules = sum(
         1 for s in (1, 3) for rule in rules_for_stage(s) if applicable_to(rule, w.endpoint_kind)
@@ -400,7 +405,7 @@ def _reference_outcomes(ps: ProfileSet, env: EnvironmentModel, plan) -> list:
             outcomes += evaluate_endpoint_rules(endpoint, stage, rtt=env.rtt, pp=pp)
     for pairing in plan:
         outcomes += evaluate_pair_rules(ps.profiles[pairing.writer], ps.profiles[pairing.reader])
-    return [o for o in outcomes if not isinstance(o, CleanCheck)]
+    return outcomes
 
 
 def test_class_evaluation_matches_per_endpoint_evaluation():

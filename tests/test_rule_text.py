@@ -19,7 +19,6 @@ import pytest
 
 from qos_chain_guard.model import Duration, EndpointKind
 from qos_chain_guard.rules import (
-    EvalContext,
     RuleScope,
     Violation,
     applicable_to,
@@ -38,28 +37,28 @@ PER_RULE = 5
 TOP = 2**63 - 1  # the largest finite duration, in nanoseconds
 
 
-def _fixture_context(rule_id: int) -> EvalContext:
+def _fixture_context(rule_id: int) -> dict:
     case = RULE_FIXTURES[rule_id][0]
     rtt = ms(case.rtt_ms) if case.rtt_ms is not None else None
     pp = ms(case.pp_ms) if case.pp_ms is not None else None
     if get_rule(rule_id).scope is RuleScope.PAIR:
-        return EvalContext(writer=writer(**case.writer), reader=reader(**case.reader), rtt=rtt, pp=pp)
+        return dict(writer=writer(**case.writer), reader=reader(**case.reader), rtt=rtt, pp=pp)
     if case.writer:
-        return EvalContext(writer=writer(**case.writer), rtt=rtt, pp=pp)
-    return EvalContext(reader=reader(**case.reader), rtt=rtt, pp=pp)
+        return dict(writer=writer(**case.writer), rtt=rtt, pp=pp)
+    return dict(reader=reader(**case.reader), rtt=rtt, pp=pp)
 
 
-def _sample_context(entry: dict) -> EvalContext:
+def _sample_context(entry: dict) -> dict:
     ends = {}
     for side, kind in (("writer", EndpointKind.DATA_WRITER), ("reader", EndpointKind.DATA_READER)):
         if entry.get(side) is not None:
             record = dict(entry[side], part=tuple(entry[side]["part"]))
             ends[side] = build_endpoint(record, kind, side[0])
     rtt, pp = (None if ns is None else Duration(ns) for ns in (entry["rtt_ns"], entry["pp_ns"]))
-    return EvalContext(**ends, rtt=rtt, pp=pp)
+    return dict(**ends, rtt=rtt, pp=pp)
 
 
-def _context(entry: dict) -> EvalContext:
+def _context(entry: dict) -> dict:
     return _fixture_context(entry["rule"]) if entry["case"] == "fixture" else _sample_context(entry)
 
 
@@ -125,14 +124,14 @@ def _sampled() -> list[dict]:
                 continue
             key = (rule.id, rule.id == 2 and w["mspi"] is None)
             if len(entries.get(key, ())) < wanted[key] and isinstance(
-                evaluate_rule(rule, _sample_context(entry)), Violation
+                evaluate_rule(rule, **_sample_context(entry)), Violation
             ):
                 entries.setdefault(key, []).append(entry)
     return [entry for key in sorted(entries) for entry in entries[key]]
 
 
 def _texts(entry: dict) -> dict:
-    outcome = evaluate_rule(get_rule(entry["rule"]), _context(entry))
+    outcome = evaluate_rule(get_rule(entry["rule"]), **_context(entry))
     assert isinstance(outcome, Violation), entry
     return entry | {"message": outcome.message, "suggestion": outcome.suggestion}
 
@@ -153,7 +152,7 @@ ENTRIES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: f"rule{e['rule']}-{e['case']}")
 def test_rule_text_matches_the_golden_file(entry):
-    outcome = evaluate_rule(get_rule(entry["rule"]), _context(entry))
+    outcome = evaluate_rule(get_rule(entry["rule"]), **_context(entry))
     assert isinstance(outcome, Violation)
     assert (outcome.message, outcome.suggestion) == (entry["message"], entry["suggestion"])
 

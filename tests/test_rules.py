@@ -19,8 +19,6 @@ from qos_chain_guard.model import (
     ReliabilityKind,
 )
 from qos_chain_guard.rules import (
-    CleanCheck,
-    EvalContext,
     Rule,
     RuleScope,
     Severity,
@@ -28,7 +26,6 @@ from qos_chain_guard.rules import (
     SkippedRule,
     Violation,
     applicable_to,
-    entity_ref,
     evaluate_endpoint_rules,
     evaluate_pair_rules,
     evaluate_rule,
@@ -53,17 +50,17 @@ from support import (
 )
 
 
-def context_for(rule, case: Case) -> EvalContext:
-    """Build the evaluation context a fixture case describes."""
+def context_for(rule, case: Case) -> dict:
+    """The ``evaluate_rule`` keyword arguments a fixture case describes."""
     rtt = ms(case.rtt_ms) if case.rtt_ms is not None else None
     pp = ms(case.pp_ms) if case.pp_ms is not None else None
     if rule.scope is RuleScope.PAIR:
-        return EvalContext(
+        return dict(
             writer=writer(**case.writer), reader=reader(**case.reader), rtt=rtt, pp=pp
         )
     if case.writer:
-        return EvalContext(writer=writer(**case.writer), rtt=rtt, pp=pp)
-    return EvalContext(reader=reader(**case.reader), rtt=rtt, pp=pp)
+        return dict(writer=writer(**case.writer), rtt=rtt, pp=pp)
+    return dict(reader=reader(**case.reader), rtt=rtt, pp=pp)
 
 
 # -- catalog shape ------------------------------------------------------------
@@ -129,6 +126,10 @@ _BAD_TEXTS = {
     "an unknown enumeration literal in a guard": (
         dict(suggestion=(("history.kind = KEEP_SOME", "a"), "b")), "'KEEP_SOME' is not a HistoryKind literal"
     ),
+    "rtt in a pair rule": (
+        dict(scope=RuleScope.PAIR, condition="writer lifespan.duration < rtt", message="m"),
+        "a pair rule reads no rtt or pp",
+    ),
     "infinite for a count in a guard": (
         dict(condition="resource_limits.max_samples < history.depth",
              message="m", suggestion=(("resource_limits.max_samples = infinite", "a"), "b")),
@@ -146,7 +147,7 @@ def test_compiler_rejects_a_bad_text_at_import(texts, error):
 def test_compiler_records_what_a_rule_reads():
     rule = _rule(suggestion=(("history.depth = 2", "drop one sample"), "lower history.depth"))
     assert rule.reads == {"history.kind", "history.depth"}
-    assert rule.outcome(EvalContext(writer=writer(history=hist(depth=2)))) == (
+    assert rule.outcome(writer(history=hist(depth=2)).qos, None, None) == (
         "history.depth=2", "drop one sample"
     )
     condition = "writer lease_duration > reader liveliness.lease_duration"
@@ -165,7 +166,7 @@ def test_every_rule_has_a_fixture_pair():
 def test_violating_fixture_fires_at_catalog_severity(rule_id):
     rule = get_rule(rule_id)
     violating, _ = RULE_FIXTURES[rule_id]
-    outcome = evaluate_rule(rule, context_for(rule, violating))
+    outcome = evaluate_rule(rule, **context_for(rule, violating))
     assert isinstance(outcome, Violation), f"rule {rule_id} should fire"
     assert outcome.rule_id == rule_id
     assert outcome.severity is rule.severity
@@ -176,15 +177,15 @@ def test_violating_fixture_fires_at_catalog_severity(rule_id):
 def test_flipped_twin_is_clean(rule_id):
     rule = get_rule(rule_id)
     _, clean = RULE_FIXTURES[rule_id]
-    outcome = evaluate_rule(rule, context_for(rule, clean))
-    assert isinstance(outcome, CleanCheck), f"rule {rule_id} twin should be clean"
+    outcome = evaluate_rule(rule, **context_for(rule, clean))
+    assert outcome is None, f"rule {rule_id} twin should be clean"
 
 
 def test_evaluation_is_deterministic():
     rule = get_rule(29)
     violating, _ = RULE_FIXTURES[29]
     ctx = context_for(rule, violating)
-    assert evaluate_rule(rule, ctx) == evaluate_rule(rule, ctx)
+    assert evaluate_rule(rule, **ctx) == evaluate_rule(rule, **ctx)
 
 
 # -- RxO ordering sweeps ------------------------------------------------------
@@ -208,51 +209,51 @@ def test_rxo_kind_matrix(rule_id, kinds, policy):
     }
     rule = get_rule(rule_id)
     for offered, requested in itertools.product(kinds, kinds):
-        ctx = EvalContext(
+        ctx = dict(
             writer=writer(**builders[policy](offered)),
             reader=reader(**builders[policy](requested)),
         )
-        outcome = evaluate_rule(rule, ctx)
+        outcome = evaluate_rule(rule, **ctx)
         if offered < requested:
             assert isinstance(outcome, Violation), (offered, requested)
         else:
-            assert isinstance(outcome, CleanCheck), (offered, requested)
+            assert outcome is None, (offered, requested)
 
 
 def test_rxo_liveliness_kind_matrix():
     rule = get_rule(24)
     for offered, requested in itertools.product(LivelinessKind, LivelinessKind):
-        ctx = EvalContext(
+        ctx = dict(
             writer=writer(liveliness=liveliness(offered, lease=INF)),
             reader=reader(liveliness=liveliness(requested, lease=INF)),
         )
-        outcome = evaluate_rule(rule, ctx)
+        outcome = evaluate_rule(rule, **ctx)
         if offered < requested:
             assert isinstance(outcome, Violation), (offered, requested)
         else:
-            assert isinstance(outcome, CleanCheck), (offered, requested)
+            assert outcome is None, (offered, requested)
 
 
 def test_rxo_asymmetry_swapping_endpoints_clears_the_violation():
     for rule_id in (21, 22, 24, 26):
         rule = get_rule(rule_id)
         violating, _ = RULE_FIXTURES[rule_id]
-        swapped = EvalContext(
+        swapped = dict(
             writer=writer(**violating.reader), reader=reader(**violating.writer)
         )
-        assert isinstance(evaluate_rule(rule, swapped), CleanCheck), f"rule {rule_id}"
+        assert evaluate_rule(rule, **swapped) is None, f"rule {rule_id}"
 
 
 def test_symmetric_pair_rules_are_swap_invariant():
     for rule_id in (20, 25):
         rule = get_rule(rule_id)
         violating, clean = RULE_FIXTURES[rule_id]
-        for case, expected in ((violating, Violation), (clean, CleanCheck)):
-            swapped = EvalContext(
+        for case, expected in ((violating, Violation), (clean, type(None))):
+            swapped = dict(
                 writer=writer(**{k: v for k, v in case.reader.items()}),
                 reader=reader(**{k: v for k, v in case.writer.items()}),
             )
-            assert isinstance(evaluate_rule(rule, swapped), expected), f"rule {rule_id}"
+            assert isinstance(evaluate_rule(rule, **swapped), expected), f"rule {rule_id}"
 
 
 # -- environment handling -----------------------------------------------------
@@ -261,14 +262,14 @@ def test_symmetric_pair_rules_are_swap_invariant():
 def test_missing_env_skip_reasons():
     # Both inputs missing: rtt is reported first.
     w = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=1))
-    outcome = evaluate_rule(get_rule(29), EvalContext(writer=w))
+    outcome = evaluate_rule(get_rule(29), writer=w)
     assert outcome == SkippedRule(
         29, get_rule(29).identifier, 3, outcome.entities, SkipReason.MISSING_ENV_RTT
     )
-    outcome = evaluate_rule(get_rule(29), EvalContext(writer=w, rtt=ms(100)))
+    outcome = evaluate_rule(get_rule(29), writer=w, rtt=ms(100))
     assert isinstance(outcome, SkippedRule)
     assert outcome.reason is SkipReason.MISSING_ENV_PP
-    outcome = evaluate_rule(get_rule(29), EvalContext(writer=w, pp=ms(50)))
+    outcome = evaluate_rule(get_rule(29), writer=w, pp=ms(50))
     assert outcome.reason is SkipReason.MISSING_ENV_RTT
 
 
@@ -276,17 +277,17 @@ def test_env_rules_skip_even_when_static_conjuncts_are_false():
     # Volatile durability can never violate rule 6, but without the
     # environment the check is still reported as skipped, not clean.
     w = writer(durability=durability(DurabilityKind.VOLATILE))
-    outcome = evaluate_rule(get_rule(6), EvalContext(writer=w))
+    outcome = evaluate_rule(get_rule(6), writer=w)
     assert isinstance(outcome, SkippedRule)
 
 
 def test_infinite_lifespan_exemption_beats_env_and_predicate():
     w = writer(history=hist(depth=2))  # lifespan defaults to infinite
     for rule_id in (9, 10):
-        outcome = evaluate_rule(get_rule(rule_id), EvalContext(writer=w, pp=ms(20)))
+        outcome = evaluate_rule(get_rule(rule_id), writer=w, pp=ms(20))
         assert isinstance(outcome, SkippedRule)
         assert outcome.reason is SkipReason.INFINITE_LIFESPAN_EXEMPTION
-        outcome = evaluate_rule(get_rule(rule_id), EvalContext(writer=w))
+        outcome = evaluate_rule(get_rule(rule_id), writer=w)
         assert outcome.reason is SkipReason.INFINITE_LIFESPAN_EXEMPTION
 
 
@@ -294,8 +295,8 @@ def test_rule_3_is_clean_when_the_deadline_is_infinite():
     # An infinite deadline turns monitoring off: no window for a sample to outlive.
     w = writer(lifespan=lifespan(ms(50)))
     r = reader(lifespan=lifespan(ms(50)))
-    for ctx in (EvalContext(writer=w), EvalContext(reader=r)):
-        assert isinstance(evaluate_rule(get_rule(3), ctx), CleanCheck)
+    for ctx in (dict(writer=w), dict(reader=r)):
+        assert evaluate_rule(get_rule(3), **ctx) is None
 
 
 def test_unlimited_max_samples_per_instance_semantics():
@@ -306,9 +307,9 @@ def test_unlimited_max_samples_per_instance_semantics():
         history=hist(HistoryKind.KEEP_ALL),
         resource_limits=reslim(),
     )
-    ctx = EvalContext(writer=writer(**base), rtt=ms(100), pp=ms(20))
-    assert isinstance(evaluate_rule(get_rule(7), ctx), CleanCheck)
-    assert isinstance(evaluate_rule(get_rule(40), ctx), Violation)
+    ctx = dict(writer=writer(**base), rtt=ms(100), pp=ms(20))
+    assert evaluate_rule(get_rule(7), **ctx) is None
+    assert isinstance(evaluate_rule(get_rule(40), **ctx), Violation)
 
 
 @given(
@@ -320,8 +321,8 @@ def test_unlimited_max_samples_per_instance_semantics():
 def test_rising_rtt_never_clears_a_violation(depth, rtt1, bump, pp):
     rule = get_rule(29)
     w = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=depth))
-    low = evaluate_rule(rule, EvalContext(writer=w, rtt=Duration(rtt1), pp=Duration(pp)))
-    high = evaluate_rule(rule, EvalContext(writer=w, rtt=Duration(rtt1 + bump), pp=Duration(pp)))
+    low = evaluate_rule(rule, writer=w, rtt=Duration(rtt1), pp=Duration(pp))
+    high = evaluate_rule(rule, writer=w, rtt=Duration(rtt1 + bump), pp=Duration(pp))
     if isinstance(low, Violation):
         assert isinstance(high, Violation)
 
@@ -335,27 +336,27 @@ def test_rising_rtt_never_clears_a_violation(depth, rtt1, bump, pp):
 def test_rising_pp_never_creates_a_violation(depth, rtt, pp1, bump):
     rule = get_rule(29)
     w = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=depth))
-    low = evaluate_rule(rule, EvalContext(writer=w, rtt=Duration(rtt), pp=Duration(pp1)))
-    high = evaluate_rule(rule, EvalContext(writer=w, rtt=Duration(rtt), pp=Duration(pp1 + bump)))
-    if isinstance(low, CleanCheck):
-        assert isinstance(high, CleanCheck)
+    low = evaluate_rule(rule, writer=w, rtt=Duration(rtt), pp=Duration(pp1))
+    high = evaluate_rule(rule, writer=w, rtt=Duration(rtt), pp=Duration(pp1 + bump))
+    if low is None:
+        assert high is None
 
 
 def test_threshold_equality_is_clean_for_both_directions():
     # rtt=100ms, pp=20ms: floor is exactly 7.
     env = dict(rtt=ms(100), pp=ms(20))
     w29 = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=7))
-    assert isinstance(evaluate_rule(get_rule(29), EvalContext(writer=w29, **env)), CleanCheck)
+    assert evaluate_rule(get_rule(29), writer=w29, **env) is None
     w39 = writer(durability=durability(DurabilityKind.TRANSIENT_LOCAL), history=hist(depth=7))
-    assert isinstance(evaluate_rule(get_rule(39), EvalContext(writer=w39, **env)), CleanCheck)
+    assert evaluate_rule(get_rule(39), writer=w39, **env) is None
 
 
 def test_exact_rational_comparison_no_float_drift():
     # rtt=1ms, pp=3ns: rtt/pp + 2 = 333335.33..; 333335 violates, 333336 not.
     env = dict(rtt=Duration(1_000_000), pp=Duration(3))
-    for depth, expected in ((333335, Violation), (333336, CleanCheck)):
+    for depth, expected in ((333335, Violation), (333336, type(None))):
         w = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=depth))
-        assert isinstance(evaluate_rule(get_rule(29), EvalContext(writer=w, **env)), expected)
+        assert isinstance(evaluate_rule(get_rule(29), writer=w, **env), expected)
 
 
 # -- messages and suggestions --------------------------------------------------
@@ -363,7 +364,7 @@ def test_exact_rational_comparison_no_float_drift():
 
 def test_rule_1_suggestion_contains_computed_bound():
     violating, _ = RULE_FIXTURES[1]
-    outcome = evaluate_rule(get_rule(1), context_for(get_rule(1), violating))
+    outcome = evaluate_rule(get_rule(1), **context_for(get_rule(1), violating))
     assert "≥ 10" in outcome.suggestion
     assert "history.depth=10" in outcome.message
     assert "max_samples_per_instance=5" in outcome.message
@@ -371,31 +372,31 @@ def test_rule_1_suggestion_contains_computed_bound():
 
 def test_rule_2_suggestion_for_unlimited_max_samples_per_instance():
     w = writer(resource_limits=reslim(max_samples=5))
-    outcome = evaluate_rule(get_rule(2), EvalContext(writer=w))
+    outcome = evaluate_rule(get_rule(2), writer=w)
     assert outcome.suggestion == (
         "set resource_limits.max_samples to UNLIMITED "
         "or lower resource_limits.max_samples_per_instance to ≤ 5"
     )
     violating, _ = RULE_FIXTURES[2]
-    outcome = evaluate_rule(get_rule(2), context_for(get_rule(2), violating))
+    outcome = evaluate_rule(get_rule(2), **context_for(get_rule(2), violating))
     assert outcome.suggestion.startswith("raise resource_limits.max_samples to ≥ 10 or")
 
 
 def test_rule_29_suggestion_contains_floor():
     w = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=2))
-    outcome = evaluate_rule(get_rule(29), EvalContext(writer=w, rtt=ms(100), pp=ms(20)))
+    outcome = evaluate_rule(get_rule(29), writer=w, rtt=ms(100), pp=ms(20))
     assert "≥ 7" in outcome.suggestion
 
 
 def test_rule_31_suggestion_names_rtt():
     violating, _ = RULE_FIXTURES[31]
-    outcome = evaluate_rule(get_rule(31), context_for(get_rule(31), violating))
+    outcome = evaluate_rule(get_rule(31), **context_for(get_rule(31), violating))
     assert "above 100ms" in outcome.suggestion
 
 
 def test_rule_25_suggestion_wording():
     violating, _ = RULE_FIXTURES[25]
-    outcome = evaluate_rule(get_rule(25), context_for(get_rule(25), violating))
+    outcome = evaluate_rule(get_rule(25), **context_for(get_rule(25), violating))
     assert outcome.suggestion == "set both OWNERSHIP kinds identical"
 
 
@@ -404,7 +405,7 @@ def test_messages_name_the_values_that_fired():
         durability=durability(DurabilityKind.TRANSIENT_LOCAL),
         lifespan=lifespan(ms(50)),
     )
-    outcome = evaluate_rule(get_rule(8), EvalContext(writer=w, rtt=ms(100)))
+    outcome = evaluate_rule(get_rule(8), writer=w, rtt=ms(100))
     assert "TRANSIENT_LOCAL" in outcome.message
     assert "50ms" in outcome.message
     assert "100ms" in outcome.message
@@ -415,19 +416,20 @@ def test_messages_name_the_values_that_fired():
 
 def test_scope_mismatch_is_a_programmer_error():
     with pytest.raises(ValueError):
-        evaluate_rule(get_rule(19), EvalContext(reader=reader()))  # writer-scoped
+        evaluate_rule(get_rule(19), reader=reader())  # writer-scoped
     with pytest.raises(ValueError):
-        evaluate_rule(get_rule(4), EvalContext(writer=writer()))  # reader-scoped
+        evaluate_rule(get_rule(4), writer=writer())  # reader-scoped
     with pytest.raises(ValueError):
-        evaluate_rule(get_rule(20), EvalContext(writer=writer()))  # pair-scoped
+        evaluate_rule(get_rule(20), writer=writer())  # pair-scoped
     with pytest.raises(ValueError):
-        evaluate_rule(get_rule(1), EvalContext(writer=writer(), reader=reader()))
+        evaluate_rule(get_rule(1), writer=writer(), reader=reader())
+    with pytest.raises(ValueError):
+        evaluate_rule(get_rule(1))  # no endpoint
 
 
 def test_evaluate_pair_rules_covers_stage_two():
-    outcomes = evaluate_pair_rules(writer(), reader())
-    assert [o.rule_id for o in outcomes] == list(range(20, 28))
-    assert all(isinstance(o, CleanCheck) for o in outcomes)
+    assert [rule.id for rule in rules_for_stage(2)] == list(range(20, 28))
+    assert evaluate_pair_rules(writer(), reader()) == []
 
 
 def test_evaluate_pair_rules_rejects_kind_mismatch():
@@ -450,8 +452,8 @@ def test_evaluate_pair_rules_matches_evaluate_rule(rule_id):
     for case in RULE_FIXTURES[rule_id]:
         for reader_topic in ("scan", "other"):  # a shared topic, and none
             w, r = writer(**case.writer), reader(topic=reader_topic, **case.reader)
-            expected = [evaluate_rule(rule, EvalContext(writer=w, reader=r)) for rule in rules_for_stage(2)]
-            assert evaluate_pair_rules(w, r) == expected
+            expected = [evaluate_rule(rule, writer=w, reader=r) for rule in rules_for_stage(2)]
+            assert evaluate_pair_rules(w, r) == [o for o in expected if o is not None]
 
 
 @pytest.mark.parametrize("rule_id", sorted(RULE_FIXTURES))
@@ -462,21 +464,22 @@ def test_evaluate_endpoint_rules_matches_evaluate_rule(rule_id):
             for rtt, pp in _environments(case):
                 for stage in (1, 3):
                     expected = [
-                        evaluate_rule(rule, EvalContext(**{side: endpoint}, rtt=rtt, pp=pp))
+                        evaluate_rule(rule, **{side: endpoint}, rtt=rtt, pp=pp)
                         for rule in rules_for_stage(stage)
                         if applicable_to(rule, endpoint.endpoint_kind)
                     ]
                     outcomes = evaluate_endpoint_rules(endpoint, stage, rtt=rtt, pp=pp)
-                    assert outcomes == expected
+                    assert outcomes == [o for o in expected if o is not None]
                     # Independent of the shared core: a missing rtt is named first.
                     for outcome in outcomes:
-                        if rtt is None and get_rule(outcome.rule_id).requires_rtt:
+                        if rtt is None and "rtt" in get_rule(outcome.rule_id).reads:
                             assert getattr(outcome, "reason", None) is not SkipReason.MISSING_ENV_PP
 
 
 def test_entity_ref_is_one_object_per_endpoint():
-    w, r = writer(), reader()
-    assert entity_ref(w) is entity_ref(w)
-    assert evaluate_pair_rules(w, r)[0].entities[0] is entity_ref(w)
-    assert evaluate_endpoint_rules(r, 1)[0].entities == (entity_ref(r),)
-    assert str(entity_ref(w)) == "w1(DataWriter)@<test>:1"
+    violating, _ = RULE_FIXTURES[20]
+    w, r = writer(**violating.writer), reader(**violating.reader)
+    assert w.entity is w.entity
+    assert evaluate_pair_rules(w, r)[0].entities[0] is w.entity
+    assert evaluate_endpoint_rules(r, 3)[0].entities == (r.entity,)  # skipped: no pp
+    assert str(w.entity) == "w1(DataWriter)@<test>:1"
