@@ -4,7 +4,7 @@ Subcommands:
 
 * ``check``: validate XML profile files (or directories of them) and print
   a human or JSON report.  Exit 0 when nothing reaches the --fail-on level,
-  1 when something does, 2 on usage or load errors.
+  1 when something does, 2 on usage, load or output errors.
 * ``rules``: print the rule catalog as a table or JSON.
 * ``graph``: print the policy dependency graph as DOT or JSON.
 
@@ -103,7 +103,7 @@ def _use_color(mode: str) -> bool:
     return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     files = _collect_input_files(args.inputs)
     if args.env is not None:
         try:
@@ -121,11 +121,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     plan = build_pairing_plan(profile_set, _parse_pair_directives(args.pair))
     report = run_pipeline(profile_set, environment, plan, inputs=tuple(files))
     color = args.format == "human" and _use_color(args.color)
-    sys.stdout.write(render_report(report, fmt=args.format, color=color))
-    return EXIT_FINDINGS if report.count_at_or_above(args.fail_on) else EXIT_CLEAN
+    output = render_report(report, fmt=args.format, color=color)
+    return output, EXIT_FINDINGS if report.count_at_or_above(args.fail_on) else EXIT_CLEAN
 
 
-def _cmd_rules(args: argparse.Namespace) -> int:
+def _cmd_rules(args: argparse.Namespace) -> tuple[str, int]:
     catalog = rule_catalog()
     if args.format == "json":
         payload = [
@@ -141,8 +141,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
             }
             for rule in catalog
         ]
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-        return EXIT_CLEAN
+        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n", EXIT_CLEAN
     header = f"{'id':>2}  {'identifier':<18} {'stage':<5} {'severity':<11} {'scope':<10} condition"
     lines = [header, "-" * len(header)]
     for rule in catalog:
@@ -150,29 +149,44 @@ def _cmd_rules(args: argparse.Namespace) -> int:
             f"{rule.id:>2}  {rule.identifier:<18} {rule.stage:<5} "
             f"{rule.severity.value:<11} {rule.scope.value:<10} {rule.condition}"
         )
-    sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_CLEAN
+    return "\n".join(lines) + "\n", EXIT_CLEAN
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
+def _cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
     from .chain import export_chain_graph  # only this command needs the graph
 
-    sys.stdout.write(export_chain_graph(args.format))
-    return EXIT_CLEAN
+    return export_chain_graph(args.format), EXIT_CLEAN
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so that the interpreter's flush at
+    exit drops the unwritten rest instead of failing a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    command = {"check": _cmd_check, "rules": _cmd_rules, "graph": _cmd_graph}[args.command]
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "rules":
-            return _cmd_rules(args)
-        return _cmd_graph(args)
+        output, code = command(args)
     except (ProfileLoadError, PairingError, EnvironmentLoadError) as exc:
         print(f"qos-chain-guard: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:  # a full disk, a closed pipe
+        print(f"qos-chain-guard: error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _discard_stdout()
+        return EXIT_USAGE
+    return code
 
 
 def run() -> None:

@@ -355,20 +355,11 @@ class SourceLocation:
 
 
 @dataclass(frozen=True)
-class EntityRef:
-    """How reports name an endpoint: profile, kind and source location."""
-
-    profile_name: str
-    endpoint_kind: EndpointKind
-    source_location: SourceLocation
-
-    def __str__(self) -> str:
-        return f"{self.profile_name}({self.endpoint_kind.display})@{self.source_location}"
-
-
-@dataclass(frozen=True)
 class EndpointProfile:
-    """A named DataWriter or DataReader with its fully resolved QoS."""
+    """A named DataWriter or DataReader with its fully resolved QoS.
+
+    Findings name an endpoint by this object; ``str()`` gives its report text.
+    """
 
     profile_name: str
     endpoint_kind: EndpointKind
@@ -379,14 +370,12 @@ class EndpointProfile:
     source_location: SourceLocation = field(
         default=SourceLocation("<unknown>", 0), compare=False
     )
-    # Built once, so every outcome naming this endpoint shares one object and
-    # a renderer can cache its text by identity.
-    entity: EntityRef = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.profile_name:
             raise ValueError("profile_name must be non-empty")
         if not self.qos.is_resolved:
             raise ValueError(f"profile {self.profile_name!r} has unresolved QoS policies")
-        entity = EntityRef(self.profile_name, self.endpoint_kind, self.source_location)
-        object.__setattr__(self, "entity", entity)
+
+    def __str__(self) -> str:
+        return f"{self.profile_name}({self.endpoint_kind.display})@{self.source_location}"

@@ -20,13 +20,13 @@ from ._version import __version__
 from .model import (
     Duration,
     EndpointKind,
+    EndpointProfile,
     MAX_BLOCKING_TIME_ASSUMPTION,
     NANOSECONDS_PER_MILLISECOND,
     shorten_literal,
 )
 from .profiles import ParseDiagnostic, ProfileSet
 from .rules import (
-    EntityRef,
     Finding,
     Severity,
     SkippedRule,
@@ -174,14 +174,15 @@ def build_pairing_plan(
     kind-mismatched pair raises PairingError.
     """
     plan: list[Pairing] = []
-    seen: set[tuple[str, str]] = set()
     index = profile_set.topic_index
     for topic in sorted(t for t in index if t is not None):
         writers, readers = index[topic]
         for writer in writers:
             for reader in readers:
                 plan.append(Pairing(writer, reader, PairOrigin.TOPIC_INDEX, topic))
-                seen.add((writer, reader))
+    # A directive repeats a topic pair exactly when the two share a topic,
+    # so only directives need remembering.
+    seen: set[tuple[str, str]] = set()
     for writer_name, reader_name in directives:
         for name in (writer_name, reader_name):
             if name not in profile_set.profiles:
@@ -196,11 +197,10 @@ def build_pairing_plan(
             raise PairingError(
                 f"pair directive must be writer:reader; {reader_name!r} is a {reader.endpoint_kind.display}"
             )
-        if (writer_name, reader_name) in seen:
+        topic = pair_topic(writer, reader)
+        if topic is not None or (writer_name, reader_name) in seen:
             continue
-        plan.append(
-            Pairing(writer_name, reader_name, PairOrigin.EXPLICIT_DIRECTIVE, pair_topic(writer, reader))
-        )
+        plan.append(Pairing(writer_name, reader_name, PairOrigin.EXPLICIT_DIRECTIVE, topic))
         seen.add((writer_name, reader_name))
     return tuple(plan)
 
@@ -251,15 +251,15 @@ def _sort_key(finding: Finding):
 
 
 def _stamped(
-    finding: Finding, entities: tuple[EntityRef, ...], topic_name: str | None
-) -> Finding:
-    """A class's finding re-addressed to one member endpoint or pair."""
-    if isinstance(finding, Violation):
-        return Violation(
-            finding.rule_id, finding.identifier, finding.stage, finding.severity,
-            entities, topic_name, finding.message, finding.suggestion,
-        )
-    return SkippedRule(finding.rule_id, finding.identifier, finding.stage, entities, finding.reason)
+    findings: list[Finding], entities: tuple[EndpointProfile, ...], topic_name: str | None
+) -> list[Finding]:
+    """A class's findings re-addressed to one member endpoint or pair."""
+    return [
+        Violation(f.rule_id, f.identifier, f.stage, f.severity, entities, topic_name, f.message, f.suggestion)
+        if isinstance(f, Violation)
+        else SkippedRule(f.rule_id, f.identifier, f.stage, entities, f.reason)
+        for f in findings
+    ]
 
 
 def run_pipeline(
@@ -272,34 +272,32 @@ def run_pipeline(
 
     Rule messages, suggestions and skip reasons depend only on the QoS,
     ``rtt`` and ``pp`` (see ``rules``), so each stage evaluates once per
-    class: stages 1 and 3 per (endpoint kind, QoS, publish period), stage 2
-    per (writer QoS, reader QoS).  The findings of the member evaluated
-    are stamped onto every other member with that member's own entities
-    and topic.  Classes key on QoS identity; ``parse_profiles`` interns
-    equal profiles, and an equal but distinct profile only costs one more
-    evaluation.
+    class: stage 2 per (writer QoS, reader QoS), and stages 1 and 3 per
+    (endpoint kind, QoS, publish period), in one pass over the endpoints
+    that looks each class up once for both.  The findings of the member
+    evaluated are stamped onto every other member with that member's own
+    entities and topic.  Classes key on QoS identity; ``parse_profiles``
+    interns equal profiles, and an equal but distinct profile only costs
+    one more evaluation.
     """
     env = environment if environment is not None else EnvironmentModel()
     plan = pairings if pairings is not None else build_pairing_plan(profile_set)
-
-    endpoints = [profile_set.profiles[name] for name in sorted(profile_set.profiles)]
-    periods = [env.publish_period_for(e.profile_name) for e in endpoints]
     found: list[Finding] = []
 
-    def endpoint_stage(stage: int) -> None:
-        by_class: dict[tuple, list[Finding]] = {}
-        for endpoint, pp in zip(endpoints, periods):
-            key = (endpoint.endpoint_kind, id(endpoint.qos), pp)
-            findings = by_class.get(key)
-            if findings is None:
-                # The member evaluated first: its findings already name it.
-                findings = by_class[key] = evaluate_endpoint_rules(endpoint, stage, rtt=env.rtt, pp=pp)
-                found.extend(findings)
-            else:
-                entities = (endpoint.entity,)
-                found.extend(_stamped(o, entities, endpoint.topic_name) for o in findings)
+    by_class: dict[tuple, list[Finding]] = {}
+    for name in sorted(profile_set.profiles):
+        endpoint = profile_set.profiles[name]
+        pp = env.publish_period_for(name)
+        key = (endpoint.endpoint_kind, id(endpoint.qos), pp)
+        findings = by_class.get(key)
+        if findings is None:
+            # The member evaluated first: its findings already name it.
+            findings = by_class[key] = evaluate_endpoint_rules(endpoint, 1, rtt=env.rtt, pp=pp)
+            findings += evaluate_endpoint_rules(endpoint, 3, rtt=env.rtt, pp=pp)
+            found += findings
+        else:
+            found += _stamped(findings, (endpoint,), endpoint.topic_name)
 
-    endpoint_stage(1)
     by_pair_class: dict[tuple[int, int], list[Finding]] = {}
     for pairing in plan:
         writer = profile_set.profiles[pairing.writer]
@@ -308,12 +306,9 @@ def run_pipeline(
         findings = by_pair_class.get(key)
         if findings is None:
             findings = by_pair_class[key] = evaluate_pair_rules(writer, reader)
-            found.extend(findings)
+            found += findings
         else:
-            entities = (writer.entity, reader.entity)
-            topic = pair_topic(writer, reader)
-            found.extend(_stamped(o, entities, topic) for o in findings)
-    endpoint_stage(3)
+            found += _stamped(findings, (writer, reader), pair_topic(writer, reader))
 
     violations = tuple(sorted((o for o in found if isinstance(o, Violation)), key=_sort_key))
     skipped = tuple(sorted((o for o in found if isinstance(o, SkippedRule)), key=_sort_key))
@@ -342,10 +337,11 @@ _ANSI_RESET = "\x1b[0m"
 
 
 def _human_report(report: Report, color: bool) -> str:
-    # Each level label is built once per report, and each entity's text once.
-    # Both tables key on identity: an Enum or EntityRef hash runs Python code,
-    # and the one EntityRef of an endpoint names it in every finding.  The
-    # report keeps every key alive, so no id is reused while rendering.
+    # Each level label is built once per report, and each endpoint's text once.
+    # Both tables key on identity: an Enum hash runs Python code, and an
+    # EndpointProfile hash hashes its whole QoS; one EndpointProfile names its
+    # endpoint in every finding.  The report keeps every key alive, so no id
+    # is reused while rendering.
     labels = {
         id(severity): (
             f"{_ANSI[severity.level]}{severity.level.upper()}{_ANSI_RESET}"
@@ -356,7 +352,7 @@ def _human_report(report: Report, color: bool) -> str:
     }
     texts: dict[int, str] = {}
 
-    def entity_list(entities: tuple[EntityRef, ...]) -> str:
+    def entity_list(entities: tuple[EndpointProfile, ...]) -> str:
         parts = []
         for e in entities:
             text = texts.get(id(e))
@@ -445,7 +441,7 @@ def _json_report(report: Report) -> str:
     enc = encode_basestring
     entity_json: dict[int, str] = {}  # by identity, as in _human_report
 
-    def entities(refs: tuple[EntityRef, ...]) -> str:
+    def entities(refs: tuple[EndpointProfile, ...]) -> str:
         parts = []
         for e in refs:
             text = entity_json.get(id(e))

@@ -72,10 +72,7 @@ LONG_MIN = -(2**31)
 LONG_MAX = 2**31 - 1
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
-ENDPOINT_TAGS = {
-    "data_writer": EndpointKind.DATA_WRITER,
-    "data_reader": EndpointKind.DATA_READER,
-}
+ENDPOINT_TAGS = {kind.value: kind for kind in EndpointKind}
 
 
 class ProfileLoadError(Exception):
@@ -567,16 +564,14 @@ def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
     """
     profiles: dict[str, EndpointProfile] = {}
     interned: dict[QosProfile, QosProfile] = {}
-    origins: dict[str, SourceLocation] = {}
     diagnostics: list[ParseDiagnostic] = []
     for document in documents:
         diagnostics.extend(document.diagnostics)
         for raw in document.endpoints:
-            location = SourceLocation(document.path, raw.line)
             if raw.profile_name in profiles:
                 raise ProfileLoadError(
                     f"duplicate profile name {raw.profile_name!r} "
-                    f"(first defined at {origins[raw.profile_name]})",
+                    f"(first defined at {profiles[raw.profile_name].source_location})",
                     path=document.path,
                     line=raw.line,
                 )
@@ -586,9 +581,8 @@ def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
                 endpoint_kind=raw.endpoint_kind,
                 qos=interned.setdefault(qos, qos),
                 topic_name=raw.topic_name,
-                source_location=location,
+                source_location=SourceLocation(document.path, raw.line),
             )
-            origins[raw.profile_name] = location
     return ProfileSet(profiles=profiles, diagnostics=tuple(diagnostics))
 
 

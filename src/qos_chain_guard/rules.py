@@ -63,7 +63,8 @@ qos)`` for a pair rule, which reads neither environment input (else
 ``SkippedRule`` or None; ``evaluate_endpoint_rules`` and
 ``evaluate_pair_rules`` check scope, name the entities and find the topic
 once per call, and return the findings of a stage in rule order.  A finding
-names an endpoint by its one shared ``endpoint.entity``.
+names each endpoint by its ``EndpointProfile``: ``(endpoint,)`` or
+``(writer, reader)``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .model import (
     Duration,
     EndpointKind,
     EndpointProfile,
-    EntityRef,
     PARAMETERS,
     format_nanoseconds,
 )
@@ -121,7 +121,7 @@ class Violation:
     identifier: str
     stage: int
     severity: Severity
-    entities: tuple[EntityRef, ...]
+    entities: tuple[EndpointProfile, ...]
     topic_name: str | None
     message: str
     suggestion: str
@@ -132,7 +132,7 @@ class SkippedRule:
     rule_id: int
     identifier: str
     stage: int
-    entities: tuple[EntityRef, ...]
+    entities: tuple[EndpointProfile, ...]
     reason: SkipReason
 
 
@@ -758,7 +758,8 @@ def pair_topic(writer: EndpointProfile, reader: EndpointProfile) -> str | None:
 
 
 def _finding(
-    rule: Rule, result: SkipReason | tuple[str, str], entities: tuple[EntityRef, ...], topic_name: str | None
+    rule: Rule, result: SkipReason | tuple[str, str],
+    entities: tuple[EndpointProfile, ...], topic_name: str | None,
 ) -> Finding:
     """The finding a rule's non-clean ``outcome`` result stands for."""
     if isinstance(result, SkipReason):
@@ -795,7 +796,7 @@ def evaluate_rule(
         if writer is None or reader is None:
             raise ValueError(f"rule {rule.id} is pair-scoped and needs both endpoints")
         result = rule.outcome(writer.qos, reader.qos)
-        entities, topic_name = (writer.entity, reader.entity), pair_topic(writer, reader)
+        entities, topic_name = (writer, reader), pair_topic(writer, reader)
     else:
         if writer is not None and reader is not None:
             raise ValueError(f"rule {rule.id} is single-endpoint but got a pair")
@@ -807,7 +808,7 @@ def evaluate_rule(
         if endpoint is None:
             raise ValueError(f"rule {rule.id} needs an endpoint")
         result = rule.outcome(endpoint.qos, rtt, pp)
-        entities, topic_name = (endpoint.entity,), endpoint.topic_name
+        entities, topic_name = (endpoint,), endpoint.topic_name
     return None if result is None else _finding(rule, result, entities, topic_name)
 
 
@@ -841,7 +842,7 @@ def evaluate_endpoint_rules(
 ) -> list[Finding]:
     """The findings of every scope-applicable single-endpoint rule of a stage."""
     q = endpoint.qos
-    entities = (endpoint.entity,)
+    entities = (endpoint,)
     topic_name = endpoint.topic_name
     findings = []
     # _APPLICABLE holds only the rules whose scope admits this kind.
@@ -859,7 +860,7 @@ def evaluate_pair_rules(writer: EndpointProfile, reader: EndpointProfile) -> lis
     if reader.endpoint_kind is not EndpointKind.DATA_READER:
         raise ValueError(f"{reader.profile_name!r} is not a DataReader")
     w, r = writer.qos, reader.qos
-    entities = (writer.entity, reader.entity)
+    entities = (writer, reader)
     topic_name = pair_topic(writer, reader)
     findings = []
     for rule in _BY_STAGE[2]:

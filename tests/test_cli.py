@@ -326,6 +326,28 @@ def test_package_runs_as_a_module(fixtures, capsys):
         assert check.stdout.decode("utf-8") == capsys.readouterr().out
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["check", "rules", "graph"])
+def test_unwritable_stdout_exits_2_with_one_error_line(fixtures, command, buffered):
+    # Buffered, the write succeeds and the flush fails; then the interpreter
+    # flushes again at exit.  Unbuffered, the write itself fails.
+    src = str(Path(qos_chain_guard.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    args = [command, fixtures["clean"]] if command == "check" else [command]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "qos_chain_guard", *args],
+            env=env, stdout=full, stderr=subprocess.PIPE, timeout=60,
+        )
+    lines = done.stderr.decode("utf-8").splitlines()
+    assert done.returncode == 2
+    assert len(lines) == 1 and lines[0].startswith("qos-chain-guard: error: cannot write output: ")
+
+
 # Run in a fresh interpreter: ``check`` on argv[1], then ``graph``.  Prints
 # the modules of UNUSED loaded after each, as JSON.
 _STARTUP_PROBE = """

@@ -8,7 +8,16 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qos_chain_guard.model import DurabilityKind, Duration, EndpointKind, ReliabilityKind, SourceLocation
+from qos_chain_guard import pipeline
+from qos_chain_guard.model import (
+    DurabilityKind,
+    Duration,
+    EndpointKind,
+    EndpointProfile,
+    ReliabilityKind,
+    SourceLocation,
+    default_qos,
+)
 from qos_chain_guard.pipeline import (
     EnvironmentLoadError,
     EnvironmentModel,
@@ -23,7 +32,6 @@ from qos_chain_guard.pipeline import (
 )
 from qos_chain_guard.profiles import ParseDiagnostic, ProfileSet, parse_document, parse_profiles
 from qos_chain_guard.rules import (
-    EntityRef,
     Severity,
     SkipReason,
     SkippedRule,
@@ -129,10 +137,11 @@ def test_topic_cross_product():
 def test_unbound_endpoints_pair_only_via_directives():
     ps = profile_set(writer("w1", topic=None), reader("r1", topic=None))
     assert build_pairing_plan(ps) == ()
-    plan = build_pairing_plan(ps, [("w1", "r1")])
-    assert len(plan) == 1
-    assert plan[0].origin is PairOrigin.EXPLICIT_DIRECTIVE
-    assert plan[0].topic_name is None
+    for directives in ([("w1", "r1")], [("w1", "r1"), ("w1", "r1")]):
+        plan = build_pairing_plan(ps, directives)
+        assert len(plan) == 1
+        assert plan[0].origin is PairOrigin.EXPLICIT_DIRECTIVE
+        assert plan[0].topic_name is None
 
 
 def test_directives_deduplicate_against_topic_pairs():
@@ -441,6 +450,42 @@ def test_class_evaluation_matches_per_endpoint_evaluation():
     assert (21, "cam_b", None) in fired and (21, "cam_a", "cam/a") in fired
 
 
+def test_class_evaluation_runs_once_per_class(monkeypatch):
+    ps = parse_profiles(
+        [parse_document(_CLASS_DOC_A, "a.xml"), parse_document(_CLASS_DOC_B, "b.xml")]
+    )
+    env = load_environment(
+        '{"rtt_ms": 100, "default_publish_period_ms": 50, "publish_period_ms": {"cam_b": 100}}'
+    )
+    plan = build_pairing_plan(ps, [("cam_b", "strict_b")])
+    # Classes by value, so an evaluation per member would show as a repeat.
+    evaluated: dict[int, list] = {1: [], 2: [], 3: []}
+    endpoint_rules, pair_rules = pipeline.evaluate_endpoint_rules, pipeline.evaluate_pair_rules
+
+    def counted_endpoint_rules(endpoint, stage, rtt=None, pp=None):
+        evaluated[stage].append((endpoint.endpoint_kind, endpoint.qos, pp))
+        return endpoint_rules(endpoint, stage, rtt=rtt, pp=pp)
+
+    def counted_pair_rules(writer, reader):
+        evaluated[2].append((writer.qos, reader.qos))
+        return pair_rules(writer, reader)
+
+    monkeypatch.setattr(pipeline, "evaluate_endpoint_rules", counted_endpoint_rules)
+    monkeypatch.setattr(pipeline, "evaluate_pair_rules", counted_pair_rules)
+    run_pipeline(ps, env, plan)
+
+    endpoint_classes = {
+        (e.endpoint_kind, e.qos, env.publish_period_for(e.profile_name)) for e in ps.profiles.values()
+    }
+    pair_classes = {(ps.profiles[p.writer].qos, ps.profiles[p.reader].qos) for p in plan}
+    # Fewer classes than members, or the gate would show nothing.
+    assert (len(endpoint_classes), len(pair_classes)) == (4, 2)
+    assert (len(ps.profiles), len(plan)) == (6, 3)
+    for stage, classes in ((1, endpoint_classes), (2, pair_classes), (3, endpoint_classes)):
+        assert len(evaluated[stage]) == len(classes)
+        assert set(evaluated[stage]) == classes
+
+
 # -- JSON rendering ------------------------------------------------------------
 
 
@@ -512,19 +557,15 @@ _durations = st.one_of(st.integers(1, 10**6), st.integers(1, 10**9).map(lambda n
 @st.composite
 def _reports(draw) -> Report:
     # A small pool of endpoints, so the rows name the same entity many times,
-    # and distinct entities may share a profile name.
-    pool = draw(
-        st.lists(
-            st.builds(
-                EntityRef,
-                st.sampled_from(["w", "r"]) | _text,
-                st.sampled_from(EndpointKind),
-                st.builds(SourceLocation, _text, _ints),
-            ),
-            min_size=1,
-            max_size=4,
-        )
+    # and distinct entities may share a profile name (never empty: an
+    # EndpointProfile rejects that).
+    endpoint = st.builds(
+        lambda name, kind, location: EndpointProfile(name, kind, default_qos(kind), None, location),
+        st.sampled_from(["w", "r"]) | _text.filter(bool),
+        st.sampled_from(EndpointKind),
+        st.builds(SourceLocation, _text, _ints),
     )
+    pool = draw(st.lists(endpoint, min_size=1, max_size=4))
     entities = st.lists(st.sampled_from(pool), min_size=1, max_size=2).map(tuple)
     violation = st.builds(
         Violation, _ints, _text, _ints, st.sampled_from(Severity), entities, _topics, _text, _text

@@ -476,10 +476,11 @@ def test_evaluate_endpoint_rules_matches_evaluate_rule(rule_id):
                             assert getattr(outcome, "reason", None) is not SkipReason.MISSING_ENV_PP
 
 
-def test_entity_ref_is_one_object_per_endpoint():
+def test_findings_name_the_endpoint_objects():
     violating, _ = RULE_FIXTURES[20]
     w, r = writer(**violating.writer), reader(**violating.reader)
-    assert w.entity is w.entity
-    assert evaluate_pair_rules(w, r)[0].entities[0] is w.entity
-    assert evaluate_endpoint_rules(r, 3)[0].entities == (r.entity,)  # skipped: no pp
-    assert str(w.entity) == "w1(DataWriter)@<test>:1"
+    pair = evaluate_pair_rules(w, r)[0].entities
+    assert pair[0] is w and pair[1] is r
+    (entity,) = evaluate_endpoint_rules(r, 3)[0].entities  # skipped: no pp
+    assert entity is r
+    assert str(w) == "w1(DataWriter)@<test>:1"
