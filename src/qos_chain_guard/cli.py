@@ -14,6 +14,8 @@ JSON always goes to stdout; errors and logs go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -170,15 +172,9 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    command = {"check": _cmd_check, "rules": _cmd_rules, "graph": _cmd_graph}[args.command]
-    try:
-        output, code = command(args)
-    except (ProfileLoadError, PairingError, EnvironmentLoadError) as exc:
-        print(f"qos-chain-guard: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _write_output(output: str, code: int) -> int:
+    """Write ``output`` to stdout and return ``code``, or EXIT_USAGE with
+    one error line when stdout cannot be written."""
     try:
         sys.stdout.write(output)
         sys.stdout.flush()
@@ -187,6 +183,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         _discard_stdout()
         return EXIT_USAGE
     return code
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_arg_parser()
+    # argparse prints --help and --version itself and ignores a failed write,
+    # so what it prints is caught here and written like any other output.
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 0:  # a usage error, already reported on stderr
+            raise
+        return _write_output(printed.getvalue(), EXIT_CLEAN)
+    command = {"check": _cmd_check, "rules": _cmd_rules, "graph": _cmd_graph}[args.command]
+    try:
+        output, code = command(args)
+    except (ProfileLoadError, PairingError, EnvironmentLoadError) as exc:
+        print(f"qos-chain-guard: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return _write_output(output, code)
 
 
 def run() -> None:

@@ -31,14 +31,21 @@ hex strings; partition names are <name> elements inside <names>.
 
 A parameter absent from a policy element takes the endpoint kind's OMG
 default (``default_qos``); an endpoint's policy element still replaces the
-topic's as a whole.  One walker, ``_parse_params``, reads the children of
-every element but <profiles> and <names> (whose children repeat by design)
-in document order: an unknown child is skipped with an info note and never
-aborts a parse, and a repeated child is a load error, ``duplicate <X>
-element in <Y>``.  A child element of a value element, such as <x/> in
-``<depth>5<x/></depth>``, is unknown too, and ``_leaf`` notes it; text
-inside an element that holds elements is ignored without a note.  Parse
-notes follow document order.
+topic's as a whole.
+
+A document is read in two passes.  ``_parse_xml`` first builds a slim tree
+with expat: each element is a ``_Node``, the list of its child elements with
+slots for its tag, opening-tag line, attributes and text.  Text arrives
+buffered, and each element's runs of text are joined once, when it closes.
+So malformed XML anywhere in a document is reported before any bad value.
+One walker, ``_parse_params``, then reads the children of every element but
+<profiles> and <names> (whose children repeat by design) in document order:
+an unknown child is skipped with an info note and never aborts a parse, and
+a repeated child is a load error, ``duplicate <X> element in <Y>``.  A child
+element of a value element, such as <x/> in ``<depth>5<x/></depth>``, is
+unknown too, and the walker notes it (``_leaf`` registers the parsers of
+value elements); text inside an element that holds elements is ignored
+without a note.  Parse notes follow document order.
 """
 
 from __future__ import annotations
@@ -66,6 +73,9 @@ from .model import (
 
 INFINITY_TOKEN = "DURATION_INFINITY"
 UNLIMITED_TOKEN = "UNLIMITED"
+# Shared by every infinite duration and unlimited count: values are frozen.
+_INFINITE = Duration.infinite()
+_UNLIMITED = Count.unlimited()
 
 # DDS's ``long``, the type of history depth, ownership strength and counts.
 LONG_MIN = -(2**31)
@@ -101,41 +111,50 @@ class ParseDiagnostic:
         return f"{self.level.upper()} {self.path}:{self.line}: {self.message}"
 
 
-@dataclass
-class _Node:
-    """Minimal XML element with the line of its opening tag."""
+class _Node(list):
+    """One XML element.  Like ElementTree's ``Element``, a node is the list
+    of its child elements, in document order; a value element is an empty
+    list.  Its slots hold the tag, the line of its opening tag and the
+    attributes; ``raw`` is the text directly inside it, every run joined in
+    document order, and ``text`` is ``raw`` stripped.  A node has no
+    ``__dict__`` and no list besides itself."""
 
-    tag: str
-    line: int
-    attrib: dict[str, str]
-    children: list["_Node"] = field(default_factory=list)
-    text_parts: list[str] = field(default_factory=list)
-
-    @property
-    def text(self) -> str:
-        return "".join(self.text_parts).strip()
+    __slots__ = ("tag", "line", "attrib", "raw", "text")
 
 
 def _parse_xml(text: str, path: str) -> _Node:
     """Parse to a ``_Node`` tree, tracking opening-tag line numbers."""
     parser = expat.ParserCreate()
-    root: list[_Node] = []
-    stack: list[_Node] = []
+    # Each run of text then arrives in as few calls as expat's buffer allows.
+    parser.buffer_text = True
+    top = _Node()  # holds the root element
+    stack = [top]
+    # Text runs go to one list; an element's runs are those appended while it
+    # was the innermost open element, after its children's were taken out.
+    parts: list[str] = []
+    marks: list[int] = []
 
     def start(tag: str, attrs: dict[str, str]) -> None:
-        node = _Node(tag=tag, line=parser.CurrentLineNumber, attrib=attrs)
-        if stack:
-            stack[-1].children.append(node)
-        else:
-            root.append(node)
+        node = _Node()
+        node.tag = tag
+        node.line = parser.CurrentLineNumber
+        node.attrib = attrs
+        stack[-1].append(node)
         stack.append(node)
+        marks.append(len(parts))
 
     def end(tag: str) -> None:
-        stack.pop()
-
-    def chardata(data: str) -> None:
-        if stack:
-            stack[-1].text_parts.append(data)
+        node = stack.pop()
+        runs = len(parts) - marks.pop()
+        if runs == 1:
+            raw = parts.pop()
+        elif runs:
+            raw = "".join(parts[-runs:])
+            del parts[-runs:]
+        else:
+            raw = ""
+        node.raw = raw
+        node.text = raw.strip()
 
     def entity_decl(*args: object) -> None:
         raise ProfileLoadError(
@@ -146,7 +165,7 @@ def _parse_xml(text: str, path: str) -> _Node:
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
-    parser.CharacterDataHandler = chardata
+    parser.CharacterDataHandler = parts.append
     parser.EntityDeclHandler = entity_decl
     try:
         parser.Parse(text, True)
@@ -163,9 +182,9 @@ def _parse_xml(text: str, path: str) -> _Node:
         parser.EndElementHandler = None
         parser.CharacterDataHandler = None
         parser.EntityDeclHandler = None
-    if not root:
+    if not top:
         raise ProfileLoadError("document has no root element", path=path)
-    return root[0]
+    return top[0]
 
 
 @dataclass
@@ -247,6 +266,24 @@ class Codec:
     render: Callable[[str, object, str], list[str]]
 
 
+def _note_children(node: _Node, path: str, diags: list[ParseDiagnostic]) -> None:
+    """Note each child element of a value element, which holds only text."""
+    for child in node:
+        _note_unknown(child, f"<{node.tag}>", path, diags)
+
+
+# The parsers of value elements, registered by ``_leaf``.
+_LEAVES: set[Parser] = set()
+
+
+def _leaf(parse: Parser) -> Parser:
+    """Register ``parse`` as the parser of a value element: ``_parse_params``
+    notes each child element of its node.  ``parse`` itself is returned, so a
+    codec that calls another notes nothing twice."""
+    _LEAVES.add(parse)
+    return parse
+
+
 def _parse_params(
     node: _Node, parsers: dict[str, Parser], label: str, path: str, diags: list[ParseDiagnostic]
 ) -> dict[str, object]:
@@ -256,60 +293,53 @@ def _parse_params(
     child gets an info note; a repeated child is a load error.
     """
     values: dict[str, object] = {}
-    for child in node.children:
-        parse = parsers.get(child.tag)
+    for child in node:
+        tag = child.tag
+        parse = parsers.get(tag)
         if parse is None:
             _note_unknown(child, f"<{node.tag}>", path, diags)
-        elif child.tag in values:
-            raise ProfileLoadError(f"duplicate <{child.tag}> element in <{node.tag}>", path, child.line)
+        elif tag in values:
+            raise ProfileLoadError(f"duplicate <{tag}> element in <{node.tag}>", path, child.line)
         else:
-            values[child.tag] = parse(child, label, path, diags)
+            if child and parse in _LEAVES:
+                _note_children(child, path, diags)
+            values[tag] = parse(child, label, path, diags)
     return values
-
-
-def _leaf(parse: Parser) -> Parser:
-    """``parse`` for a value element, which holds only text: each child
-    element gets an unknown-element note.  Every leaf parser in the tables
-    is wrapped once, so a codec that calls another notes nothing twice."""
-
-    def parse_leaf(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> object:
-        for child in node.children:
-            _note_unknown(child, f"<{node.tag}>", path, diags)
-        return parse(node, context, path, diags)
-
-    return parse_leaf
 
 
 def _element(tag: str, body: object, indent: str) -> list[str]:
     return [f"{indent}<{tag}>{body}</{tag}>"]
 
 
-def _parse_int(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int | None:
+def _parse_int(node: _Node, context: str, path: str) -> int | None:
     """An XML Schema integer: ``int()`` alone would also take ``1_000`` and non-ASCII digits.
 
     None stands for a value too long for ``int()`` (past 4300 digits), which
     is outside every parameter's range; the caller's range error echoes it.
     """
-    if not _INTEGER.fullmatch(node.text):
-        raise _bad_value(node, context, f"expected an integer, got {shorten_literal(node.text)}", path)
+    text = node.text
+    if not _INTEGER.fullmatch(text):
+        raise _bad_value(node, context, f"expected an integer, got {shorten_literal(text)}", path)
     try:
-        return int(node.text)
+        return int(text)
     except ValueError:  # past Python's digit limit, perhaps only by leading zeros
-        sign = "-" if node.text.startswith("-") else ""
+        sign = "-" if text.startswith("-") else ""
         try:
-            return int(sign + (node.text.lstrip("+-").lstrip("0") or "0"))
+            return int(sign + (text.lstrip("+-").lstrip("0") or "0"))
         except ValueError:
             return None
 
 
+@_leaf
 def _parse_long(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
-    value = _parse_int(node, context, path, diags)
+    value = _parse_int(node, context, path)
     if value is None or not LONG_MIN <= value <= LONG_MAX:
         got = shorten_literal(node.text)
         raise _bad_value(node, context, f"{got} is outside the 32-bit range [{LONG_MIN}, {LONG_MAX}]", path)
     return value
 
 
+@_leaf
 def _parse_bool(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> bool:
     token = node.text.lower()
     if token == "true":
@@ -319,6 +349,7 @@ def _parse_bool(node: _Node, context: str, path: str, diags: list[ParseDiagnosti
     raise _bad_value(node, context, f"expected true or false, got {shorten_literal(node.text)}", path)
 
 
+@_leaf
 def _parse_bytes(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> bytes:
     try:
         return bytes.fromhex("".join(node.text.split()))
@@ -327,12 +358,13 @@ def _parse_bytes(node: _Node, context: str, path: str, diags: list[ParseDiagnost
         raise _bad_value(node, context, f"expected a hex string, got {got}", path) from None
 
 
+@_leaf
 def _parse_count(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Count:
     if node.text.upper() == UNLIMITED_TOKEN:
-        return Count.unlimited()
+        return _UNLIMITED
     value = _parse_long(node, context, path, diags)
     if value == -1:  # conventional vendor alias for unlimited
-        return Count.unlimited()
+        return _UNLIMITED
     if value < 0:
         raise _bad_value(node, context, f"count must be nonnegative, -1, or {UNLIMITED_TOKEN}", path)
     return Count(value)
@@ -342,29 +374,33 @@ def _count_token(value: Count) -> object:
     return UNLIMITED_TOKEN if value.is_unlimited else value.value
 
 
+_SEC_MAX = NANOSECONDS_MAX // NANOSECONDS_PER_SECOND
+
+
+@_leaf
 def _parse_duration_part(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
     """``<sec>`` or ``<nanosec>``.  A part past its range on its own is
     rejected here, so the error can echo the literal as written."""
-    value = _parse_int(node, context, path, diags)
-    got = shorten_literal(node.text)
+    value = _parse_int(node, context, path)
     if node.tag == "sec":
-        if value is not None and value <= NANOSECONDS_MAX // NANOSECONDS_PER_SECOND:
+        if value is not None and value <= _SEC_MAX:
             return value
-        message = f"duration overflows the 64-bit range: sec {got}"
+        message = "duration overflows the 64-bit range: sec "
     elif value is not None and value < NANOSECONDS_PER_SECOND:
         return value
     else:
-        message = f"nanosec must be below {NANOSECONDS_PER_SECOND}, got {got}"
-    raise ProfileLoadError(f"{context}: {message}", path, node.line)
+        message = f"nanosec must be below {NANOSECONDS_PER_SECOND}, got "
+    raise ProfileLoadError(f"{context}: {message}{shorten_literal(node.text)}", path, node.line)
 
 
-_SEC_NANOSEC = dict.fromkeys(("sec", "nanosec"), _leaf(_parse_duration_part))
-_parse_infinite = _leaf(lambda *_: Duration.infinite())
+_SEC_NANOSEC = dict.fromkeys(("sec", "nanosec"), _parse_duration_part)
 
 
 def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Duration:
     if node.text.upper() == INFINITY_TOKEN:
-        return _parse_infinite(node, context, path, diags)
+        if node:
+            _note_children(node, path, diags)
+        return _INFINITE
     parts = _parse_params(node, _SEC_NANOSEC, f"{context}.{node.tag}", path, diags)
     if not parts:
         got = shorten_literal(node.text)
@@ -373,7 +409,7 @@ def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagn
     if sec * NANOSECONDS_PER_SECOND + nanosec > NANOSECONDS_MAX:
         # Only the largest whole second gets here (a larger <sec> fails on its
         # own), so both parts are present, each once; quote them as written.
-        texts = {child.tag: child.text for child in node.children}
+        texts = {child.tag: child.text for child in node}
         sec_text, nanosec_text = (shorten_literal(texts[tag]) for tag in _SEC_NANOSEC)
         message = f"duration overflows the 64-bit range: sec {sec_text}, nanosec {nanosec_text}"
         raise _bad_value(node, context, message, path)
@@ -395,15 +431,13 @@ def _render_duration(tag: str, value: Duration, indent: str) -> list[str]:
     ]
 
 
-# Unstripped: "" and " " are distinct partition names.
-_parse_name = _leaf(lambda node, *_: "".join(node.text_parts))
-
-
 def _parse_names(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> tuple[str, ...]:
     names: list[str] = []
-    for child in node.children:
+    for child in node:
         if child.tag == "name":
-            names.append(_parse_name(child, context, path, diags))
+            if child:
+                _note_children(child, path, diags)
+            names.append(child.raw)  # unstripped: "" and " " are distinct partition names
         else:
             _note_unknown(child, f"<{node.tag}>", path, diags)
     return tuple(names)
@@ -432,12 +466,10 @@ def _enum_codec(enum_cls: type[enum.Enum]) -> Codec:
 
 
 _CODECS: dict[type, Codec] = {
-    bool: Codec(
-        _leaf(_parse_bool), lambda tag, value, indent: _element(tag, "true" if value else "false", indent)
-    ),
-    int: Codec(_leaf(_parse_long), _element),
-    bytes: Codec(_leaf(_parse_bytes), lambda tag, value, indent: _element(tag, value.hex(), indent)),
-    Count: Codec(_leaf(_parse_count), lambda tag, value, indent: _element(tag, _count_token(value), indent)),
+    bool: Codec(_parse_bool, lambda tag, value, indent: _element(tag, "true" if value else "false", indent)),
+    int: Codec(_parse_long, _element),
+    bytes: Codec(_parse_bytes, lambda tag, value, indent: _element(tag, value.hex(), indent)),
+    Count: Codec(_parse_count, lambda tag, value, indent: _element(tag, _count_token(value), indent)),
     Duration: Codec(_parse_duration, _render_duration),
     tuple: Codec(_parse_names, _render_names),
 }
@@ -536,7 +568,7 @@ def parse_document(text: str, path: str = "<string>") -> ProfileDocument:
         )
 
     endpoints: list[RawEndpoint] = []
-    for child in profiles_node.children:
+    for child in profiles_node:
         kind = ENDPOINT_TAGS.get(child.tag)
         if kind is None:
             _note_unknown(child, "<profiles>", path, diags)

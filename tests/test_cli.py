@@ -328,10 +328,11 @@ def test_package_runs_as_a_module(fixtures, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", ["check", "rules", "graph"])
+@pytest.mark.parametrize("command", ["check", "rules", "graph", "--version", "--help"])
 def test_unwritable_stdout_exits_2_with_one_error_line(fixtures, command, buffered):
     # Buffered, the write succeeds and the flush fails; then the interpreter
-    # flushes again at exit.  Unbuffered, the write itself fails.
+    # flushes again at exit.  Unbuffered, the write itself fails.  argparse
+    # prints --version and --help itself and ignores a failed write.
     src = str(Path(qos_chain_guard.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=src, PYTHONIOENCODING="utf-8")

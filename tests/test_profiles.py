@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import enum
 import gc
+import importlib.util
 import re
+import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from xml.parsers import expat
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -777,6 +780,177 @@ def test_parse_serialize_parse_is_identity(ps):
     assert serialize_canonical(once) == text
 
 
+# -- the tree against the builder it replaced ----------------------------------
+#
+# The tree builder as it was before nodes became slim lists: one dataclass
+# per element, with a second list for its runs of text.  Both references
+# below read this tree, so neither runs the builder under test.
+
+
+@dataclass
+class _ReferenceNode:
+    """Minimal XML element with the line of its opening tag."""
+
+    tag: str
+    line: int
+    attrib: dict[str, str]
+    children: list["_ReferenceNode"] = field(default_factory=list)
+    text_parts: list[str] = field(default_factory=list)
+
+    @property
+    def text(self) -> str:
+        return "".join(self.text_parts).strip()
+
+
+def _reference_parse_xml(text: str, path: str) -> _ReferenceNode:
+    """Parse to a ``_ReferenceNode`` tree, tracking opening-tag line numbers."""
+    parser = expat.ParserCreate()
+    root: list[_ReferenceNode] = []
+    stack: list[_ReferenceNode] = []
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        node = _ReferenceNode(tag=tag, line=parser.CurrentLineNumber, attrib=attrs)
+        if stack:
+            stack[-1].children.append(node)
+        else:
+            root.append(node)
+        stack.append(node)
+
+    def end(tag: str) -> None:
+        stack.pop()
+
+    def chardata(data: str) -> None:
+        if stack:
+            stack[-1].text_parts.append(data)
+
+    def entity_decl(*args: object) -> None:
+        raise ProfileLoadError(
+            "XML entity declarations are not supported",
+            path=path,
+            line=parser.CurrentLineNumber,
+        )
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chardata
+    parser.EntityDeclHandler = entity_decl
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise ProfileLoadError(
+            f"malformed XML at column {exc.offset + 1}: {expat.errors.messages[exc.code]}",
+            path=path,
+            line=exc.lineno,
+        ) from exc
+    finally:
+        # The handlers close over ``parser``; dropping them breaks the
+        # cycle, so the tree is freed by reference counting, not by the GC.
+        parser.StartElementHandler = None
+        parser.EndElementHandler = None
+        parser.CharacterDataHandler = None
+        parser.EntityDeclHandler = None
+    if not root:
+        raise ProfileLoadError("document has no root element", path=path)
+    return root[0]
+
+
+def _slim(node: _ReferenceNode) -> profiles._Node:
+    """``node`` as the walker's node type, for the policy parsers both sides share."""
+    slim = profiles._Node(map(_slim, node.children))
+    slim.tag, slim.line, slim.attrib = node.tag, node.line, node.attrib
+    slim.raw = "".join(node.text_parts)
+    slim.text = slim.raw.strip()
+    return slim
+
+
+def _fuzz_documents():
+    # Imported on first draw: test_fuzz_cli imports this module.
+    from test_fuzz_cli import _profile_documents
+
+    return _profile_documents()
+
+
+def _assert_same_tree(actual: profiles._Node, expected: _ReferenceNode) -> None:
+    pending = [(actual, expected)]
+    while pending:
+        node, reference = pending.pop()
+        assert type(node) is profiles._Node and not hasattr(node, "__dict__")
+        assert (node.tag, node.line, node.attrib) == (reference.tag, reference.line, reference.attrib)
+        assert (node.text, node.raw) == (reference.text, "".join(reference.text_parts)), node.tag
+        assert len(node) == len(reference.children), node.tag
+        pending.extend(zip(node, reference.children))
+
+
+def _parsed(parse, text: str):
+    """(load error message, None) or (None, what ``parse`` returned)."""
+    try:
+        return None, parse(text, "doc.xml")
+    except ProfileLoadError as exc:
+        return str(exc), None
+
+
+def _assert_builds_as_the_reference(text: str) -> None:
+    expected_error, expected = _parsed(_reference_parse_xml, text)
+    error, actual = _parsed(profiles._parse_xml, text)
+    assert error == expected_error
+    if error is None:
+        _assert_same_tree(actual, expected)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.deferred(_fuzz_documents))
+def test_tree_matches_the_reference_builder_on_fuzz_documents(text):
+    _assert_builds_as_the_reference(text)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["wide", "class-heavy", "dense", "desk"])
+def test_tree_matches_the_reference_builder_on_benchmark_documents(workload):
+    workloads = _perfbench_workloads()
+    for endpoints in workloads.generate(workload, 7).files:
+        _assert_builds_as_the_reference(workloads.emit_document(endpoints))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<profiles>\n  <x a='1'>\n    <y>v &amp; w</y>\n  </x>tail\n</profiles>",
+        "<profiles><x>5<bogus/> 6 </x></profiles>",
+        '<!DOCTYPE profiles [<!ENTITY x "boom">]>\n<profiles/>',
+        "<profiles>\n<x></profiles>",
+        "",
+    ],
+    ids=["mixed", "split", "entity", "malformed", "empty"],
+)
+def test_tree_matches_the_reference_builder_on_fixed_documents(text):
+    _assert_builds_as_the_reference(text)
+
+
+def test_long_text_spanning_expat_buffers_is_kept_whole():
+    # Over 8 KiB with newlines and entity references: expat hands such a run
+    # over in several calls, even with its text buffered.
+    line = "  a &amp; b\n"
+    body = line * 1200
+    assert len(body) > 8 * 1024
+    text = (
+        '<profiles><data_writer profile_name="w"><topic><name>' + body + "</name></topic>"
+        "<qos><partition><names><name>" + body + "</name></names></partition></qos>"
+        "</data_writer></profiles>"
+    )
+    expected = body.replace("&amp;", "&")
+    (raw,) = parse_document(text).endpoints
+    assert raw.topic_name == expected.strip()
+    assert raw.endpoint_qos.partition.names == (expected,)
+
+
 # -- the walker against the parser it replaced --------------------------------
 #
 # The endpoint, <qos> and <dds> levels as they were before one walker read
@@ -801,7 +975,7 @@ def _reference_qos(node, kind: EndpointKind, path: str, diags: list) -> QosProfi
             raise ProfileLoadError(f"duplicate <{child.tag}> policy element", path, child.line)
         else:
             parse = profiles._policy_parser(child.tag, getattr(defaults, child.tag))
-            policies[child.tag] = parse(child, "qos", path, diags)
+            policies[child.tag] = parse(_slim(child), "qos", path, diags)
     return QosProfile(**policies)
 
 
@@ -845,7 +1019,7 @@ def _reference_endpoint(node, kind: EndpointKind, path: str, diags: list) -> pro
 
 
 def _reference_parse_document(text: str, path: str):
-    root = profiles._parse_xml(text, path)
+    root = _reference_parse_xml(text, path)
     diags: list = []
     if root.tag == "dds":
         profiles_node = _reference_only_child(root, "profiles", path)
@@ -877,25 +1051,10 @@ def _reference_parse_document(text: str, path: str):
     return profiles.ProfileDocument(path=path, endpoints=endpoints, diagnostics=diags)
 
 
-def _fuzz_documents():
-    # Imported on first draw: test_fuzz_cli imports this module.
-    from test_fuzz_cli import _profile_documents
-
-    return _profile_documents()
-
-
-def _parsed(parse, text: str):
-    """(load error message, None) or (None, document)."""
-    try:
-        return None, parse(text, "doc.xml")
-    except ProfileLoadError as exc:
-        return str(exc), None
-
-
 def _topic_child_tags(text: str) -> list[list[str]]:
     """The child tags of each <topic> in ``text``; none if it is not XML."""
     try:
-        stack = [profiles._parse_xml(text, "doc.xml")]
+        stack = [_reference_parse_xml(text, "doc.xml")]
     except ProfileLoadError:
         return []
     topics = []

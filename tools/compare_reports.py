@@ -16,14 +16,16 @@ No workload has an unknown element, so no workload report has a parse
 note.  Both sides therefore also run ``check`` on one fixed noisy document,
 ``NOISY_DOCUMENT``, in the same three forms: it has unknown elements under
 ``<dds>``, ``<profiles>``, an endpoint, ``<qos>``, a policy and a duration,
-and none inside ``<topic>``.
+and none inside ``<topic>``.  No workload fails to load either, so both
+sides run ``check`` on each of ``LOAD_ERROR_DOCUMENTS``, whose one error
+line goes to stderr.
 
 One line is printed per case.  A last line lists the rules that fired in
 no ``check`` case of the working tree, read from its JSON reports: a seed
 set that leaves a rule's message unexercised says so.  The exit code is 1
-if the stdout or the exit code of any case differs between the two sides,
-0 otherwise.  Needs only
-the standard library and git; run it from anywhere inside the repository.
+if the exit code, the stdout or the stderr of any case differs between the
+two sides, 0 otherwise.  Needs only the standard library and git; run it
+from anywhere inside the repository.
 """
 
 from __future__ import annotations
@@ -66,6 +68,29 @@ NOISY_DOCUMENT = """<?xml version="1.0" encoding="UTF-8"?>
   </profiles>
 </dds>
 """
+# One document per kind of load error, each naming its line (and column).
+LOAD_ERROR_DOCUMENTS = {
+    "malformed.xml": '<profiles>\n  <data_writer profile_name="w">\n    <qos></data_writer>\n</profiles>\n',
+    "entity.xml": '<!DOCTYPE profiles [<!ENTITY boom "boom">]>\n<profiles/>\n',
+    "bad_integer.xml": (
+        '<profiles>\n  <data_writer profile_name="w">\n'
+        "    <qos><history><kind>KEEP_LAST</kind><depth>1_000</depth></history></qos>\n"
+        "  </data_writer>\n</profiles>\n"
+    ),
+    "nanosec.xml": (
+        '<profiles>\n  <data_reader profile_name="r">\n'
+        "    <qos><deadline><period><sec>1</sec><nanosec>1000000000</nanosec></period></deadline></qos>\n"
+        "  </data_reader>\n</profiles>\n"
+    ),
+    "duplicate_history.xml": (
+        '<profiles>\n  <data_writer profile_name="w">\n    <qos>\n'
+        "      <history><depth>1</depth></history>\n      <history><depth>2</depth></history>\n"
+        "    </qos>\n  </data_writer>\n</profiles>\n"
+    ),
+    "empty_name.xml": '<profiles>\n  <data_writer profile_name=""/>\n</profiles>\n',
+    "dds_without_profiles.xml": "<dds>\n  <log_config/>\n</dds>\n",
+    "wrong_root.xml": "<qos_profiles>\n  <profiles/>\n</qos_profiles>\n",
+}
 CHECK_FORMS = (("json", ()), ("human", ()), ("human", ("--color", "on")))
 
 
@@ -98,27 +123,33 @@ def cases(seeds: list[int], directory: str):
         handle.write(NOISY_DOCUMENT)
     for fmt, color in CHECK_FORMS:
         yield " ".join([f"check noisy.xml --format {fmt}", *color]), ["check", noisy, "--format", fmt, *color]
+    for name, document in LOAD_ERROR_DOCUMENTS.items():
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(document)
+        yield f"check {name}", ["check", path, "--format", "json"]
 
 
-def run_side(src: str, argv: list[str]) -> tuple[int, bytes]:
+def run_side(src: str, argv: list[str]) -> tuple[int, bytes, bytes]:
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-m", "qos_chain_guard.cli", *argv], env=env, capture_output=True
     )
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
-def difference(base: tuple[int, bytes], head: tuple[int, bytes]) -> str | None:
-    """How two (exit code, stdout) results differ, or None if they do not."""
+def difference(base: tuple[int, bytes, bytes], head: tuple[int, bytes, bytes]) -> str | None:
+    """How two (exit code, stdout, stderr) results differ, or None if they do not."""
     if base[0] != head[0]:
         return f"exit code {base[0]} vs {head[0]}"
-    if base[1] != head[1]:
-        base_lines, head_lines = base[1].splitlines(), head[1].splitlines()
-        line = next(
-            (i for i, (a, b) in enumerate(zip(base_lines, head_lines), 1) if a != b),
-            min(len(base_lines), len(head_lines)) + 1,
-        )
-        return f"stdout differs from line {line} ({len(base[1])} vs {len(head[1])} bytes)"
+    for stream, base_out, head_out in (("stdout", base[1], head[1]), ("stderr", base[2], head[2])):
+        if base_out != head_out:
+            base_lines, head_lines = base_out.splitlines(), head_out.splitlines()
+            line = next(
+                (i for i, (a, b) in enumerate(zip(base_lines, head_lines), 1) if a != b),
+                min(len(base_lines), len(head_lines)) + 1,
+            )
+            return f"{stream} differs from line {line} ({len(base_out)} vs {len(head_out)} bytes)"
     return None
 
 
