@@ -13,6 +13,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring
 from typing import Sequence
 
@@ -28,12 +29,14 @@ from .model import (
 from .profiles import ParseDiagnostic, ProfileSet
 from .rules import (
     Finding,
+    Memo,
     Severity,
     SkippedRule,
     Violation,
     evaluate_endpoint_rules,
     evaluate_pair_rules,
     pair_topic,
+    rule_catalog,
 )
 
 
@@ -237,29 +240,32 @@ class Report:
         return sum(counts[key] for key in included)
 
 
-def _sort_key(finding: Finding):
-    # A finding names one endpoint, or a writer and a reader.
-    entities = finding.entities
-    first = entities[0].profile_name
-    return (
-        finding.stage,
-        finding.rule_id,
-        first,
-        getattr(finding, "topic_name", None) or "",
-        (first,) if len(entities) == 1 else (first, entities[1].profile_name),
-    )
+def _pair_order(pair: tuple[EndpointProfile, EndpointProfile]) -> tuple[str, str, str]:
+    """A pair's place in the report: writer name, topic ("" for none), reader name."""
+    writer, reader = pair
+    return writer.profile_name, pair_topic(writer, reader) or "", reader.profile_name
 
 
-def _stamped(
-    findings: list[Finding], entities: tuple[EndpointProfile, ...], topic_name: str | None
-) -> list[Finding]:
-    """A class's findings re-addressed to one member endpoint or pair."""
-    return [
-        Violation(f.rule_id, f.identifier, f.stage, f.severity, entities, topic_name, f.message, f.suggestion)
-        if isinstance(f, Violation)
-        else SkippedRule(f.rule_id, f.identifier, f.stage, entities, f.reason)
-        for f in findings
-    ]
+def _file(
+    findings: list[Finding],
+    violations: dict[int, list[Violation]],
+    skipped: dict[int, list[SkippedRule]],
+    entities: tuple[EndpointProfile, ...] | None = None,
+    topic_name: str | None = None,
+) -> None:
+    """Append findings to their rule's list, re-addressed to ``entities`` and
+    ``topic_name`` when those are given (a class's findings for another member)."""
+    for f in findings:
+        if type(f) is Violation:
+            violations[f.rule_id].append(
+                f if entities is None else Violation(
+                    f.rule_id, f.identifier, f.stage, f.severity, entities, topic_name, f.message, f.suggestion
+                )
+            )
+        else:
+            skipped[f.rule_id].append(
+                f if entities is None else SkippedRule(f.rule_id, f.identifier, f.stage, entities, f.reason)
+            )
 
 
 def run_pipeline(
@@ -278,40 +284,46 @@ def run_pipeline(
     evaluated are stamped onto every other member with that member's own
     entities and topic.  Classes key on QoS identity; ``parse_profiles``
     interns equal profiles, and an equal but distinct profile only costs
-    one more evaluation.
+    one more evaluation.  Within a class evaluation, each rule's result is
+    looked up in one memo per run by what the rule reads.
+
+    The report order comes from the order of evaluation, with no sort:
+    every finding goes to its rule's list, endpoints are visited in name
+    order and pairs in (writer, topic, reader) order, a pair with no shared
+    topic first, and the lists are joined in rule-id order, which is stage
+    order.
     """
     env = environment if environment is not None else EnvironmentModel()
     plan = pairings if pairings is not None else build_pairing_plan(profile_set)
-    found: list[Finding] = []
+    profiles = profile_set.profiles
+    memo: Memo = {}
+    violations: dict[int, list[Violation]] = {rule.id: [] for rule in rule_catalog()}
+    skipped: dict[int, list[SkippedRule]] = {rule.id: [] for rule in rule_catalog()}
 
     by_class: dict[tuple, list[Finding]] = {}
-    for name in sorted(profile_set.profiles):
-        endpoint = profile_set.profiles[name]
+    for name in sorted(profiles):
+        endpoint = profiles[name]
         pp = env.publish_period_for(name)
         key = (endpoint.endpoint_kind, id(endpoint.qos), pp)
         findings = by_class.get(key)
         if findings is None:
             # The member evaluated first: its findings already name it.
-            findings = by_class[key] = evaluate_endpoint_rules(endpoint, 1, rtt=env.rtt, pp=pp)
-            findings += evaluate_endpoint_rules(endpoint, 3, rtt=env.rtt, pp=pp)
-            found += findings
+            findings = by_class[key] = evaluate_endpoint_rules(endpoint, 1, rtt=env.rtt, pp=pp, memo=memo)
+            findings += evaluate_endpoint_rules(endpoint, 3, rtt=env.rtt, pp=pp, memo=memo)
+            _file(findings, violations, skipped)
         else:
-            found += _stamped(findings, (endpoint,), endpoint.topic_name)
+            _file(findings, violations, skipped, (endpoint,), endpoint.topic_name)
 
     by_pair_class: dict[tuple[int, int], list[Finding]] = {}
-    for pairing in plan:
-        writer = profile_set.profiles[pairing.writer]
-        reader = profile_set.profiles[pairing.reader]
+    for writer, reader in sorted(((profiles[p.writer], profiles[p.reader]) for p in plan), key=_pair_order):
         key = (id(writer.qos), id(reader.qos))
         findings = by_pair_class.get(key)
         if findings is None:
-            findings = by_pair_class[key] = evaluate_pair_rules(writer, reader)
-            found += findings
+            findings = by_pair_class[key] = evaluate_pair_rules(writer, reader, memo=memo)
+            _file(findings, violations, skipped)
         else:
-            found += _stamped(findings, (writer, reader), pair_topic(writer, reader))
+            _file(findings, violations, skipped, (writer, reader), pair_topic(writer, reader))
 
-    violations = tuple(sorted((o for o in found if isinstance(o, Violation)), key=_sort_key))
-    skipped = tuple(sorted((o for o in found if isinstance(o, SkippedRule)), key=_sort_key))
     return Report(
         tool_version=__version__,
         inputs=tuple(inputs),
@@ -319,8 +331,8 @@ def run_pipeline(
         assumptions=(MAX_BLOCKING_TIME_ASSUMPTION,),
         pairings=plan,
         parse_diagnostics=profile_set.diagnostics,
-        violations=violations,
-        skipped=skipped,
+        violations=tuple(chain.from_iterable(violations.values())),
+        skipped=tuple(chain.from_iterable(skipped.values())),
     )
 
 
@@ -380,18 +392,21 @@ def _human_report(report: Report, color: bool) -> str:
     if not report.violations:
         lines.append("no violations found")
     else:
-        for stage in (1, 2, 3):
-            stage_violations = [v for v in report.violations if v.stage == stage]
-            if not stage_violations:
-                continue
-            lines.append(_STAGE_TITLES[stage])
-            for v in stage_violations:
-                level = labels[id(v.severity)]
-                lines.append(
-                    f"  {level} [rule {v.rule_id} {v.identifier}] {entity_list(v.entities)} "
+        # One walk: each violation's line goes under its stage's title, and
+        # a stage with no title is not rendered.
+        stage_lines: dict[int, list[str]] = {stage: [] for stage in _STAGE_TITLES}
+        for v in report.violations:
+            rows = stage_lines.get(v.stage)
+            if rows is not None:
+                rows.append(
+                    f"  {labels[id(v.severity)]} [rule {v.rule_id} {v.identifier}] {entity_list(v.entities)} "
                     f"— {v.message}; {v.suggestion}"
                 )
-            lines.append("")
+        for stage, rows in stage_lines.items():
+            if rows:
+                lines.append(_STAGE_TITLES[stage])
+                lines += rows
+                lines.append("")
 
     if report.skipped:
         lines.append("skipped checks (undecidable with the given inputs)")

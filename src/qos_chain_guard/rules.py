@@ -65,6 +65,17 @@ qos)`` for a pair rule, which reads neither environment input (else
 once per call, and return the findings of a stage in rule order.  A finding
 names each endpoint by its ``EndpointProfile``: ``(endpoint,)`` or
 ``(writer, reader)``.
+
+Keys: the compiler also derives ``Rule.key``, called like ``outcome``, in
+the same ``exec``.  It returns the rule id and the value of each read, as
+plain values whose hashes are C code: ``Duration.nanoseconds``,
+``Count.value``, an enumeration's ``_value_``, bools, ints and name tuples,
+with -1 for an absent ``rtt`` or ``pp``.  By the invariant, equal keys mean
+equal ``outcome`` results, so the stage evaluators keep each result in a
+memo by its key and compute it once per distinct key; ``run_pipeline``
+passes one memo per run, and a call without one uses a fresh one.
+Findings are frozen slotted dataclasses, since a report builds one per
+endpoint or pair a rule fires on.
 """
 
 from __future__ import annotations
@@ -73,7 +84,7 @@ import enum
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .model import (
@@ -115,7 +126,29 @@ class SkipReason(enum.Enum):
     INFINITE_LIFESPAN_EXEMPTION = "InfiniteLifespanExemption"
 
 
-@dataclass(frozen=True)
+def _slot_init(cls: type) -> type:
+    """Give a frozen slotted dataclass an ``__init__`` that sets each slot
+    through its member descriptor.
+
+    The one ``dataclass`` generates calls ``object.__setattr__`` per field,
+    which finds the descriptor by name each time, at about twice the cost;
+    a report builds one finding per endpoint or pair a rule fires on.
+    """
+    names = [f.name for f in fields(cls)]
+    namespace = {f"set_{name}": getattr(cls, name).__set__ for name in names}
+    exec(
+        f"def __init__(self, {', '.join(names)}):\n"
+        + "".join(f"    set_{name}(self, {name})\n" for name in names),
+        namespace,
+    )
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Violation:
     rule_id: int
     identifier: str
@@ -127,7 +160,8 @@ class Violation:
     suggestion: str
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class SkippedRule:
     rule_id: int
     identifier: str
@@ -146,7 +180,9 @@ class Rule:
     pairs, then a text.  ``outcome(qos, rtt, pp)``, or ``outcome(writer qos,
     reader qos)`` for a pair rule, returns None (clean), a SkipReason, or
     the (message, suggestion) of a violation; ``reads`` holds what the rule
-    reads, and ``requires_env`` the environment inputs among them.  A plain
+    reads, and ``requires_env`` the environment inputs among them.
+    ``key``, called like ``outcome``, returns the rule id and the value of
+    each read: equal keys mean equal outcomes.  A plain
     class: nothing compares, hashes or copies a rule, and building a
     dataclass at import would cost about what compiling the texts does.
     """
@@ -158,7 +194,7 @@ class Rule:
         self.id, self.identifier, self.stage, self.severity = id, identifier, stage, severity
         self.scope, self.condition = scope, condition
         self.message, self.suggestion, self.exemption = message, suggestion, exemption
-        self.outcome, reads = _compile(self)
+        self.outcome, self.key, reads = _compile(self)
         self.reads = frozenset(reads)
         self.requires_env = self.reads & {"rtt", "pp"}
 
@@ -346,8 +382,26 @@ def _text(text: str | tuple[tuple[str, str] | str, ...], pair: bool, reads: set[
     )
 
 
-def _compile(rule: Rule) -> tuple[Callable, set[str]]:
-    """``rule.outcome`` and everything the rule reads."""
+def _key_part(read: str) -> str:
+    """The expression of one read's value in a rule's key: a plain value
+    whose hash is C code (an int, a str, None, a bool, a tuple of names),
+    never an enumeration member or a dataclass, whose hashes run Python code."""
+    if read in ("rtt", "pp"):  # -1 when absent: a duration is never negative
+        return f"-1 if {read} is None else {read}.nanoseconds"
+    side, _, path = read.rpartition(" ")
+    value = f"{side[0]}.{path}" if side else f"q.{path}"
+    default = _PARAMETERS[path]
+    if isinstance(default, Duration):
+        return f"{value}.nanoseconds"
+    if isinstance(default, Count):
+        return f"{value}.value"
+    if isinstance(default, enum.Enum):
+        return f"{value}._value_"
+    return value
+
+
+def _compile(rule: Rule) -> tuple[Callable, Callable, set[str]]:
+    """``rule.outcome``, ``rule.key`` and everything the rule reads."""
     pair = rule.scope is RuleScope.PAIR
     reads: set[str] = set()
     condition = _condition(rule.condition, pair, reads)
@@ -365,8 +419,13 @@ def _compile(rule: Rule) -> tuple[Callable, set[str]]:
     lines += [f"if not ({condition}): return None", f"return {texts}"]
     namespace = dict(_NAMESPACE)
     params = "w, r" if pair else "q, rtt, pp"
-    exec(f"def rule_{rule.id}({params}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
-    return namespace[f"rule_{rule.id}"], reads
+    key = ", ".join([str(rule.id), *map(_key_part, sorted(reads))])
+    exec(
+        f"def rule_{rule.id}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+        + f"def key_{rule.id}({params}):\n    return ({key},)\n",
+        namespace,
+    )
+    return namespace[f"rule_{rule.id}"], namespace[f"key_{rule.id}"], reads
 
 
 # -- the catalog -------------------------------------------------------------
@@ -765,16 +824,7 @@ def _finding(
     if isinstance(result, SkipReason):
         return SkippedRule(rule.id, rule.identifier, rule.stage, entities, result)
     message, suggestion = result
-    return Violation(
-        rule_id=rule.id,
-        identifier=rule.identifier,
-        stage=rule.stage,
-        severity=rule.severity,
-        entities=entities,
-        topic_name=topic_name,
-        message=message,
-        suggestion=suggestion,
-    )
+    return Violation(rule.id, rule.identifier, rule.stage, rule.severity, entities, topic_name, message, suggestion)
 
 
 def evaluate_rule(
@@ -834,37 +884,62 @@ _APPLICABLE: dict[tuple[int, EndpointKind], tuple[Rule, ...]] = {
 }
 
 
+# A rule's entity-free results by its key: None (clean), a SkipReason, or a
+# violation's (message, suggestion).  One map serves every rule, since each
+# key starts with its rule's id.
+Memo = dict[tuple, SkipReason | tuple[str, str] | None]
+_UNSEEN = object()
+
+
 def evaluate_endpoint_rules(
     endpoint: EndpointProfile,
     stage: int,
     rtt: Duration | None = None,
     pp: Duration | None = None,
+    memo: Memo | None = None,
 ) -> list[Finding]:
-    """The findings of every scope-applicable single-endpoint rule of a stage."""
+    """The findings of every scope-applicable single-endpoint rule of a stage.
+
+    Each rule's result is looked up by its key in ``memo``, and computed and
+    kept there the first time; a run passes one memo to every call.
+    """
+    if memo is None:
+        memo = {}
     q = endpoint.qos
     entities = (endpoint,)
     topic_name = endpoint.topic_name
     findings = []
     # _APPLICABLE holds only the rules whose scope admits this kind.
     for rule in _APPLICABLE.get((stage, endpoint.endpoint_kind), ()):
-        result = rule.outcome(q, rtt, pp)
+        key = rule.key(q, rtt, pp)
+        result = memo.get(key, _UNSEEN)
+        if result is _UNSEEN:
+            result = memo[key] = rule.outcome(q, rtt, pp)
         if result is not None:
             findings.append(_finding(rule, result, entities, topic_name))
     return findings
 
 
-def evaluate_pair_rules(writer: EndpointProfile, reader: EndpointProfile) -> list[Finding]:
-    """The findings of the stage-2 RxO rules (20-27) for one writer/reader pair."""
+def evaluate_pair_rules(
+    writer: EndpointProfile, reader: EndpointProfile, memo: Memo | None = None
+) -> list[Finding]:
+    """The findings of the stage-2 RxO rules (20-27) for one writer/reader pair,
+    each rule's result looked up in ``memo`` as ``evaluate_endpoint_rules`` does."""
     if writer.endpoint_kind is not EndpointKind.DATA_WRITER:
         raise ValueError(f"{writer.profile_name!r} is not a DataWriter")
     if reader.endpoint_kind is not EndpointKind.DATA_READER:
         raise ValueError(f"{reader.profile_name!r} is not a DataReader")
+    if memo is None:
+        memo = {}
     w, r = writer.qos, reader.qos
     entities = (writer, reader)
     topic_name = pair_topic(writer, reader)
     findings = []
     for rule in _BY_STAGE[2]:
-        result = rule.outcome(w, r)
+        key = rule.key(w, r)
+        result = memo.get(key, _UNSEEN)
+        if result is _UNSEEN:
+            result = memo[key] = rule.outcome(w, r)
         if result is not None:
             findings.append(_finding(rule, result, entities, topic_name))
     return findings

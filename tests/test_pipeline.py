@@ -14,6 +14,7 @@ from qos_chain_guard.model import (
     Duration,
     EndpointKind,
     EndpointProfile,
+    OwnershipKind,
     ReliabilityKind,
     SourceLocation,
     default_qos,
@@ -42,7 +43,7 @@ from qos_chain_guard.rules import (
     rules_for_stage,
 )
 
-from support import durability, hist, ms, reader, reliability, writer
+from support import durability, hist, ms, ownership, qos_with, reader, reliability, writer
 
 
 def profile_set(*endpoints) -> ProfileSet:
@@ -355,6 +356,100 @@ def test_fail_level_counting():
     assert report.count_at_or_above("info") == 3
 
 
+# -- report order --------------------------------------------------------------
+
+
+def _sort_key(finding):
+    """The report order: stage, rule, then the entities (writer, topic, reader
+    for a pair; a finding with no topic, or a skip, sorts as topic "")."""
+    entities = finding.entities
+    first = entities[0].profile_name
+    return (
+        finding.stage,
+        finding.rule_id,
+        first,
+        getattr(finding, "topic_name", None) or "",
+        (first,) if len(entities) == 1 else (first, entities[1].profile_name),
+    )
+
+
+# A few QoS bundles per kind, each one object, so endpoints share classes;
+# best-effort writers against reliable readers make stage 2 fire.
+_ORDER_BUNDLES = {
+    EndpointKind.DATA_WRITER: [
+        qos_with(EndpointKind.DATA_WRITER),
+        qos_with(EndpointKind.DATA_WRITER, reliability=reliability(ReliabilityKind.BEST_EFFORT)),
+        qos_with(
+            EndpointKind.DATA_WRITER,
+            reliability=reliability(ReliabilityKind.BEST_EFFORT),
+            durability=durability(DurabilityKind.TRANSIENT_LOCAL),
+            history=hist(depth=3),
+        ),
+    ],
+    EndpointKind.DATA_READER: [
+        qos_with(EndpointKind.DATA_READER),
+        qos_with(EndpointKind.DATA_READER, reliability=reliability(ReliabilityKind.RELIABLE)),
+        qos_with(
+            EndpointKind.DATA_READER,
+            reliability=reliability(ReliabilityKind.RELIABLE),
+            durability=durability(DurabilityKind.TRANSIENT),
+            ownership=ownership(OwnershipKind.EXCLUSIVE),
+        ),
+    ],
+}
+
+
+@st.composite
+def _order_cases(draw):
+    """A profile set, directives over it, and an environment."""
+    endpoints = []
+    for kind, names in ((EndpointKind.DATA_WRITER, "wxyz"), (EndpointKind.DATA_READER, "rstu")):
+        for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)):
+            endpoints.append(EndpointProfile(
+                name, kind, draw(st.sampled_from(_ORDER_BUNDLES[kind])),
+                draw(st.sampled_from([None, "a", "b"])), SourceLocation("<test>", 1),
+            ))
+    ps = profile_set(*endpoints)
+    writers = [e.profile_name for e in endpoints if e.endpoint_kind is EndpointKind.DATA_WRITER]
+    readers = [e.profile_name for e in endpoints if e.endpoint_kind is EndpointKind.DATA_READER]
+    directives = draw(st.lists(st.tuples(st.sampled_from(writers), st.sampled_from(readers)), max_size=6))
+    env = EnvironmentModel(
+        rtt=draw(st.sampled_from([None, ms(100)])),
+        default_publish_period=draw(st.sampled_from([None, ms(20), ms(50)])),
+    )
+    return ps, directives, env
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_order_cases())
+def test_report_order_is_the_reference_sort(case):
+    ps, directives, env = case
+    report = run_pipeline(ps, env, build_pairing_plan(ps, directives))
+    assert list(report.violations) == sorted(report.violations, key=_sort_key)
+    assert list(report.skipped) == sorted(report.skipped, key=_sort_key)
+
+
+def test_report_order_puts_a_pair_without_a_shared_topic_first():
+    # Plan order is topic, then writer; report order is writer, then topic
+    # (none first), then reader.
+    best_effort = reliability(ReliabilityKind.BEST_EFFORT)
+    strict = reliability(ReliabilityKind.RELIABLE)
+    ps = profile_set(
+        writer("w2", topic="a", reliability=best_effort),
+        writer("w1", topic="b", reliability=best_effort),
+        reader("r2", topic="a", reliability=strict),
+        reader("r1", topic="b", reliability=strict),
+        reader("r0", topic=None, reliability=strict),
+    )
+    # Across topics, to no topic, given twice, and repeating a topic pair.
+    plan = build_pairing_plan(ps, [("w1", "r2"), ("w1", "r0"), ("w1", "r2"), ("w2", "r2")])
+    assert [(p.writer, p.reader) for p in plan] == [("w2", "r2"), ("w1", "r1"), ("w1", "r2"), ("w1", "r0")]
+    rule21 = [v for v in run_pipeline(ps, pairings=plan).violations if v.rule_id == 21]
+    assert [(v.entities[0].profile_name, v.topic_name, v.entities[1].profile_name) for v in rule21] == [
+        ("w1", None, "r0"), ("w1", None, "r2"), ("w1", "b", "r1"), ("w2", "a", "r2"),
+    ]
+
+
 # -- evaluation once per QoS class ----------------------------------------------
 
 # One bundle used by writers and a reader: reliability is explicit, so a
@@ -462,13 +557,13 @@ def test_class_evaluation_runs_once_per_class(monkeypatch):
     evaluated: dict[int, list] = {1: [], 2: [], 3: []}
     endpoint_rules, pair_rules = pipeline.evaluate_endpoint_rules, pipeline.evaluate_pair_rules
 
-    def counted_endpoint_rules(endpoint, stage, rtt=None, pp=None):
+    def counted_endpoint_rules(endpoint, stage, rtt=None, pp=None, memo=None):
         evaluated[stage].append((endpoint.endpoint_kind, endpoint.qos, pp))
-        return endpoint_rules(endpoint, stage, rtt=rtt, pp=pp)
+        return endpoint_rules(endpoint, stage, rtt=rtt, pp=pp, memo=memo)
 
-    def counted_pair_rules(writer, reader):
+    def counted_pair_rules(writer, reader, memo=None):
         evaluated[2].append((writer.qos, reader.qos))
-        return pair_rules(writer, reader)
+        return pair_rules(writer, reader, memo=memo)
 
     monkeypatch.setattr(pipeline, "evaluate_endpoint_rules", counted_endpoint_rules)
     monkeypatch.setattr(pipeline, "evaluate_pair_rules", counted_pair_rules)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qos_chain_guard.model import (
     Count,
@@ -48,6 +49,7 @@ from support import (
     reslim,
     writer,
 )
+from test_differential import _env_pool, build_endpoint, qos_records
 
 
 def context_for(rule, case: Case) -> dict:
@@ -484,3 +486,108 @@ def test_findings_name_the_endpoint_objects():
     (entity,) = evaluate_endpoint_rules(r, 3)[0].entities  # skipped: no pp
     assert entity is r
     assert str(w) == "w1(DataWriter)@<test>:1"
+
+
+# -- keyed results --------------------------------------------------------------
+#
+# The stage evaluators look each rule's result up by ``Rule.key``.  A key that
+# misses something the rule reads hands one input the result of another that
+# differs only there.  So each example is a state from the differential
+# test's value pools, then each copy of it with one field taken from a second
+# state, all evaluated through one memo.
+
+
+def _one_field_changes(base: dict, other: dict) -> list[dict]:
+    """``base``, then a copy of it for each field ``other`` differs in, with that field from ``other``."""
+    return [base] + [{**base, field: other[field]} for field in base if other[field] != base[field]]
+
+
+def _duration(ns: int | None) -> Duration | None:
+    return Duration(ns) if ns else None
+
+
+_endpoint_states = st.builds(
+    lambda record, rtt, pp: {**record, "rtt": rtt, "pp": pp}, qos_records(), _env_pool, _env_pool
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_endpoint_states, _endpoint_states)
+def test_keyed_endpoint_results_match_each_rules_outcome(base, other):
+    memo: dict = {}
+    for state in _one_field_changes(base, other):
+        rtt, pp = _duration(state["rtt"]), _duration(state["pp"])
+        for kind, side in ((EndpointKind.DATA_WRITER, "writer"), (EndpointKind.DATA_READER, "reader")):
+            endpoint = build_endpoint(state, kind, "ep")
+            for stage in (1, 3):
+                expected = [
+                    evaluate_rule(rule, **{side: endpoint}, rtt=rtt, pp=pp)
+                    for rule in rules_for_stage(stage)
+                    if applicable_to(rule, kind)
+                ]
+                found = evaluate_endpoint_rules(endpoint, stage, rtt=rtt, pp=pp, memo=memo)
+                assert found == [o for o in expected if o is not None], (kind, state)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(qos_records(), qos_records(), qos_records(), qos_records())
+def test_keyed_pair_results_match_each_rules_outcome(w, r, other_w, other_r):
+    memo: dict = {}
+    states = [(s, r) for s in _one_field_changes(w, other_w)] + [(w, s) for s in _one_field_changes(r, other_r)]
+    for writer_record, reader_record in states:
+        w_endpoint = build_endpoint(writer_record, EndpointKind.DATA_WRITER, "w")
+        r_endpoint = build_endpoint(reader_record, EndpointKind.DATA_READER, "r")
+        expected = [evaluate_rule(rule, writer=w_endpoint, reader=r_endpoint) for rule in rules_for_stage(2)]
+        found = evaluate_pair_rules(w_endpoint, r_endpoint, memo=memo)
+        assert found == [o for o in expected if o is not None], (writer_record, reader_record)
+
+
+def test_keys_hold_only_values_with_c_hashes():
+    w, r = writer(), reader()
+    for rule in rule_catalog():
+        key = rule.key(w.qos, r.qos) if rule.scope is RuleScope.PAIR else rule.key(w.qos, ms(100), None)
+        assert key[0] == rule.id and len(key) == 1 + len(rule.reads)
+        values = list(key)
+        while values:
+            value = values.pop()
+            if type(value) is tuple:
+                values += value
+            else:
+                assert type(value) in (int, bool, str, type(None)), (rule.id, value)
+
+
+# -- finding records ------------------------------------------------------------
+
+
+def test_findings_are_frozen_slotted_value_records():
+    violation = Violation(21, "RELIAB↔RELIAB", 2, Severity.CRITICAL, (), "scan", "m", "s")
+    skip = SkippedRule(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT)
+    for finding in (violation, skip):
+        assert not hasattr(finding, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            finding.rule_id = 1
+        with pytest.raises(FrozenInstanceError):
+            del finding.stage
+    assert [f.name for f in fields(Violation)] == [
+        "rule_id", "identifier", "stage", "severity", "entities", "topic_name", "message", "suggestion",
+    ]
+    assert [f.name for f in fields(SkippedRule)] == ["rule_id", "identifier", "stage", "entities", "reason"]
+    assert repr(violation) == (
+        "Violation(rule_id=21, identifier='RELIAB↔RELIAB', stage=2, severity=<Severity.CRITICAL: "
+        "'critical'>, entities=(), topic_name='scan', message='m', suggestion='s')"
+    )
+    assert repr(skip) == (
+        "SkippedRule(rule_id=6, identifier='HIST→DURABL', stage=1, entities=(), "
+        "reason=<SkipReason.MISSING_ENV_RTT: 'MissingEnvRTT'>)"
+    )
+    same = Violation(
+        rule_id=21, identifier="RELIAB↔RELIAB", stage=2, severity=Severity.CRITICAL,
+        entities=(), topic_name="scan", message="m", suggestion="s",
+    )
+    assert same == violation and hash(same) == hash(violation) and same is not violation
+    assert SkippedRule(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT) == skip
+    assert len({violation, same, skip}) == 2
+    moved = replace(violation, topic_name=None)
+    assert moved == Violation(21, "RELIAB↔RELIAB", 2, Severity.CRITICAL, (), None, "m", "s")
+    assert moved != violation and violation.topic_name == "scan"
+    assert replace(skip, reason=SkipReason.MISSING_ENV_PP).reason is SkipReason.MISSING_ENV_PP

@@ -18,7 +18,11 @@ note.  Both sides therefore also run ``check`` on one fixed noisy document,
 ``<dds>``, ``<profiles>``, an endpoint, ``<qos>``, a policy and a duration,
 and none inside ``<topic>``.  No workload fails to load either, so both
 sides run ``check`` on each of ``LOAD_ERROR_DOCUMENTS``, whose one error
-line goes to stderr.
+line goes to stderr.  No workload pairs by ``--pair`` directive either, so
+both sides run ``check`` on ``DIRECTIVE_DOCUMENT`` with the directives of
+``DIRECTIVES``, in JSON and in human text: a writer paired with a reader
+of another topic and with a topic-less reader, a directive that repeats a
+topic pair, and a directive given twice.
 
 One line is printed per case.  A last line lists the rules that fired in
 no ``check`` case of the working tree, read from its JSON reports: a seed
@@ -91,6 +95,42 @@ LOAD_ERROR_DOCUMENTS = {
     "dds_without_profiles.xml": "<dds>\n  <log_config/>\n</dds>\n",
     "wrong_root.xml": "<qos_profiles>\n  <profiles/>\n</qos_profiles>\n",
 }
+# Writers whose names sort against their topics' order, best-effort against
+# reliable readers so that stage-2 rules fire on every pair, and one
+# topic-less endpoint of each kind.
+DIRECTIVE_DOCUMENT = """<?xml version="1.0" encoding="UTF-8"?>
+<profiles>
+  <data_writer profile_name="alpha_writer">
+    <topic><name>zulu</name></topic>
+    <qos><reliability><kind>BEST_EFFORT</kind></reliability></qos>
+  </data_writer>
+  <data_writer profile_name="bravo_writer">
+    <topic><name>yankee</name></topic>
+    <qos><reliability><kind>BEST_EFFORT</kind></reliability><durability><kind>TRANSIENT_LOCAL</kind></durability></qos>
+  </data_writer>
+  <data_writer profile_name="lone_writer">
+    <qos><ownership><kind>EXCLUSIVE</kind></ownership></qos>
+  </data_writer>
+  <data_reader profile_name="yankee_reader">
+    <topic><name>yankee</name></topic>
+    <qos><reliability><kind>RELIABLE</kind></reliability></qos>
+  </data_reader>
+  <data_reader profile_name="zulu_reader">
+    <topic><name>zulu</name></topic>
+    <qos><reliability><kind>RELIABLE</kind></reliability><durability><kind>TRANSIENT</kind></durability></qos>
+  </data_reader>
+  <data_reader profile_name="lone_reader">
+    <qos><reliability><kind>RELIABLE</kind></reliability></qos>
+  </data_reader>
+</profiles>
+"""
+DIRECTIVES = (
+    "alpha_writer:yankee_reader",  # across topics
+    "bravo_writer:yankee_reader",  # repeats a topic pair
+    "alpha_writer:lone_reader",  # with a topic-less reader
+    "lone_writer:zulu_reader",  # from a topic-less writer
+    "alpha_writer:yankee_reader",  # given twice
+)
 CHECK_FORMS = (("json", ()), ("human", ()), ("human", ("--color", "on")))
 
 
@@ -123,6 +163,12 @@ def cases(seeds: list[int], directory: str):
         handle.write(NOISY_DOCUMENT)
     for fmt, color in CHECK_FORMS:
         yield " ".join([f"check noisy.xml --format {fmt}", *color]), ["check", noisy, "--format", fmt, *color]
+    directed = os.path.join(directory, "directives.xml")
+    with open(directed, "w", encoding="utf-8") as handle:
+        handle.write(DIRECTIVE_DOCUMENT)
+    pairs = [arg for directive in DIRECTIVES for arg in ("--pair", directive)]
+    for fmt in ("json", "human"):
+        yield f"check directives.xml --pair ... --format {fmt}", ["check", directed, *pairs, "--format", fmt]
     for name, document in LOAD_ERROR_DOCUMENTS.items():
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8") as handle:
