@@ -27,6 +27,8 @@ class EdgeDirection(enum.Enum):
 
 @dataclass(frozen=True)
 class PolicyNode:
+    """One policy of the dependency graph and its lifecycle phases."""
+
     abbreviation: str
     policy_name: str
     lifecycle: tuple[str, ...]
@@ -125,6 +127,8 @@ CHAIN_EDGES: tuple[ChainEdge, ...] = _matrix_edges()
 
 @dataclass(frozen=True)
 class ChainGraph:
+    """The policy dependency graph: its nodes and its matrix cells."""
+
     nodes: tuple[PolicyNode, ...]
     edges: tuple[ChainEdge, ...]
 

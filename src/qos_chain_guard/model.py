@@ -16,8 +16,9 @@ never see an unset value.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, make_dataclass, replace
+from dataclasses import dataclass, field, make_dataclass
 from functools import total_ordering
+from operator import attrgetter
 from typing import Callable
 
 # Finite durations are kept as 64-bit nanosecond integers; exact integer
@@ -239,7 +240,12 @@ def _policy(attribute: str, *, post_init: Callable[[object], None] | None = None
     DataWriter and is named after the OMG parameter, so diagnostics can
     quote it verbatim.  ``post_init`` validates a new instance.
     """
-    namespace: dict[str, object] = {"__module__": __name__}
+    # A class given a docstring spares ``dataclasses`` an ``inspect.signature``
+    # call to make one, a measurable share of start-up.
+    namespace: dict[str, object] = {
+        "__module__": __name__,
+        "__doc__": f"The {attribute.upper()} policy: the OMG parameters of its element.",
+    }
     if post_init is not None:
         namespace["__post_init__"] = post_init
     cls = make_dataclass(
@@ -288,38 +294,60 @@ ReaderDataLifecycle = _policy(
 )
 
 
+_NAMES = tuple(POLICIES)
+# Every policy of a profile, as a tuple, in C: a policy object is true and
+# an unset one is None, so ``all`` of it checks a profile at C speed.
+_POLICIES_OF = attrgetter(*_NAMES)
+
+
 def _merged_under(self: "QosProfile", fallback: "QosProfile") -> "QosProfile":
-    """Fill unset policies from ``fallback`` (self wins on conflicts)."""
-    updates = {
-        name: getattr(fallback, name)
-        for name in POLICIES
-        if getattr(self, name) is None and getattr(fallback, name) is not None
-    }
-    return replace(self, **updates) if updates else self
+    """Fill unset policies from ``fallback`` (self wins on conflicts); ``self``
+    itself when ``fallback`` fills nothing."""
+    return _filled(self, fallback, None)
+
+
+def _filled(partial: "QosProfile", fallback: "QosProfile", partition: object) -> "QosProfile":
+    """``partial`` with each unset policy taken from ``fallback``, and, given a
+    ``partition``, a partition of zero names replaced by it: one construction,
+    or none when nothing changes."""
+    values = []
+    changed = False
+    for name, value in zip(_NAMES, _POLICIES_OF(partial)):
+        if value is None:
+            value = getattr(fallback, name)
+            changed = changed or value is not None
+        elif partition is not None and name == "partition" and not value.names:
+            value = partition
+            changed = True
+        values.append(value)
+    return QosProfile(*values) if changed else partial
 
 
 def _is_resolved(self: "QosProfile") -> bool:
-    return all(getattr(self, name) is not None for name in POLICIES)
+    return all(_POLICIES_OF(self))
 
 
 QosProfile = make_dataclass(
     "QosProfile",
     [(name, cls | None, None) for name, cls in POLICIES.items()],
-    namespace={"__module__": __name__, "merged_under": _merged_under, "is_resolved": property(_is_resolved)},
-    frozen=True,
-)
-QosProfile.__doc__ = """The 16-policy bundle of one endpoint: one field per ``POLICIES`` entry.
+    namespace={
+        "__module__": __name__,
+        "__doc__": """The 16-policy bundle of one endpoint: one field per ``POLICIES`` entry.
 
 Every field is optional so the same type serves both the partially
 specified form coming out of the parser and the fully resolved form
 produced by ``resolve_defaults``.
-"""
+""",
+        "merged_under": _merged_under,
+        "is_resolved": property(_is_resolved),
+    },
+    frozen=True,
+)
 
 # Built once: profiles are frozen, so every caller can share them.
 _WRITER_DEFAULTS = QosProfile(*(cls() for cls in POLICIES.values()))
-_READER_DEFAULTS = replace(
-    _WRITER_DEFAULTS,
-    reliability=replace(_WRITER_DEFAULTS.reliability, kind=ReliabilityKind.BEST_EFFORT),
+_READER_DEFAULTS = QosProfile(reliability=Reliability(kind=ReliabilityKind.BEST_EFFORT)).merged_under(
+    _WRITER_DEFAULTS
 )
 
 
@@ -337,16 +365,17 @@ def resolve_defaults(partial: QosProfile, kind: EndpointKind) -> QosProfile:
 
     Idempotent, and endpoint-sensitive only in reliability.kind.  A partition
     explicitly set to zero names is normalized to the default single empty
-    name so that resolved profiles always carry a non-empty list.
+    name so that resolved profiles always carry a non-empty list.  A profile
+    already resolved is returned as it is.
     """
-    resolved = partial.merged_under(default_qos(kind))
-    if resolved.partition is not None and not resolved.partition.names:
-        resolved = replace(resolved, partition=Partition())
-    return resolved
+    defaults = default_qos(kind)
+    return _filled(partial, defaults, defaults.partition)
 
 
 @dataclass(frozen=True)
 class SourceLocation:
+    """Where an endpoint element opens: its document and line."""
+
     document: str
     line: int
 

@@ -161,6 +161,9 @@ class PairOrigin(enum.Enum):
 
 @dataclass(frozen=True)
 class Pairing:
+    """One writer/reader pair to check, by profile name, with how it was
+    paired and the topic the two share (None across topics)."""
+
     writer: str
     reader: str
     origin: PairOrigin
@@ -346,6 +349,9 @@ _STAGE_TITLES = {
 
 _ANSI = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
 _ANSI_RESET = "\x1b[0m"
+# A ``str.translate`` table: each control character as the JSON report
+# escapes it (``\n``, ``\u0000``), so an entity's text keeps to its line.
+_CONTROL_ESCAPES = {code: encode_basestring(chr(code))[1:-1] for code in range(0x20)}
 
 
 def _human_report(report: Report, color: bool) -> str:
@@ -369,7 +375,10 @@ def _human_report(report: Report, color: bool) -> str:
         for e in entities:
             text = texts.get(id(e))
             if text is None:
-                text = texts[id(e)] = str(e)
+                text = str(e)
+                if not text.isprintable():  # a quick test: most texts have nothing to escape
+                    text = text.translate(_CONTROL_ESCAPES)
+                texts[id(e)] = text
             parts.append(text)
         return " + ".join(parts)
 

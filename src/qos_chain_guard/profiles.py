@@ -37,15 +37,30 @@ A document is read in two passes.  ``_parse_xml`` first builds a slim tree
 with expat: each element is a ``_Node``, the list of its child elements with
 slots for its tag, opening-tag line, attributes and text.  Text arrives
 buffered, and each element's runs of text are joined once, when it closes.
-So malformed XML anywhere in a document is reported before any bad value.
-One walker, ``_parse_params``, then reads the children of every element but
-<profiles> and <names> (whose children repeat by design) in document order:
-an unknown child is skipped with an info note and never aborts a parse, and
-a repeated child is a load error, ``duplicate <X> element in <Y>``.  A child
-element of a value element, such as <x/> in ``<depth>5<x/></depth>``, is
-unknown too, and the walker notes it (``_leaf`` registers the parsers of
-value elements); text inside an element that holds elements is ignored
-without a note.  Parse notes follow document order.
+It also records the source of each <qos> element: its UTF-8 bytes, from
+its opening tag up to its closing tag.  So malformed XML anywhere in a
+document is reported before any bad value.  One walker, ``_parse_params``,
+then reads the children of every element but <profiles> and <names> (whose
+children repeat by design) in document order: an unknown child is skipped
+with an info note and never aborts a parse, and a repeated child is a load
+error, ``duplicate <X> element in <Y>``.  A child element of a value
+element, such as <x/> in ``<depth>5<x/></depth>``, is unknown too, and the
+walker notes it (``_leaf`` registers the parsers of value elements); text
+inside an element that holds elements is ignored without a note.  Parse
+notes follow document order.
+
+The walker reads each distinct <qos> once per run.  ``load_profile_files``
+makes one ``QosTable`` per call and passes it through ``parse_document`` for
+every file: it maps an endpoint kind and a <qos> source to the
+``QosProfile`` parsed from it.  A <qos> whose source is in the table is not
+walked; its endpoint gets the stored object.  A <qos> is stored once walked,
+unless its walk noted something: a noisy <qos> is walked at each occurrence,
+so each copy notes on its own lines.  A <qos> that fails to parse raises, so
+it is never stored either.  The same source parses to the same profile
+anywhere, since the tree of a <qos> depends only on its bytes (entity
+declarations are rejected) and the profile only on that tree and the kind's
+defaults.  ``parse_profiles`` then resolves and interns once per distinct
+(kind, endpoint ``QosProfile``, topic ``QosProfile``) object triple.
 """
 
 from __future__ import annotations
@@ -122,8 +137,14 @@ class _Node(list):
     __slots__ = ("tag", "line", "attrib", "raw", "text")
 
 
-def _parse_xml(text: str, path: str) -> _Node:
-    """Parse to a ``_Node`` tree, tracking opening-tag line numbers."""
+def _parse_xml(text: str, path: str, spans: dict[int, bytes] | None = None) -> _Node:
+    """Parse to a ``_Node`` tree, tracking opening-tag line numbers.
+
+    Each ``<qos>`` element's source is recorded in ``spans`` under the
+    ``id`` of its node: the UTF-8 bytes from its opening tag up to its
+    closing tag, which expat's byte index counts in, since it parses a
+    ``str`` as UTF-8 whatever encoding the document declares.
+    """
     parser = expat.ParserCreate()
     # Each run of text then arrives in as few calls as expat's buffer allows.
     parser.buffer_text = True
@@ -133,6 +154,11 @@ def _parse_xml(text: str, path: str) -> _Node:
     # was the innermost open element, after its children's were taken out.
     parts: list[str] = []
     marks: list[int] = []
+    # The start of each open <qos>, innermost last.
+    qos_starts: list[int] = []
+    if spans is None:
+        spans = {}
+    data = text.encode()
 
     def start(tag: str, attrs: dict[str, str]) -> None:
         node = _Node()
@@ -142,6 +168,8 @@ def _parse_xml(text: str, path: str) -> _Node:
         stack[-1].append(node)
         stack.append(node)
         marks.append(len(parts))
+        if tag == "qos":
+            qos_starts.append(parser.CurrentByteIndex)
 
     def end(tag: str) -> None:
         node = stack.pop()
@@ -155,6 +183,8 @@ def _parse_xml(text: str, path: str) -> _Node:
             raw = ""
         node.raw = raw
         node.text = raw.strip()
+        if tag == "qos":
+            spans[id(node)] = data[qos_starts.pop() : parser.CurrentByteIndex]
 
     def entity_decl(*args: object) -> None:
         raise ProfileLoadError(
@@ -453,14 +483,17 @@ def _render_names(tag: str, names: tuple[str, ...], indent: str) -> list[str]:
 
 
 def _enum_codec(enum_cls: type[enum.Enum]) -> Codec:
+    # A plain dict: ``enum_cls[name]`` runs the metaclass's ``__getitem__``.
+    members = dict(enum_cls.__members__)
+
     def parse(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> enum.Enum:
-        try:
-            return enum_cls[node.text.upper()]
-        except KeyError:
+        member = members.get(node.text.upper())
+        if member is None:
             got = shorten_literal(node.text)
-            expected = ", ".join(member.name for member in enum_cls)
+            expected = ", ".join(known.name for known in enum_cls)
             message = f"unknown kind {got} (expected one of {expected})"
-            raise _bad_value(node, context, message, path) from None
+            raise _bad_value(node, context, message, path)
+        return member
 
     return Codec(_leaf(parse), lambda tag, kind, indent: _element(tag, kind.name, indent))
 
@@ -492,34 +525,70 @@ POLICY_SCHEMA = {
 
 def _policy_parser(tag: str, default: object) -> Parser:
     """The parser of one policy element; ``default`` (the endpoint kind's
-    ``default_qos`` policy) supplies every parameter the element leaves out."""
+    ``default_qos`` policy) supplies every parameter the element leaves out.
+
+    The policy is built without a keyword call of its dataclass ``__init__``:
+    each field is set as ``__init__`` sets it, in canonical order, and its
+    ``__post_init__``, if any, checks it as ``__init__`` would.  No
+    ``__dict__`` is read or written, which would cost every later attribute
+    read of the object (and of ``default``) its fast path.
+    """
     parsers = {name: codec.parse for name, codec in POLICY_SCHEMA[tag].items()}
     policy = type(default)
+    new, set_field = object.__new__, object.__setattr__
+    defaults = tuple((name, getattr(default, name)) for name in parsers)
+    check = getattr(policy, "__post_init__", None)
 
     def parse(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> object:
         values = _parse_params(node, parsers, tag, path, diags)
-        if len(values) < len(parsers):
-            values = {**default.__dict__, **values}
-        try:
-            return policy(**values)
-        except ValueError as exc:  # a constraint of the policy's dataclass
-            raise ProfileLoadError(str(exc), path, node.line) from None
+        built = new(policy)
+        given = values.get
+        for name, value in defaults:
+            set_field(built, name, given(name, value))
+        if check is not None:
+            try:
+                check(built)
+            except ValueError as exc:  # a constraint of the policy
+                raise ProfileLoadError(str(exc), path, node.line) from None
+        return built
 
     return parse
 
 
 _parse_topic_name = _leaf(lambda node, *_: node.text or None)
 
+# The policy parsers of each endpoint kind, built once at import, since the
+# kinds' defaults differ and tables built per call cost a measurable share
+# of parsing.
+_POLICY_PARSERS = {
+    kind: {tag: _policy_parser(tag, getattr(default_qos(kind), tag)) for tag in POLICY_SCHEMA}
+    for kind in EndpointKind
+}
+# A parse's QoS table: each endpoint kind's parsed <qos> elements, by source.
+QosTable = dict[EndpointKind, dict[bytes, QosProfile]]
 
-def _endpoint_parsers(kind: EndpointKind) -> dict[str, Parser]:
-    """The parsers of a ``kind`` endpoint's children.  Built once per kind at
-    import, since the kinds' defaults differ and a table built per call costs
-    a measurable share of parsing."""
-    defaults = default_qos(kind)
-    policies = {tag: _policy_parser(tag, getattr(defaults, tag)) for tag in POLICY_SCHEMA}
+
+def _endpoint_parsers(
+    kind: EndpointKind, spans: dict[int, bytes], table: QosTable
+) -> dict[str, Parser]:
+    """The parsers of a ``kind`` endpoint's children in one document.
+
+    A ``<qos>`` is looked up in ``table`` by its source (``spans``), and
+    walked only when it is not there.  It is stored only if its walk noted
+    nothing, so that each copy of a noisy ``<qos>`` notes on its own lines.
+    """
+    policies = _POLICY_PARSERS[kind]
+    parsed = table.setdefault(kind, {})
 
     def parse_qos(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> QosProfile:
-        return QosProfile(**_parse_params(node, policies, "qos", path, diags))
+        source = spans[id(node)]
+        qos = parsed.get(source)
+        if qos is None:
+            noted = len(diags)
+            qos = QosProfile(**_parse_params(node, policies, "qos", path, diags))
+            if len(diags) == noted:
+                parsed[source] = qos
+        return qos
 
     topic: dict[str, Parser] = {"name": _parse_topic_name, "qos": parse_qos}
 
@@ -529,14 +598,15 @@ def _endpoint_parsers(kind: EndpointKind) -> dict[str, Parser]:
     return {"topic": parse_topic, "qos": parse_qos}
 
 
-_ENDPOINT_PARSERS = {kind: _endpoint_parsers(kind) for kind in EndpointKind}
 _DDS_PARSERS: dict[str, Parser] = {"profiles": lambda node, *_: node}
 # Shared by every endpoint without a <qos>: profiles are frozen.
 _NO_QOS = QosProfile()
 
 
-def _parse_endpoint(node: _Node, kind: EndpointKind, path: str, diags: list[ParseDiagnostic]) -> RawEndpoint:
-    parts = _parse_params(node, _ENDPOINT_PARSERS[kind], node.tag, path, diags)
+def _parse_endpoint(
+    node: _Node, kind: EndpointKind, parsers: dict[str, Parser], path: str, diags: list[ParseDiagnostic]
+) -> RawEndpoint:
+    parts = _parse_params(node, parsers, node.tag, path, diags)
     topic = parts.get("topic", {})
     return RawEndpoint(
         profile_name=node.attrib["profile_name"],
@@ -548,13 +618,16 @@ def _parse_endpoint(node: _Node, kind: EndpointKind, path: str, diags: list[Pars
     )
 
 
-def parse_document(text: str, path: str = "<string>") -> ProfileDocument:
+def parse_document(text: str, path: str = "<string>", table: QosTable | None = None) -> ProfileDocument:
     """Parse one XML document into raw endpoints.
 
     Raises ProfileLoadError for malformed XML or out-of-range values;
-    unrecognized structure is skipped with info diagnostics instead.
+    unrecognized structure is skipped with info diagnostics instead.  A
+    ``<qos>`` whose source is in ``table`` (a new one if None) is not walked
+    again: its endpoint shares the ``QosProfile`` parsed before.
     """
-    root = _parse_xml(text, path)
+    spans: dict[int, bytes] = {}
+    root = _parse_xml(text, path, spans)
     diags: list[ParseDiagnostic] = []
     if root.tag == "dds":
         profiles_node = _parse_params(root, _DDS_PARSERS, "dds", path, diags).get("profiles")
@@ -567,6 +640,9 @@ def parse_document(text: str, path: str = "<string>") -> ProfileDocument:
             f"expected <profiles> (or <dds>) root element, got <{root.tag}>", path=path, line=root.line
         )
 
+    if table is None:
+        table = {}
+    parsers = {kind: _endpoint_parsers(kind, spans, table) for kind in EndpointKind}
     endpoints: list[RawEndpoint] = []
     for child in profiles_node:
         kind = ENDPOINT_TAGS.get(child.tag)
@@ -582,7 +658,7 @@ def parse_document(text: str, path: str = "<string>") -> ProfileDocument:
             continue
         if not child.attrib["profile_name"]:
             raise ProfileLoadError("profile_name must be non-empty", path=path, line=child.line)
-        endpoints.append(_parse_endpoint(child, kind, path, diags))
+        endpoints.append(_parse_endpoint(child, kind, parsers[kind], path, diags))
     return ProfileDocument(path=path, endpoints=endpoints, diagnostics=diags)
 
 
@@ -592,10 +668,15 @@ def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
     Topic-level QoS fills endpoint gaps (endpoint wins), then OMG defaults
     fill the rest.  Duplicate profile names across documents are an error.
     Equal resolved profiles are interned, so endpoints sharing a QoS bundle
-    share one ``QosProfile`` object.
+    share one ``QosProfile`` object.  Each distinct (kind, endpoint QoS
+    object, topic QoS object) is resolved and interned once: a ``<qos>``
+    repeated in the input is one object (see ``parse_document``).
     """
     profiles: dict[str, EndpointProfile] = {}
     interned: dict[QosProfile, QosProfile] = {}
+    # By identity: the documents keep every key's objects alive, and hashing
+    # a profile costs what resolving it does.
+    resolved: dict[tuple[int, int, int], QosProfile] = {}
     diagnostics: list[ParseDiagnostic] = []
     for document in documents:
         diagnostics.extend(document.diagnostics)
@@ -607,11 +688,16 @@ def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
                     path=document.path,
                     line=raw.line,
                 )
-            qos = resolve_defaults(raw.endpoint_qos.merged_under(raw.topic_qos), raw.endpoint_kind)
+            kind, endpoint_qos, topic_qos = raw.endpoint_kind, raw.endpoint_qos, raw.topic_qos
+            key = (id(kind), id(endpoint_qos), id(topic_qos))
+            qos = resolved.get(key)
+            if qos is None:
+                qos = resolve_defaults(endpoint_qos.merged_under(topic_qos), kind)
+                qos = resolved[key] = interned.setdefault(qos, qos)
             profiles[raw.profile_name] = EndpointProfile(
                 profile_name=raw.profile_name,
-                endpoint_kind=raw.endpoint_kind,
-                qos=interned.setdefault(qos, qos),
+                endpoint_kind=kind,
+                qos=qos,
                 topic_name=raw.topic_name,
                 source_location=SourceLocation(document.path, raw.line),
             )
@@ -619,7 +705,12 @@ def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
 
 
 def load_profile_files(paths: list[str]) -> ProfileSet:
-    """Read and parse UTF-8 XML files into one ProfileSet."""
+    """Read and parse UTF-8 XML files into one ProfileSet.
+
+    The files share one QoS table, made for this call: a ``<qos>`` repeated
+    across them is walked once.
+    """
+    table: QosTable = {}
     documents = []
     for path in paths:
         try:
@@ -629,7 +720,7 @@ def load_profile_files(paths: list[str]) -> ProfileSet:
             raise ProfileLoadError(f"cannot read file: {exc.strerror or exc}", path=path) from exc
         except UnicodeDecodeError as exc:
             raise ProfileLoadError(f"cannot read file: not valid UTF-8 ({exc.reason})", path=path) from None
-        documents.append(parse_document(text, path))
+        documents.append(parse_document(text, path, table))
     return parse_profiles(documents)
 
 

@@ -150,6 +150,8 @@ def _slot_init(cls: type) -> type:
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class Violation:
+    """One rule firing on an endpoint or a pair: its level, message and repair."""
+
     rule_id: int
     identifier: str
     stage: int
@@ -163,6 +165,8 @@ class Violation:
 @_slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class SkippedRule:
+    """One rule left undecided on an endpoint or a pair, and why."""
+
     rule_id: int
     identifier: str
     stage: int

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
-from dataclasses import FrozenInstanceError, fields, is_dataclass
+import pkgutil
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,6 +158,63 @@ def test_empty_partition_list_normalizes_to_default():
 
     resolved = resolve_defaults(QosProfile(partition=Partition(names=())), EndpointKind.DATA_READER)
     assert resolved.partition.names == ("",)
+
+
+# A policy slot of a partial profile: unset, either kind's default, or a
+# value of its own (for partition, zero names among them).
+def _slot_values(name: str) -> list:
+    own = {
+        "reliability": POLICIES["reliability"](kind=ReliabilityKind.BEST_EFFORT),
+        "partition": POLICIES["partition"](names=()),
+        "history": POLICIES["history"](depth=3),
+        "durability": POLICIES["durability"](kind=DurabilityKind.TRANSIENT_LOCAL),
+    }
+    values = [None, getattr(default_qos(EndpointKind.DATA_READER), name), POLICIES[name]()]
+    return values + ([own[name]] if name in own else [])
+
+
+_partials = st.fixed_dictionaries({name: st.sampled_from(_slot_values(name)) for name in POLICIES}).map(
+    lambda slots: QosProfile(**slots)
+)
+
+
+def _reference_merged_under(partial: QosProfile, fallback: QosProfile) -> QosProfile:
+    return replace(partial, **{name: getattr(fallback, name) for name in POLICIES if getattr(partial, name) is None})
+
+
+def _reference_resolve(partial: QosProfile, kind: EndpointKind) -> QosProfile:
+    resolved = _reference_merged_under(partial, default_qos(kind))
+    if not resolved.partition.names:
+        resolved = replace(resolved, partition=POLICIES["partition"]())
+    return resolved
+
+
+@given(_partials, _partials, st.sampled_from(EndpointKind))
+def test_resolution_matches_field_by_field_replacement(partial, topic, kind):
+    merged = partial.merged_under(topic)
+    assert merged == _reference_merged_under(partial, topic)
+    resolved = resolve_defaults(merged, kind)
+    assert resolved == _reference_resolve(merged, kind) and resolved.is_resolved
+    # Nothing to change gives the input itself.
+    assert (merged is partial) == (merged == partial)
+    assert (resolved is merged) == (resolved == merged)
+    assert resolve_defaults(resolved, kind) is resolved
+
+
+def test_no_package_dataclass_has_a_generated_docstring():
+    # For a class without a docstring, ``dataclasses`` makes one from
+    # ``inspect.signature``, a cost every start-up would pay.
+    package = importlib.import_module("qos_chain_guard")
+    checked = 0
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"qos_chain_guard.{info.name}")
+        for value in vars(module).values():
+            if is_dataclass(value) and isinstance(value, type) and value.__module__ == module.__name__:
+                checked += 1
+                assert value.__doc__ and not value.__doc__.startswith(f"{value.__name__}("), value
+    assert checked >= len(POLICIES) + 1
 
 
 def test_history_depth_must_be_positive():

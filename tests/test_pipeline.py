@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from json.encoder import encode_basestring
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +311,25 @@ def test_render_lists_skips_and_parse_notes():
     assert "SKIP [rule 29 HIST→RELIAB] w1(DataWriter)@in.xml:2 — MissingEnvRTT" in rendered
     assert "parse notes" in rendered
     assert "INFO in.xml:2: unknown element <mystery>" in rendered
+
+
+def test_human_report_escapes_control_characters_in_entity_text():
+    # Tab and newline in the name, a carriage return in the path: each would
+    # otherwise break a report line, or hide in it.
+    text = """<profiles>
+      <data_writer profile_name="a&#10;b&#9;c">
+        <qos><reliability><kind>BEST_EFFORT</kind></reliability>
+        <durability><kind>TRANSIENT_LOCAL</kind></durability></qos>
+      </data_writer>
+    </profiles>"""
+    report = run_pipeline(parse_profiles([parse_document(text, "in\r.xml")]))
+    rendered = render_report(report)
+    rows = [line for line in rendered.splitlines() if "(DataWriter)" in line]
+    assert rows and all(r.startswith("  ") and "a\\nb\\tc(DataWriter)@in\\r.xml:2 — " in r for r in rows)
+    assert "\r" not in rendered
+    # The JSON report holds the name itself, escaped by JSON.
+    (entity,) = json.loads(render_report(report, "json"))["diagnostics"][0]["entities"]
+    assert (entity["profile"], entity["document"]) == ("a\nb\tc", "in\r.xml")
 
 
 def test_render_empty_report():
@@ -708,7 +728,10 @@ def _reference_human(report: Report, color: bool) -> str:
     """The human report, written row by row with no caching: the byte contract."""
 
     def entity_list(entities) -> str:
-        return " + ".join(str(e) for e in entities)
+        # Control characters escaped one by one, as the JSON report escapes them.
+        return " + ".join(
+            "".join(encode_basestring(c)[1:-1] if c < " " else c for c in str(e)) for e in entities
+        )
 
     lines: list[str] = []
     env = report.environment.echo()

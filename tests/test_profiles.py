@@ -7,6 +7,7 @@ import gc
 import importlib.util
 import re
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -46,6 +47,7 @@ from qos_chain_guard.model import (
     UserData,
     WriterDataLifecycle,
     default_qos,
+    resolve_defaults,
 )
 from qos_chain_guard import profiles
 from qos_chain_guard.profiles import (
@@ -1092,3 +1094,227 @@ def test_walker_parses_as_the_reference_parser(text):
         assert Counter(actual.diagnostics) == Counter(expected.diagnostics)
     else:
         assert actual.diagnostics == expected.diagnostics
+
+
+# -- the QoS table against parsing every <qos> on its own ----------------------
+#
+# ``load_profile_files`` walks each distinct <qos> once per call and resolves
+# each distinct (kind, endpoint QoS, topic QoS) once.  The reference walks
+# every document with the reference parser above and resolves every endpoint.
+
+
+def _reference_load(paths: list[str]) -> tuple[dict[str, tuple], list[ParseDiagnostic]]:
+    """name -> (endpoint, its source location), and the notes, in order."""
+    found: dict[str, tuple] = {}
+    notes: list[ParseDiagnostic] = []
+    for path in paths:
+        document = _reference_parse_document(Path(path).read_text(encoding="utf-8"), path)
+        notes += document.diagnostics
+        for raw in document.endpoints:
+            if raw.profile_name in found:
+                first = found[raw.profile_name][1]
+                raise ProfileLoadError(
+                    f"duplicate profile name {raw.profile_name!r} (first defined at {first})", path, raw.line
+                )
+            qos = resolve_defaults(raw.endpoint_qos.merged_under(raw.topic_qos), raw.endpoint_kind)
+            endpoint = EndpointProfile(raw.profile_name, raw.endpoint_kind, qos, raw.topic_name)
+            found[raw.profile_name] = (endpoint, SourceLocation(path, raw.line))
+    return found, notes
+
+
+def _written(directory: Path, texts: list[str]) -> list[str]:
+    paths = []
+    for i, text in enumerate(texts):
+        path = directory / f"doc{i}.xml"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def _loaded(load, paths: list[str]):
+    try:
+        return None, load(paths)
+    except ProfileLoadError as exc:
+        return str(exc), None
+
+
+def _assert_loads_as_the_reference(paths: list[str]) -> ProfileSet | None:
+    expected_error, expected = _loaded(_reference_load, paths)
+    error, actual = _loaded(profiles.load_profile_files, paths)
+    assert error == expected_error
+    if error is not None:
+        return None
+    endpoints, notes = expected
+    assert actual.profiles == {name: endpoint for name, (endpoint, _) in endpoints.items()}
+    assert {name: e.source_location for name, e in actual.profiles.items()} == {
+        name: location for name, (_, location) in endpoints.items()
+    }
+    assert list(actual.diagnostics) == notes
+    return actual
+
+
+_TABLE_QOS = """<qos>
+      <reliability><max_blocking_time><sec>1</sec></max_blocking_time></reliability>
+      <history><kind>KEEP_LAST</kind><depth>4</depth></history>
+    </qos>"""
+
+
+def _endpoint(tag: str, name: str, body: str, topic: str = "t") -> str:
+    return f'  <{tag} profile_name="{name}">\n    <topic><name>{topic}</name>{body}</topic>\n    {body}\n  </{tag}>\n'
+
+
+def _profiles(*endpoints: str, declaration: str = "") -> str:
+    return f"{declaration}<profiles>\n{''.join(endpoints)}</profiles>\n"
+
+
+def test_a_repeated_qos_resolves_by_kind_within_and_across_documents(tmp_path):
+    first = _profiles(
+        _endpoint("data_writer", "w1", _TABLE_QOS),
+        _endpoint("data_reader", "r1", _TABLE_QOS),
+        _endpoint("data_writer", "w2", _TABLE_QOS),
+        '  <data_writer profile_name="bare_w"/>\n  <data_reader profile_name="bare_r"/>\n',
+    )
+    # One more <qos> that differs from the others only in its last value.
+    deeper = _TABLE_QOS.replace("<depth>4</depth>", "<depth>5</depth>")
+    second = _profiles(
+        _endpoint("data_reader", "r2", _TABLE_QOS),
+        _endpoint("data_writer", "w3", _TABLE_QOS),
+        _endpoint("data_writer", "w4", deeper),
+    )
+    ps = _assert_loads_as_the_reference(_written(tmp_path, [first, second]))
+    assert ps.profiles["w4"].qos.history.depth == 5
+    # <reliability> without <kind>, and no <qos> at all, take each kind's default kind.
+    kinds = {name: e.qos.reliability.kind.name for name, e in ps.profiles.items()}
+    assert kinds == {
+        **dict.fromkeys(["w1", "w2", "w3", "w4", "bare_w"], "RELIABLE"),
+        **dict.fromkeys(["r1", "r2", "bare_r"], "BEST_EFFORT"),
+    }
+    assert ps.profiles["w1"].qos is ps.profiles["w3"].qos and ps.profiles["r1"].qos is ps.profiles["r2"].qos
+
+
+def test_one_parse_walks_a_repeated_qos_once_per_kind(monkeypatch):
+    walked = []
+    parse_params = profiles._parse_params
+
+    def counted(node, parsers, label, path, diags):
+        if node.tag == "qos":
+            walked.append(node.line)
+        return parse_params(node, parsers, label, path, diags)
+
+    monkeypatch.setattr(profiles, "_parse_params", counted)
+    table: profiles.QosTable = {}
+    one = parse_document(_profiles(_endpoint("data_writer", "w1", _TABLE_QOS)), "a.xml", table)
+    two = parse_document(
+        _profiles(_endpoint("data_writer", "w2", _TABLE_QOS), _endpoint("data_reader", "r2", _TABLE_QOS)),
+        "b.xml",
+        table,
+    )
+    # The topic's and the endpoint's <qos> of w1, then r2's first: one per kind.
+    assert len(walked) == 2
+    (w1,), (w2, r2) = one.endpoints, two.endpoints
+    assert w1.endpoint_qos is w1.topic_qos is w2.endpoint_qos is w2.topic_qos
+    assert r2.endpoint_qos is r2.topic_qos and r2.endpoint_qos is not w1.endpoint_qos
+
+
+@pytest.mark.parametrize("declaration", ["", '<?xml version="1.0" encoding="ISO-8859-1"?>\n'])
+def test_non_ascii_qos_sources_of_equal_byte_length_stay_apart(tmp_path, declaration):
+    # é and è are both two bytes in UTF-8.  The comment before the first
+    # <qos> puts its byte offsets 80 past its character offsets, more than
+    # the length of a <qos>, and each <qos> is followed by the same comment:
+    # sliced by character, each source would be the same run of that
+    # comment.  A str is parsed as UTF-8 whatever encoding it declares.
+    def endpoint(tag: str, name: str, partition: str) -> str:
+        qos = f"<qos><partition><names><name>{partition}</name></names></partition></qos>"
+        return f'  <{tag} profile_name="{name}">{qos}<!--{"a" * 200}--></{tag}>\n'
+
+    text = _profiles(
+        f"  <!--{'ü' * 80}-->\n",
+        endpoint("data_writer", "wé", "é"),
+        endpoint("data_writer", "wè", "è"),
+        endpoint("data_reader", "rè", "è"),
+        endpoint("data_reader", "ré", "é"),
+        declaration=declaration,
+    )
+    paths = _written(tmp_path, [text, _renamed(text, "again_")])
+    ps = _assert_loads_as_the_reference(paths)
+    names = {name: e.qos.partition.names[0] for name, e in ps.profiles.items()}
+    assert names == {prefix + name: name[-1] for prefix in ("", "again_") for name in ("wé", "wè", "rè", "ré")}
+
+
+def test_a_repeated_noisy_qos_notes_each_occurrence_on_its_own_line(tmp_path):
+    noisy = "<qos><bogus/><deadline><period><sec>1</sec></period></deadline></qos>"
+    first = _profiles(_endpoint("data_writer", "w1", noisy), _endpoint("data_reader", "r1", noisy))
+    second = _profiles(_endpoint("data_writer", "w2", noisy))
+    ps = _assert_loads_as_the_reference(_written(tmp_path, [first, second]))
+    notes = [(Path(d.path).name, d.line) for d in ps.diagnostics]
+    # Each endpoint's topic <qos> and its own <qos>, both on their lines.
+    assert notes == [("doc0.xml", 3), ("doc0.xml", 4), ("doc0.xml", 7), ("doc0.xml", 8), ("doc1.xml", 3), ("doc1.xml", 4)]
+
+
+def test_malformed_xml_still_wins_over_a_bad_value_in_a_repeated_qos(tmp_path):
+    bad = "<qos><history><depth>0</depth></history></qos>"
+    first = _profiles(_endpoint("data_writer", "w1", _TABLE_QOS))
+    second = _profiles(
+        _endpoint("data_writer", "w2", _TABLE_QOS), _endpoint("data_reader", "r2", bad)
+    ).replace("</profiles>", "<broken></profiles>")
+    paths = _written(tmp_path, [first, second])
+    _assert_loads_as_the_reference(paths)
+    with pytest.raises(ProfileLoadError, match=r"doc1\.xml:\d+: malformed XML"):
+        profiles.load_profile_files(paths)
+    # Without the malformed tail, the bad value is the error.
+    paths = _written(tmp_path, [second.replace("<broken>", ""), first])
+    _assert_loads_as_the_reference(paths)
+    with pytest.raises(ProfileLoadError, match=r"doc0\.xml:\d+: history\.depth: must be >= 1"):
+        profiles.load_profile_files(paths)
+
+
+def _renamed(text: str, prefix: str) -> str:
+    return re.sub(r"""profile_name=(["'])""", rf"profile_name=\g<1>{prefix}", text)
+
+
+def _kinds_swapped(text: str) -> str:
+    return re.sub(r"data_(writer|reader)", lambda m: "data_reader" if m[1] == "writer" else "data_writer", text)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.deferred(_fuzz_documents), st.deferred(_fuzz_documents))
+def test_the_qos_table_loads_as_the_reference_on_fuzz_document_sets(text, other):
+    # The same <qos> literals again under new names, then under the other
+    # kind, then another document: hits within and across documents and
+    # kinds, noisy literals among them.
+    texts = [text, _renamed(text, "again_"), _kinds_swapped(_renamed(text, "swapped_")), _renamed(other, "other_")]
+    if any(len(set(tags)) < len(tags) for t in texts for tags in _topic_child_tags(t)):
+        return  # a repeated topic child errs otherwise in the reference (see above)
+    if any("duplicate" in (_parsed(_reference_parse_document, t)[0] or "") for t in texts):
+        return  # the reference words a repeated policy otherwise
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_loads_as_the_reference(_written(Path(directory), texts))
+
+
+def _qos_profiles_in(value: object) -> list[QosProfile]:
+    """The ``QosProfile`` objects in ``value`` and in the dicts it nests."""
+    if isinstance(value, QosProfile):
+        return [value]
+    if isinstance(value, dict):
+        return [qos for v in value.values() for qos in _qos_profiles_in(v)]
+    return []
+
+
+def test_the_qos_table_lives_for_one_load(tmp_path):
+    # The canonical form sets every policy, so resolving a <qos> returns the
+    # object parsed: a table kept across loads would hand it out again.
+    text = serialize_canonical(
+        parse_set(_profiles(_endpoint("data_writer", "w1", _TABLE_QOS), _endpoint("data_reader", "r1", _TABLE_QOS)))
+    )
+    paths = _written(tmp_path, [text, _renamed(text, "again_")])
+    one = profiles.load_profile_files(paths)
+    assert one.profiles["w1"].qos is one.profiles["again_w1"].qos
+    two = profiles.load_profile_files(paths)
+    assert one == two
+    assert not {id(e.qos) for e in one} & {id(e.qos) for e in two}
+    # Nor does any module keep parsed profiles between loads.
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("qos_chain_guard"):
+            for name, value in vars(module).items():
+                if isinstance(value, dict) and not name.startswith("__"):
+                    assert not _qos_profiles_in(value), (module_name, name)

@@ -22,7 +22,12 @@ line goes to stderr.  No workload pairs by ``--pair`` directive either, so
 both sides run ``check`` on ``DIRECTIVE_DOCUMENT`` with the directives of
 ``DIRECTIVES``, in JSON and in human text: a writer paired with a reader
 of another topic and with a topic-less reader, a directive that repeats a
-topic pair, and a directive given twice.
+topic pair, and a directive given twice.  No workload repeats a ``<qos>``
+that has a parse note either, so both sides run ``check`` on the two files
+of ``REPEATED_DOCUMENTS``, in JSON and in human text: one noisy ``<qos>``
+literal (an unknown element, non-ASCII partition names, a ``<reliability>``
+without ``<kind>``) under writers and readers, at topic and endpoint level,
+in both files, beside a quiet literal repeated the same way.
 
 One line is printed per case.  A last line lists the rules that fired in
 no ``check`` case of the working tree, read from its JSON reports: a seed
@@ -124,6 +129,27 @@ DIRECTIVE_DOCUMENT = """<?xml version="1.0" encoding="UTF-8"?>
   </data_reader>
 </profiles>
 """
+_NOISY_QOS = (
+    "<qos><reliability><max_blocking_time><sec>1</sec></max_blocking_time></reliability>"
+    "<partition><names><name>caf\u00e9</name><name>\u00e8</name></names></partition>"
+    "<latency_budget/></qos>"
+)
+_QUIET_QOS = "<qos><durability><kind>TRANSIENT_LOCAL</kind></durability><history><depth>3</depth></history></qos>"
+
+
+def _repeated_document(prefix: str) -> str:
+    endpoints = "".join(
+        f'  <{tag} profile_name="{prefix}_{tag}_{i}">\n'
+        f"    <topic><name>shared/{i}</name>{_NOISY_QOS if i else _QUIET_QOS}</topic>\n"
+        f"    {_NOISY_QOS if i < 2 else _QUIET_QOS}\n"
+        f"  </{tag}>\n"
+        for tag in ("data_writer", "data_reader")
+        for i in range(3)
+    )
+    return f'<?xml version="1.0" encoding="UTF-8"?>\n<profiles>\n{endpoints}</profiles>\n'
+
+
+REPEATED_DOCUMENTS = {"repeated_a.xml": _repeated_document("a"), "repeated_b.xml": _repeated_document("b")}
 DIRECTIVES = (
     "alpha_writer:yankee_reader",  # across topics
     "bravo_writer:yankee_reader",  # repeats a topic pair
@@ -169,6 +195,13 @@ def cases(seeds: list[int], directory: str):
     pairs = [arg for directive in DIRECTIVES for arg in ("--pair", directive)]
     for fmt in ("json", "human"):
         yield f"check directives.xml --pair ... --format {fmt}", ["check", directed, *pairs, "--format", fmt]
+    repeated = os.path.join(directory, "repeated")
+    os.makedirs(repeated)
+    for name, document in REPEATED_DOCUMENTS.items():
+        with open(os.path.join(repeated, name), "w", encoding="utf-8") as handle:
+            handle.write(document)
+    for fmt in ("json", "human"):
+        yield f"check repeated/ --format {fmt}", ["check", repeated, "--format", fmt]
     for name, document in LOAD_ERROR_DOCUMENTS.items():
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8") as handle:
