@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 
+from .model import Record
 from .rules import Severity, rule_catalog
 
 
@@ -25,8 +25,7 @@ class EdgeDirection(enum.Enum):
     BIDIRECTIONAL = "bidirectional"
 
 
-@dataclass(frozen=True)
-class PolicyNode:
+class PolicyNode(Record):
     """One policy of the dependency graph and its lifecycle phases."""
 
     abbreviation: str
@@ -34,8 +33,7 @@ class PolicyNode:
     lifecycle: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ChainEdge:
+class ChainEdge(Record):
     """One non-empty matrix cell: row policy x column policy."""
 
     source: str
@@ -125,8 +123,7 @@ def _matrix_edges() -> tuple[ChainEdge, ...]:
 CHAIN_EDGES: tuple[ChainEdge, ...] = _matrix_edges()
 
 
-@dataclass(frozen=True)
-class ChainGraph:
+class ChainGraph(Record):
     """The policy dependency graph: its nodes and its matrix cells."""
 
     nodes: tuple[PolicyNode, ...]

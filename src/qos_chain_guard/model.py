@@ -7,6 +7,12 @@ type of each default) and the OMG defaults: the policy classes,
 schema in ``profiles`` and the condition operands in ``rules`` all derive
 from them.
 
+Every record of the package, here and in the other modules, is a
+``Record``: a slotted class with value equality, frozen unless declared
+otherwise.  The standard library's record decorator is not used: importing
+it loads ``inspect``, and each class it builds costs about a millisecond,
+at every start-up.
+
 Durations and counts carry explicit infinity sentinels with a total order,
 kind enumerations expose the RxO orderings, and ``resolve_defaults`` fills
 absent policies with the OMG defaults so that downstream rule predicates
@@ -16,7 +22,6 @@ never see an unset value.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, make_dataclass
 from functools import total_ordering
 from operator import attrgetter
 from typing import Callable
@@ -47,9 +52,118 @@ def shorten_literal(value: object) -> str:
     return f"{text[:ECHO_LIMIT - 8]}...{text[-8:]} ({len(text)} characters)"
 
 
+class _RecordType(type):
+    """The metaclass of ``Record``: a subclass's annotated names become its
+    fields, in order, each a slot, and its class-body values their defaults.
+
+    Class keywords: ``frozen=False`` keeps instances assignable (and
+    unhashable); ``uncompared`` names fields that equality and hashing leave
+    out.  A body's ``_check(self)`` validates each new instance, and a body
+    may define its own ``__init__``.
+    """
+
+    def __new__(meta, name: str, bases: tuple, namespace: dict, *, frozen: bool = True, uncompared: tuple = ()):
+        if not bases:  # Record itself
+            return super().__new__(meta, name, bases, namespace)
+        names = tuple(namespace.get("__annotations__", ()))
+        defaults = tuple(namespace.pop(field) for field in names if field in namespace)
+        namespace["__slots__"] = names
+        namespace["_compared"] = tuple(field for field in names if field not in uncompared)
+        if not frozen:
+            namespace.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__, __hash__=None)
+        cls = super().__new__(meta, name, bases, namespace)
+        if "__init__" not in namespace:
+            cls.__init__ = _init(cls, defaults, namespace.get("_check"))
+        return cls
+
+
+def _methods(cls: _RecordType, source: str, namespace: dict, *names: str) -> list[Callable]:
+    """The functions ``names`` that ``source`` defines, as methods of ``cls``."""
+    exec(source, namespace)
+    methods = [namespace[name] for name in names]
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+    return methods
+
+
+def _init(cls: _RecordType, defaults: tuple, check: Callable | None) -> Callable:
+    """``cls.__init__``: its fields as parameters, ``defaults`` for the last.
+
+    Construction is a check's most frequent record operation, so each class
+    gets its own, which sets each slot through its member descriptor: about
+    half the cost of an ``object.__setattr__`` call by name.
+    """
+    names = cls.__slots__
+    namespace: dict[str, object] = {f"set_{name}": getattr(cls, name).__set__ for name in names}
+    lines = [f"def __init__(self, {', '.join(names)}):", *(f"    set_{name}(self, {name})" for name in names)]
+    if check is not None:
+        namespace["check"] = check
+        lines.append("    check(self)")
+    [init] = _methods(cls, "\n".join(lines), namespace, "__init__")
+    init.__defaults__ = defaults or None
+    return init
+
+
+def _comparisons(cls: _RecordType) -> _RecordType:
+    """Give ``cls`` its own ``__eq__`` and, if hashable, ``__hash__``.
+
+    Each reads the compared fields into a tuple, whose comparison skips the
+    fields two records share; that is faster than any method written once
+    for every record.  Made on a class's first comparison or hash, so the
+    records a run never compares cost nothing.
+    """
+    mine = "".join(f"self.{name}, " for name in cls._compared)
+    eq, hash_ = _methods(
+        cls,
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is not self.__class__:\n"
+        "        return NotImplemented\n"
+        f"    return ({mine}) == ({mine.replace('self.', 'other.')})\n"
+        "def __hash__(self):\n"
+        f"    return hash(({mine}))\n",
+        {},
+        "__eq__",
+        "__hash__",
+    )
+    cls.__eq__ = eq
+    if cls.__hash__ is not None:
+        cls.__hash__ = hash_
+    return cls
+
+
+class Record(metaclass=_RecordType):
+    """A slotted value record, frozen unless declared with ``frozen=False``.
+
+    ``repr`` lists every field; equality needs the same class and equal
+    compared fields, and the hash is over those same fields.  Assigning or
+    deleting a field of a frozen record raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        return _comparisons(type(self)).__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return _comparisons(type(self)).__hash__(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles construct anew: a frozen slot takes no setattr.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 @total_ordering
-@dataclass(frozen=True)
-class Duration:
+class Duration(Record):
     """Nonnegative time span, or the infinite sentinel (``nanoseconds=None``).
 
     The order is total: finite values compare by magnitude and the infinite
@@ -59,7 +173,7 @@ class Duration:
 
     nanoseconds: int | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.nanoseconds is None:
             return
         if not isinstance(self.nanoseconds, int) or isinstance(self.nanoseconds, bool):
@@ -131,8 +245,7 @@ def format_nanoseconds(ns: int | None) -> str:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Count:
+class Count(Record):
     """Nonnegative sample/instance count, or the unlimited sentinel.
 
     Mirrors ``Duration``: unlimited (``value=None``) is the unique maximum.
@@ -140,7 +253,7 @@ class Count:
 
     value: int | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.value is None:
             return
         if not isinstance(self.value, int) or isinstance(self.value, bool):
@@ -232,28 +345,23 @@ POLICIES: dict[str, type] = {}
 PARAMETERS: dict[str, dict[str, object]] = {}
 
 
-def _policy(attribute: str, *, post_init: Callable[[object], None] | None = None, **defaults: object) -> type:
-    """Declare one policy: a frozen dataclass with one field per parameter.
+def _policy(attribute: str, *, check: Callable[[object], None] | None = None, **defaults: object) -> type:
+    """Declare one policy: a frozen record with one field per parameter.
 
     The class is named after ``attribute`` (``entity_factory`` ->
     ``EntityFactory``), each field defaults to its OMG value for a
     DataWriter and is named after the OMG parameter, so diagnostics can
-    quote it verbatim.  ``post_init`` validates a new instance.
+    quote it verbatim.  ``check`` validates a new instance.
     """
-    # A class given a docstring spares ``dataclasses`` an ``inspect.signature``
-    # call to make one, a measurable share of start-up.
     namespace: dict[str, object] = {
         "__module__": __name__,
         "__doc__": f"The {attribute.upper()} policy: the OMG parameters of its element.",
+        "__annotations__": {name: type(default) for name, default in defaults.items()},
+        **defaults,
     }
-    if post_init is not None:
-        namespace["__post_init__"] = post_init
-    cls = make_dataclass(
-        "".join(word.capitalize() for word in attribute.split("_")),
-        [(name, type(default), default) for name, default in defaults.items()],
-        namespace=namespace,
-        frozen=True,
-    )
+    if check is not None:
+        namespace["_check"] = check
+    cls = _RecordType("".join(word.capitalize() for word in attribute.split("_")), (Record,), namespace)
     POLICIES[attribute] = cls
     PARAMETERS[attribute] = defaults
     return cls
@@ -275,7 +383,7 @@ Reliability = _policy(
 Durability = _policy("durability", kind=DurabilityKind.VOLATILE)
 Deadline = _policy("deadline", period=Duration.infinite())
 Liveliness = _policy("liveliness", kind=LivelinessKind.AUTOMATIC, lease_duration=Duration.infinite())
-History = _policy("history", kind=HistoryKind.KEEP_LAST, depth=1, post_init=_check_depth)
+History = _policy("history", kind=HistoryKind.KEEP_LAST, depth=1, check=_check_depth)
 ResourceLimits = _policy(
     "resource_limits",
     max_samples=Count.unlimited(),
@@ -327,10 +435,10 @@ def _is_resolved(self: "QosProfile") -> bool:
     return all(_POLICIES_OF(self))
 
 
-QosProfile = make_dataclass(
+QosProfile = _RecordType(
     "QosProfile",
-    [(name, cls | None, None) for name, cls in POLICIES.items()],
-    namespace={
+    (Record,),
+    {
         "__module__": __name__,
         "__doc__": """The 16-policy bundle of one endpoint: one field per ``POLICIES`` entry.
 
@@ -338,10 +446,11 @@ Every field is optional so the same type serves both the partially
 specified form coming out of the parser and the fully resolved form
 produced by ``resolve_defaults``.
 """,
+        "__annotations__": {name: f"{cls.__name__} | None" for name, cls in POLICIES.items()},
+        **dict.fromkeys(POLICIES),
         "merged_under": _merged_under,
         "is_resolved": property(_is_resolved),
     },
-    frozen=True,
 )
 
 # Built once: profiles are frozen, so every caller can share them.
@@ -372,8 +481,7 @@ def resolve_defaults(partial: QosProfile, kind: EndpointKind) -> QosProfile:
     return _filled(partial, defaults, defaults.partition)
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(Record):
     """Where an endpoint element opens: its document and line."""
 
     document: str
@@ -383,24 +491,21 @@ class SourceLocation:
         return f"{self.document}:{self.line}"
 
 
-@dataclass(frozen=True)
-class EndpointProfile:
+class EndpointProfile(Record, uncompared=("source_location",)):
     """A named DataWriter or DataReader with its fully resolved QoS.
 
     Findings name an endpoint by this object; ``str()`` gives its report text.
+    Its source location is diagnostic metadata only: profiles parsed from
+    different documents compare equal when the semantic content matches.
     """
 
     profile_name: str
     endpoint_kind: EndpointKind
     qos: QosProfile
     topic_name: str | None = None
-    # Diagnostic metadata only: profiles parsed from different documents
-    # compare equal when the semantic content matches.
-    source_location: SourceLocation = field(
-        default=SourceLocation("<unknown>", 0), compare=False
-    )
+    source_location: SourceLocation = SourceLocation("<unknown>", 0)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.profile_name:
             raise ValueError("profile_name must be non-empty")
         if not self.qos.is_resolved:

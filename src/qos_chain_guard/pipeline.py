@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring
 from typing import Sequence
@@ -24,6 +23,7 @@ from .model import (
     EndpointProfile,
     MAX_BLOCKING_TIME_ASSUMPTION,
     NANOSECONDS_PER_MILLISECOND,
+    Record,
     shorten_literal,
 )
 from .profiles import ParseDiagnostic, ProfileSet
@@ -70,8 +70,7 @@ def _duration_to_ms(d: Duration) -> int | float:
     return int(ms) if ms.is_integer() else ms
 
 
-@dataclass(frozen=True)
-class EnvironmentModel:
+class EnvironmentModel(Record):
     """Deployment assumptions: round-trip time and publish periods.
 
     All values are optional; rules that need a missing value are reported
@@ -79,11 +78,23 @@ class EnvironmentModel:
     positive.
     """
 
-    rtt: Duration | None = None
-    default_publish_period: Duration | None = None
-    per_profile_publish_period: dict[str, Duration] = field(default_factory=dict)
+    rtt: Duration | None
+    default_publish_period: Duration | None
+    per_profile_publish_period: dict[str, Duration]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        rtt: Duration | None = None,
+        default_publish_period: Duration | None = None,
+        per_profile_publish_period: dict[str, Duration] | None = None,
+    ) -> None:
+        # Written by hand: the publish-period table defaults to a new dict per model.
+        if per_profile_publish_period is None:
+            per_profile_publish_period = {}
+        set_field = object.__setattr__
+        set_field(self, "rtt", rtt)
+        set_field(self, "default_publish_period", default_publish_period)
+        set_field(self, "per_profile_publish_period", per_profile_publish_period)
         for label, value in self._named_durations():
             if value.is_infinite:
                 raise EnvironmentLoadError(f"{label}: must be finite")
@@ -159,8 +170,7 @@ class PairOrigin(enum.Enum):
     EXPLICIT_DIRECTIVE = "directive"
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(Record):
     """One writer/reader pair to check, by profile name, with how it was
     paired and the topic the two share (None across topics)."""
 
@@ -211,8 +221,7 @@ def build_pairing_plan(
     return tuple(plan)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Aggregate of one validation run, ordered deterministically."""
 
     tool_version: str
@@ -350,8 +359,15 @@ _STAGE_TITLES = {
 _ANSI = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
 _ANSI_RESET = "\x1b[0m"
 # A ``str.translate`` table: each control character as the JSON report
-# escapes it (``\n``, ``\u0000``), so an entity's text keeps to its line.
+# escapes it (``\n``, ``\u0000``), so a text from the input keeps to its line.
 _CONTROL_ESCAPES = {code: encode_basestring(chr(code))[1:-1] for code in range(0x20)}
+
+
+def _one_line(text: str) -> str:
+    """``text`` with its control characters escaped as JSON escapes them."""
+    if text.isprintable():  # a quick test: most texts have nothing to escape
+        return text
+    return text.translate(_CONTROL_ESCAPES)
 
 
 def _human_report(report: Report, color: bool) -> str:
@@ -375,24 +391,21 @@ def _human_report(report: Report, color: bool) -> str:
         for e in entities:
             text = texts.get(id(e))
             if text is None:
-                text = str(e)
-                if not text.isprintable():  # a quick test: most texts have nothing to escape
-                    text = text.translate(_CONTROL_ESCAPES)
-                texts[id(e)] = text
+                text = texts[id(e)] = _one_line(str(e))
             parts.append(text)
         return " + ".join(parts)
 
     lines: list[str] = []
     env = report.environment.echo()
     if report.inputs:
-        lines.append(f"inputs: {', '.join(report.inputs)}")
+        lines.append(f"inputs: {_one_line(', '.join(report.inputs))}")
     env_bits = []
     if env["rtt_ms"] is not None:
         env_bits.append(f"rtt={env['rtt_ms']}ms")
     if env["default_publish_period_ms"] is not None:
         env_bits.append(f"default publish period={env['default_publish_period_ms']}ms")
     for name, value in env["publish_period_ms"].items():
-        env_bits.append(f"publish period[{name}]={value}ms")
+        env_bits.append(f"publish period[{_one_line(name)}]={value}ms")
     lines.append(f"environment: {', '.join(env_bits) if env_bits else 'none provided'}")
     for assumption in report.assumptions:
         lines.append(f"note: {assumption}")
@@ -429,7 +442,7 @@ def _human_report(report: Report, color: bool) -> str:
     if report.parse_diagnostics:
         lines.append("parse notes")
         for diagnostic in report.parse_diagnostics:
-            lines.append(f"  {diagnostic}")
+            lines.append(f"  {_one_line(str(diagnostic))}")
         lines.append("")
 
     counts = report.summary

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from typing import Callable
 from xml.parsers import expat
 
@@ -78,6 +77,7 @@ from .model import (
     EndpointProfile,
     PARAMETERS,
     QosProfile,
+    Record,
     SourceLocation,
     default_qos,
     resolve_defaults,
@@ -113,8 +113,7 @@ class ProfileLoadError(Exception):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(Record):
     """Non-fatal note emitted while parsing (unknown element, endpoint without profile_name)."""
 
     path: str
@@ -217,8 +216,7 @@ def _parse_xml(text: str, path: str, spans: dict[int, bytes] | None = None) -> _
     return top[0]
 
 
-@dataclass
-class RawEndpoint:
+class RawEndpoint(Record, frozen=False):
     """One endpoint element before topic merge and default resolution."""
 
     profile_name: str
@@ -229,8 +227,7 @@ class RawEndpoint:
     line: int
 
 
-@dataclass
-class ProfileDocument:
+class ProfileDocument(Record, frozen=False):
     """A parsed profile document: raw endpoints plus parse diagnostics."""
 
     path: str
@@ -238,12 +235,11 @@ class ProfileDocument:
     diagnostics: list[ParseDiagnostic]
 
 
-@dataclass(frozen=True)
-class ProfileSet:
+class ProfileSet(Record, uncompared=("diagnostics",)):
     """All endpoints of a run, keyed by unique profile name."""
 
     profiles: dict[str, EndpointProfile]
-    diagnostics: tuple[ParseDiagnostic, ...] = field(default=(), compare=False)
+    diagnostics: tuple[ParseDiagnostic, ...] = ()
 
     def __iter__(self):
         return iter(self.profiles.values())
@@ -285,8 +281,7 @@ def _note_unknown(node: _Node, context: str, path: str, diags: list[ParseDiagnos
 Parser = Callable[[_Node, str, str, list[ParseDiagnostic]], object]
 
 
-@dataclass(frozen=True)
-class Codec:
+class Codec(Record):
     """How one parameter element is read from and written to XML.
 
     ``render(tag, value, indent)`` returns the element's canonical lines.
@@ -527,24 +522,22 @@ def _policy_parser(tag: str, default: object) -> Parser:
     """The parser of one policy element; ``default`` (the endpoint kind's
     ``default_qos`` policy) supplies every parameter the element leaves out.
 
-    The policy is built without a keyword call of its dataclass ``__init__``:
-    each field is set as ``__init__`` sets it, in canonical order, and its
-    ``__post_init__``, if any, checks it as ``__init__`` would.  No
-    ``__dict__`` is read or written, which would cost every later attribute
-    read of the object (and of ``default``) its fast path.
+    The policy is built without a keyword call of its ``__init__``: each
+    field is set through its slot, in canonical order, and the policy's
+    ``_check``, if any, validates it as ``__init__`` would.
     """
     parsers = {name: codec.parse for name, codec in POLICY_SCHEMA[tag].items()}
     policy = type(default)
-    new, set_field = object.__new__, object.__setattr__
-    defaults = tuple((name, getattr(default, name)) for name in parsers)
-    check = getattr(policy, "__post_init__", None)
+    new = object.__new__
+    fields = tuple((name, getattr(default, name), getattr(policy, name).__set__) for name in parsers)
+    check = getattr(policy, "_check", None)
 
     def parse(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> object:
         values = _parse_params(node, parsers, tag, path, diags)
         built = new(policy)
         given = values.get
-        for name, value in defaults:
-            set_field(built, name, given(name, value))
+        for name, value, set_field in fields:
+            set_field(built, given(name, value))
         if check is not None:
             try:
                 check(built)

@@ -74,8 +74,8 @@ with -1 for an absent ``rtt`` or ``pp``.  By the invariant, equal keys mean
 equal ``outcome`` results, so the stage evaluators keep each result in a
 memo by its key and compute it once per distinct key; ``run_pipeline``
 passes one memo per run, and a call without one uses a fresh one.
-Findings are frozen slotted dataclasses, since a report builds one per
-endpoint or pair a rule fires on.
+Findings are frozen slotted records (``model.Record``), since a report
+builds one per endpoint or pair a rule fires on.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ import enum
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, fields
 from typing import Callable
 
 from .model import (
@@ -93,6 +92,7 @@ from .model import (
     EndpointKind,
     EndpointProfile,
     PARAMETERS,
+    Record,
     format_nanoseconds,
 )
 
@@ -126,30 +126,7 @@ class SkipReason(enum.Enum):
     INFINITE_LIFESPAN_EXEMPTION = "InfiniteLifespanExemption"
 
 
-def _slot_init(cls: type) -> type:
-    """Give a frozen slotted dataclass an ``__init__`` that sets each slot
-    through its member descriptor.
-
-    The one ``dataclass`` generates calls ``object.__setattr__`` per field,
-    which finds the descriptor by name each time, at about twice the cost;
-    a report builds one finding per endpoint or pair a rule fires on.
-    """
-    names = [f.name for f in fields(cls)]
-    namespace = {f"set_{name}": getattr(cls, name).__set__ for name in names}
-    exec(
-        f"def __init__(self, {', '.join(names)}):\n"
-        + "".join(f"    set_{name}(self, {name})\n" for name in names),
-        namespace,
-    )
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
-
-
-@_slot_init
-@dataclass(frozen=True, slots=True, init=False)
-class Violation:
+class Violation(Record):
     """One rule firing on an endpoint or a pair: its level, message and repair."""
 
     rule_id: int
@@ -162,9 +139,7 @@ class Violation:
     suggestion: str
 
 
-@_slot_init
-@dataclass(frozen=True, slots=True, init=False)
-class SkippedRule:
+class SkippedRule(Record):
     """One rule left undecided on an endpoint or a pair, and why."""
 
     rule_id: int
@@ -186,9 +161,8 @@ class Rule:
     the (message, suggestion) of a violation; ``reads`` holds what the rule
     reads, and ``requires_env`` the environment inputs among them.
     ``key``, called like ``outcome``, returns the rule id and the value of
-    each read: equal keys mean equal outcomes.  A plain
-    class: nothing compares, hashes or copies a rule, and building a
-    dataclass at import would cost about what compiling the texts does.
+    each read: equal keys mean equal outcomes.  A plain class, not a
+    record: nothing compares, hashes or copies a rule.
     """
 
     def __init__(
@@ -389,7 +363,7 @@ def _text(text: str | tuple[tuple[str, str] | str, ...], pair: bool, reads: set[
 def _key_part(read: str) -> str:
     """The expression of one read's value in a rule's key: a plain value
     whose hash is C code (an int, a str, None, a bool, a tuple of names),
-    never an enumeration member or a dataclass, whose hashes run Python code."""
+    never an enumeration member or a record, whose hashes run Python code."""
     if read in ("rtt", "pp"):  # -1 when absent: a duration is never negative
         return f"-1 if {read} is None else {read}.nanoseconds"
     side, _, path = read.rpartition(" ")
@@ -445,8 +419,14 @@ def _build_catalog() -> tuple[Rule, ...]:
         message="history.kind=KEEP_LAST with history.depth={history.depth} above "
         "resource_limits.max_samples_per_instance={resource_limits.max_samples_per_instance}: "
         "the cache can never hold the configured depth",
-        suggestion="raise resource_limits.max_samples_per_instance to ≥ {history.depth} "
-        "or lower history.depth to ≤ {resource_limits.max_samples_per_instance}",
+        suggestion=(
+            (
+                "resource_limits.max_samples_per_instance = 0",
+                "raise resource_limits.max_samples_per_instance to ≥ {history.depth}",
+            ),
+            "raise resource_limits.max_samples_per_instance to ≥ {history.depth} "
+            "or lower history.depth to ≤ {resource_limits.max_samples_per_instance}",
+        ),
     ))
     add(Rule(
         2, "RESLIM↔RESLIM", 1, Severity.CRITICAL, RuleScope.EITHER,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from qos_chain_guard.model import (
     Count,
     Deadline,
@@ -34,6 +32,12 @@ from qos_chain_guard.model import (
 )
 
 INF = Duration.infinite()
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s class with the fields in ``changes`` replaced."""
+    fields = {name: changes.pop(name) if name in changes else getattr(record, name) for name in record.__slots__}
+    return type(record)(**fields, **changes)
 
 
 def ms(value: int | float) -> Duration:

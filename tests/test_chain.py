@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
 
 from qos_chain_guard.chain import (
     MATRIX_DEVIATIONS,
@@ -129,9 +128,9 @@ def _owners() -> dict[str, set[str]]:
     """Parameter name -> the policies that have a parameter of that name."""
     defaults = default_qos(EndpointKind.DATA_WRITER)
     owners: dict[str, set[str]] = {}
-    for policy in fields(QosProfile):
-        for param in fields(getattr(defaults, policy.name)):
-            owners.setdefault(param.name, set()).add(policy.name)
+    for policy in QosProfile.__slots__:
+        for param in getattr(defaults, policy).__slots__:
+            owners.setdefault(param, set()).add(policy)
     return owners
 
 

@@ -48,7 +48,7 @@ from qos_chain_guard.rules import (
     rules_for_stage,
 )
 
-from dataclasses import replace
+from support import replace
 
 # -- independent condition table ------------------------------------------
 # Durations: int nanoseconds, None = infinite.  Counts: int, None = unlimited.

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import importlib
+import copy
 import itertools
-import pkgutil
-from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +15,7 @@ from qos_chain_guard.model import (
     DurabilityKind,
     Duration,
     EndpointKind,
+    EndpointProfile,
     GroupData,
     HistoryKind,
     LivelinessKind,
@@ -24,12 +24,16 @@ from qos_chain_guard.model import (
     PARAMETERS,
     POLICIES,
     QosProfile,
+    Record,
     ReliabilityKind,
+    SourceLocation,
     UserData,
     default_qos,
     format_duration,
     resolve_defaults,
 )
+from qos_chain_guard.profiles import ParseDiagnostic, ProfileSet
+from support import replace
 
 durations = st.one_of(
     st.just(Duration.infinite()),
@@ -146,11 +150,9 @@ def test_resolve_defaults_is_idempotent():
 def test_default_resolution_differs_only_in_reliability_kind():
     w = default_qos(EndpointKind.DATA_WRITER)
     r = default_qos(EndpointKind.DATA_READER)
-    from dataclasses import fields, replace
-
     aligned = replace(r, reliability=w.reliability)
-    for f in fields(QosProfile):
-        assert getattr(aligned, f.name) == getattr(w, f.name)
+    for name in POLICIES:
+        assert getattr(aligned, name) == getattr(w, name)
 
 
 def test_empty_partition_list_normalizes_to_default():
@@ -201,22 +203,6 @@ def test_resolution_matches_field_by_field_replacement(partial, topic, kind):
     assert resolve_defaults(resolved, kind) is resolved
 
 
-def test_no_package_dataclass_has_a_generated_docstring():
-    # For a class without a docstring, ``dataclasses`` makes one from
-    # ``inspect.signature``, a cost every start-up would pay.
-    package = importlib.import_module("qos_chain_guard")
-    checked = 0
-    for info in pkgutil.iter_modules(package.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"qos_chain_guard.{info.name}")
-        for value in vars(module).values():
-            if is_dataclass(value) and isinstance(value, type) and value.__module__ == module.__name__:
-                checked += 1
-                assert value.__doc__ and not value.__doc__.startswith(f"{value.__name__}("), value
-    assert checked >= len(POLICIES) + 1
-
-
 def test_history_depth_must_be_positive():
     from qos_chain_guard.model import History
 
@@ -229,14 +215,16 @@ def test_policy_declaration_builds_a_frozen_importable_dataclass(attribute):
     import qos_chain_guard.model as model
 
     cls = POLICIES[attribute]
-    assert is_dataclass(cls) and cls.__dataclass_params__.frozen
+    assert issubclass(cls, Record)
+    with pytest.raises(AttributeError):
+        setattr(cls(), next(iter(PARAMETERS[attribute])), None)
     assert cls.__module__ == "qos_chain_guard.model"
     assert getattr(model, cls.__name__) is cls
-    assert [f.name for f in fields(cls)] == list(PARAMETERS[attribute])
+    assert list(cls.__slots__) == list(PARAMETERS[attribute])
 
 
 def test_qos_profile_has_one_field_per_policy_in_declaration_order():
-    assert [f.name for f in fields(QosProfile)] == list(POLICIES)
+    assert list(QosProfile.__slots__) == list(POLICIES)
 
 
 def test_policies_of_different_types_with_equal_values_are_unequal():
@@ -245,10 +233,29 @@ def test_policies_of_different_types_with_equal_values_are_unequal():
 
 
 def test_policies_and_profiles_are_immutable():
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         UserData(b"").value = b"\x01"
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         default_qos(EndpointKind.DATA_WRITER).history = None
+
+
+def test_equality_leaves_out_source_locations_and_parse_notes():
+    qos = default_qos(EndpointKind.DATA_WRITER)
+    here = EndpointProfile("w", EndpointKind.DATA_WRITER, qos, "t", SourceLocation("a.xml", 2))
+    there = EndpointProfile("w", EndpointKind.DATA_WRITER, qos, "t", SourceLocation("b.xml", 9))
+    assert here == there and hash(here) == hash(there)
+    assert here != EndpointProfile("w", EndpointKind.DATA_WRITER, qos, None, SourceLocation("a.xml", 2))
+    assert EndpointProfile("w", EndpointKind.DATA_WRITER, qos).source_location == SourceLocation("<unknown>", 0)
+    # A profile set's parse notes are diagnostic metadata too.
+    profiles = {"w": here}
+    assert ProfileSet(profiles, (ParseDiagnostic("a.xml", 3, "note"),)) == ProfileSet({"w": there})
+    assert ProfileSet(profiles) != ProfileSet({})
+
+
+def test_records_copy_and_pickle_as_equal_values():
+    qos = default_qos(EndpointKind.DATA_READER)
+    for record in (qos, qos.history, Duration(5), EndpointProfile("r", EndpointKind.DATA_READER, qos)):
+        assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
 
 
 def test_reader_defaults_differ_from_writer_defaults_only_in_reliability_kind():

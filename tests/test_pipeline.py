@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from json.encoder import encode_basestring
 
 import pytest
@@ -11,11 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from qos_chain_guard import pipeline
 from qos_chain_guard.model import (
+    POLICIES,
+    Count,
     DurabilityKind,
     Duration,
     EndpointKind,
     EndpointProfile,
     OwnershipKind,
+    QosProfile,
+    Record,
     ReliabilityKind,
     SourceLocation,
     default_qos,
@@ -32,7 +35,17 @@ from qos_chain_guard.pipeline import (
     render_report,
     run_pipeline,
 )
-from qos_chain_guard.profiles import ParseDiagnostic, ProfileSet, parse_document, parse_profiles
+from qos_chain_guard.profiles import (
+    POLICY_SCHEMA,
+    Codec,
+    ParseDiagnostic,
+    ProfileDocument,
+    ProfileSet,
+    RawEndpoint,
+    load_profile_files,
+    parse_document,
+    parse_profiles,
+)
 from qos_chain_guard.rules import (
     Severity,
     SkipReason,
@@ -44,7 +57,7 @@ from qos_chain_guard.rules import (
     rules_for_stage,
 )
 
-from support import durability, hist, ms, ownership, qos_with, reader, reliability, writer
+from support import durability, hist, ms, ownership, qos_with, reader, reliability, replace, writer
 
 
 def profile_set(*endpoints) -> ProfileSet:
@@ -330,6 +343,67 @@ def test_human_report_escapes_control_characters_in_entity_text():
     # The JSON report holds the name itself, escaped by JSON.
     (entity,) = json.loads(render_report(report, "json"))["diagnostics"][0]["entities"]
     assert (entity["profile"], entity["document"]) == ("a\nb\tc", "in\r.xml")
+
+
+def test_human_report_escapes_control_characters_in_input_paths(tmp_path):
+    # A newline in a file name would split the inputs line and the file's
+    # parse note; the publish period of a profile named with a tab, its line.
+    path = tmp_path / "a\nb.xml"
+    path.write_text(
+        '<profiles>\n<data_writer profile_name="w"><mystery/></data_writer>\n</profiles>', encoding="utf-8"
+    )
+    environment = EnvironmentModel(per_profile_publish_period={"p\tq": ms(5)})
+    report = run_pipeline(load_profile_files([str(path)]), environment, inputs=(str(path),))
+    escaped = str(path).replace("\n", "\\n")
+    assert render_report(report).splitlines()[:2] == [
+        f"inputs: {escaped}",
+        "environment: publish period[p\\tq]=5ms",
+    ]
+    assert f"  INFO {escaped}:2: unknown element <mystery> in <data_writer>; ignored" in render_report(report)
+    # The JSON report holds the path itself, escaped by JSON.
+    payload = json.loads(render_report(report, "json"))
+    assert payload["inputs"] == [str(path)] and payload["parse_diagnostics"][0]["path"] == str(path)
+
+
+def test_no_record_on_the_check_path_has_a_dict_and_only_parse_records_are_assignable():
+    text = """<profiles>
+      <data_writer profile_name="w"><topic><name>t</name><qos><history><depth>3</depth></history></qos></topic>
+        <qos><reliability><kind>BEST_EFFORT</kind></reliability>
+        <resource_limits><max_samples>2</max_samples></resource_limits></qos><mystery/></data_writer>
+      <data_reader profile_name="r"><topic><name>t</name></topic></data_reader>
+    </profiles>"""
+    documents = [parse_document(text, "in.xml")]
+    profile_set = parse_profiles(documents)
+    report = run_pipeline(profile_set, load_environment('{"rtt_ms": 50}'), inputs=("in.xml",))
+    assert report.violations and report.skipped and report.pairings and report.parse_diagnostics
+    classes: dict[type, list] = {}
+    stack: list = [documents, profile_set, report, POLICY_SCHEMA]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, Record):
+            assert not hasattr(value, "__dict__"), value
+            classes.setdefault(type(value), []).append(value)
+            stack.extend(getattr(value, name) for name in value.__slots__)
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+    assert set(classes) == {
+        Duration, Count, *POLICIES.values(), QosProfile, SourceLocation, EndpointProfile,
+        ParseDiagnostic, RawEndpoint, ProfileDocument, ProfileSet, Codec,
+        Violation, SkippedRule, EnvironmentModel, Pairing, Report,
+    }
+    for cls, instances in classes.items():
+        record, name = instances[0], cls.__slots__[0]
+        value = getattr(record, name)
+        if cls in (RawEndpoint, ProfileDocument):  # mutable, as they were
+            setattr(record, name, value)
+            continue
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
 
 
 def test_render_empty_report():
@@ -727,23 +801,24 @@ _REFERENCE_ANSI = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m
 def _reference_human(report: Report, color: bool) -> str:
     """The human report, written row by row with no caching: the byte contract."""
 
-    def entity_list(entities) -> str:
+    def one_line(text: str) -> str:
         # Control characters escaped one by one, as the JSON report escapes them.
-        return " + ".join(
-            "".join(encode_basestring(c)[1:-1] if c < " " else c for c in str(e)) for e in entities
-        )
+        return "".join(encode_basestring(c)[1:-1] if c < " " else c for c in text)
+
+    def entity_list(entities) -> str:
+        return " + ".join(one_line(str(e)) for e in entities)
 
     lines: list[str] = []
     env = report.environment.echo()
     if report.inputs:
-        lines.append(f"inputs: {', '.join(report.inputs)}")
+        lines.append(f"inputs: {one_line(', '.join(report.inputs))}")
     env_bits = []
     if env["rtt_ms"] is not None:
         env_bits.append(f"rtt={env['rtt_ms']}ms")
     if env["default_publish_period_ms"] is not None:
         env_bits.append(f"default publish period={env['default_publish_period_ms']}ms")
     for name, value in env["publish_period_ms"].items():
-        env_bits.append(f"publish period[{name}]={value}ms")
+        env_bits.append(f"publish period[{one_line(name)}]={value}ms")
     lines.append(f"environment: {', '.join(env_bits) if env_bits else 'none provided'}")
     for assumption in report.assumptions:
         lines.append(f"note: {assumption}")
@@ -779,7 +854,7 @@ def _reference_human(report: Report, color: bool) -> str:
     if report.parse_diagnostics:
         lines.append("parse notes")
         for diagnostic in report.parse_diagnostics:
-            lines.append(f"  {diagnostic}")
+            lines.append(f"  {one_line(str(diagnostic))}")
         lines.append("")
 
     counts = report.summary

@@ -9,7 +9,7 @@ import re
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from xml.parsers import expat
 
@@ -36,6 +36,7 @@ from qos_chain_guard.model import (
     Ownership,
     OwnershipKind,
     OwnershipStrength,
+    POLICIES,
     Partition,
     QosProfile,
     ReaderDataLifecycle,
@@ -493,7 +494,7 @@ def test_duration_seconds_keep_the_64_bit_nanosecond_range():
 
 
 @pytest.mark.parametrize("kind", list(EndpointKind), ids=lambda kind: kind.value)
-@pytest.mark.parametrize("tag", [f.name for f in fields(QosProfile)])
+@pytest.mark.parametrize("tag", list(POLICIES))
 def test_policy_element_without_parameters_takes_the_default(tag, kind):
     ps = parse_set(f'<profiles><{kind.value} profile_name="e"><qos><{tag}/></qos></{kind.value}></profiles>')
     assert getattr(ps.profiles["e"].qos, tag) == getattr(default_qos(kind), tag)

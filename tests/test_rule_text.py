@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -28,13 +29,25 @@ from qos_chain_guard.rules import (
 )
 
 from rule_fixtures import RULE_FIXTURES
-from support import ms, reader, writer
+from support import hist, ms, reader, reslim, writer
 from test_differential import _count_pool, _env_pool, _ns_pool, build_endpoint
 
 GOLDEN = Path(__file__).parent / "golden" / "rule_text.json"
 SEED = 20261018
 PER_RULE = 5
 TOP = 2**63 - 1  # the largest finite duration, in nanoseconds
+
+
+@pytest.mark.parametrize("depth, per_instance", [(10, 0), (2, 0), (2, 1), (7, 5)])
+def test_rule_1_never_suggests_a_history_depth_below_one(depth, per_instance):
+    # ``check`` rejects history.depth 0, so "lower history.depth to ≤ 0" is
+    # no repair: with max_samples_per_instance 0 only raising it is offered.
+    endpoint = writer(history=hist(depth=depth), resource_limits=reslim(max_samples_per_instance=per_instance))
+    violation = evaluate_rule(get_rule(1), writer=endpoint)
+    assert type(violation) is Violation
+    assert violation.suggestion.startswith(f"raise resource_limits.max_samples_per_instance to ≥ {depth}")
+    bounds = [int(bound) for bound in re.findall(r"lower history\.depth to ≤ (\d+)", violation.suggestion)]
+    assert bounds == ([per_instance] if per_instance else [])
 
 
 def _fixture_context(rule_id: int) -> dict:

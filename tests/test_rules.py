@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +45,7 @@ from support import (
     ms,
     reader,
     reliability,
+    replace,
     reslim,
     writer,
 )
@@ -564,14 +564,14 @@ def test_findings_are_frozen_slotted_value_records():
     skip = SkippedRule(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT)
     for finding in (violation, skip):
         assert not hasattr(finding, "__dict__")
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             finding.rule_id = 1
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             del finding.stage
-    assert [f.name for f in fields(Violation)] == [
+    assert list(Violation.__slots__) == [
         "rule_id", "identifier", "stage", "severity", "entities", "topic_name", "message", "suggestion",
     ]
-    assert [f.name for f in fields(SkippedRule)] == ["rule_id", "identifier", "stage", "entities", "reason"]
+    assert list(SkippedRule.__slots__) == ["rule_id", "identifier", "stage", "entities", "reason"]
     assert repr(violation) == (
         "Violation(rule_id=21, identifier='RELIAB↔RELIAB', stage=2, severity=<Severity.CRITICAL: "
         "'critical'>, entities=(), topic_name='scan', message='m', suggestion='s')"
