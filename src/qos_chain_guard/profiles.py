@@ -61,6 +61,14 @@ anywhere, since the tree of a <qos> depends only on its bytes (entity
 declarations are rejected) and the profile only on that tree and the kind's
 defaults.  ``parse_profiles`` then resolves and interns once per distinct
 (kind, endpoint ``QosProfile``, topic ``QosProfile``) object triple.
+
+A repeated <qos> is not even built when three things hold: its endpoint's
+kind is the kind the table holds its source for, its bytes are that
+source, and it opens with a plain ``<qos>`` start tag (no space, no
+attribute).  ``_parse_xml`` then makes it a node without children: expat
+reads its content and end tag with the element and text handlers off.
+Only sources walked in earlier documents are in the table, so a repeat
+within one document is still built.
 """
 
 from __future__ import annotations
@@ -136,18 +144,63 @@ class _Node(list):
     __slots__ = ("tag", "line", "attrib", "raw", "text")
 
 
-def _parse_xml(text: str, path: str, spans: dict[int, bytes] | None = None) -> _Node:
+def _repeats(data: bytes, table: QosTable) -> list[tuple[int, int, bytes]]:
+    """(start, stop, source) of each ``<qos>`` in ``data`` whose bytes, up to
+    the next ``</qos>``, are a source some kind's table holds.  Only a plain
+    ``<qos>`` start tag is looked for; a candidate may still lie in a comment
+    or CDATA, or under the other kind, which ``_parse_xml`` checks."""
+    found: list[tuple[int, int, bytes]] = []
+    tables = [parsed for parsed in table.values() if parsed]
+    if not tables:
+        return found
+    find = data.find
+    start = find(b"<qos>")
+    while start >= 0:
+        stop = find(b"</qos>", start)
+        if stop < 0:
+            break
+        source = data[start:stop]
+        for parsed in tables:
+            if source in parsed:
+                found.append((start, stop, source))
+                start = stop
+                break
+        else:
+            start += 5
+        start = find(b"<qos>", start)
+    return found
+
+
+def _parse_xml(
+    text: str, path: str, spans: dict[int, bytes] | None = None, table: QosTable | None = None
+) -> _Node:
     """Parse to a ``_Node`` tree, tracking opening-tag line numbers.
 
     Each ``<qos>`` element's source is recorded in ``spans`` under the
     ``id`` of its node: the UTF-8 bytes from its opening tag up to its
-    closing tag, which expat's byte index counts in, since it parses a
-    ``str`` as UTF-8 whatever encoding the document declares.
+    closing tag.  Expat is made to read UTF-8 whatever encoding the
+    document declares, and is fed the text's UTF-8 bytes, so its byte
+    index counts in them.
+
+    A ``<qos>`` whose source ``table`` already holds for the kind of its
+    endpoint is built without children: expat is fed up to the end of its
+    plain ``<qos>`` start tag, and if the start event fired there, its
+    content and end tag are fed with the element and text handlers off,
+    and the node is closed here.  Each piece ends with a whole token, so no
+    event is left to fire later.  Expat still reads every byte, so errors,
+    lines and byte offsets do not change, and ``parse_qos`` finds the
+    source in the table.
     """
-    parser = expat.ParserCreate()
+    parser = expat.ParserCreate("UTF-8")
     # Each run of text then arrives in as few calls as expat's buffer allows.
     parser.buffer_text = True
+    # A token that ends a piece is then parsed before the next piece is fed,
+    # so its events never fire with the handlers off (expat 2.6 and later).
+    set_deferral = getattr(parser, "SetReparseDeferralEnabled", None)
+    if set_deferral is not None:
+        set_deferral(False)
     top = _Node()  # holds the root element
+    top.tag = None
     stack = [top]
     # Text runs go to one list; an element's runs are those appended while it
     # was the innermost open element, after its children's were taken out.
@@ -196,8 +249,37 @@ def _parse_xml(text: str, path: str, spans: dict[int, bytes] | None = None) -> _
     parser.EndElementHandler = end
     parser.CharacterDataHandler = parts.append
     parser.EntityDeclHandler = entity_decl
+    feed = parser.Parse
+    view = memoryview(data)
+    fed = 0
     try:
-        parser.Parse(text, True)
+        for qos_start, stop, source in _repeats(data, table) if table else ():
+            opened = qos_start + 5  # the end of the start tag
+            feed(view[fed:opened], False)
+            fed = opened
+            if not qos_starts or qos_starts[-1] != qos_start:
+                continue  # in a comment or CDATA, or an event not yet fired
+            for node in reversed(stack):
+                kind = ENDPOINT_TAGS.get(node.tag)
+                if kind is not None:
+                    break
+            if source not in table.get(kind, ()):
+                continue  # the source of the other kind, or outside an endpoint
+            # Its content and end tag, read with the handlers off; then the
+            # node is closed as ``end`` would close it, keeping ``source``,
+            # whose hash the table lookup has cached.
+            parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
+            fed = stop + 6
+            feed(view[opened:fed], False)
+            parser.StartElementHandler = start
+            parser.EndElementHandler = end
+            parser.CharacterDataHandler = parts.append
+            node = stack.pop()
+            marks.pop()
+            qos_starts.pop()
+            node.raw = node.text = ""
+            spans[id(node)] = source
+        feed(view[fed:], True)
     except expat.ExpatError as exc:
         raise ProfileLoadError(
             f"malformed XML at column {exc.offset + 1}: {expat.errors.messages[exc.code]}",
@@ -619,8 +701,10 @@ def parse_document(text: str, path: str = "<string>", table: QosTable | None = N
     ``<qos>`` whose source is in ``table`` (a new one if None) is not walked
     again: its endpoint shares the ``QosProfile`` parsed before.
     """
+    if table is None:
+        table = {}
     spans: dict[int, bytes] = {}
-    root = _parse_xml(text, path, spans)
+    root = _parse_xml(text, path, spans, table)
     diags: list[ParseDiagnostic] = []
     if root.tag == "dds":
         profiles_node = _parse_params(root, _DDS_PARSERS, "dds", path, diags).get("profiles")
@@ -633,8 +717,6 @@ def parse_document(text: str, path: str = "<string>", table: QosTable | None = N
             f"expected <profiles> (or <dds>) root element, got <{root.tag}>", path=path, line=root.line
         )
 
-    if table is None:
-        table = {}
     parsers = {kind: _endpoint_parsers(kind, spans, table) for kind in EndpointKind}
     endpoints: list[RawEndpoint] = []
     for child in profiles_node:

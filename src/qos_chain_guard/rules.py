@@ -33,12 +33,16 @@ The message language:
 * A message or suggestion is text with ``{OPERAND}`` placeholders, each an
   operand as conditions write it (``{history.depth}``,
   ``{writer reliability.kind}``, ``{rtt}``, ``{2 * pp}``), or a quotient
-  ``{X/pp}`` or ``{X/pp + N}``.
+  ``{X/pp}`` or ``{X/pp + N}``, or the same with ``//``.
 * A placeholder renders by the type of its value: a duration (a path to one,
   ``rtt``, ``pp`` or a product with ``pp``) through ``format_nanoseconds``,
   also past 64 bits; an enumeration by its member name; a count or an
   integer through ``str``; partition names as the list repr.  A quotient
-  renders as the smallest integer at or above its exact value.
+  renders as the smallest integer at or above its exact value, and one
+  with ``//`` as the largest at or below it.  So for an integer X,
+  ``X < {rtt/pp + 2}`` and ``X > {rtt//pp + 2}`` hold exactly when the
+  conditions ``X < rtt/pp + 2`` and ``X > rtt/pp + 2`` do: raising X to ≥
+  the first, or lowering it to ≤ the second, clears the rule.
 * A suggestion may be guarded alternatives: ``(GUARD, TEXT)`` pairs, then a
   last, unguarded text.  Each guard is a condition; the first that holds
   picks its text.
@@ -213,6 +217,7 @@ _SHARE_NO_NAME = re.compile(r"writer (\S+) and reader (\S+) share no name")
 _CONFIGURED = re.compile(r"(\S+) configured")
 _COMPARISON = re.compile(r"(.+?) (>=|!=|=|<|>) (.+)")
 _QUOTIENT = re.compile(r"(\S+)/pp(?: \+ (\d+))?")
+_FLOOR_QUOTIENT = re.compile(r"(\S+)//pp(?: \+ (\d+))?")
 _TIMES_PP = re.compile(r"(\S+) \* pp")
 _PLACEHOLDER = re.compile(r"\{([^{}]*)\}")
 
@@ -320,10 +325,13 @@ def _condition(text: str, pair: bool, reads: set[str]) -> str:
 
 def _placeholder(text: str, pair: bool, reads: set[str]) -> str:
     """The expression whose ``str`` quotes one placeholder."""
-    quotient = _QUOTIENT.fullmatch(text)
-    if quotient:  # the smallest integer at or above the exact value
+    floor = _FLOOR_QUOTIENT.fullmatch(text)
+    quotient = floor or _QUOTIENT.fullmatch(text)
+    if quotient:  # rounded down after ``//``, else up
         numerator, _ = _term(quotient[1], pair, reads)
         reads.add("pp")
+        if floor:
+            return f"{numerator} // pp.nanoseconds + {quotient[2] or 0}"
         return f"-(-{numerator} // pp.nanoseconds) + {quotient[2] or 0}"
     parameter = _parameter(text, pair, reads)
     if parameter is None:  # rtt, pp or a product with pp, in nanoseconds
@@ -742,9 +750,9 @@ def _build_catalog() -> tuple[Rule, ...]:
         "durability.kind >= TRANSIENT_LOCAL and history.kind = KEEP_LAST "
         "and history.depth > rtt/pp + 2",
         message="durability.kind={durability.kind} with history.depth={history.depth} "
-        "above the retransmission floor rtt/pp + 2 = {rtt/pp + 2} "
+        "above the retransmission floor rtt/pp + 2 = {rtt//pp + 2} "
         "(rtt={rtt}, pp={pp}): every late join bursts that much history onto the network",
-        suggestion="lower history.depth to ≤ {rtt/pp + 2}",
+        suggestion="lower history.depth to ≤ {rtt//pp + 2}",
     ))
     add(Rule(
         40, "RESLIM→DURABL", 3, Severity.INCIDENTAL, RuleScope.DATA_WRITER,
@@ -752,9 +760,9 @@ def _build_catalog() -> tuple[Rule, ...]:
         "and resource_limits.max_samples_per_instance > rtt/pp + 2",
         message="durability.kind={durability.kind} with "
         "resource_limits.max_samples_per_instance={resource_limits.max_samples_per_instance} "
-        "above the retransmission floor rtt/pp + 2 = {rtt/pp + 2} (rtt={rtt}, pp={pp}): "
+        "above the retransmission floor rtt/pp + 2 = {rtt//pp + 2} (rtt={rtt}, pp={pp}): "
         "every late join bursts that much history onto the network",
-        suggestion="lower resource_limits.max_samples_per_instance to ≤ {rtt/pp + 2}",
+        suggestion="lower resource_limits.max_samples_per_instance to ≤ {rtt//pp + 2}",
     ))
     add(Rule(
         41, "DURABL→DEADLN", 3, Severity.INCIDENTAL, RuleScope.EITHER,

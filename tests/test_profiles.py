@@ -1319,3 +1319,98 @@ def test_the_qos_table_lives_for_one_load(tmp_path):
             for name, value in vars(module).items():
                 if isinstance(value, dict) and not name.startswith("__"):
                     assert not _qos_profiles_in(value), (module_name, name)
+
+
+# -- a repeated <qos> built without children -----------------------------------
+#
+# A <qos> whose source an earlier document put in the table, for the kind of
+# its endpoint, is read by expat with the handlers off.  The first document
+# below puts three quiet writer literals in the table; each second document
+# repeats them where the copy must still be built, or skipped with care.
+
+_COMMENTED_QOS = _TABLE_QOS.replace("<history>", "<!-- </qos> --><history>")
+_NON_ASCII_QOS = "<qos>\n      <partition><names><name>café</name><name>über</name></names></partition>\n    </qos>"
+_SKIP_FIRST = _profiles(
+    *(_endpoint("data_writer", f"first_{i}", qos) for i, qos in enumerate((_TABLE_QOS, _COMMENTED_QOS, _NON_ASCII_QOS)))
+)
+# Each second document, and how many of its <qos> are built without children.
+_SKIP_SECONDS = {
+    "other_kind": (_profiles(_endpoint("data_reader", "r", _TABLE_QOS)), 0),
+    "spaced": (_profiles(_endpoint("data_writer", "w", _TABLE_QOS.replace("<qos>", "<qos >"))), 0),
+    "after_comment": (_profiles(_endpoint("data_writer", "w", f"<!-- {_TABLE_QOS} -->{_TABLE_QOS}")), 2),
+    "in_cdata": (_profiles(_endpoint("data_writer", "w", _TABLE_QOS, topic=f"<![CDATA[{_TABLE_QOS}]]>")), 2),
+    "comment_inside": (_profiles(_endpoint("data_writer", "w", _COMMENTED_QOS)), 0),
+    "latin_1_crlf": (
+        _profiles(
+            _endpoint("data_writer", "wé", _NON_ASCII_QOS, topic="ü" * 40),
+            _endpoint("data_writer", "w", _TABLE_QOS),
+            declaration='<?xml version="1.0" encoding="ISO-8859-1"?>\n',
+        ).replace("\n", "\r\n"),
+        4,
+    ),
+}
+
+
+def _childless_qos(first: str, second: str) -> int:
+    """How many <qos> of ``second`` are built without children once ``first``
+    is in the table.  ``second`` is read as a file is, with LF line ends."""
+    table: profiles.QosTable = {}
+    parse_document(first, "first.xml", table)
+    pending, count = [profiles._parse_xml(second.replace("\r\n", "\n"), "second.xml", {}, table)], 0
+    while pending:
+        node = pending.pop()
+        count += node.tag == "qos" and not node
+        pending.extend(node)
+    return count
+
+
+@pytest.mark.parametrize("case", _SKIP_SECONDS)
+def test_a_copy_skips_only_where_it_loads_as_the_reference(tmp_path, case):
+    second, skipped = _SKIP_SECONDS[case]
+    _assert_loads_as_the_reference(_written(tmp_path, [_SKIP_FIRST, second]))
+    assert _childless_qos(_SKIP_FIRST, second) == skipped
+
+
+def test_a_repeated_qos_makes_no_node_for_its_children(tmp_path, monkeypatch):
+    built: list[profiles._Node] = []
+
+    class Recorded(profiles._Node):
+        __slots__ = ()
+
+        def __init__(self) -> None:
+            built.append(self)
+
+    monkeypatch.setattr(profiles, "_Node", Recorded)
+    text = _profiles(_endpoint("data_writer", "w", _TABLE_QOS), _endpoint("data_reader", "r", _TABLE_QOS))
+    profiles.load_profile_files(_written(tmp_path, [text, _renamed(text, "again_")]))
+    # Each document's root holder (no tag), its <profiles>, endpoints,
+    # topics, names and four <qos>; only the first document's <qos> have
+    # children, six elements each.
+    outer = Counter({None: 2, "profiles": 2, "data_writer": 2, "data_reader": 2, "topic": 4, "name": 4, "qos": 8})
+    inner = Counter(dict.fromkeys(["reliability", "max_blocking_time", "sec", "history", "kind", "depth"], 4))
+    assert Counter(getattr(node, "tag", None) for node in built) == outer + inner
+
+
+_AFTER_A_COPY = {
+    "malformed": ("<broken>\n</profiles>", r"doc1\.xml:\d+: malformed XML at column 3: mismatched tag"),
+    "bad_value": (
+        _endpoint("data_writer", "bad", "<qos><history><depth>0</depth></history></qos>") + "</profiles>",
+        r"doc1\.xml:\d+: history\.depth: must be >= 1",
+    ),
+    "notes": (_endpoint("data_writer", "noisy", "<qos><bogus/></qos>") + "</profiles>", None),
+}
+
+
+@pytest.mark.parametrize("case", _AFTER_A_COPY)
+def test_what_follows_a_skipped_copy_reads_as_before(tmp_path, case):
+    tail, error = _AFTER_A_COPY[case]
+    copies = _renamed(_SKIP_FIRST, "again_")
+    assert _childless_qos(_SKIP_FIRST, copies) == 4  # not the two holding "</qos>" in a comment
+    paths = _written(tmp_path, [_SKIP_FIRST, copies.replace("</profiles>", tail)])
+    # The same error, at the same line and column, or the same notes on the same lines.
+    ps = _assert_loads_as_the_reference(paths)
+    if error is not None:
+        with pytest.raises(ProfileLoadError, match=error):
+            profiles.load_profile_files(paths)
+    else:
+        assert [(Path(d.path).name, d.line) for d in ps.diagnostics] == [("doc1.xml", 31), ("doc1.xml", 32)]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from qos_chain_guard.model import Duration, EndpointKind
+from qos_chain_guard.model import DurabilityKind, Duration, EndpointKind, HistoryKind
 from qos_chain_guard.rules import (
     RuleScope,
     Violation,
@@ -29,7 +29,7 @@ from qos_chain_guard.rules import (
 )
 
 from rule_fixtures import RULE_FIXTURES
-from support import hist, ms, reader, reslim, writer
+from support import durability, hist, ms, reader, reslim, writer
 from test_differential import _count_pool, _env_pool, _ns_pool, build_endpoint
 
 GOLDEN = Path(__file__).parent / "golden" / "rule_text.json"
@@ -48,6 +48,38 @@ def test_rule_1_never_suggests_a_history_depth_below_one(depth, per_instance):
     assert violation.suggestion.startswith(f"raise resource_limits.max_samples_per_instance to ≥ {depth}")
     bounds = [int(bound) for bound in re.findall(r"lower history\.depth to ≤ (\d+)", violation.suggestion)]
     assert bounds == ([per_instance] if per_instance else [])
+
+
+def _late_join_writer(rule_id: int, value: int):
+    """A durable writer whose retained history (rule 39's depth, rule 40's
+    max_samples_per_instance) is ``value``."""
+    if rule_id == 39:
+        return writer(durability=durability(DurabilityKind.TRANSIENT_LOCAL), history=hist(depth=value))
+    return writer(
+        durability=durability(DurabilityKind.TRANSIENT_LOCAL),
+        history=hist(HistoryKind.KEEP_ALL),
+        resource_limits=reslim(max_samples_per_instance=value),
+    )
+
+
+@pytest.mark.parametrize("rule_id", [39, 40])
+def test_rules_39_and_40_state_the_largest_bound_that_clears_them(rule_id):
+    # Their floor rtt/pp + 2 is rounded down.  Rounded up, at rtt 100 ms and
+    # pp 30 ms (a floor of 5.33), depth 6 would read "6 above ... = 6" and
+    # "lower history.depth to ≤ 6" would leave the rule firing.
+    rule, rng, fired = get_rule(rule_id), random.Random(SEED + rule_id), 0
+    for _ in range(400):
+        rtt, pp, value = ms(rng.randint(1, 400)), ms(rng.randint(1, 120)), rng.randint(1, 40)
+        violation = evaluate_rule(rule, writer=_late_join_writer(rule_id, value), rtt=rtt, pp=pp)
+        if violation is None:
+            continue
+        fired += 1
+        floor = int(re.search(r"above the retransmission floor rtt/pp \+ 2 = (\d+) ", violation.message)[1])
+        (bound,) = map(int, re.findall(r" to ≤ (\d+)$", violation.suggestion))
+        assert floor == bound < value, violation.message
+        assert evaluate_rule(rule, writer=_late_join_writer(rule_id, bound), rtt=rtt, pp=pp) is None
+        assert evaluate_rule(rule, writer=_late_join_writer(rule_id, bound + 1), rtt=rtt, pp=pp) is not None
+    assert fired > 100
 
 
 def _fixture_context(rule_id: int) -> dict:

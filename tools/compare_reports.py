@@ -27,11 +27,20 @@ that has a parse note either, so both sides run ``check`` on the two files
 of ``REPEATED_DOCUMENTS``, in JSON and in human text: one noisy ``<qos>``
 literal (an unknown element, non-ASCII partition names, a ``<reliability>``
 without ``<kind>``) under writers and readers, at topic and endpoint level,
-in both files, beside a quiet literal repeated the same way.
+in both files, beside a quiet literal repeated the same way.  And both
+sides run ``check`` on the two files of ``SKIP_DOCUMENTS``, in JSON and in
+human text: the first holds three quiet writer ``<qos>`` literals, and the
+second, which declares ISO-8859-1 and has CRLF line ends, repeats them
+under a reader, after a ``<qos >`` start tag, after a commented-out copy,
+inside CDATA, with a comment holding ``</qos>``, and with non-ASCII
+partition names.
 
-One line is printed per case.  A last line lists the rules that fired in
-no ``check`` case of the working tree, read from its JSON reports: a seed
-set that leaves a rule's message unexercised says so.  The exit code is 1
+One line is printed per case; under a case that differs, each stream that
+differs gets the number of its differing lines, then each such line of
+the base and of the working tree, marked ``-`` and ``+`` and numbered.  A
+last line lists the rules that fired in no ``check`` case of the working
+tree, read from its JSON reports: a seed set that leaves a rule's message
+unexercised says so.  The exit code is 1
 if the exit code, the stdout or the stderr of any case differs between the
 two sides, 0 otherwise.  Needs only the standard library and git; run it
 from anywhere inside the repository.
@@ -42,6 +51,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -150,6 +160,42 @@ def _repeated_document(prefix: str) -> str:
 
 
 REPEATED_DOCUMENTS = {"repeated_a.xml": _repeated_document("a"), "repeated_b.xml": _repeated_document("b")}
+# Quiet writer <qos> literals, each firing a rule that quotes its values:
+# one on a single line, one holding a comment with "</qos>", and one with
+# non-ASCII partition names.
+_SKIP_QOS = (
+    "<qos><history><depth>8</depth></history>"
+    "<resource_limits><max_samples_per_instance>4</max_samples_per_instance></resource_limits></qos>",
+    "<qos>\n      <!-- </qos> -->\n      <history><depth>9</depth></history>\n"
+    "      <resource_limits><max_samples_per_instance>3</max_samples_per_instance></resource_limits>\n    </qos>",
+    "<qos>\n      <durability><kind>TRANSIENT_LOCAL</kind></durability>\n"
+    "      <partition><names><name>caf\u00e9</name><name>\u00fcber</name></names></partition>\n    </qos>",
+)
+
+
+def _skip_endpoint(tag: str, name: str, qos: str, topic: str = "skip") -> str:
+    return f'  <{tag} profile_name="{name}">\n    <topic><name>{topic}</name></topic>\n    {qos}\n  </{tag}>\n'
+
+
+# The first file puts each literal in the QoS table; the second repeats
+# them where a copy must not be skipped, or must be skipped with care.
+# It declares ISO-8859-1 and has CRLF line ends; its non-ASCII copy comes
+# first, so its byte offsets run ahead of its character offsets.
+SKIP_DOCUMENTS = {
+    "skip_a.xml": "<profiles>\n"
+    + "".join(_skip_endpoint("data_writer", f"a_{i}", qos) for i, qos in enumerate(_SKIP_QOS))
+    + "</profiles>\n",
+    "skip_b.xml": (
+        '<?xml version="1.0" encoding="ISO-8859-1"?>\n<profiles>\n'
+        + _skip_endpoint("data_writer", "b_non_ascii", _SKIP_QOS[2])
+        + _skip_endpoint("data_reader", "b_other_kind", _SKIP_QOS[0])
+        + _skip_endpoint("data_writer", "b_spaced", _SKIP_QOS[0].replace("<qos>", "<qos >", 1))
+        + _skip_endpoint("data_writer", "b_after_comment", f"<!-- {_SKIP_QOS[0]} -->{_SKIP_QOS[0]}")
+        + _skip_endpoint("data_writer", "b_comment_inside", _SKIP_QOS[1])
+        + _skip_endpoint("data_writer", "b_cdata", _SKIP_QOS[0], topic=f"<![CDATA[{_SKIP_QOS[0]}]]>")
+        + "</profiles>\n"
+    ).replace("\n", "\r\n"),
+}
 DIRECTIVES = (
     "alpha_writer:yankee_reader",  # across topics
     "bravo_writer:yankee_reader",  # repeats a topic pair
@@ -202,6 +248,14 @@ def cases(seeds: list[int], directory: str):
             handle.write(document)
     for fmt in ("json", "human"):
         yield f"check repeated/ --format {fmt}", ["check", repeated, "--format", fmt]
+    skipped = os.path.join(directory, "skipped")
+    os.makedirs(skipped)
+    for name, document in SKIP_DOCUMENTS.items():
+        # newline="": the CRLF line ends are written as they are.
+        with open(os.path.join(skipped, name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(document)
+    for fmt in ("json", "human"):
+        yield f"check skipped/ --format {fmt}", ["check", skipped, "--format", fmt]
     for name, document in LOAD_ERROR_DOCUMENTS.items():
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8") as handle:
@@ -217,19 +271,23 @@ def run_side(src: str, argv: list[str]) -> tuple[int, bytes, bytes]:
     return done.returncode, done.stdout, done.stderr
 
 
-def difference(base: tuple[int, bytes, bytes], head: tuple[int, bytes, bytes]) -> str | None:
-    """How two (exit code, stdout, stderr) results differ, or None if they do not."""
-    if base[0] != head[0]:
-        return f"exit code {base[0]} vs {head[0]}"
+def difference(base: tuple[int, bytes, bytes], head: tuple[int, bytes, bytes]) -> list[str]:
+    """How two (exit code, stdout, stderr) results differ, one line per
+    item, or nothing if they do not.  Each stream that differs gets the
+    number of its differing lines, then each of them as a ``-`` line of
+    ``base`` and a ``+`` line of ``head``, with its line number."""
+    shown = [f"exit code {base[0]} vs {head[0]}"] if base[0] != head[0] else []
     for stream, base_out, head_out in (("stdout", base[1], head[1]), ("stderr", base[2], head[2])):
-        if base_out != head_out:
-            base_lines, head_lines = base_out.splitlines(), head_out.splitlines()
-            line = next(
-                (i for i, (a, b) in enumerate(zip(base_lines, head_lines), 1) if a != b),
-                min(len(base_lines), len(head_lines)) + 1,
-            )
-            return f"{stream} differs from line {line} ({len(base_out)} vs {len(head_out)} bytes)"
-    return None
+        if base_out == head_out:
+            continue
+        pairs = itertools.zip_longest(base_out.splitlines(), head_out.splitlines())
+        lines = [(number, old, new) for number, (old, new) in enumerate(pairs, 1) if old != new]
+        shown.append(f"{stream} differs in {len(lines)} line(s) ({len(base_out)} vs {len(head_out)} bytes)")
+        for number, old, new in lines:
+            for sign, line in (("-", old), ("+", new)):
+                if line is not None:
+                    shown.append(f"    {number}{sign} {line.decode(errors='replace')}")
+    return shown
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -247,8 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         for label, case_argv in cases(args.seeds, os.path.join(workdir, "inputs")):
             head = run_side(head_src, case_argv)
             diff = difference(run_side(base_src, case_argv), head)
-            differing += diff is not None
-            print(f"{'same' if diff is None else 'DIFF'}  {label}" + (f": {diff}" if diff else ""), flush=True)
+            differing += bool(diff)
+            print(f"DIFF  {label}: " + "\n".join(diff) if diff else f"same  {label}", flush=True)
             if label == "rules --format json":
                 catalog = [rule["id"] for rule in json.loads(head[1])]
             elif label.startswith("check ") and label.endswith("--format json") and head[0] in (0, 1):
