@@ -8,21 +8,19 @@ schema in ``profiles`` and the condition operands in ``rules`` all derive
 from them.
 
 Every record of the package, here and in the other modules, is a
-``Record``: a slotted class with value equality, frozen unless declared
-otherwise.  The standard library's record decorator is not used: importing
-it loads ``inspect``, and each class it builds costs about a millisecond,
-at every start-up.
+``Record``: a frozen slotted class with value equality.  The standard
+library's record decorator is not used: importing it loads ``inspect``, and
+each class it builds costs about a millisecond, at every start-up.
 
-Durations and counts carry explicit infinity sentinels with a total order,
-kind enumerations expose the RxO orderings, and ``resolve_defaults`` fills
-absent policies with the OMG defaults so that downstream rule predicates
-never see an unset value.
+Durations and counts carry explicit infinity sentinels, kind enumerations
+expose the RxO orderings, and ``resolve_defaults`` fills absent policies
+with the OMG defaults so that downstream rule predicates never see an unset
+value.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import total_ordering
 from operator import attrgetter
 from typing import Callable
 
@@ -56,21 +54,18 @@ class _RecordType(type):
     """The metaclass of ``Record``: a subclass's annotated names become its
     fields, in order, each a slot, and its class-body values their defaults.
 
-    Class keywords: ``frozen=False`` keeps instances assignable (and
-    unhashable); ``uncompared`` names fields that equality and hashing leave
-    out.  A body's ``_check(self)`` validates each new instance, and a body
-    may define its own ``__init__``.
+    The class keyword ``uncompared`` names fields that equality and hashing
+    leave out.  A body's ``_check(self)`` validates each new instance, and a
+    body may define its own ``__init__``.
     """
 
-    def __new__(meta, name: str, bases: tuple, namespace: dict, *, frozen: bool = True, uncompared: tuple = ()):
+    def __new__(meta, name: str, bases: tuple, namespace: dict, *, uncompared: tuple = ()):
         if not bases:  # Record itself
             return super().__new__(meta, name, bases, namespace)
         names = tuple(namespace.get("__annotations__", ()))
         defaults = tuple(namespace.pop(field) for field in names if field in namespace)
         namespace["__slots__"] = names
         namespace["_compared"] = tuple(field for field in names if field not in uncompared)
-        if not frozen:
-            namespace.update(__setattr__=object.__setattr__, __delattr__=object.__delattr__, __hash__=None)
         cls = super().__new__(meta, name, bases, namespace)
         if "__init__" not in namespace:
             cls.__init__ = _init(cls, defaults, namespace.get("_check"))
@@ -105,7 +100,7 @@ def _init(cls: _RecordType, defaults: tuple, check: Callable | None) -> Callable
 
 
 def _comparisons(cls: _RecordType) -> _RecordType:
-    """Give ``cls`` its own ``__eq__`` and, if hashable, ``__hash__``.
+    """Give ``cls`` its own ``__eq__`` and ``__hash__``.
 
     Each reads the compared fields into a tuple, whose comparison skips the
     fields two records share; that is faster than any method written once
@@ -125,18 +120,16 @@ def _comparisons(cls: _RecordType) -> _RecordType:
         "__eq__",
         "__hash__",
     )
-    cls.__eq__ = eq
-    if cls.__hash__ is not None:
-        cls.__hash__ = hash_
+    cls.__eq__, cls.__hash__ = eq, hash_
     return cls
 
 
 class Record(metaclass=_RecordType):
-    """A slotted value record, frozen unless declared with ``frozen=False``.
+    """A frozen slotted value record.
 
     ``repr`` lists every field; equality needs the same class and equal
     compared fields, and the hash is over those same fields.  Assigning or
-    deleting a field of a frozen record raises ``AttributeError``.
+    deleting a field raises ``AttributeError``.
     """
 
     __slots__ = ()
@@ -162,13 +155,10 @@ class Record(metaclass=_RecordType):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-@total_ordering
 class Duration(Record):
     """Nonnegative time span, or the infinite sentinel (``nanoseconds=None``).
 
-    The order is total: finite values compare by magnitude and the infinite
-    sentinel is the unique maximum (``Infinite == Infinite``, and
-    ``Infinite < Infinite`` is false).
+    Durations have no order: rules compare the plain ``nanoseconds``.
     """
 
     nanoseconds: int | None = None
@@ -205,19 +195,6 @@ class Duration(Record):
     def is_infinite(self) -> bool:
         return self.nanoseconds is None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.nanoseconds is not None
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Duration):
-            return NotImplemented
-        if self.nanoseconds is None:
-            return False
-        if other.nanoseconds is None:
-            return True
-        return self.nanoseconds < other.nanoseconds
-
     def __str__(self) -> str:
         return format_duration(self)
 
@@ -244,11 +221,10 @@ def format_nanoseconds(ns: int | None) -> str:
     return f"{ns}ns"
 
 
-@total_ordering
 class Count(Record):
-    """Nonnegative sample/instance count, or the unlimited sentinel.
+    """Nonnegative sample/instance count, or the unlimited sentinel (``value=None``).
 
-    Mirrors ``Duration``: unlimited (``value=None``) is the unique maximum.
+    Like durations, counts have no order: rules compare the plain ``value``.
     """
 
     value: int | None = None
@@ -268,19 +244,6 @@ class Count(Record):
     @property
     def is_unlimited(self) -> bool:
         return self.value is None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Count):
-            return NotImplemented
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
 
     def __str__(self) -> str:
         return "unlimited" if self.value is None else str(self.value)

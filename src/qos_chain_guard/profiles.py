@@ -127,7 +127,7 @@ class ParseDiagnostic(Record):
     path: str
     line: int
     message: str
-    level: str = "info"
+    level = "info"  # every parse note is informational
 
     def __str__(self) -> str:
         return f"{self.level.upper()} {self.path}:{self.line}: {self.message}"
@@ -298,7 +298,7 @@ def _parse_xml(
     return top[0]
 
 
-class RawEndpoint(Record, frozen=False):
+class RawEndpoint(Record):
     """One endpoint element before topic merge and default resolution."""
 
     profile_name: str
@@ -309,7 +309,7 @@ class RawEndpoint(Record, frozen=False):
     line: int
 
 
-class ProfileDocument(Record, frozen=False):
+class ProfileDocument(Record):
     """A parsed profile document: raw endpoints plus parse diagnostics."""
 
     path: str

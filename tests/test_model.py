@@ -1,4 +1,4 @@
-"""Order laws, duration arithmetic, and default resolution."""
+"""Records, durations, kind orders and default resolution."""
 
 from __future__ import annotations
 
@@ -34,49 +34,6 @@ from qos_chain_guard.model import (
 )
 from qos_chain_guard.profiles import ParseDiagnostic, ProfileSet
 from support import replace
-
-durations = st.one_of(
-    st.just(Duration.infinite()),
-    st.integers(min_value=0, max_value=NANOSECONDS_MAX).map(Duration),
-)
-counts = st.one_of(
-    st.just(Count.unlimited()),
-    st.integers(min_value=0, max_value=2**32).map(Count),
-)
-
-
-@given(durations, durations)
-def test_duration_trichotomy(a, b):
-    outcomes = [a < b, a == b, a > b]
-    assert outcomes.count(True) == 1
-
-
-@given(durations, durations, durations)
-def test_duration_transitivity(a, b, c):
-    if a <= b and b <= c:
-        assert a <= c
-
-
-@given(durations)
-def test_infinite_is_unique_maximum(d):
-    assert d <= Duration.infinite()
-    if d.is_finite:
-        assert d < Duration.infinite()
-    assert not (Duration.infinite() < Duration.infinite())
-    assert Duration.infinite() == Duration.infinite()
-
-
-@given(counts, counts)
-def test_count_trichotomy(a, b):
-    outcomes = [a < b, a == b, a > b]
-    assert outcomes.count(True) == 1
-
-
-@given(counts)
-def test_unlimited_is_unique_maximum(c):
-    assert c <= Count.unlimited()
-    if c.is_finite:
-        assert c < Count.unlimited()
 
 
 def test_duration_rejects_negative_and_overflow():
@@ -256,6 +213,9 @@ def test_records_copy_and_pickle_as_equal_values():
     qos = default_qos(EndpointKind.DATA_READER)
     for record in (qos, qos.history, Duration(5), EndpointProfile("r", EndpointKind.DATA_READER, qos)):
         assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
+    # The sentinels are values too: equal to themselves, not to the largest finite value.
+    assert Duration.infinite() == Duration.infinite() != Duration(NANOSECONDS_MAX)
+    assert Count.unlimited() == Count.unlimited() != Count(2**32)
 
 
 def test_reader_defaults_differ_from_writer_defaults_only_in_reliability_kind():

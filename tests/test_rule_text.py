@@ -7,6 +7,9 @@ then a few violations at the top of the 64-bit nanosecond range.  Each
 sampled entry stores its inputs beside its texts, so the file alone fixes
 what is compared.  Regenerate it with ``python tests/test_rule_text.py``
 only when a text is meant to change.
+
+The bounds a suggestion states are checked as well as its bytes: each
+clause of a stage-1/3 suggestion, applied alone, must clear its rule.
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qos_chain_guard.model import DurabilityKind, Duration, EndpointKind, HistoryKind
+from qos_chain_guard.model import PARAMETERS, Count, DurabilityKind, Duration, EndpointKind, HistoryKind
+from qos_chain_guard.profiles import ProfileSet, parse_document, parse_profiles, serialize_canonical
 from qos_chain_guard.rules import (
     RuleScope,
     Violation,
@@ -26,11 +32,12 @@ from qos_chain_guard.rules import (
     evaluate_rule,
     get_rule,
     rule_catalog,
+    rules_for_stage,
 )
 
 from rule_fixtures import RULE_FIXTURES
-from support import durability, hist, ms, reader, reslim, writer
-from test_differential import _count_pool, _env_pool, _ns_pool, build_endpoint
+from support import durability, hist, ms, reader, replace, reslim, writer
+from test_differential import _count_pool, _env_pool, _ns_pool, build_endpoint, qos_records
 
 GOLDEN = Path(__file__).parent / "golden" / "rule_text.json"
 SEED = 20261018
@@ -80,6 +87,65 @@ def test_rules_39_and_40_state_the_largest_bound_that_clears_them(rule_id):
         assert evaluate_rule(rule, writer=_late_join_writer(rule_id, bound), rtt=rtt, pp=pp) is None
         assert evaluate_rule(rule, writer=_late_join_writer(rule_id, bound + 1), rtt=rtt, pp=pp) is not None
     assert fired > 100
+
+
+# -- checked repairs ----------------------------------------------------------
+
+# One clause of a suggestion: ``raise|lower|shorten PATH to ≥|to ≤|above V``.
+_CLAUSE = re.compile(r"(?:raise|lower|shorten) (\S+) (to ≥|to ≤|above) (\S+)")
+_UNIT_NS = {"s": 10**9, "ms": 10**6, "us": 10**3, "ns": 1}
+# A path names policy.parameter; a parameter name unique to one policy may stand alone.
+_PATHS = {f"{policy}.{param}": (policy, param) for policy, params in PARAMETERS.items() for param in params}
+_PARAM_COUNTS = Counter(param for _, param in _PATHS.values())
+_PATHS |= {param: (policy, param) for policy, param in list(_PATHS.values()) if _PARAM_COUNTS[param] == 1}
+
+
+def _clause_value(text: str, default: object, above: bool):
+    """The value a clause names, as ``default``'s type; one unit more for ``above``."""
+    if isinstance(default, Duration):
+        if text == "infinite":
+            return Duration.infinite()
+        number, unit = re.fullmatch(r"(\d+)(s|ms|us|ns)", text).groups()
+        return Duration((int(number) + above) * _UNIT_NS[unit])
+    if isinstance(default, Count):
+        return Count.unlimited() if text == "unlimited" else Count(int(text) + above)
+    return int(text) + above
+
+
+def _apply(endpoint, path: str, relation: str, text: str):
+    policy, param = _PATHS[path]
+    value = _clause_value(text, PARAMETERS[policy][param], relation == "above")
+    policy_value = replace(getattr(endpoint.qos, policy), **{param: value})
+    return replace(endpoint, qos=replace(endpoint.qos, **{policy: policy_value}))
+
+
+_repair_env = st.sampled_from([None, 20, 30, 50, 100])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(record=qos_records(), kind=st.sampled_from(EndpointKind), rtt=_repair_env, pp=_repair_env)
+def test_every_repair_clause_clears_its_rule(record, kind, rtt, pp):
+    # Each clause of a stage-1/3 suggestion, applied on its own, must name a
+    # value the parser accepts (the endpoint survives a canonical round trip)
+    # and must leave its rule without a violation.
+    side = "writer" if kind is EndpointKind.DATA_WRITER else "reader"
+    endpoint = build_endpoint(record, kind, side[0])
+    env = {"rtt": None if rtt is None else Duration(rtt), "pp": None if pp is None else Duration(pp)}
+    for rule in rules_for_stage(1) + rules_for_stage(3):
+        if not applicable_to(rule, kind):
+            continue
+        violation = evaluate_rule(rule, **{side: endpoint}, **env)
+        if not isinstance(violation, Violation):
+            continue
+        clauses = _CLAUSE.findall(violation.suggestion)
+        assert len(clauses) == sum(map(violation.suggestion.count, (" to ≥ ", " to ≤ ", " above "))), violation
+        for path, relation, text in clauses:
+            repaired = _apply(endpoint, path, relation, text)
+            profile_set = ProfileSet({repaired.profile_name: repaired})
+            again = parse_profiles([parse_document(serialize_canonical(profile_set), "repair.xml")])
+            assert again == profile_set, (rule.id, path, text)
+            after = evaluate_rule(rule, **{side: again.profiles[repaired.profile_name]}, **env)
+            assert not isinstance(after, Violation), (rule.id, violation.suggestion, path, text, after.message)
 
 
 def _fixture_context(rule_id: int) -> dict:
