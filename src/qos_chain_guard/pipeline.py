@@ -14,7 +14,7 @@ import json
 import math
 from itertools import chain
 from json.encoder import encode_basestring
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._version import __version__
 from .model import (
@@ -461,8 +461,13 @@ def _json_section(value: object) -> str:
     return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", "\n  ")
 
 
-def _json_rows(rows: list[str]) -> str:
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+def _add_json_rows(out: list[str], rows: Iterable[str]) -> None:
+    """Append ``rows``, each an indented JSON object, to ``out`` as the array they form."""
+    separator = "[\n"
+    for row in rows:
+        out += separator, row
+        separator = ",\n"
+    out.append("[]" if separator == "[\n" else "\n  ]")
 
 
 def _json_report(report: Report) -> str:
@@ -497,7 +502,10 @@ def _json_report(report: Report) -> str:
     def topic(name: str | None) -> str:
         return "null" if name is None else enc(name)
 
-    diagnostics = [
+    # One list of pieces, joined once: no section is copied on its own
+    # before the report is, so the peak is about the rows plus the report.
+    out = ["{\n", f'  "assumptions": {_json_section(list(report.assumptions))},\n', '  "diagnostics": ']
+    _add_json_rows(out, (
         "    {\n"
         f'      "entities": [\n{entities(v.entities)}\n      ],\n'
         f'      "identifier": {enc(v.identifier)},\n'
@@ -510,8 +518,31 @@ def _json_report(report: Report) -> str:
         f'      "topic": {topic(v.topic_name)}\n'
         "    }"
         for v in report.violations
+    ))
+    out.append(
+        f',\n  "environment": {_json_section(report.environment.echo())},\n'
+        f'  "inputs": {_json_section(list(report.inputs))},\n'
+        '  "pairs": '
+    )
+    _add_json_rows(out, (
+        "    {\n"
+        f'      "origin": {enc(p.origin.value)},\n'
+        f'      "reader": {enc(p.reader)},\n'
+        f'      "topic": {topic(p.topic_name)},\n'
+        f'      "writer": {enc(p.writer)}\n'
+        "    }"
+        for p in report.pairings
+    ))
+    parse_diagnostics = [
+        {"path": d.path, "line": d.line, "level": d.level, "message": d.message}
+        for d in report.parse_diagnostics
     ]
-    skipped = [
+    out.append(
+        f',\n  "parse_diagnostics": {_json_section(parse_diagnostics)},\n'
+        '  "schema_version": 1,\n'
+        '  "skipped": '
+    )
+    _add_json_rows(out, (
         "    {\n"
         f'      "entities": [\n{entities(s.entities)}\n      ],\n'
         f'      "identifier": {enc(s.identifier)},\n'
@@ -520,35 +551,14 @@ def _json_report(report: Report) -> str:
         f'      "stage": {s.stage}\n'
         "    }"
         for s in report.skipped
-    ]
-    pairs = [
-        "    {\n"
-        f'      "origin": {enc(p.origin.value)},\n'
-        f'      "reader": {enc(p.reader)},\n'
-        f'      "topic": {topic(p.topic_name)},\n'
-        f'      "writer": {enc(p.writer)}\n'
-        "    }"
-        for p in report.pairings
-    ]
-    parse_diagnostics = [
-        {"path": d.path, "line": d.line, "level": d.level, "message": d.message}
-        for d in report.parse_diagnostics
-    ]
+    ))
     tool = {"name": "qos-chain-guard", "version": report.tool_version}
-    return (
-        "{\n"
-        f'  "assumptions": {_json_section(list(report.assumptions))},\n'
-        f'  "diagnostics": {_json_rows(diagnostics)},\n'
-        f'  "environment": {_json_section(report.environment.echo())},\n'
-        f'  "inputs": {_json_section(list(report.inputs))},\n'
-        f'  "pairs": {_json_rows(pairs)},\n'
-        f'  "parse_diagnostics": {_json_section(parse_diagnostics)},\n'
-        '  "schema_version": 1,\n'
-        f'  "skipped": {_json_rows(skipped)},\n'
-        f'  "summary": {_json_section(report.summary)},\n'
+    out.append(
+        f',\n  "summary": {_json_section(report.summary)},\n'
         f'  "tool": {_json_section(tool)}\n'
         "}\n"
     )
+    return "".join(out)
 
 
 def render_report(report: Report, fmt: str = "human", color: bool = False) -> str:

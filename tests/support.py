@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from qos_chain_guard.model import (
     Count,
     Deadline,
@@ -32,6 +36,16 @@ from qos_chain_guard.model import (
 )
 
 INF = Duration.infinite()
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, the benchmark's seeded workload generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def replace(record, **changes):

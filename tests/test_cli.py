@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -347,6 +348,62 @@ def test_unwritable_stdout_exits_2_with_one_error_line(fixtures, command, buffer
     lines = done.stderr.decode("utf-8").splitlines()
     assert done.returncode == 2
     assert len(lines) == 1 and lines[0].startswith("qos-chain-guard: error: cannot write output: ")
+
+
+# Run in a fresh interpreter as ``python -c _EXIT_PROBE ARGS``: the console
+# script's entry point on ARGS, with an atexit hook that writes how many
+# objects are frozen to stderr.
+_EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(f"frozen: {gc.get_freeze_count()}", file=sys.stderr))
+from qos_chain_guard import cli
+cli.run()
+"""
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["check", "critical"], 1), (["check"], 2), (["--version"], 0)],
+    ids=["findings", "usage-error", "version"],
+)
+def test_run_freezes_the_heap_before_the_interpreter_exits(fixtures, args, code):
+    # Freezing moves every object out of the collector's generations, so
+    # the collections at shutdown do not walk the heap the run built.
+    src = str(Path(qos_chain_guard.__file__).resolve().parents[1])
+    args = [fixtures.get(arg, arg) for arg in args]
+    done = subprocess.run(
+        [sys.executable, "-c", _EXIT_PROBE, *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    frozen = done.stderr.splitlines()[-1]
+    assert frozen.startswith("frozen: ") and int(frozen.removeprefix("frozen: ")) > 0
+
+
+def test_main_leaves_the_collector_alone(fixtures, capsys):
+    assert gc.get_freeze_count() == 0
+    assert main(["check", fixtures["critical"]]) == 1
+    assert main(["--version"]) == 0
+    with pytest.raises(SystemExit):
+        main(["check"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == 0
+
+
+def test_cli_phases_times_one_round(fixtures):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "cli_phases.py"
+    done = subprocess.run(
+        [sys.executable, str(tool), "--rounds", "1", "--", "check", fixtures["critical"]],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    mode, header, side = done.stdout.splitlines()
+    assert "bytecode" in mode and mode.endswith("; 1 round(s)")
+    assert header.split() == ["median", "ms", "start", "import", "main", "exit", "exit", "codes"]
+    assert side.startswith("working tree ")
+    *phases, code = side.removeprefix("working tree").split()
+    assert len(phases) == 4 and all(float(ms) > 0 for ms in phases)
+    assert code == "1"
 
 
 # Run in a fresh interpreter: ``check`` on argv[1], then ``graph``.  Prints

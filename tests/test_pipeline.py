@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import tracemalloc
 from json.encoder import encode_basestring
 
 import pytest
@@ -57,7 +59,9 @@ from qos_chain_guard.rules import (
     rules_for_stage,
 )
 
-from support import durability, hist, ms, ownership, qos_with, reader, reliability, replace, writer
+from support import (
+    durability, hist, ms, ownership, perfbench_workloads, qos_with, reader, reliability, replace, writer,
+)
 
 
 def profile_set(*endpoints) -> ProfileSet:
@@ -782,6 +786,27 @@ def _reports(draw) -> Report:
 def test_json_report_matches_json_dumps_of_the_reference_payload(report):
     expected = json.dumps(_reference_payload(report), indent=2, sort_keys=True, ensure_ascii=False)
     assert render_report(report, "json") == expected + "\n"
+
+
+def test_json_report_peaks_near_two_copies_of_itself(tmp_path):
+    # The wide workload at seed 7: about 1.1 M characters of findings.  The
+    # rows plus the report joined once peak at 2.10 times the report's own
+    # size; joining each section first, then the report, peaks at 3.09.
+    workloads = perfbench_workloads()
+    workload = workloads.generate("wide", 7)
+    written = workloads.write(workload, str(tmp_path))
+    profile_set = load_profile_files(written.inputs)
+    report = run_pipeline(
+        profile_set, load_environment(json.dumps(workload.env)), build_pairing_plan(profile_set, [])
+    )
+    tracemalloc.start()
+    try:
+        output = render_report(report, "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(output) > 1_000_000
+    assert peak / sys.getsizeof(output) < 2.5
 
 
 # -- human rendering -----------------------------------------------------------

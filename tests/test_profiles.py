@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import gc
-import importlib.util
 import re
 import sys
 import tempfile
@@ -60,6 +59,8 @@ from qos_chain_guard.profiles import (
     parse_profiles,
     serialize_canonical,
 )
+
+from support import perfbench_workloads
 
 WRITER_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <profiles>
@@ -906,18 +907,9 @@ def test_tree_matches_the_reference_builder_on_fuzz_documents(text):
     _assert_builds_as_the_reference(text)
 
 
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload", ["wide", "class-heavy", "dense", "desk"])
 def test_tree_matches_the_reference_builder_on_benchmark_documents(workload):
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     for endpoints in workloads.generate(workload, 7).files:
         _assert_builds_as_the_reference(workloads.emit_document(endpoints))
 
