@@ -33,42 +33,32 @@ A parameter absent from a policy element takes the endpoint kind's OMG
 default (``default_qos``); an endpoint's policy element still replaces the
 topic's as a whole.
 
-A document is read in two passes.  ``_parse_xml`` first builds a slim tree
-with expat: each element is a ``_Node``, the list of its child elements with
-slots for its tag, opening-tag line, attributes and text.  Text arrives
-buffered, and each element's runs of text are joined once, when it closes.
-It also records the source of each <qos> element: its UTF-8 bytes, from
-its opening tag up to its closing tag.  So malformed XML anywhere in a
-document is reported before any bad value.  One walker, ``_parse_params``,
-then reads the children of every element but <profiles> and <names> (whose
-children repeat by design) in document order: an unknown child is skipped
-with an info note and never aborts a parse, and a repeated child is a load
-error, ``duplicate <X> element in <Y>``.  A child element of a value
-element, such as <x/> in ``<depth>5<x/></depth>``, is unknown too, and the
-walker notes it (``_leaf`` registers the parsers of value elements); text
-inside an element that holds elements is ignored without a note.  Parse
-notes follow document order.
+A document is read in one expat pass, whose events drive one walker.  Each
+element above the policies (<dds>, <profiles>, an endpoint, <topic>,
+<qos>) is a frame that reads its children in document order by the tables
+``_DOCUMENT_READS`` and ``_ENDPOINT_READS``: an unknown child is noted and
+not read, and a repeated child is a load error, ``duplicate <X> element in
+<Y>``.  A policy element or a topic's <name> is read whole: it and the
+elements in it are built as ``_Element`` nodes, which its parser reads by
+the same rules (``_parse_params``) when it closes.  A child element of a
+value element, such as <x/> in ``<depth>5<x/></depth>``, is unknown too;
+text beside child elements is ignored without a note.  Notes follow document order, those of
+<dds>'s own children first.  The first load error in that order wins, but
+malformed XML anywhere, and a second <profiles> in <dds>, win over it.
 
-The walker reads each distinct <qos> once per run.  ``load_profile_files``
-makes one ``QosTable`` per call and passes it through ``parse_document`` for
-every file: it maps an endpoint kind and a <qos> source to the
-``QosProfile`` parsed from it.  A <qos> whose source is in the table is not
-walked; its endpoint gets the stored object.  A <qos> is stored once walked,
-unless its walk noted something: a noisy <qos> is walked at each occurrence,
-so each copy notes on its own lines.  A <qos> that fails to parse raises, so
-it is never stored either.  The same source parses to the same profile
-anywhere, since the tree of a <qos> depends only on its bytes (entity
-declarations are rejected) and the profile only on that tree and the kind's
-defaults.  ``parse_profiles`` then resolves and interns once per distinct
-(kind, endpoint ``QosProfile``, topic ``QosProfile``) object triple.
-
-A repeated <qos> is not even built when three things hold: its endpoint's
-kind is the kind the table holds its source for, its bytes are that
-source, and it opens with a plain ``<qos>`` start tag (no space, no
-attribute).  ``_parse_xml`` then makes it a node without children: expat
-reads its content and end tag with the element and text handlers off.
-Only sources walked in earlier documents are in the table, so a repeat
-within one document is still built.
+One ``QosTable`` per ``load_profile_files`` call, passed through
+``parse_document`` for every file, maps an endpoint kind and the source of
+a quiet <qos> or policy element (its UTF-8 bytes from its start tag up to
+its end tag) to the object parsed from it.  Expat is fed in pieces that end
+after each plain ``<qos>`` start tag.  If that start event fired in an
+endpoint whose kind's table holds the source, the endpoint gets the stored
+object and the rest is fed with the handlers off: expat still reads every
+byte, so errors, lines and offsets do not change.  In a <qos> read in full,
+each plain policy start tag after only text is its next child, looked up
+the same way.  An element read in full is stored as it closes, so repeats
+within one document are skipped too, unless it noted something: each copy
+of a noisy element notes on its own lines.  ``parse_profiles`` then
+resolves once per distinct (kind, endpoint and topic ``QosProfile``).
 """
 
 from __future__ import annotations
@@ -133,169 +123,12 @@ class ParseDiagnostic(Record):
         return f"{self.level.upper()} {self.path}:{self.line}: {self.message}"
 
 
-class _Node(list):
-    """One XML element.  Like ElementTree's ``Element``, a node is the list
-    of its child elements, in document order; a value element is an empty
-    list.  Its slots hold the tag, the line of its opening tag and the
-    attributes; ``raw`` is the text directly inside it, every run joined in
-    document order, and ``text`` is ``raw`` stripped.  A node has no
-    ``__dict__`` and no list besides itself."""
+class _Element(list):
+    """An element read whole (a policy element or a topic's <name>), or one
+    inside it: the list of its child elements, with its tag, the line of its
+    start tag, ``raw`` (its own text, every run joined) and ``text`` (stripped)."""
 
-    __slots__ = ("tag", "line", "attrib", "raw", "text")
-
-
-def _repeats(data: bytes, table: QosTable) -> list[tuple[int, int, bytes]]:
-    """(start, stop, source) of each ``<qos>`` in ``data`` whose bytes, up to
-    the next ``</qos>``, are a source some kind's table holds.  Only a plain
-    ``<qos>`` start tag is looked for; a candidate may still lie in a comment
-    or CDATA, or under the other kind, which ``_parse_xml`` checks."""
-    found: list[tuple[int, int, bytes]] = []
-    tables = [parsed for parsed in table.values() if parsed]
-    if not tables:
-        return found
-    find = data.find
-    start = find(b"<qos>")
-    while start >= 0:
-        stop = find(b"</qos>", start)
-        if stop < 0:
-            break
-        source = data[start:stop]
-        for parsed in tables:
-            if source in parsed:
-                found.append((start, stop, source))
-                start = stop
-                break
-        else:
-            start += 5
-        start = find(b"<qos>", start)
-    return found
-
-
-def _parse_xml(
-    text: str, path: str, spans: dict[int, bytes] | None = None, table: QosTable | None = None
-) -> _Node:
-    """Parse to a ``_Node`` tree, tracking opening-tag line numbers.
-
-    Each ``<qos>`` element's source is recorded in ``spans`` under the
-    ``id`` of its node: the UTF-8 bytes from its opening tag up to its
-    closing tag.  Expat is made to read UTF-8 whatever encoding the
-    document declares, and is fed the text's UTF-8 bytes, so its byte
-    index counts in them.
-
-    A ``<qos>`` whose source ``table`` already holds for the kind of its
-    endpoint is built without children: expat is fed up to the end of its
-    plain ``<qos>`` start tag, and if the start event fired there, its
-    content and end tag are fed with the element and text handlers off,
-    and the node is closed here.  Each piece ends with a whole token, so no
-    event is left to fire later.  Expat still reads every byte, so errors,
-    lines and byte offsets do not change, and ``parse_qos`` finds the
-    source in the table.
-    """
-    parser = expat.ParserCreate("UTF-8")
-    # Each run of text then arrives in as few calls as expat's buffer allows.
-    parser.buffer_text = True
-    # A token that ends a piece is then parsed before the next piece is fed,
-    # so its events never fire with the handlers off (expat 2.6 and later).
-    set_deferral = getattr(parser, "SetReparseDeferralEnabled", None)
-    if set_deferral is not None:
-        set_deferral(False)
-    top = _Node()  # holds the root element
-    top.tag = None
-    stack = [top]
-    # Text runs go to one list; an element's runs are those appended while it
-    # was the innermost open element, after its children's were taken out.
-    parts: list[str] = []
-    marks: list[int] = []
-    # The start of each open <qos>, innermost last.
-    qos_starts: list[int] = []
-    if spans is None:
-        spans = {}
-    data = text.encode()
-
-    def start(tag: str, attrs: dict[str, str]) -> None:
-        node = _Node()
-        node.tag = tag
-        node.line = parser.CurrentLineNumber
-        node.attrib = attrs
-        stack[-1].append(node)
-        stack.append(node)
-        marks.append(len(parts))
-        if tag == "qos":
-            qos_starts.append(parser.CurrentByteIndex)
-
-    def end(tag: str) -> None:
-        node = stack.pop()
-        runs = len(parts) - marks.pop()
-        if runs == 1:
-            raw = parts.pop()
-        elif runs:
-            raw = "".join(parts[-runs:])
-            del parts[-runs:]
-        else:
-            raw = ""
-        node.raw = raw
-        node.text = raw.strip()
-        if tag == "qos":
-            spans[id(node)] = data[qos_starts.pop() : parser.CurrentByteIndex]
-
-    def entity_decl(*args: object) -> None:
-        raise ProfileLoadError(
-            "XML entity declarations are not supported",
-            path=path,
-            line=parser.CurrentLineNumber,
-        )
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = parts.append
-    parser.EntityDeclHandler = entity_decl
-    feed = parser.Parse
-    view = memoryview(data)
-    fed = 0
-    try:
-        for qos_start, stop, source in _repeats(data, table) if table else ():
-            opened = qos_start + 5  # the end of the start tag
-            feed(view[fed:opened], False)
-            fed = opened
-            if not qos_starts or qos_starts[-1] != qos_start:
-                continue  # in a comment or CDATA, or an event not yet fired
-            for node in reversed(stack):
-                kind = ENDPOINT_TAGS.get(node.tag)
-                if kind is not None:
-                    break
-            if source not in table.get(kind, ()):
-                continue  # the source of the other kind, or outside an endpoint
-            # Its content and end tag, read with the handlers off; then the
-            # node is closed as ``end`` would close it, keeping ``source``,
-            # whose hash the table lookup has cached.
-            parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
-            fed = stop + 6
-            feed(view[opened:fed], False)
-            parser.StartElementHandler = start
-            parser.EndElementHandler = end
-            parser.CharacterDataHandler = parts.append
-            node = stack.pop()
-            marks.pop()
-            qos_starts.pop()
-            node.raw = node.text = ""
-            spans[id(node)] = source
-        feed(view[fed:], True)
-    except expat.ExpatError as exc:
-        raise ProfileLoadError(
-            f"malformed XML at column {exc.offset + 1}: {expat.errors.messages[exc.code]}",
-            path=path,
-            line=exc.lineno,
-        ) from exc
-    finally:
-        # The handlers close over ``parser``; dropping them breaks the
-        # cycle, so the tree is freed by reference counting, not by the GC.
-        parser.StartElementHandler = None
-        parser.EndElementHandler = None
-        parser.CharacterDataHandler = None
-        parser.EntityDeclHandler = None
-    if not top:
-        raise ProfileLoadError("document has no root element", path=path)
-    return top[0]
+    __slots__ = ("tag", "line", "raw", "text")
 
 
 class RawEndpoint(Record):
@@ -346,21 +179,20 @@ class ProfileSet(Record, uncompared=("diagnostics",)):
 # -- the policy schema -------------------------------------------------------
 
 
-def _bad_value(node: _Node, context: str, message: str, path: str) -> ProfileLoadError:
+def _bad_value(node: _Element, context: str, message: str, path: str) -> ProfileLoadError:
     """Load error naming the field ``context.tag`` of ``node``."""
     return ProfileLoadError(f"{context}.{node.tag}: {message}", path, node.line)
 
 
-def _note_unknown(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> None:
-    diags.append(
-        ParseDiagnostic(path, node.line, f"unknown element <{node.tag}> in {context}; ignored")
-    )
+def _note_unknown(tag: str, line: int, holder: str, path: str, diags: list[ParseDiagnostic]) -> None:
+    """Note the element ``<tag>`` at ``line``, a child ``<holder>`` does not take."""
+    diags.append(ParseDiagnostic(path, line, f"unknown element <{tag}> in <{holder}>; ignored"))
 
 
 # ``parse(node, context, path, diags)`` reads one element; ``context`` names
 # the enclosing element (``history``), so load errors can name the field
 # (``history.depth``).
-Parser = Callable[[_Node, str, str, list[ParseDiagnostic]], object]
+Parser = Callable[[_Element, str, str, list[ParseDiagnostic]], object]
 
 
 class Codec(Record):
@@ -373,10 +205,10 @@ class Codec(Record):
     render: Callable[[str, object, str], list[str]]
 
 
-def _note_children(node: _Node, path: str, diags: list[ParseDiagnostic]) -> None:
+def _note_children(node: _Element, path: str, diags: list[ParseDiagnostic]) -> None:
     """Note each child element of a value element, which holds only text."""
     for child in node:
-        _note_unknown(child, f"<{node.tag}>", path, diags)
+        _note_unknown(child.tag, child.line, node.tag, path, diags)
 
 
 # The parsers of value elements, registered by ``_leaf``.
@@ -392,7 +224,7 @@ def _leaf(parse: Parser) -> Parser:
 
 
 def _parse_params(
-    node: _Node, parsers: dict[str, Parser], label: str, path: str, diags: list[ParseDiagnostic]
+    node: _Element, parsers: dict[str, Parser], label: str, path: str, diags: list[ParseDiagnostic]
 ) -> dict[str, object]:
     """Parse each child of ``node``, in document order, by the parser of its tag.
 
@@ -404,7 +236,7 @@ def _parse_params(
         tag = child.tag
         parse = parsers.get(tag)
         if parse is None:
-            _note_unknown(child, f"<{node.tag}>", path, diags)
+            _note_unknown(child.tag, child.line, node.tag, path, diags)
         elif tag in values:
             raise ProfileLoadError(f"duplicate <{tag}> element in <{node.tag}>", path, child.line)
         else:
@@ -418,7 +250,7 @@ def _element(tag: str, body: object, indent: str) -> list[str]:
     return [f"{indent}<{tag}>{body}</{tag}>"]
 
 
-def _parse_int(node: _Node, context: str, path: str) -> int | None:
+def _parse_int(node: _Element, context: str, path: str) -> int | None:
     """An XML Schema integer: ``int()`` alone would also take ``1_000`` and non-ASCII digits.
 
     None stands for a value too long for ``int()`` (past 4300 digits), which
@@ -438,7 +270,7 @@ def _parse_int(node: _Node, context: str, path: str) -> int | None:
 
 
 @_leaf
-def _parse_long(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
+def _parse_long(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
     value = _parse_int(node, context, path)
     if value is None or not LONG_MIN <= value <= LONG_MAX:
         got = shorten_literal(node.text)
@@ -447,7 +279,7 @@ def _parse_long(node: _Node, context: str, path: str, diags: list[ParseDiagnosti
 
 
 @_leaf
-def _parse_bool(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> bool:
+def _parse_bool(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> bool:
     token = node.text.lower()
     if token == "true":
         return True
@@ -457,7 +289,7 @@ def _parse_bool(node: _Node, context: str, path: str, diags: list[ParseDiagnosti
 
 
 @_leaf
-def _parse_bytes(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> bytes:
+def _parse_bytes(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> bytes:
     try:
         return bytes.fromhex("".join(node.text.split()))
     except ValueError:
@@ -466,7 +298,7 @@ def _parse_bytes(node: _Node, context: str, path: str, diags: list[ParseDiagnost
 
 
 @_leaf
-def _parse_count(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Count:
+def _parse_count(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> Count:
     if node.text.upper() == UNLIMITED_TOKEN:
         return _UNLIMITED
     value = _parse_long(node, context, path, diags)
@@ -485,7 +317,7 @@ _SEC_MAX = NANOSECONDS_MAX // NANOSECONDS_PER_SECOND
 
 
 @_leaf
-def _parse_duration_part(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
+def _parse_duration_part(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> int:
     """``<sec>`` or ``<nanosec>``.  A part past its range on its own is
     rejected here, so the error can echo the literal as written."""
     value = _parse_int(node, context, path)
@@ -503,7 +335,7 @@ def _parse_duration_part(node: _Node, context: str, path: str, diags: list[Parse
 _SEC_NANOSEC = dict.fromkeys(("sec", "nanosec"), _parse_duration_part)
 
 
-def _parse_duration(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> Duration:
+def _parse_duration(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> Duration:
     if node.text.upper() == INFINITY_TOKEN:
         if node:
             _note_children(node, path, diags)
@@ -538,7 +370,7 @@ def _render_duration(tag: str, value: Duration, indent: str) -> list[str]:
     ]
 
 
-def _parse_names(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> tuple[str, ...]:
+def _parse_names(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> tuple[str, ...]:
     names: list[str] = []
     for child in node:
         if child.tag == "name":
@@ -546,7 +378,7 @@ def _parse_names(node: _Node, context: str, path: str, diags: list[ParseDiagnost
                 _note_children(child, path, diags)
             names.append(child.raw)  # unstripped: "" and " " are distinct partition names
         else:
-            _note_unknown(child, f"<{node.tag}>", path, diags)
+            _note_unknown(child.tag, child.line, node.tag, path, diags)
     return tuple(names)
 
 
@@ -563,7 +395,7 @@ def _enum_codec(enum_cls: type[enum.Enum]) -> Codec:
     # A plain dict: ``enum_cls[name]`` runs the metaclass's ``__getitem__``.
     members = dict(enum_cls.__members__)
 
-    def parse(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> enum.Enum:
+    def parse(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> enum.Enum:
         member = members.get(node.text.upper())
         if member is None:
             got = shorten_literal(node.text)
@@ -614,7 +446,7 @@ def _policy_parser(tag: str, default: object) -> Parser:
     fields = tuple((name, getattr(default, name), getattr(policy, name).__set__) for name in parsers)
     check = getattr(policy, "_check", None)
 
-    def parse(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> object:
+    def parse(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> object:
         values = _parse_params(node, parsers, tag, path, diags)
         built = new(policy)
         given = values.get
@@ -632,109 +464,276 @@ def _policy_parser(tag: str, default: object) -> Parser:
 
 _parse_topic_name = _leaf(lambda node, *_: node.text or None)
 
-# The policy parsers of each endpoint kind, built once at import, since the
-# kinds' defaults differ and tables built per call cost a measurable share
-# of parsing.
-_POLICY_PARSERS = {
-    kind: {tag: _policy_parser(tag, getattr(default_qos(kind), tag)) for tag in POLICY_SCHEMA}
-    for kind in EndpointKind
-}
-# A parse's QoS table: each endpoint kind's parsed <qos> elements, by source.
-QosTable = dict[EndpointKind, dict[bytes, QosProfile]]
+# The elements above the policies, as nested tables: each maps a child's tag
+# to its own table, if it is read child by child, or to the parser of it whole.
+# A <qos> table holds its kind's policy parsers; the kinds' defaults differ.
+_ENDPOINT_READS = {}
+for _kind in EndpointKind:
+    _policies = {tag: _policy_parser(tag, getattr(default_qos(_kind), tag)) for tag in POLICY_SCHEMA}
+    _ENDPOINT_READS[_kind.value] = {"topic": {"name": _parse_topic_name, "qos": _policies}, "qos": _policies}
+_DOCUMENT_READS = {"dds": {"profiles": _ENDPOINT_READS}, "profiles": _ENDPOINT_READS}
 
-
-def _endpoint_parsers(
-    kind: EndpointKind, spans: dict[int, bytes], table: QosTable
-) -> dict[str, Parser]:
-    """The parsers of a ``kind`` endpoint's children in one document.
-
-    A ``<qos>`` is looked up in ``table`` by its source (``spans``), and
-    walked only when it is not there.  It is stored only if its walk noted
-    nothing, so that each copy of a noisy ``<qos>`` notes on its own lines.
-    """
-    policies = _POLICY_PARSERS[kind]
-    parsed = table.setdefault(kind, {})
-
-    def parse_qos(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> QosProfile:
-        source = spans[id(node)]
-        qos = parsed.get(source)
-        if qos is None:
-            noted = len(diags)
-            qos = QosProfile(**_parse_params(node, policies, "qos", path, diags))
-            if len(diags) == noted:
-                parsed[source] = qos
-        return qos
-
-    topic: dict[str, Parser] = {"name": _parse_topic_name, "qos": parse_qos}
-
-    def parse_topic(node: _Node, context: str, path: str, diags: list[ParseDiagnostic]) -> dict:
-        return _parse_params(node, topic, "topic", path, diags)
-
-    return {"topic": parse_topic, "qos": parse_qos}
-
-
-_DDS_PARSERS: dict[str, Parser] = {"profiles": lambda node, *_: node}
+# A run's QoS table: each endpoint kind's quiet <qos> and policy elements,
+# parsed, by source.  Entity declarations are rejected, so a source reads the
+# same anywhere; it opens with its start tag, so the two kinds never clash.
+QosTable = dict[EndpointKind, dict[bytes, object]]
+_POLICY_TAGS = {tag.encode(): tag for tag in POLICY_SCHEMA}
+_END_TAGS = {tag: f"</{tag}>".encode() for tag in ("qos", *POLICY_SCHEMA)}
 # Shared by every endpoint without a <qos>: profiles are frozen.
 _NO_QOS = QosProfile()
 
 
-def _parse_endpoint(
-    node: _Node, kind: EndpointKind, parsers: dict[str, Parser], path: str, diags: list[ParseDiagnostic]
-) -> RawEndpoint:
-    parts = _parse_params(node, parsers, node.tag, path, diags)
-    topic = parts.get("topic", {})
-    return RawEndpoint(
-        profile_name=node.attrib["profile_name"],
-        endpoint_kind=kind,
-        topic_name=topic.get("name"),
-        endpoint_qos=parts.get("qos", _NO_QOS),
-        topic_qos=topic.get("qos", _NO_QOS),
-        line=node.line,
+def _parser(path: str) -> expat.XMLParserType:
+    """An expat parser that rejects entity declarations and reads UTF-8 whatever
+    the document declares, so its byte index counts in the bytes it is fed."""
+    parser = expat.ParserCreate("UTF-8")
+
+    def entity_decl(*args: object) -> None:
+        raise ProfileLoadError("XML entity declarations are not supported", path, parser.CurrentLineNumber)
+
+    parser.EntityDeclHandler = entity_decl
+    return parser
+
+
+class _Frame:
+    """An open element read child by child: ``reads`` is its table, ``values``
+    what its closed children read, ``parsed`` its endpoint kind's table, and
+    ``extra`` an endpoint's name or a <qos>'s ``(start, source, notes before)``."""
+
+    __slots__ = ("tag", "line", "reads", "values", "parsed", "extra")
+
+    def __init__(self, tag: str | None, line: int, reads: dict, parsed: dict | None, extra: object) -> None:
+        self.tag, self.line, self.reads, self.values, self.parsed, self.extra = tag, line, reads, {}, parsed, extra
+
+
+class _Walker:
+    """Reads one document in one expat pass; see the module docstring."""
+
+    __slots__ = (
+        "parser", "data", "view", "path", "parsed", "stack", "nodes", "whole",
+        "candidate", "skip_to", "missed", "closed", "endpoints", "diags", "dds_notes",
     )
+
+    def __init__(self, data: bytes, path: str, table: QosTable) -> None:
+        parser = self.parser = _parser(path)
+        parser.buffer_text = True  # each run of text in as few calls as the buffer allows
+        # Each piece's last token is parsed before the handlers change (expat 2.6+).
+        set_deferral = getattr(parser, "SetReparseDeferralEnabled", None)
+        if set_deferral is not None:
+            set_deferral(False)
+        self.data, self.view, self.path = data, memoryview(data), path
+        # Two enum hashes per document, not one per endpoint.
+        self.parsed = {tag: table.setdefault(kind, {}) for tag, kind in ENDPOINT_TAGS.items()}
+        self.stack, self.nodes = [], []  # the open frames, and the open elements read whole
+        self.candidate = self.skip_to = self.closed = -1
+        self.missed = False
+        self.endpoints, self.diags, self.dds_notes = [], [], []
+        self.stack.append(_Frame(None, 0, _DOCUMENT_READS, None, None))
+        self.read_frames()
+
+    def run(self) -> None:
+        find = self.data.find
+        fed = 0
+        start = find(b"<qos>")
+        while start >= 0:
+            self.candidate = start
+            self.parser.Parse(self.view[fed:start + 5], False)
+            fed = self.skip(start + 5, self.skip_to)
+            if self.missed:  # the <qos> is read in full
+                fed = self.read_policies(fed)
+            self.skip_to, self.missed = -1, False
+            start = find(b"<qos>", fed)
+        self.parser.Parse(self.view[fed:], True)
+
+    def skip(self, fed: int, to: int) -> int:
+        """Feed up to ``to`` with the element handlers off; return how far it is fed."""
+        if to <= fed:
+            return fed
+        parser = self.parser
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.Parse(self.view[fed:to], False)
+        parser.StartElementHandler, parser.EndElementHandler = self.start, self.end
+        return to
+
+    def read_policies(self, fed: int) -> int:
+        """Read the children of the <qos> just opened while each is a policy
+        element with a plain start tag, with only text between them: a hit
+        is fed with the handlers off, a miss is read in full."""
+        data, qos = self.data, self.stack[-1]
+        read = fed  # how far the <qos>'s children are known
+        while True:
+            start = data.find(b"<", read)
+            tag = _POLICY_TAGS.get(data[start + 1 : data.find(b">", start)]) if start >= 0 else None
+            if tag is None or tag in qos.values:
+                break
+            end_tag = _END_TAGS[tag]
+            end = data.find(end_tag, start)
+            if end < 0:
+                break
+            found = qos.parsed.get(data[start:end])
+            read = end + len(end_tag)
+            if found is not None:
+                qos.values[tag] = found
+                continue
+            fed = self.skip(fed, start)
+            self.candidate = start
+            self.parser.Parse(self.view[start:read], False)
+            fed = read
+            if self.closed != end or self.stack[-1] is not qos:
+                break  # the end tag found was not its own
+        return self.skip(fed, read)
+
+    def store(self, start: int, source: bytes | None, noted: int, parsed: dict, value: object) -> None:
+        # A closing candidate, unless it noted something or its source ends short of it.
+        if source is not None and len(self.diags) == noted and self.parser.CurrentByteIndex == start + len(source):
+            parsed[source] = value
+
+    def read_frames(self) -> None:
+        parser = self.parser
+        parser.StartElementHandler, parser.EndElementHandler = self.start, self.end
+        parser.CharacterDataHandler = None  # text beside child elements is ignored
+
+    def start(self, tag: str, attrs: dict[str, str]) -> None:
+        frame = self.stack[-1]
+        read, parsed = frame.reads.get(tag), frame.parsed
+        if read is None or tag in frame.values or tag in ENDPOINT_TAGS:
+            if self.rejects(tag, attrs, frame, read):
+                return self.read_whole(tag, None, frame, -1, None)  # and drop it
+            parsed = self.parsed[tag]
+        start = self.parser.CurrentByteIndex
+        source = None
+        if start == self.candidate:  # a <qos>, or a policy element the table misses
+            end_tag = _END_TAGS[tag]
+            stop = self.data.find(end_tag, start)
+            if stop >= 0:
+                source = self.data[start:stop]
+                found = parsed.get(source)
+                if found is not None:
+                    frame.values[tag] = found
+                    self.skip_to = stop + len(end_tag)
+                    return
+                self.missed = True
+        if type(read) is not dict:
+            return self.read_whole(tag, read, frame, start, source)
+        extra = (start, source, len(self.diags)) if tag == "qos" else attrs.get("profile_name")
+        self.stack.append(_Frame(tag, self.parser.CurrentLineNumber, read, parsed, extra))
+
+    def rejects(self, tag: str, attrs: dict[str, str], frame: _Frame, read: object) -> bool:
+        """Whether ``<tag>`` is dropped with a note; raise its load error if it has one."""
+        line, holder = self.parser.CurrentLineNumber, frame.tag
+        if read is None and holder is None:
+            raise ProfileLoadError(f"expected <profiles> (or <dds>) root element, got <{tag}>", self.path, line)
+        if read is None:  # the notes of <dds>'s children come before those of its <profiles>
+            _note_unknown(tag, line, holder, self.path, self.dds_notes if holder == "dds" else self.diags)
+        elif tag in frame.values:
+            raise ProfileLoadError(f"duplicate <{tag}> element in <{holder}>", self.path, line)
+        elif "profile_name" not in attrs:
+            self.diags.append(ParseDiagnostic(self.path, line, f"<{tag}> without profile_name attribute; ignored"))
+        elif not attrs["profile_name"]:
+            raise ProfileLoadError("profile_name must be non-empty", self.path, line)
+        else:
+            return False
+        return True
+
+    def end(self, tag: str) -> None:
+        frame = self.stack.pop()
+        values = frame.values
+        if tag == "qos":
+            values = QosProfile(**values)
+            self.store(*frame.extra, frame.parsed, values)
+        elif tag in ENDPOINT_TAGS:
+            topic = values.get("topic", {})
+            qos, topic_qos = values.get("qos", _NO_QOS), topic.get("qos", _NO_QOS)
+            endpoint = RawEndpoint(frame.extra, ENDPOINT_TAGS[tag], topic.get("name"), qos, topic_qos, frame.line)
+            return self.endpoints.append(endpoint)
+        elif tag == "dds" and "profiles" not in values:
+            raise ProfileLoadError("<dds> root contains no <profiles> element", self.path, frame.line)
+        self.stack[-1].values[tag] = values
+
+    def read_whole(self, tag: str, parse: Parser | None, frame: _Frame, start: int, source: bytes | None) -> None:
+        """Build ``<tag>`` as ``_Element`` nodes, for ``parse`` to read as it closes (None drops it)."""
+        self.whole = (parse, frame, start, source, len(self.diags))
+        self.whole_start(tag, None)
+        parser = self.parser
+        parser.StartElementHandler, parser.EndElementHandler = self.whole_start, self.whole_end
+        parser.CharacterDataHandler = self.text
+
+    def whole_start(self, tag: str, attrs: dict[str, str] | None) -> None:
+        node = _Element()
+        node.tag, node.line, node.raw = tag, self.parser.CurrentLineNumber, []  # its runs of text, until it closes
+        if self.nodes:
+            self.nodes[-1].append(node)
+        self.nodes.append(node)
+
+    def text(self, data: str) -> None:
+        self.nodes[-1].raw.append(data)
+
+    def whole_end(self, tag: str) -> None:
+        nodes = self.nodes
+        node = nodes.pop()
+        node.raw = raw = "".join(node.raw)
+        node.text = raw.strip()
+        if nodes:
+            return
+        self.closed = self.parser.CurrentByteIndex
+        parse, frame, start, source, noted = self.whole
+        if parse is not None:
+            if node and parse in _LEAVES:
+                _note_children(node, self.path, self.diags)
+            value = frame.values[tag] = parse(node, frame.tag, self.path, self.diags)
+            self.store(start, source, noted, frame.parsed, value)
+        self.read_frames()
+
+    def close(self) -> None:
+        # Breaks the cycle through the handlers, so reference counting frees both.
+        parser = self.parser
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
+        parser.EntityDeclHandler = None
+
+
+def _raise_an_earlier_error(data: bytes, path: str) -> None:
+    """Raise the error that wins over any the walk raised: malformed XML or an
+    entity declaration anywhere, or a second <profiles> in a <dds> root.
+    Expat reports the same malformed XML however its input is split."""
+    parser = _parser(path)
+    tags: list[str] = []
+    profiles: list[int] = []
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        if tag == "profiles" and tags == ["dds"]:
+            profiles.append(parser.CurrentLineNumber)
+        tags.append(tag)
+
+    parser.StartElementHandler, parser.EndElementHandler = start, lambda tag: tags.pop()
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        message = f"malformed XML at column {exc.offset + 1}: {expat.errors.messages[exc.code]}"
+        raise ProfileLoadError(message, path, exc.lineno) from exc
+    finally:
+        parser.StartElementHandler = parser.EndElementHandler = parser.EntityDeclHandler = None
+    if len(profiles) > 1:
+        raise ProfileLoadError("duplicate <profiles> element in <dds>", path, profiles[1])
 
 
 def parse_document(text: str, path: str = "<string>", table: QosTable | None = None) -> ProfileDocument:
     """Parse one XML document into raw endpoints.
 
     Raises ProfileLoadError for malformed XML or out-of-range values;
-    unrecognized structure is skipped with info diagnostics instead.  A
-    ``<qos>`` whose source is in ``table`` (a new one if None) is not walked
-    again: its endpoint shares the ``QosProfile`` parsed before.
+    unrecognized structure is skipped with info diagnostics instead.  An
+    element whose source is in ``table`` (a new one if None) is not read
+    again: it gets the object parsed before.
     """
-    if table is None:
-        table = {}
-    spans: dict[int, bytes] = {}
-    root = _parse_xml(text, path, spans, table)
-    diags: list[ParseDiagnostic] = []
-    if root.tag == "dds":
-        profiles_node = _parse_params(root, _DDS_PARSERS, "dds", path, diags).get("profiles")
-        if profiles_node is None:
-            raise ProfileLoadError("<dds> root contains no <profiles> element", path=path, line=root.line)
-    elif root.tag == "profiles":
-        profiles_node = root
-    else:
-        raise ProfileLoadError(
-            f"expected <profiles> (or <dds>) root element, got <{root.tag}>", path=path, line=root.line
-        )
-
-    parsers = {kind: _endpoint_parsers(kind, spans, table) for kind in EndpointKind}
-    endpoints: list[RawEndpoint] = []
-    for child in profiles_node:
-        kind = ENDPOINT_TAGS.get(child.tag)
-        if kind is None:
-            _note_unknown(child, "<profiles>", path, diags)
-            continue
-        if "profile_name" not in child.attrib:
-            diags.append(
-                ParseDiagnostic(
-                    path, child.line, f"<{child.tag}> without profile_name attribute; ignored"
-                )
-            )
-            continue
-        if not child.attrib["profile_name"]:
-            raise ProfileLoadError("profile_name must be non-empty", path=path, line=child.line)
-        endpoints.append(_parse_endpoint(child, kind, parsers[kind], path, diags))
-    return ProfileDocument(path=path, endpoints=endpoints, diagnostics=diags)
+    data = text.encode()
+    walker = _Walker(data, path, {} if table is None else table)
+    try:
+        walker.run()
+    except (expat.ExpatError, ProfileLoadError):
+        _raise_an_earlier_error(data, path)
+        raise
+    finally:
+        walker.close()
+    return ProfileDocument(path, walker.endpoints, walker.dds_notes + walker.diags)
 
 
 def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
@@ -782,8 +781,8 @@ def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
 def load_profile_files(paths: list[str]) -> ProfileSet:
     """Read and parse UTF-8 XML files into one ProfileSet.
 
-    The files share one QoS table, made for this call: a ``<qos>`` repeated
-    across them is walked once.
+    The files share one QoS table, made for this call: a ``<qos>`` or
+    policy element repeated in them is read once per endpoint kind.
     """
     table: QosTable = {}
     documents = []

@@ -32,9 +32,12 @@ from qos_chain_guard.model import (
     Lifespan,
     Liveliness,
     LivelinessKind,
+    NANOSECONDS_MAX,
+    NANOSECONDS_PER_SECOND,
     Ownership,
     OwnershipKind,
     OwnershipStrength,
+    PARAMETERS,
     POLICIES,
     Partition,
     QosProfile,
@@ -48,6 +51,7 @@ from qos_chain_guard.model import (
     WriterDataLifecycle,
     default_qos,
     resolve_defaults,
+    shorten_literal,
 )
 from qos_chain_guard import profiles
 from qos_chain_guard.profiles import (
@@ -784,11 +788,14 @@ def test_parse_serialize_parse_is_identity(ps):
     assert serialize_canonical(once) == text
 
 
-# -- the tree against the builder it replaced ----------------------------------
+# -- the walker against the reference parser ---------------------------------
 #
-# The tree builder as it was before nodes became slim lists: one dataclass
-# per element, with a second list for its runs of text.  Both references
-# below read this tree, so neither runs the builder under test.
+# The reference reads a document as the code did before one walker read
+# every element.  It first builds a tree of one dataclass per element, with
+# a second list for its runs of text, so malformed XML anywhere wins over
+# any value error.  It then reads the <dds>, endpoint and <qos> levels from
+# the tree and each policy with a frozen copy of the policy and leaf
+# parsers.  It runs nothing of the code under test but its records.
 
 
 @dataclass
@@ -858,99 +865,152 @@ def _reference_parse_xml(text: str, path: str) -> _ReferenceNode:
     return root[0]
 
 
-def _slim(node: _ReferenceNode) -> profiles._Node:
-    """``node`` as the walker's node type, for the policy parsers both sides share."""
-    slim = profiles._Node(map(_slim, node.children))
-    slim.tag, slim.line, slim.attrib = node.tag, node.line, node.attrib
-    slim.raw = "".join(node.text_parts)
-    slim.text = slim.raw.strip()
-    return slim
+# The policy and leaf parsers, frozen on the reference tree, so that the
+# references share no parser with the code under test: only the model's
+# records, defaults and ``PARAMETERS``.
 
 
-def _fuzz_documents():
-    # Imported on first draw: test_fuzz_cli imports this module.
-    from test_fuzz_cli import _profile_documents
-
-    return _profile_documents()
+def _ref_note(node: _ReferenceNode, holder: str, path: str, diags: list) -> None:
+    diags.append(ParseDiagnostic(path, node.line, f"unknown element <{node.tag}> in <{holder}>; ignored"))
 
 
-def _assert_same_tree(actual: profiles._Node, expected: _ReferenceNode) -> None:
-    pending = [(actual, expected)]
-    while pending:
-        node, reference = pending.pop()
-        assert type(node) is profiles._Node and not hasattr(node, "__dict__")
-        assert (node.tag, node.line, node.attrib) == (reference.tag, reference.line, reference.attrib)
-        assert (node.text, node.raw) == (reference.text, "".join(reference.text_parts)), node.tag
-        assert len(node) == len(reference.children), node.tag
-        pending.extend(zip(node, reference.children))
+def _ref_error(node: _ReferenceNode, context: str, message: str, path: str) -> ProfileLoadError:
+    return ProfileLoadError(f"{context}.{node.tag}: {message}", path, node.line)
 
 
-def _parsed(parse, text: str):
-    """(load error message, None) or (None, what ``parse`` returned)."""
+def _ref_integer(node: _ReferenceNode, context: str, path: str) -> int | None:
+    text = node.text
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise _ref_error(node, context, f"expected an integer, got {shorten_literal(text)}", path)
+    digits = text.lstrip("+-").lstrip("0") or "0"
+    if len(digits) > 4300:
+        return None  # past ``int()``'s digit limit, and outside every range
+    return -int(digits) if text.startswith("-") else int(digits)
+
+
+def _ref_long(node: _ReferenceNode, context: str, path: str, diags: list) -> int:
+    value = _ref_integer(node, context, path)
+    if value is None or not -(2**31) <= value < 2**31:
+        message = f"{shorten_literal(node.text)} is outside the 32-bit range [-2147483648, 2147483647]"
+        raise _ref_error(node, context, message, path)
+    return value
+
+
+def _ref_bool(node: _ReferenceNode, context: str, path: str, diags: list) -> bool:
+    if node.text.lower() not in ("true", "false"):
+        raise _ref_error(node, context, f"expected true or false, got {shorten_literal(node.text)}", path)
+    return node.text.lower() == "true"
+
+
+def _ref_bytes(node: _ReferenceNode, context: str, path: str, diags: list) -> bytes:
     try:
-        return None, parse(text, "doc.xml")
-    except ProfileLoadError as exc:
-        return str(exc), None
+        return bytes.fromhex("".join(node.text.split()))
+    except ValueError:
+        raise _ref_error(node, context, f"expected a hex string, got {shorten_literal(node.text)}", path) from None
 
 
-def _assert_builds_as_the_reference(text: str) -> None:
-    expected_error, expected = _parsed(_reference_parse_xml, text)
-    error, actual = _parsed(profiles._parse_xml, text)
-    assert error == expected_error
-    if error is None:
-        _assert_same_tree(actual, expected)
+def _ref_count(node: _ReferenceNode, context: str, path: str, diags: list) -> Count:
+    if node.text.upper() == "UNLIMITED":
+        return Count.unlimited()
+    value = _ref_long(node, context, path, diags)
+    if value == -1:
+        return Count.unlimited()
+    if value < 0:
+        raise _ref_error(node, context, "count must be nonnegative, -1, or UNLIMITED", path)
+    return Count(value)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.deferred(_fuzz_documents))
-def test_tree_matches_the_reference_builder_on_fuzz_documents(text):
-    _assert_builds_as_the_reference(text)
+def _ref_duration_part(node: _ReferenceNode, context: str, path: str, diags: list) -> int:
+    value = _ref_integer(node, context, path)
+    if node.tag == "sec":
+        if value is not None and value <= NANOSECONDS_MAX // NANOSECONDS_PER_SECOND:
+            return value
+        message = "duration overflows the 64-bit range: sec "
+    elif value is not None and value < NANOSECONDS_PER_SECOND:
+        return value
+    else:
+        message = f"nanosec must be below {NANOSECONDS_PER_SECOND}, got "
+    raise ProfileLoadError(f"{context}: {message}{shorten_literal(node.text)}", path, node.line)
 
 
-@pytest.mark.parametrize("workload", ["wide", "class-heavy", "dense", "desk"])
-def test_tree_matches_the_reference_builder_on_benchmark_documents(workload):
-    workloads = perfbench_workloads()
-    for endpoints in workloads.generate(workload, 7).files:
-        _assert_builds_as_the_reference(workloads.emit_document(endpoints))
+def _ref_duration(node: _ReferenceNode, context: str, path: str, diags: list) -> Duration:
+    if node.text.upper() == "DURATION_INFINITY":
+        for child in node.children:
+            _ref_note(child, node.tag, path, diags)
+        return Duration.infinite()
+    parts = dict.fromkeys(("sec", "nanosec"), _ref_duration_part)
+    values = _ref_params(node, parts, f"{context}.{node.tag}", path, diags)
+    if not values:
+        message = f"expected <sec>/<nanosec> or DURATION_INFINITY, got {shorten_literal(node.text)}"
+        raise _ref_error(node, context, message, path)
+    sec, nanosec = values.get("sec", 0), values.get("nanosec", 0)
+    if sec * NANOSECONDS_PER_SECOND + nanosec > NANOSECONDS_MAX:
+        texts = {child.tag: shorten_literal(child.text) for child in node.children}
+        message = f"duration overflows the 64-bit range: sec {texts['sec']}, nanosec {texts['nanosec']}"
+        raise _ref_error(node, context, message, path)
+    try:
+        return Duration.from_sec_nanosec(sec, nanosec)
+    except ValueError as exc:
+        raise _ref_error(node, context, str(exc), path) from None
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "<profiles>\n  <x a='1'>\n    <y>v &amp; w</y>\n  </x>tail\n</profiles>",
-        "<profiles><x>5<bogus/> 6 </x></profiles>",
-        '<!DOCTYPE profiles [<!ENTITY x "boom">]>\n<profiles/>',
-        "<profiles>\n<x></profiles>",
-        "",
-    ],
-    ids=["mixed", "split", "entity", "malformed", "empty"],
-)
-def test_tree_matches_the_reference_builder_on_fixed_documents(text):
-    _assert_builds_as_the_reference(text)
+def _ref_names(node: _ReferenceNode, context: str, path: str, diags: list) -> tuple[str, ...]:
+    names = []
+    for child in node.children:
+        if child.tag != "name":
+            _ref_note(child, node.tag, path, diags)
+            continue
+        for grandchild in child.children:
+            _ref_note(grandchild, "name", path, diags)
+        names.append("".join(child.text_parts))
+    return tuple(names)
 
 
-def test_long_text_spanning_expat_buffers_is_kept_whole():
-    # Over 8 KiB with newlines and entity references: expat hands such a run
-    # over in several calls, even with its text buffered.
-    line = "  a &amp; b\n"
-    body = line * 1200
-    assert len(body) > 8 * 1024
-    text = (
-        '<profiles><data_writer profile_name="w"><topic><name>' + body + "</name></topic>"
-        "<qos><partition><names><name>" + body + "</name></names></partition></qos>"
-        "</data_writer></profiles>"
-    )
-    expected = body.replace("&amp;", "&")
-    (raw,) = parse_document(text).endpoints
-    assert raw.topic_name == expected.strip()
-    assert raw.endpoint_qos.partition.names == (expected,)
+def _ref_enum(enum_cls: type[enum.Enum]):
+    def parse(node: _ReferenceNode, context: str, path: str, diags: list) -> enum.Enum:
+        for member in enum_cls:
+            if member.name == node.text.upper():
+                return member
+        expected = ", ".join(member.name for member in enum_cls)
+        raise _ref_error(node, context, f"unknown kind {shorten_literal(node.text)} (expected one of {expected})", path)
+
+    return parse
 
 
-# -- the walker against the parser it replaced --------------------------------
-#
-# The endpoint, <qos> and <dds> levels as they were before one walker read
-# every element, kept as a reference.  Policies are read by the current
-# parser on both sides.
+_REF_LEAVES = {bool: _ref_bool, int: _ref_long, bytes: _ref_bytes, Count: _ref_count}
+
+
+def _ref_parser(default: object):
+    if isinstance(default, enum.Enum):
+        return _ref_enum(type(default))
+    return {**_REF_LEAVES, Duration: _ref_duration, tuple: _ref_names}[type(default)]
+
+
+def _ref_params(node: _ReferenceNode, parsers: dict, label: str, path: str, diags: list) -> dict:
+    values: dict[str, object] = {}
+    for child in node.children:
+        parse = parsers.get(child.tag)
+        if parse is None:
+            _ref_note(child, node.tag, path, diags)
+        elif child.tag in values:
+            raise ProfileLoadError(f"duplicate <{child.tag}> element in <{node.tag}>", path, child.line)
+        else:
+            if parse not in (_ref_duration, _ref_names):
+                for grandchild in child.children:
+                    _ref_note(grandchild, child.tag, path, diags)
+            values[child.tag] = parse(child, label, path, diags)
+    return values
+
+
+def _ref_policy(node: _ReferenceNode, kind: EndpointKind, path: str, diags: list) -> object:
+    """A policy element, parameters left out taken from ``kind``'s defaults."""
+    default = getattr(default_qos(kind), node.tag)
+    parsers = {name: _ref_parser(getattr(default, name)) for name in PARAMETERS[node.tag]}
+    values = _ref_params(node, parsers, node.tag, path, diags)
+    try:
+        return type(default)(**{name: values.get(name, getattr(default, name)) for name in parsers})
+    except ValueError as exc:
+        raise ProfileLoadError(str(exc), path, node.line) from None
 
 
 def _reference_only_child(node, tag: str, path: str):
@@ -961,16 +1021,14 @@ def _reference_only_child(node, tag: str, path: str):
 
 
 def _reference_qos(node, kind: EndpointKind, path: str, diags: list) -> QosProfile:
-    defaults = default_qos(kind)
     policies: dict[str, object] = {}
     for child in node.children:
-        if child.tag not in POLICY_SCHEMA:
-            profiles._note_unknown(child, "<qos>", path, diags)
+        if child.tag not in PARAMETERS:
+            _ref_note(child, "qos", path, diags)
         elif child.tag in policies:
             raise ProfileLoadError(f"duplicate <{child.tag}> policy element", path, child.line)
         else:
-            parse = profiles._policy_parser(child.tag, getattr(defaults, child.tag))
-            policies[child.tag] = parse(_slim(child), "qos", path, diags)
+            policies[child.tag] = _ref_policy(child, kind, path, diags)
     return QosProfile(**policies)
 
 
@@ -990,19 +1048,19 @@ def _reference_endpoint(node, kind: EndpointKind, path: str, diags: list) -> pro
             for sub in sorted(filter(None, (name_node, qos_node)), key=child.children.index):
                 if sub is name_node:
                     for c in sub.children:
-                        profiles._note_unknown(c, "<name>", path, diags)
+                        _ref_note(c, "name", path, diags)
                     topic_name = sub.text or None
                 else:
                     topic_qos = _reference_qos(sub, kind, path, diags)
             for sub in child.children:
                 if sub.tag not in ("name", "qos"):
-                    profiles._note_unknown(sub, "<topic>", path, diags)
+                    _ref_note(sub, "topic", path, diags)
         elif child.tag == "qos":
             if endpoint_qos is not None:
                 raise ProfileLoadError(f"duplicate <qos> element in <{node.tag}>", path, child.line)
             endpoint_qos = _reference_qos(child, kind, path, diags)
         else:
-            profiles._note_unknown(child, f"<{node.tag}>", path, diags)
+            _ref_note(child, node.tag, path, diags)
     return profiles.RawEndpoint(
         profile_name=name,
         endpoint_kind=kind,
@@ -1022,7 +1080,7 @@ def _reference_parse_document(text: str, path: str):
             raise ProfileLoadError("<dds> root contains no <profiles> element", path=path, line=root.line)
         for child in root.children:
             if child.tag != "profiles":
-                profiles._note_unknown(child, "<dds>", path, diags)
+                _ref_note(child, "dds", path, diags)
     elif root.tag == "profiles":
         profiles_node = root
     else:
@@ -1031,9 +1089,9 @@ def _reference_parse_document(text: str, path: str):
         )
     endpoints = []
     for child in profiles_node.children:
-        kind = profiles.ENDPOINT_TAGS.get(child.tag)
+        kind = next((kind for kind in EndpointKind if kind.value == child.tag), None)
         if kind is None:
-            profiles._note_unknown(child, "<profiles>", path, diags)
+            _ref_note(child, "profiles", path, diags)
             continue
         if "profile_name" not in child.attrib:
             diags.append(
@@ -1061,16 +1119,23 @@ def _topic_child_tags(text: str) -> list[list[str]]:
     return topics
 
 
-# The fuzz documents seldom put an unknown child before a sibling that has
-# notes of its own, so one such document is always run.
-@example(
-    """<dds><bogus/><profiles><data_writer profile_name="w"><bogus/>
-    <qos><bogus/><deadline><period><bogus/><sec>1</sec></period></deadline><history><bogus/></history></qos>
-    <topic><name>t</name></topic></data_writer></profiles></dds>"""
-)
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(st.deferred(_fuzz_documents))
-def test_walker_parses_as_the_reference_parser(text):
+def _fuzz_documents():
+    # Imported on first draw: test_fuzz_cli imports this module.
+    from test_fuzz_cli import _profile_documents
+
+    return _profile_documents()
+
+
+def _parsed(parse, text: str):
+    """(load error message, None) or (None, what ``parse`` returned)."""
+    try:
+        return None, parse(text, "doc.xml")
+    except ProfileLoadError as exc:
+        return str(exc), None
+
+
+def _assert_parses_as_the_reference(text: str) -> None:
+    """The same endpoints and notes, or the same load error, line and column."""
     expected_error, expected = _parsed(_reference_parse_document, text)
     error, actual = _parsed(parse_document, text)
     topics = _topic_child_tags(text)
@@ -1087,6 +1152,92 @@ def test_walker_parses_as_the_reference_parser(text):
         assert Counter(actual.diagnostics) == Counter(expected.diagnostics)
     else:
         assert actual.diagnostics == expected.diagnostics
+
+
+# The fuzz documents seldom put an unknown child before a sibling that has
+# notes of its own, so one such document is always run.
+@example(
+    """<dds><bogus/><profiles><data_writer profile_name="w"><bogus/>
+    <qos><bogus/><deadline><period><bogus/><sec>1</sec></period></deadline><history><bogus/></history></qos>
+    <topic><name>t</name></topic></data_writer></profiles></dds>"""
+)
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.deferred(_fuzz_documents))
+def test_walker_parses_as_the_reference_parser(text):
+    _assert_parses_as_the_reference(text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.deferred(_fuzz_documents))
+def test_tree_matches_the_reference_builder_on_fuzz_documents(text):
+    _assert_parses_as_the_reference(text)
+
+
+@pytest.mark.parametrize("workload", ["wide", "class-heavy", "dense", "desk"])
+def test_tree_matches_the_reference_builder_on_benchmark_documents(workload):
+    workloads = perfbench_workloads()
+    for endpoints in workloads.generate(workload, 7).files:
+        _assert_parses_as_the_reference(workloads.emit_document(endpoints))
+
+
+def _writer_document(qos: str, tail: str = "") -> str:
+    return f'<profiles>\n<data_writer profile_name="w"><qos>\n{qos}\n</qos></data_writer>\n{tail}</profiles>'
+
+
+_BAD_DEPTH = "<history><depth>0</depth></history>"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<profiles>\n  <x a='1'>\n    <y>v &amp; w</y>\n  </x>tail\n</profiles>",
+        "<profiles><x>5<bogus/> 6 </x></profiles>",
+        '<!DOCTYPE profiles [<!ENTITY x "boom">]>\n<profiles/>',
+        "<profiles>\n<x></profiles>",
+        "",
+        # The first error in the walk's order wins, at its line.
+        _writer_document(_BAD_DEPTH + "\n<deadline><period><sec>-1</sec></period></deadline>"),
+        '<profiles><data_writer profile_name="w">\n<qos/>\n<qos>' + _BAD_DEPTH + "</qos></data_writer></profiles>",
+        _writer_document("<history><depth>2</depth></history>\n<history><depth>2</depth></history>"),
+        # Malformed XML, or an entity declaration, wins over any error after it.
+        _writer_document(_BAD_DEPTH, "<broken>\n"),
+        "<bogus>\n<x></bogus>",
+        '<!DOCTYPE profiles [<!ENTITY x "boom">]>\n<profiles><x></profiles>',
+        # Under <dds>, a second or missing <profiles> wins over endpoint
+        # errors, and the notes of <dds>'s children come first.
+        '<dds><profiles>\n<data_writer profile_name=""/>\n</profiles>\n<profiles/></dds>',
+        "<dds>\n<log_config><profiles/></log_config>\n</dds>",
+        '<dds><profiles><data_writer profile_name="w"><bogus/></data_writer></profiles>\n<log/></dds>',
+        # An infinite duration notes its children, whatever they hold.
+        _writer_document("<deadline><period><sec>x</sec>\n<y/>DURATION_<z/>INFINITY</period></deadline>"),
+        # An endpoint without a name is not read.
+        "<profiles><data_writer>\n<qos>" + _BAD_DEPTH + "</qos></data_writer></profiles>",
+    ],
+    ids=[
+        "mixed", "split", "entity", "malformed", "empty", "first_error", "duplicate_first", "duplicate_copy", "malformed_last",
+        "malformed_after_root", "entity_first", "second_profiles", "no_profiles", "dds_notes_first",
+        "infinite_duration", "unnamed_endpoint",
+    ],
+)
+def test_tree_matches_the_reference_builder_on_fixed_documents(text):
+    _assert_parses_as_the_reference(text)
+
+
+def test_long_text_spanning_expat_buffers_is_kept_whole():
+    # Over 8 KiB with newlines and entity references: expat hands such a run
+    # over in several calls, even with its text buffered.
+    line = "  a &amp; b\n"
+    body = line * 1200
+    assert len(body) > 8 * 1024
+    text = (
+        '<profiles><data_writer profile_name="w"><topic><name>' + body + "</name></topic>"
+        "<qos><partition><names><name>" + body + "</name></names></partition></qos>"
+        "</data_writer></profiles>"
+    )
+    expected = body.replace("&amp;", "&")
+    (raw,) = parse_document(text).endpoints
+    assert raw.topic_name == expected.strip()
+    assert raw.endpoint_qos.partition.names == (expected,)
 
 
 # -- the QoS table against parsing every <qos> on its own ----------------------
@@ -1187,14 +1338,12 @@ def test_a_repeated_qos_resolves_by_kind_within_and_across_documents(tmp_path):
 
 def test_one_parse_walks_a_repeated_qos_once_per_kind(monkeypatch):
     walked = []
-    parse_params = profiles._parse_params
 
-    def counted(node, parsers, label, path, diags):
-        if node.tag == "qos":
-            walked.append(node.line)
-        return parse_params(node, parsers, label, path, diags)
+    def counted(**policies):
+        walked.append(policies)
+        return QosProfile(**policies)
 
-    monkeypatch.setattr(profiles, "_parse_params", counted)
+    monkeypatch.setattr(profiles, "QosProfile", counted)
     table: profiles.QosTable = {}
     one = parse_document(_profiles(_endpoint("data_writer", "w1", _TABLE_QOS)), "a.xml", table)
     two = parse_document(
@@ -1313,74 +1462,81 @@ def test_the_qos_table_lives_for_one_load(tmp_path):
                     assert not _qos_profiles_in(value), (module_name, name)
 
 
-# -- a repeated <qos> built without children -----------------------------------
+# -- a repeated <qos> skipped -------------------------------------------------
 #
-# A <qos> whose source an earlier document put in the table, for the kind of
-# its endpoint, is read by expat with the handlers off.  The first document
-# below puts three quiet writer literals in the table; each second document
-# repeats them where the copy must still be built, or skipped with care.
+# A <qos> whose source the table holds, for the kind of its endpoint, is read
+# by expat with the handlers off.  The first document below puts three quiet
+# writer literals in the table; each second document repeats them where the
+# copy must still be read, or skipped with care.
 
 _COMMENTED_QOS = _TABLE_QOS.replace("<history>", "<!-- </qos> --><history>")
 _NON_ASCII_QOS = "<qos>\n      <partition><names><name>café</name><name>über</name></names></partition>\n    </qos>"
 _SKIP_FIRST = _profiles(
     *(_endpoint("data_writer", f"first_{i}", qos) for i, qos in enumerate((_TABLE_QOS, _COMMENTED_QOS, _NON_ASCII_QOS)))
 )
-# Each second document, and how many of its <qos> are built without children.
+# Each second document, and how many of its <qos> are read in full.
 _SKIP_SECONDS = {
-    "other_kind": (_profiles(_endpoint("data_reader", "r", _TABLE_QOS)), 0),
-    "spaced": (_profiles(_endpoint("data_writer", "w", _TABLE_QOS.replace("<qos>", "<qos >"))), 0),
-    "after_comment": (_profiles(_endpoint("data_writer", "w", f"<!-- {_TABLE_QOS} -->{_TABLE_QOS}")), 2),
-    "in_cdata": (_profiles(_endpoint("data_writer", "w", _TABLE_QOS, topic=f"<![CDATA[{_TABLE_QOS}]]>")), 2),
-    "comment_inside": (_profiles(_endpoint("data_writer", "w", _COMMENTED_QOS)), 0),
+    # The topic's; the endpoint's copy of it was stored for readers.
+    "other_kind": (_profiles(_endpoint("data_reader", "r", _TABLE_QOS)), 1),
+    "spaced": (_profiles(_endpoint("data_writer", "w", _TABLE_QOS.replace("<qos>", "<qos >"))), 2),
+    "after_comment": (_profiles(_endpoint("data_writer", "w", f"<!-- {_TABLE_QOS} -->{_TABLE_QOS}")), 0),
+    "in_cdata": (_profiles(_endpoint("data_writer", "w", _TABLE_QOS, topic=f"<![CDATA[{_TABLE_QOS}]]>")), 0),
+    "comment_inside": (_profiles(_endpoint("data_writer", "w", _COMMENTED_QOS)), 2),
     "latin_1_crlf": (
         _profiles(
             _endpoint("data_writer", "wé", _NON_ASCII_QOS, topic="ü" * 40),
             _endpoint("data_writer", "w", _TABLE_QOS),
             declaration='<?xml version="1.0" encoding="ISO-8859-1"?>\n',
         ).replace("\n", "\r\n"),
-        4,
+        0,
     ),
 }
 
 
-def _childless_qos(first: str, second: str) -> int:
-    """How many <qos> of ``second`` are built without children once ``first``
-    is in the table.  ``second`` is read as a file is, with LF line ends."""
+def _recording(patch: pytest.MonkeyPatch) -> list:
+    """The walker's frames and the elements it reads whole, as it makes them."""
+    made: list = []
+    for name in ("_Frame", "_Element"):
+        base = getattr(profiles, name)
+
+        def init(self, *args, base=base) -> None:
+            made.append(self)
+            base.__init__(self, *args)
+
+        patch.setattr(profiles, name, type(name, (base,), {"__slots__": (), "__init__": init}))
+    return made
+
+
+def _read_in_full(first: str, second: str) -> Counter:
+    """How many elements of ``second`` are read in full, by tag, once
+    ``first`` has filled the table.  ``second`` is read as a file is, with
+    LF line ends."""
     table: profiles.QosTable = {}
     parse_document(first, "first.xml", table)
-    pending, count = [profiles._parse_xml(second.replace("\r\n", "\n"), "second.xml", {}, table)], 0
-    while pending:
-        node = pending.pop()
-        count += node.tag == "qos" and not node
-        pending.extend(node)
-    return count
+    with pytest.MonkeyPatch.context() as patch:
+        made = _recording(patch)
+        parse_document(second.replace("\r\n", "\n"), "second.xml", table)
+    return Counter(item.tag for item in made)
 
 
 @pytest.mark.parametrize("case", _SKIP_SECONDS)
 def test_a_copy_skips_only_where_it_loads_as_the_reference(tmp_path, case):
-    second, skipped = _SKIP_SECONDS[case]
+    second, read = _SKIP_SECONDS[case]
     _assert_loads_as_the_reference(_written(tmp_path, [_SKIP_FIRST, second]))
-    assert _childless_qos(_SKIP_FIRST, second) == skipped
+    assert _read_in_full(_SKIP_FIRST, second)["qos"] == read
 
 
 def test_a_repeated_qos_makes_no_node_for_its_children(tmp_path, monkeypatch):
-    built: list[profiles._Node] = []
-
-    class Recorded(profiles._Node):
-        __slots__ = ()
-
-        def __init__(self) -> None:
-            built.append(self)
-
-    monkeypatch.setattr(profiles, "_Node", Recorded)
+    built = _recording(monkeypatch)
     text = _profiles(_endpoint("data_writer", "w", _TABLE_QOS), _endpoint("data_reader", "r", _TABLE_QOS))
     profiles.load_profile_files(_written(tmp_path, [text, _renamed(text, "again_")]))
-    # Each document's root holder (no tag), its <profiles>, endpoints,
-    # topics, names and four <qos>; only the first document's <qos> have
-    # children, six elements each.
-    outer = Counter({None: 2, "profiles": 2, "data_writer": 2, "data_reader": 2, "topic": 4, "name": 4, "qos": 8})
-    inner = Counter(dict.fromkeys(["reliability", "max_blocking_time", "sec", "history", "kind", "depth"], 4))
-    assert Counter(getattr(node, "tag", None) for node in built) == outer + inner
+    # Each document's frames: the document's (no tag), its <profiles>,
+    # endpoints and topics; only the first document's topic <qos> are read,
+    # one per kind.  The elements read whole: the topic names, and the six
+    # elements of each <qos> read.
+    frames = Counter({None: 2, "profiles": 2, "data_writer": 2, "data_reader": 2, "topic": 4, "qos": 2})
+    elements = Counter(dict.fromkeys(["reliability", "max_blocking_time", "sec", "history", "kind", "depth"], 2))
+    assert Counter(node.tag for node in built) == frames + elements + Counter(name=4)
 
 
 _AFTER_A_COPY = {
@@ -1397,7 +1553,7 @@ _AFTER_A_COPY = {
 def test_what_follows_a_skipped_copy_reads_as_before(tmp_path, case):
     tail, error = _AFTER_A_COPY[case]
     copies = _renamed(_SKIP_FIRST, "again_")
-    assert _childless_qos(_SKIP_FIRST, copies) == 4  # not the two holding "</qos>" in a comment
+    assert _read_in_full(_SKIP_FIRST, copies)["qos"] == 2  # the two holding "</qos>" in a comment
     paths = _written(tmp_path, [_SKIP_FIRST, copies.replace("</profiles>", tail)])
     # The same error, at the same line and column, or the same notes on the same lines.
     ps = _assert_loads_as_the_reference(paths)
@@ -1406,3 +1562,119 @@ def test_what_follows_a_skipped_copy_reads_as_before(tmp_path, case):
             profiles.load_profile_files(paths)
     else:
         assert [(Path(d.path).name, d.line) for d in ps.diagnostics] == [("doc1.xml", 31), ("doc1.xml", 32)]
+
+
+# -- a repeated policy element skipped ----------------------------------------
+#
+# A quiet policy element is stored when it closes, so a copy under the same
+# endpoint kind, in the same document or a later one, is skipped when it is
+# the next child of a <qos> read in full.  The first document below stores
+# two quiet writer policies; the <qos> of each second document differs from
+# its, so only policy elements repeat.
+
+_HISTORY = "<history><kind>KEEP_LAST</kind><depth>4</depth></history>"
+_DURABLE = "<durability><kind>TRANSIENT_LOCAL</kind></durability>"
+
+
+def _qos_endpoint(tag: str, name: str, qos: str) -> str:
+    return f'  <{tag} profile_name="{name}"><topic><name>t</name></topic>\n    {qos}\n  </{tag}>\n'
+
+
+_POLICY_FIRST = _profiles(_qos_endpoint("data_writer", "first", f"<qos>{_DURABLE}{_HISTORY}</qos>"))
+# Each second document, and how many of its <durability> and <history>
+# elements are read in full.
+_POLICY_SECONDS = {
+    "repeated": (_profiles(_qos_endpoint("data_writer", "w", f"<qos>\n{_HISTORY}\n{_DURABLE}\n</qos>")), 0, 0),
+    "in_comment": (_profiles(_qos_endpoint("data_writer", "w", f"<qos>{_DURABLE}<!-- {_HISTORY} -->{_HISTORY}</qos>")), 0, 1),
+    "in_cdata": (_profiles(_qos_endpoint("data_writer", "w", f"<qos>{_DURABLE}<![CDATA[{_HISTORY}]]>{_HISTORY}</qos>")), 0, 1),
+    "spaced": (_profiles(_qos_endpoint("data_writer", "w", f"<qos>{_DURABLE}{_HISTORY.replace('<history>', '<history >')}</qos>")), 0, 1),
+    "other_kind": (_profiles(_qos_endpoint("data_reader", "r", f"<qos>{_DURABLE}{_HISTORY}</qos>")), 1, 1),
+    # The first </history> lies in a comment, so neither copy is stored, and
+    # the <qos>'s later children are read in full.
+    "comment_inside": (
+        _profiles(
+            *(
+                _qos_endpoint("data_writer", name, f"<qos>{_HISTORY.replace('<depth>', '<!-- </history> --><depth>')}{_DURABLE}{end}</qos>")
+                for name, end in (("w", ""), ("v", "<ownership/>"))
+            )
+        ),
+        2,
+        2,
+    ),
+    # The first endpoint's <history> and <qos> end with spaced end tags, so
+    # the first exact </history> is the second endpoint's.
+    "spaced_end_tags": (
+        _profiles(
+            _qos_endpoint("data_writer", "w", f"<qos>{_HISTORY.replace('</history>', '</history >')}</qos >"),
+            _qos_endpoint("data_writer", "v", f"<qos>{_HISTORY}{_DURABLE}</qos>"),
+        ),
+        1,
+        2,
+    ),
+    # Its <history> ends with a spaced end tag, and the first exact one lies
+    # in CDATA before a copy of <durability>, which is text.
+    "cdata_after_spaced_end_tag": (
+        _profiles(
+            _qos_endpoint(
+                "data_writer", "w", f"<qos>{_HISTORY.replace('</history>', '</history >')}<![CDATA[</history>{_DURABLE}]]></qos>"
+            )
+        ),
+        0,
+        1,
+    ),
+    "latin_1_crlf": (
+        _profiles(
+            _qos_endpoint("data_writer", "wé", f"<qos>{_DURABLE}\n      {_HISTORY}\n<partition><names><name>ü</name></names></partition></qos>"),
+            declaration='<?xml version="1.0" encoding="ISO-8859-1"?>\n',
+        ).replace("\n", "\r\n"),
+        0,
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _POLICY_SECONDS)
+def test_a_policy_copy_skips_only_where_it_loads_as_the_reference(tmp_path, case):
+    second, durability, history = _POLICY_SECONDS[case]
+    _assert_loads_as_the_reference(_written(tmp_path, [_POLICY_FIRST, second]))
+    read = _read_in_full(_POLICY_FIRST, second)
+    assert (read["durability"], read["history"]) == (durability, history)
+
+
+def test_a_quiet_policy_is_parsed_once_per_kind_and_load(tmp_path, monkeypatch):
+    parsed = []
+    for tag, reads in profiles._ENDPOINT_READS.items():
+        parse = reads["qos"]["history"]
+        monkeypatch.setitem(reads["qos"], "history", lambda *args, parse=parse, tag=tag: parsed.append(tag) or parse(*args))
+    # Three distinct <qos> per kind, each with the same <history>.
+    within = _profiles(
+        *(
+            _qos_endpoint(tag, f"{tag}_{i}", f"<qos>{before}{_HISTORY}</qos>")
+            for tag in ("data_writer", "data_reader")
+            for i, before in enumerate(("", _DURABLE, "<ownership></ownership>"))
+        )
+    )
+    paths = _written(tmp_path, [within, _renamed(within, "again_")])
+    _assert_loads_as_the_reference(paths)
+    assert Counter(parsed) == {"data_writer": 1, "data_reader": 1}
+    profiles.load_profile_files(paths)
+    assert Counter(parsed) == {"data_writer": 2, "data_reader": 2}
+    # A <qos> repeated within one document is one object too.
+    a, b = parse_document(_profiles(_endpoint("data_writer", "a", _TABLE_QOS), _endpoint("data_writer", "b", _TABLE_QOS))).endpoints
+    assert a.topic_qos is a.endpoint_qos is b.topic_qos is b.endpoint_qos
+
+
+def test_a_repeated_noisy_policy_notes_each_occurrence_on_its_own_line(tmp_path):
+    noisy = "<history><bogus/><depth>4</depth></history>"
+    first = _profiles(*(_qos_endpoint("data_writer", name, f"<qos>{before}{noisy}</qos>") for name, before in (("w", ""), ("v", _DURABLE))))
+    second = _profiles(_qos_endpoint("data_reader", "r", f"<qos>{noisy}</qos>"), _qos_endpoint("data_writer", "u", f"<qos>{_DURABLE}{noisy}</qos>"))
+    ps = _assert_loads_as_the_reference(_written(tmp_path, [first, second]))
+    assert [(Path(d.path).name, d.line) for d in ps.diagnostics] == [("doc0.xml", 3), ("doc0.xml", 6), ("doc1.xml", 3), ("doc1.xml", 6)]
+
+
+def test_malformed_xml_after_a_skipped_policy_copy_reads_as_before(tmp_path):
+    second = _POLICY_SECONDS["repeated"][0].replace("</profiles>", "<broken>\n</profiles>")
+    paths = _written(tmp_path, [_POLICY_FIRST, second])
+    _assert_loads_as_the_reference(paths)
+    with pytest.raises(ProfileLoadError, match=r"doc1\.xml:9: malformed XML at column 3: mismatched tag"):
+        profiles.load_profile_files(paths)

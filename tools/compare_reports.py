@@ -33,7 +33,12 @@ human text: the first holds three quiet writer ``<qos>`` literals, and the
 second, which declares ISO-8859-1 and has CRLF line ends, repeats them
 under a reader, after a ``<qos >`` start tag, after a commented-out copy,
 inside CDATA, with a comment holding ``</qos>``, and with non-ASCII
-partition names.
+partition names.  The two files of ``POLICY_SKIP_DOCUMENTS`` do the same for
+policy elements in distinct ``<qos>``: repeats within the first file, one
+in a comment and a noisy one among them, then in the second (ISO-8859-1,
+CRLF) under a reader, after ``<history >``, after a commented-out copy,
+beside a copy in CDATA, holding a comment with ``</history>``, ending with
+``</history >`` before CDATA that holds ``</history>``, and noisy.
 
 One line is printed per case; under a case that differs, each stream that
 differs gets the number of its differing lines, then each such line of
@@ -109,6 +114,12 @@ LOAD_ERROR_DOCUMENTS = {
     "empty_name.xml": '<profiles>\n  <data_writer profile_name=""/>\n</profiles>\n',
     "dds_without_profiles.xml": "<dds>\n  <log_config/>\n</dds>\n",
     "wrong_root.xml": "<qos_profiles>\n  <profiles/>\n</qos_profiles>\n",
+    # Malformed XML after a policy element skipped as a copy of an earlier one.
+    "malformed_after_copy.xml": (
+        '<profiles>\n  <data_writer profile_name="w"><qos><history><depth>8</depth></history></qos></data_writer>\n'
+        '  <data_writer profile_name="v"><qos><durability></durability><history><depth>8</depth></history></qos>\n'
+        "  </data_reader>\n</profiles>\n"
+    ),
 }
 # Writers whose names sort against their topics' order, best-effort against
 # reliable readers so that stage-2 rules fire on every pair, and one
@@ -196,6 +207,42 @@ SKIP_DOCUMENTS = {
         + "</profiles>\n"
     ).replace("\n", "\r\n"),
 }
+# Quiet writer policy literals, each read by a rule that quotes it, and a
+# noisy one.  The first file repeats them in distinct <qos> elements, so
+# only policy elements repeat; the second, which declares ISO-8859-1 and has
+# CRLF line ends, repeats them after non-ASCII text where a copy must not be
+# skipped, or must be skipped with care.
+_DEPTH = "<history><depth>8</depth></history>"
+_LIMIT = "<resource_limits><max_samples_per_instance>4</max_samples_per_instance></resource_limits>"
+_DURABLE = "<durability><kind>TRANSIENT_LOCAL</kind></durability>"
+_NOISY_DEPTH = "<history><bogus/><depth>6</depth></history>"
+POLICY_SKIP_DOCUMENTS = {
+    "policy_a.xml": "<profiles>\n"
+    + _skip_endpoint("data_writer", "pa_plain", f"<qos>{_DEPTH}{_LIMIT}</qos>")
+    + _skip_endpoint("data_writer", "pa_again", f"<qos>\n      {_DURABLE}\n      {_DEPTH}\n      {_LIMIT}\n    </qos>")
+    + _skip_endpoint("data_writer", "pa_commented", f"<qos><!-- {_DEPTH} --><history><depth>9</depth></history>{_LIMIT}</qos>")
+    + _skip_endpoint("data_writer", "pa_noisy", f"<qos>{_NOISY_DEPTH}{_DURABLE}</qos>")
+    + _skip_endpoint("data_writer", "pa_noisy_again", f"<qos>{_LIMIT}{_NOISY_DEPTH}</qos>")
+    + "</profiles>\n",
+    "policy_b.xml": (
+        '<?xml version="1.0" encoding="ISO-8859-1"?>\n<profiles>\n'
+        + _skip_endpoint(
+            "data_writer", "pb_non_ascii", f"<qos><partition><names><name>caf\u00e9</name></names></partition>{_DEPTH}{_LIMIT}</qos>"
+        )
+        + _skip_endpoint("data_reader", "pb_other_kind", f"<qos>{_DURABLE}{_DEPTH}{_LIMIT}</qos>")
+        + _skip_endpoint("data_writer", "pb_spaced", f"<qos>{_DURABLE}{_DEPTH.replace('<history>', '<history >')}{_LIMIT}</qos>")
+        + _skip_endpoint("data_writer", "pb_after_comment", f"<qos>{_DURABLE}<!-- {_LIMIT} -->{_DEPTH}{_LIMIT}</qos>")
+        + _skip_endpoint("data_writer", "pb_cdata", f"<qos><![CDATA[{_DEPTH}]]>{_DEPTH}{_LIMIT}</qos>")
+        + _skip_endpoint("data_writer", "pb_comment_inside", f"<qos>{_DEPTH.replace('<depth>', '<!-- </history> --><depth>')}{_LIMIT}</qos>")
+        + _skip_endpoint(
+            "data_writer",
+            "pb_spaced_end_tag",
+            f"<qos>{_LIMIT}{_DEPTH.replace('</history>', '</history >')}<![CDATA[</history>{_DURABLE}]]></qos>",
+        )
+        + _skip_endpoint("data_writer", "pb_noisy", f"<qos>{_DURABLE}{_LIMIT}{_NOISY_DEPTH}</qos>")
+        + "</profiles>\n"
+    ).replace("\n", "\r\n"),
+}
 DIRECTIVES = (
     "alpha_writer:yankee_reader",  # across topics
     "bravo_writer:yankee_reader",  # repeats a topic pair
@@ -248,14 +295,15 @@ def cases(seeds: list[int], directory: str):
             handle.write(document)
     for fmt in ("json", "human"):
         yield f"check repeated/ --format {fmt}", ["check", repeated, "--format", fmt]
-    skipped = os.path.join(directory, "skipped")
-    os.makedirs(skipped)
-    for name, document in SKIP_DOCUMENTS.items():
-        # newline="": the CRLF line ends are written as they are.
-        with open(os.path.join(skipped, name), "w", encoding="utf-8", newline="") as handle:
-            handle.write(document)
-    for fmt in ("json", "human"):
-        yield f"check skipped/ --format {fmt}", ["check", skipped, "--format", fmt]
+    for folder, documents in (("skipped", SKIP_DOCUMENTS), ("policies", POLICY_SKIP_DOCUMENTS)):
+        skipped = os.path.join(directory, folder)
+        os.makedirs(skipped)
+        for name, document in documents.items():
+            # newline="": the CRLF line ends are written as they are.
+            with open(os.path.join(skipped, name), "w", encoding="utf-8", newline="") as handle:
+                handle.write(document)
+        for fmt in ("json", "human"):
+            yield f"check {folder}/ --format {fmt}", ["check", skipped, "--format", fmt]
     for name, document in LOAD_ERROR_DOCUMENTS.items():
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8") as handle:
