@@ -42,9 +42,9 @@ not read, and a repeated child is a load error, ``duplicate <X> element in
 elements in it are built as ``_Element`` nodes, which its parser reads by
 the same rules (``_parse_params``) when it closes.  A child element of a
 value element, such as <x/> in ``<depth>5<x/></depth>``, is unknown too;
-text beside child elements is ignored without a note.  Notes follow document order, those of
-<dds>'s own children first.  The first load error in that order wins, but
-malformed XML anywhere, and a second <profiles> in <dds>, win over it.
+text beside child elements is ignored without a note.  Notes follow document
+order, and so do load errors: the first one met wins, except that malformed
+XML or an entity declaration anywhere in the document wins over it.
 
 One ``QosTable`` per ``load_profile_files`` call, passed through
 ``parse_document`` for every file, maps an endpoint kind and the source of
@@ -59,6 +59,8 @@ the same way.  An element read in full is stored as it closes, so repeats
 within one document are skipped too, unless it noted something: each copy
 of a noisy element notes on its own lines.  ``parse_profiles`` then
 resolves once per distinct (kind, endpoint and topic ``QosProfile``).
+``load_profile_files`` reads every file before it compares profile names,
+so a load error in any file wins over a duplicate name.
 """
 
 from __future__ import annotations
@@ -511,7 +513,7 @@ class _Walker:
 
     __slots__ = (
         "parser", "data", "view", "path", "parsed", "stack", "nodes", "whole",
-        "candidate", "skip_to", "missed", "closed", "endpoints", "diags", "dds_notes",
+        "candidate", "source", "skip_to", "missed", "closed", "endpoints", "diags",
     )
 
     def __init__(self, data: bytes, path: str, table: QosTable) -> None:
@@ -526,17 +528,18 @@ class _Walker:
         self.parsed = {tag: table.setdefault(kind, {}) for tag, kind in ENDPOINT_TAGS.items()}
         self.stack, self.nodes = [], []  # the open frames, and the open elements read whole
         self.candidate = self.skip_to = self.closed = -1
-        self.missed = False
-        self.endpoints, self.diags, self.dds_notes = [], [], []
+        self.source, self.missed = None, False
+        self.endpoints, self.diags = [], []
         self.stack.append(_Frame(None, 0, _DOCUMENT_READS, None, None))
         self.read_frames()
 
     def run(self) -> None:
-        find = self.data.find
-        fed = 0
+        data, fed = self.data, 0
+        find = data.find
         start = find(b"<qos>")
         while start >= 0:
-            self.candidate = start
+            stop = find(b"</qos>", start)
+            self.candidate, self.source = start, data[start:stop] if stop >= 0 else None
             self.parser.Parse(self.view[fed:start + 5], False)
             fed = self.skip(start + 5, self.skip_to)
             if self.missed:  # the <qos> is read in full
@@ -570,13 +573,14 @@ class _Walker:
             end = data.find(end_tag, start)
             if end < 0:
                 break
-            found = qos.parsed.get(data[start:end])
+            source = data[start:end]
+            found = qos.parsed.get(source)
             read = end + len(end_tag)
             if found is not None:
                 qos.values[tag] = found
                 continue
             fed = self.skip(fed, start)
-            self.candidate = start
+            self.candidate, self.source = start, source
             self.parser.Parse(self.view[start:read], False)
             fed = read
             if self.closed != end or self.stack[-1] is not qos:
@@ -601,18 +605,15 @@ class _Walker:
                 return self.read_whole(tag, None, frame, -1, None)  # and drop it
             parsed = self.parsed[tag]
         start = self.parser.CurrentByteIndex
-        source = None
-        if start == self.candidate:  # a <qos>, or a policy element the table misses
-            end_tag = _END_TAGS[tag]
-            stop = self.data.find(end_tag, start)
-            if stop >= 0:
-                source = self.data[start:stop]
-                found = parsed.get(source)
-                if found is not None:
-                    frame.values[tag] = found
-                    self.skip_to = stop + len(end_tag)
-                    return
-                self.missed = True
+        # A <qos>, or a policy element the table misses, sliced by the scanner that found it.
+        source = self.source if start == self.candidate else None
+        if source is not None:
+            found = parsed.get(source)
+            if found is not None:
+                frame.values[tag] = found
+                self.skip_to = start + len(source) + len(tag) + 3  # past </tag>
+                return
+            self.missed = True
         if type(read) is not dict:
             return self.read_whole(tag, read, frame, start, source)
         extra = (start, source, len(self.diags)) if tag == "qos" else attrs.get("profile_name")
@@ -623,8 +624,8 @@ class _Walker:
         line, holder = self.parser.CurrentLineNumber, frame.tag
         if read is None and holder is None:
             raise ProfileLoadError(f"expected <profiles> (or <dds>) root element, got <{tag}>", self.path, line)
-        if read is None:  # the notes of <dds>'s children come before those of its <profiles>
-            _note_unknown(tag, line, holder, self.path, self.dds_notes if holder == "dds" else self.diags)
+        if read is None:
+            _note_unknown(tag, line, holder, self.path, self.diags)
         elif tag in frame.values:
             raise ProfileLoadError(f"duplicate <{tag}> element in <{holder}>", self.path, line)
         elif "profile_name" not in attrs:
@@ -691,29 +692,18 @@ class _Walker:
         parser.EntityDeclHandler = None
 
 
-def _raise_an_earlier_error(data: bytes, path: str) -> None:
-    """Raise the error that wins over any the walk raised: malformed XML or an
-    entity declaration anywhere, or a second <profiles> in a <dds> root.
-    Expat reports the same malformed XML however its input is split."""
+def _raise_if_malformed(data: bytes, path: str) -> None:
+    """Raise the load error that wins over the first one in document order,
+    the one the walk raised: malformed XML or an entity declaration anywhere
+    in ``data``.  Expat reports the same malformed XML however its input is split."""
     parser = _parser(path)
-    tags: list[str] = []
-    profiles: list[int] = []
-
-    def start(tag: str, attrs: dict[str, str]) -> None:
-        if tag == "profiles" and tags == ["dds"]:
-            profiles.append(parser.CurrentLineNumber)
-        tags.append(tag)
-
-    parser.StartElementHandler, parser.EndElementHandler = start, lambda tag: tags.pop()
     try:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
         message = f"malformed XML at column {exc.offset + 1}: {expat.errors.messages[exc.code]}"
         raise ProfileLoadError(message, path, exc.lineno) from exc
     finally:
-        parser.StartElementHandler = parser.EndElementHandler = parser.EntityDeclHandler = None
-    if len(profiles) > 1:
-        raise ProfileLoadError("duplicate <profiles> element in <dds>", path, profiles[1])
+        parser.EntityDeclHandler = None
 
 
 def parse_document(text: str, path: str = "<string>", table: QosTable | None = None) -> ProfileDocument:
@@ -729,11 +719,11 @@ def parse_document(text: str, path: str = "<string>", table: QosTable | None = N
     try:
         walker.run()
     except (expat.ExpatError, ProfileLoadError):
-        _raise_an_earlier_error(data, path)
+        _raise_if_malformed(data, path)
         raise
     finally:
         walker.close()
-    return ProfileDocument(path, walker.endpoints, walker.dds_notes + walker.diags)
+    return ProfileDocument(path, walker.endpoints, walker.diags)
 
 
 def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:

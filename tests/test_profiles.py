@@ -304,6 +304,35 @@ def test_load_error_in_topic_qos_wins_over_a_later_repeat(repeat):
     assert str(excinfo.value) == "doc0.xml:2: history.depth: expected an integer, got 'x'"
 
 
+def test_notes_and_load_errors_follow_document_order():
+    ps = parse_set(
+        """<dds><profiles>
+        <data_writer profile_name="w">
+        <bogus/>
+        </data_writer></profiles>
+        <log_config/></dds>"""
+    )
+    assert [(d.line, d.message) for d in ps.diagnostics] == [
+        (3, "unknown element <bogus> in <data_writer>; ignored"),
+        (5, "unknown element <log_config> in <dds>; ignored"),
+    ]
+    second_profiles = '<dds><profiles>\n<data_writer profile_name=""/>\n</profiles>\n<profiles/></dds>'
+    errors = [
+        # The first load error met, not the second <profiles> after it.
+        (second_profiles, "doc0.xml:2: profile_name must be non-empty"),
+        # Malformed XML, or an entity declaration, wins over any error.
+        (
+            _writer_with("<qos><history><depth>0</depth></history></qos>\n</profiles>"),
+            "doc0.xml:3: malformed XML at column 3: mismatched tag",
+        ),
+        ('<!DOCTYPE dds [<!ENTITY x "boom">]>' + second_profiles, "doc0.xml:1: XML entity declarations are not supported"),
+    ]
+    for document, message in errors:
+        with pytest.raises(ProfileLoadError) as excinfo:
+            parse_set(document)
+        assert str(excinfo.value) == message
+
+
 def test_repeated_parameter_element_is_load_error():
     with pytest.raises(ProfileLoadError, match=r"doc0\.xml:2: duplicate <depth> element in <history>"):
         parse_set(
@@ -790,12 +819,13 @@ def test_parse_serialize_parse_is_identity(ps):
 
 # -- the walker against the reference parser ---------------------------------
 #
-# The reference reads a document as the code did before one walker read
-# every element.  It first builds a tree of one dataclass per element, with
-# a second list for its runs of text, so malformed XML anywhere wins over
-# any value error.  It then reads the <dds>, endpoint and <qos> levels from
-# the tree and each policy with a frozen copy of the policy and leaf
-# parsers.  It runs nothing of the code under test but its records.
+# The reference first builds a tree of one dataclass per element, with a
+# second list for its runs of text, so malformed XML anywhere wins over any
+# other load error.  It then reads every level of the tree, from the root
+# to the values, children in document order through one helper,
+# ``_ref_params``, with a frozen copy of the policy and leaf parsers: the
+# first note or load error met comes first.  It runs nothing of the code
+# under test but its records.
 
 
 @dataclass
@@ -986,7 +1016,10 @@ def _ref_parser(default: object):
     return {**_REF_LEAVES, Duration: _ref_duration, tuple: _ref_names}[type(default)]
 
 
-def _ref_params(node: _ReferenceNode, parsers: dict, label: str, path: str, diags: list) -> dict:
+def _ref_params(node: _ReferenceNode, parsers: dict, context: object, path: str, diags: list) -> dict:
+    """Each child of ``node``, in document order, read by ``parsers[tag](child,
+    context, path, diags)``: an unknown child is noted, a repeated one is a
+    load error, and the child elements of a value element are noted."""
     values: dict[str, object] = {}
     for child in node.children:
         parse = parsers.get(child.tag)
@@ -995,10 +1028,10 @@ def _ref_params(node: _ReferenceNode, parsers: dict, label: str, path: str, diag
         elif child.tag in values:
             raise ProfileLoadError(f"duplicate <{child.tag}> element in <{node.tag}>", path, child.line)
         else:
-            if parse not in (_ref_duration, _ref_names):
+            if parse not in _REF_CONTAINERS:
                 for grandchild in child.children:
                     _ref_note(grandchild, child.tag, path, diags)
-            values[child.tag] = parse(child, label, path, diags)
+            values[child.tag] = parse(child, context, path, diags)
     return values
 
 
@@ -1013,110 +1046,60 @@ def _ref_policy(node: _ReferenceNode, kind: EndpointKind, path: str, diags: list
         raise ProfileLoadError(str(exc), path, node.line) from None
 
 
-def _reference_only_child(node, tag: str, path: str):
-    found = [c for c in node.children if c.tag == tag]
-    if len(found) > 1:
-        raise ProfileLoadError(f"duplicate <{tag}> element in <{node.tag}>", path, found[1].line)
-    return found[0] if found else None
+def _reference_qos(node: _ReferenceNode, kind: EndpointKind, path: str, diags: list) -> QosProfile:
+    return QosProfile(**_ref_params(node, dict.fromkeys(PARAMETERS, _ref_policy), kind, path, diags))
 
 
-def _reference_qos(node, kind: EndpointKind, path: str, diags: list) -> QosProfile:
-    policies: dict[str, object] = {}
-    for child in node.children:
-        if child.tag not in PARAMETERS:
-            _ref_note(child, "qos", path, diags)
-        elif child.tag in policies:
-            raise ProfileLoadError(f"duplicate <{child.tag}> policy element", path, child.line)
-        else:
-            policies[child.tag] = _ref_policy(child, kind, path, diags)
-    return QosProfile(**policies)
+def _ref_topic(node: _ReferenceNode, kind: EndpointKind, path: str, diags: list) -> dict:
+    return _ref_params(node, {"name": lambda name, *_: name.text or None, "qos": _reference_qos}, kind, path, diags)
 
 
-def _reference_endpoint(node, kind: EndpointKind, path: str, diags: list) -> profiles.RawEndpoint:
-    name = node.attrib.get("profile_name", "")
-    topic_name = endpoint_qos = topic_qos = None
-    saw_topic = False
-    for child in node.children:
-        if child.tag == "topic":
-            if saw_topic:
-                raise ProfileLoadError(f"duplicate <topic> element in <{node.tag}>", path, child.line)
-            saw_topic = True
-            name_node = _reference_only_child(child, "name", path)
-            qos_node = _reference_only_child(child, "qos", path)
-            # A child element inside <name> is noted, so the notes of <name>
-            # and of <qos> come in document order.
-            for sub in sorted(filter(None, (name_node, qos_node)), key=child.children.index):
-                if sub is name_node:
-                    for c in sub.children:
-                        _ref_note(c, "name", path, diags)
-                    topic_name = sub.text or None
-                else:
-                    topic_qos = _reference_qos(sub, kind, path, diags)
-            for sub in child.children:
-                if sub.tag not in ("name", "qos"):
-                    _ref_note(sub, "topic", path, diags)
-        elif child.tag == "qos":
-            if endpoint_qos is not None:
-                raise ProfileLoadError(f"duplicate <qos> element in <{node.tag}>", path, child.line)
-            endpoint_qos = _reference_qos(child, kind, path, diags)
-        else:
-            _ref_note(child, node.tag, path, diags)
+def _reference_endpoint(node: _ReferenceNode, kind: EndpointKind, path: str, diags: list) -> profiles.RawEndpoint:
+    values = _ref_params(node, {"topic": _ref_topic, "qos": _reference_qos}, kind, path, diags)
+    topic = values.get("topic", {})
     return profiles.RawEndpoint(
-        profile_name=name,
+        profile_name=node.attrib["profile_name"],
         endpoint_kind=kind,
-        topic_name=topic_name,
-        endpoint_qos=endpoint_qos if endpoint_qos is not None else QosProfile(),
-        topic_qos=topic_qos if topic_qos is not None else QosProfile(),
+        topic_name=topic.get("name"),
+        endpoint_qos=values.get("qos", QosProfile()),
+        topic_qos=topic.get("qos", QosProfile()),
         line=node.line,
     )
+
+
+def _ref_profiles(node: _ReferenceNode, context: object, path: str, diags: list) -> list:
+    endpoints = []
+    for child in node.children:
+        kind = next((kind for kind in EndpointKind if kind.value == child.tag), None)
+        if kind is None:
+            _ref_note(child, "profiles", path, diags)
+        elif "profile_name" not in child.attrib:
+            diags.append(ParseDiagnostic(path, child.line, f"<{child.tag}> without profile_name attribute; ignored"))
+        elif not child.attrib["profile_name"]:
+            raise ProfileLoadError("profile_name must be non-empty", path=path, line=child.line)
+        else:
+            endpoints.append(_reference_endpoint(child, kind, path, diags))
+    return endpoints
+
+
+# The parsers that read their element's children themselves.
+_REF_CONTAINERS = {_ref_duration, _ref_names, _ref_policy, _reference_qos, _ref_topic, _ref_profiles}
 
 
 def _reference_parse_document(text: str, path: str):
     root = _reference_parse_xml(text, path)
     diags: list = []
     if root.tag == "dds":
-        profiles_node = _reference_only_child(root, "profiles", path)
-        if profiles_node is None:
+        endpoints = _ref_params(root, {"profiles": _ref_profiles}, None, path, diags).get("profiles")
+        if endpoints is None:
             raise ProfileLoadError("<dds> root contains no <profiles> element", path=path, line=root.line)
-        for child in root.children:
-            if child.tag != "profiles":
-                _ref_note(child, "dds", path, diags)
     elif root.tag == "profiles":
-        profiles_node = root
+        endpoints = _ref_profiles(root, None, path, diags)
     else:
         raise ProfileLoadError(
             f"expected <profiles> (or <dds>) root element, got <{root.tag}>", path=path, line=root.line
         )
-    endpoints = []
-    for child in profiles_node.children:
-        kind = next((kind for kind in EndpointKind if kind.value == child.tag), None)
-        if kind is None:
-            _ref_note(child, "profiles", path, diags)
-            continue
-        if "profile_name" not in child.attrib:
-            diags.append(
-                ParseDiagnostic(path, child.line, f"<{child.tag}> without profile_name attribute; ignored")
-            )
-            continue
-        if not child.attrib["profile_name"]:
-            raise ProfileLoadError("profile_name must be non-empty", path=path, line=child.line)
-        endpoints.append(_reference_endpoint(child, kind, path, diags))
     return profiles.ProfileDocument(path=path, endpoints=endpoints, diagnostics=diags)
-
-
-def _topic_child_tags(text: str) -> list[list[str]]:
-    """The child tags of each <topic> in ``text``; none if it is not XML."""
-    try:
-        stack = [_reference_parse_xml(text, "doc.xml")]
-    except ProfileLoadError:
-        return []
-    topics = []
-    while stack:
-        node = stack.pop()
-        if node.tag == "topic":
-            topics.append([child.tag for child in node.children])
-        stack.extend(node.children)
-    return topics
 
 
 def _fuzz_documents():
@@ -1135,22 +1118,12 @@ def _parsed(parse, text: str):
 
 
 def _assert_parses_as_the_reference(text: str) -> None:
-    """The same endpoints and notes, or the same load error, line and column."""
+    """The same endpoints and notes, in order, or the same load error, line and column."""
     expected_error, expected = _parsed(_reference_parse_document, text)
     error, actual = _parsed(parse_document, text)
-    topics = _topic_child_tags(text)
-    if expected_error is not None or error is not None:
-        assert expected_error is not None and error is not None, (expected_error, error)
-        # A load error in a topic's first <qos> now wins over a later repeat.
-        if not any(len(set(tags)) < len(tags) for tags in topics):
-            reworded = re.sub(r"duplicate <(\w+)> policy element", r"duplicate <\1> element in <qos>", expected_error)
-            assert error == reworded
-        return
-    assert actual.endpoints == expected.endpoints
-    # Inside <topic>, notes now follow document order; before, its <qos> came first.
-    if any(set(tags) - {"name", "qos"} for tags in topics):
-        assert Counter(actual.diagnostics) == Counter(expected.diagnostics)
-    else:
+    assert error == expected_error
+    if error is None:
+        assert actual.endpoints == expected.endpoints
         assert actual.diagnostics == expected.diagnostics
 
 
@@ -1203,8 +1176,9 @@ _BAD_DEPTH = "<history><depth>0</depth></history>"
         _writer_document(_BAD_DEPTH, "<broken>\n"),
         "<bogus>\n<x></bogus>",
         '<!DOCTYPE profiles [<!ENTITY x "boom">]>\n<profiles><x></profiles>',
-        # Under <dds>, a second or missing <profiles> wins over endpoint
-        # errors, and the notes of <dds>'s children come first.
+        # Under <dds>, an error in the first <profiles> wins over a second
+        # <profiles> after it, a <profiles> further down is not one, and the
+        # notes of <dds>'s children come in document order with the others.
         '<dds><profiles>\n<data_writer profile_name=""/>\n</profiles>\n<profiles/></dds>',
         "<dds>\n<log_config><profiles/></log_config>\n</dds>",
         '<dds><profiles><data_writer profile_name="w"><bogus/></data_writer></profiles>\n<log/></dds>',
@@ -1251,18 +1225,19 @@ def _reference_load(paths: list[str]) -> tuple[dict[str, tuple], list[ParseDiagn
     """name -> (endpoint, its source location), and the notes, in order."""
     found: dict[str, tuple] = {}
     notes: list[ParseDiagnostic] = []
-    for path in paths:
-        document = _reference_parse_document(Path(path).read_text(encoding="utf-8"), path)
+    # Every file is read before any profile name is compared.
+    documents = [_reference_parse_document(Path(path).read_text(encoding="utf-8"), path) for path in paths]
+    for document in documents:
         notes += document.diagnostics
         for raw in document.endpoints:
             if raw.profile_name in found:
                 first = found[raw.profile_name][1]
                 raise ProfileLoadError(
-                    f"duplicate profile name {raw.profile_name!r} (first defined at {first})", path, raw.line
+                    f"duplicate profile name {raw.profile_name!r} (first defined at {first})", document.path, raw.line
                 )
             qos = resolve_defaults(raw.endpoint_qos.merged_under(raw.topic_qos), raw.endpoint_kind)
             endpoint = EndpointProfile(raw.profile_name, raw.endpoint_kind, qos, raw.topic_name)
-            found[raw.profile_name] = (endpoint, SourceLocation(path, raw.line))
+            found[raw.profile_name] = (endpoint, SourceLocation(document.path, raw.line))
     return found, notes
 
 
@@ -1418,6 +1393,15 @@ def _kinds_swapped(text: str) -> str:
     return re.sub(r"data_(writer|reader)", lambda m: "data_reader" if m[1] == "writer" else "data_writer", text)
 
 
+# A duplicate name in the first file, and a load error in the last: every
+# file is read before names are compared, so the load error wins.
+@example(
+    text='<profiles><data_writer profile_name="w"></data_writer><data_writer profile_name="w"></data_writer></profiles>',
+    other=(
+        '<profiles><data_writer profile_name="w"><topic><name><bogus/>t</name>'
+        "<qos><history><bogus/><depth><bogus/></depth></history></qos></topic></data_writer></profiles>"
+    ),
+)
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.deferred(_fuzz_documents), st.deferred(_fuzz_documents))
 def test_the_qos_table_loads_as_the_reference_on_fuzz_document_sets(text, other):
@@ -1425,10 +1409,6 @@ def test_the_qos_table_loads_as_the_reference_on_fuzz_document_sets(text, other)
     # kind, then another document: hits within and across documents and
     # kinds, noisy literals among them.
     texts = [text, _renamed(text, "again_"), _kinds_swapped(_renamed(text, "swapped_")), _renamed(other, "other_")]
-    if any(len(set(tags)) < len(tags) for t in texts for tags in _topic_child_tags(t)):
-        return  # a repeated topic child errs otherwise in the reference (see above)
-    if any("duplicate" in (_parsed(_reference_parse_document, t)[0] or "") for t in texts):
-        return  # the reference words a repeated policy otherwise
     with tempfile.TemporaryDirectory() as directory:
         _assert_loads_as_the_reference(_written(Path(directory), texts))
 

@@ -15,11 +15,14 @@ paths.
 No workload has an unknown element, so no workload report has a parse
 note.  Both sides therefore also run ``check`` on one fixed noisy document,
 ``NOISY_DOCUMENT``, in the same three forms: it has unknown elements under
-``<dds>``, ``<profiles>``, an endpoint, ``<qos>``, a policy and a duration,
-and none inside ``<topic>``.  No workload fails to load either, so both
-sides run ``check`` on each of ``LOAD_ERROR_DOCUMENTS``, whose one error
-line goes to stderr.  No workload pairs by ``--pair`` directive either, so
-both sides run ``check`` on ``DIRECTIVE_DOCUMENT`` with the directives of
+``<dds>`` (before and after its ``<profiles>``), ``<profiles>``, an
+endpoint, ``<qos>``, a policy and a duration, and none inside ``<topic>``;
+its notes come in document order.  No workload fails to load either, so
+both sides run ``check`` on each of ``LOAD_ERROR_DOCUMENTS``, whose one
+error line goes to stderr; one of them has an empty ``profile_name``
+before a second ``<profiles>``, so the first error in document order
+wins.  No workload pairs by ``--pair`` directive either, so both sides
+run ``check`` on ``DIRECTIVE_DOCUMENT`` with the directives of
 ``DIRECTIVES``, in JSON and in human text: a writer paired with a reader
 of another topic and with a topic-less reader, a directive that repeats a
 topic pair, and a directive given twice.  No workload repeats a ``<qos>``
@@ -90,6 +93,7 @@ NOISY_DOCUMENT = """<?xml version="1.0" encoding="UTF-8"?>
       <qos><deadline><period><nanosec>500000000</nanosec></period></deadline></qos>
     </data_reader>
   </profiles>
+  <participant/>
 </dds>
 """
 # One document per kind of load error, each naming its line (and column).
@@ -112,6 +116,10 @@ LOAD_ERROR_DOCUMENTS = {
         "    </qos>\n  </data_writer>\n</profiles>\n"
     ),
     "empty_name.xml": '<profiles>\n  <data_writer profile_name=""/>\n</profiles>\n',
+    # The first load error in document order, not the second <profiles> after it.
+    "empty_name_before_second_profiles.xml": (
+        '<dds>\n  <profiles>\n    <data_writer profile_name=""/>\n  </profiles>\n  <profiles/>\n</dds>\n'
+    ),
     "dds_without_profiles.xml": "<dds>\n  <log_config/>\n</dds>\n",
     "wrong_root.xml": "<qos_profiles>\n  <profiles/>\n</qos_profiles>\n",
     # Malformed XML after a policy element skipped as a copy of an earlier one.
