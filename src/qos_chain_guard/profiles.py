@@ -30,8 +30,9 @@ uppercase forms (RELIABLE, KEEP_ALL, ...); user/group/topic data values are
 hex strings; partition names are <name> elements inside <names>.
 
 A parameter absent from a policy element takes the endpoint kind's OMG
-default (``default_qos``); an endpoint's policy element still replaces the
-topic's as a whole.
+default (``default_qos``), and the policy's own constructor builds and
+checks it; an endpoint's policy element still replaces the topic's as a
+whole.
 
 A document is read in one expat pass, whose events drive one walker.  Each
 element above the policies (<dds>, <profiles>, an endpoint, <topic>,
@@ -54,11 +55,12 @@ after each plain ``<qos>`` start tag.  If that start event fired in an
 endpoint whose kind's table holds the source, the endpoint gets the stored
 object and the rest is fed with the handlers off: expat still reads every
 byte, so errors, lines and offsets do not change.  In a <qos> read in full,
-each plain policy start tag after only text is its next child, looked up
-the same way.  An element read in full is stored as it closes, so repeats
-within one document are skipped too, unless it noted something: each copy
-of a noisy element notes on its own lines.  ``parse_profiles`` then
-resolves once per distinct (kind, endpoint and topic ``QosProfile``).
+each plain policy start tag after only text is its next child, sliced and
+looked up once, by the scanner that finds it.  An element read in full is
+stored as it closes, so repeats within one document are skipped too, unless
+it noted something: each copy of a noisy element notes on its own lines.
+``parse_profiles`` then resolves once per distinct (kind, endpoint and
+topic ``QosProfile``).
 ``load_profile_files`` reads every file before it compares profile names,
 so a load error in any file wins over a duplicate name.
 """
@@ -437,29 +439,18 @@ POLICY_SCHEMA = {
 def _policy_parser(tag: str, default: object) -> Parser:
     """The parser of one policy element; ``default`` (the endpoint kind's
     ``default_qos`` policy) supplies every parameter the element leaves out.
-
-    The policy is built without a keyword call of its ``__init__``: each
-    field is set through its slot, in canonical order, and the policy's
-    ``_check``, if any, validates it as ``__init__`` would.
-    """
+    The policy's own constructor builds it, and its constraint errors are
+    load errors at the element."""
     parsers = {name: codec.parse for name, codec in POLICY_SCHEMA[tag].items()}
     policy = type(default)
-    new = object.__new__
-    fields = tuple((name, getattr(default, name), getattr(policy, name).__set__) for name in parsers)
-    check = getattr(policy, "_check", None)
+    defaults = {name: getattr(default, name) for name in parsers}
 
     def parse(node: _Element, context: str, path: str, diags: list[ParseDiagnostic]) -> object:
         values = _parse_params(node, parsers, tag, path, diags)
-        built = new(policy)
-        given = values.get
-        for name, value, set_field in fields:
-            set_field(built, given(name, value))
-        if check is not None:
-            try:
-                check(built)
-            except ValueError as exc:  # a constraint of the policy
-                raise ProfileLoadError(str(exc), path, node.line) from None
-        return built
+        try:
+            return policy(**(defaults | values))
+        except ValueError as exc:  # a constraint of the policy
+            raise ProfileLoadError(str(exc), path, node.line) from None
 
     return parse
 
@@ -480,7 +471,7 @@ _DOCUMENT_READS = {"dds": {"profiles": _ENDPOINT_READS}, "profiles": _ENDPOINT_R
 # same anywhere; it opens with its start tag, so the two kinds never clash.
 QosTable = dict[EndpointKind, dict[bytes, object]]
 _POLICY_TAGS = {tag.encode(): tag for tag in POLICY_SCHEMA}
-_END_TAGS = {tag: f"</{tag}>".encode() for tag in ("qos", *POLICY_SCHEMA)}
+_END_TAGS = {tag: f"</{tag}>".encode() for tag in POLICY_SCHEMA}
 # Shared by every endpoint without a <qos>: profiles are frozen.
 _NO_QOS = QosProfile()
 
@@ -561,7 +552,8 @@ class _Walker:
     def read_policies(self, fed: int) -> int:
         """Read the children of the <qos> just opened while each is a policy
         element with a plain start tag, with only text between them: a hit
-        is fed with the handlers off, a miss is read in full."""
+        is fed with the handlers off, a miss is read in full and stored under
+        its source if it closes at the end tag found and notes nothing."""
         data, qos = self.data, self.stack[-1]
         read = fed  # how far the <qos>'s children are known
         while True:
@@ -580,17 +572,14 @@ class _Walker:
                 qos.values[tag] = found
                 continue
             fed = self.skip(fed, start)
-            self.candidate, self.source = start, source
+            noted = len(self.diags)
             self.parser.Parse(self.view[start:read], False)
             fed = read
             if self.closed != end or self.stack[-1] is not qos:
                 break  # the end tag found was not its own
+            if len(self.diags) == noted:
+                qos.parsed[source] = qos.values[tag]
         return self.skip(fed, read)
-
-    def store(self, start: int, source: bytes | None, noted: int, parsed: dict, value: object) -> None:
-        # A closing candidate, unless it noted something or its source ends short of it.
-        if source is not None and len(self.diags) == noted and self.parser.CurrentByteIndex == start + len(source):
-            parsed[source] = value
 
     def read_frames(self) -> None:
         parser = self.parser
@@ -602,20 +591,20 @@ class _Walker:
         read, parsed = frame.reads.get(tag), frame.parsed
         if read is None or tag in frame.values or tag in ENDPOINT_TAGS:
             if self.rejects(tag, attrs, frame, read):
-                return self.read_whole(tag, None, frame, -1, None)  # and drop it
+                return self.read_whole(tag, None, frame)  # and drop it
             parsed = self.parsed[tag]
+        if type(read) is not dict:
+            return self.read_whole(tag, read, frame)
         start = self.parser.CurrentByteIndex
-        # A <qos>, or a policy element the table misses, sliced by the scanner that found it.
+        # Only a <qos> is looked up here, in the slice ``run`` made; ``read_policies`` looks up its children.
         source = self.source if start == self.candidate else None
         if source is not None:
             found = parsed.get(source)
             if found is not None:
                 frame.values[tag] = found
-                self.skip_to = start + len(source) + len(tag) + 3  # past </tag>
+                self.skip_to = start + len(source) + 6  # past </qos>
                 return
             self.missed = True
-        if type(read) is not dict:
-            return self.read_whole(tag, read, frame, start, source)
         extra = (start, source, len(self.diags)) if tag == "qos" else attrs.get("profile_name")
         self.stack.append(_Frame(tag, self.parser.CurrentLineNumber, read, parsed, extra))
 
@@ -641,7 +630,10 @@ class _Walker:
         values = frame.values
         if tag == "qos":
             values = QosProfile(**values)
-            self.store(*frame.extra, frame.parsed, values)
+            start, source, noted = frame.extra
+            # Stored unless it noted something or its source ends short of its end tag.
+            if source is not None and len(self.diags) == noted and self.parser.CurrentByteIndex == start + len(source):
+                frame.parsed[source] = values
         elif tag in ENDPOINT_TAGS:
             topic = values.get("topic", {})
             qos, topic_qos = values.get("qos", _NO_QOS), topic.get("qos", _NO_QOS)
@@ -651,9 +643,9 @@ class _Walker:
             raise ProfileLoadError("<dds> root contains no <profiles> element", self.path, frame.line)
         self.stack[-1].values[tag] = values
 
-    def read_whole(self, tag: str, parse: Parser | None, frame: _Frame, start: int, source: bytes | None) -> None:
+    def read_whole(self, tag: str, parse: Parser | None, frame: _Frame) -> None:
         """Build ``<tag>`` as ``_Element`` nodes, for ``parse`` to read as it closes (None drops it)."""
-        self.whole = (parse, frame, start, source, len(self.diags))
+        self.whole = (parse, frame)
         self.whole_start(tag, None)
         parser = self.parser
         parser.StartElementHandler, parser.EndElementHandler = self.whole_start, self.whole_end
@@ -677,12 +669,11 @@ class _Walker:
         if nodes:
             return
         self.closed = self.parser.CurrentByteIndex
-        parse, frame, start, source, noted = self.whole
+        parse, frame = self.whole
         if parse is not None:
             if node and parse in _LEAVES:
                 _note_children(node, self.path, self.diags)
-            value = frame.values[tag] = parse(node, frame.tag, self.path, self.diags)
-            self.store(start, source, noted, frame.parsed, value)
+            frame.values[tag] = parse(node, frame.tag, self.path, self.diags)
         self.read_frames()
 
     def close(self) -> None:

@@ -72,9 +72,10 @@ names each endpoint by its ``EndpointProfile``: ``(endpoint,)`` or
 
 Keys: the compiler also derives ``Rule.key``, called like ``outcome``, in
 the same ``exec``.  It returns the rule id and the value of each read, as
-plain values whose hashes are C code: ``Duration.nanoseconds``,
+plain values whose hashes are C code (``Duration.nanoseconds``,
 ``Count.value``, an enumeration's ``_value_``, bools, ints and name tuples,
-with -1 for an absent ``rtt`` or ``pp``.  By the invariant, equal keys mean
+-1 for an absent ``rtt`` or ``pp``); each read's expression is built where
+the compiler records the read.  By the invariant, equal keys mean
 equal ``outcome`` results, so the stage evaluators keep each result in a
 memo by its key and compute it once per distinct key; ``run_pipeline``
 passes one memo per run, and a call without one uses a fresh one.
@@ -189,9 +190,9 @@ class Rule:
 # A rule compiles to the source of one Python function of ``(q, rtt, pp)``,
 # or of ``(w, r)`` for a pair rule, run through ``exec`` once, at import: the
 # check then costs what a hand-written one would.  The texts are the
-# catalog's own constants, never input.  Each helper adds what it reads to
+# catalog's own constants, never input.  Each helper records what it reads in
 # ``reads``: ``policy.param`` paths (``writer ``/``reader `` prefixed in pair
-# rules), ``rtt`` and ``pp``.
+# rules), ``rtt`` and ``pp``, each mapped to its expression in the rule's key.
 
 # ``policy.param`` -> the parameter's OMG default, which gives its type.
 _PARAMETERS = {
@@ -222,7 +223,23 @@ _TIMES_PP = re.compile(r"(\S+) \* pp")
 _PLACEHOLDER = re.compile(r"\{([^{}]*)\}")
 
 
-def _parameter(text: str, pair: bool, reads: set[str]) -> tuple[str, object] | None:
+def _plain(value: str, default: object) -> str:
+    """``value``, of ``default``'s type, as a plain value: one whose hash is C code."""
+    if isinstance(default, Duration):
+        return f"{value}.nanoseconds"
+    if isinstance(default, Count):
+        return f"{value}.value"
+    if isinstance(default, enum.Enum):
+        return f"{value}._value_"
+    return value
+
+
+def _env(name: str, reads: dict[str, str]) -> None:
+    """Record a read of ``rtt`` or ``pp``: -1 in the key when absent, as a duration is never negative."""
+    reads[name] = f"-1 if {name} is None else {name}.nanoseconds"
+
+
+def _parameter(text: str, pair: bool, reads: dict[str, str]) -> tuple[str, object] | None:
     """Attribute access and OMG default of a parameter operand; None if ``text`` names none."""
     side, _, rest = text.partition(" ")
     prefixed = side in ("writer", "reader")
@@ -234,36 +251,37 @@ def _parameter(text: str, pair: bool, reads: set[str]) -> tuple[str, object] | N
         raise ValueError(f"{text!r}: no such parameter")
     if prefixed is not pair:
         raise ValueError(f"{text!r}: pair rules prefix each parameter with writer/reader, others never")
-    reads.add(f"{side} {path}" if prefixed else path)
-    return (f"{side[0]}.{path}" if prefixed else f"q.{path}"), _PARAMETERS[path]
+    value, default = (f"{side[0]}.{path}" if prefixed else f"q.{path}"), _PARAMETERS[path]
+    reads[f"{side} {path}" if prefixed else path] = _plain(value, default)
+    return value, default
 
 
-def _number(text: str, pair: bool, reads: set[str]) -> tuple[str, object] | None:
+def _number(text: str, pair: bool, reads: dict[str, str]) -> tuple[str, object] | None:
     """``_parameter`` with durations in nanoseconds and counts in samples, INF for the sentinels."""
     parameter = _parameter(text, pair, reads)
     if parameter is None:
         return None
     value, default = parameter
     if isinstance(default, (Duration, Count)):
-        number = f"{value}.{'nanoseconds' if isinstance(default, Duration) else 'value'}"
+        number = _plain(value, default)
         value = f"(INF if {number} is None else {number})"
     return value, default
 
 
-def _operand(text: str, pair: bool, reads: set[str]) -> tuple[str, object] | None:
+def _operand(text: str, pair: bool, reads: dict[str, str]) -> tuple[str, object] | None:
     """Numeric expression and default (None for a derived term) of an operand; None for a literal."""
     if text in ("rtt", "pp"):
-        reads.add(text)
+        _env(text, reads)
         return f"{text}.nanoseconds", None
     times = _TIMES_PP.fullmatch(text)
     if times is None:
         return _number(text, pair, reads)
-    reads.add("pp")
+    _env("pp", reads)
     factor = _number(times[1], pair, reads)
     return f"{factor[0] if factor else int(times[1])} * pp.nanoseconds", None
 
 
-def _term(text: str, pair: bool, reads: set[str]) -> tuple[str, object]:
+def _term(text: str, pair: bool, reads: dict[str, str]) -> tuple[str, object]:
     """``_operand`` of an operand that must not be a literal."""
     operand = _operand(text, pair, reads)
     if operand is None:
@@ -285,7 +303,7 @@ def _literal(token: str, default: object) -> str:
     raise ValueError(f"{token!r} is not a {kind.__name__} literal")
 
 
-def _conjunct(text: str, pair: bool, reads: set[str]) -> str:
+def _conjunct(text: str, pair: bool, reads: dict[str, str]) -> str:
     shared = _SHARE_NO_NAME.fullmatch(text)
     if shared:
         writer_names, _ = _parameter(f"writer {shared[1]}", pair, reads)
@@ -304,7 +322,7 @@ def _conjunct(text: str, pair: bool, reads: set[str]) -> str:
     quotient = _QUOTIENT.fullmatch(right_text)
     if quotient:
         numerator, _ = _term(quotient[1], pair, reads)
-        reads.add("pp")
+        _env("pp", reads)
         return f"{left} * pp.nanoseconds {op} {numerator} + {quotient[2] or 0} * pp.nanoseconds"
     right = _operand(right_text, pair, reads)
     if right is not None:
@@ -315,7 +333,7 @@ def _conjunct(text: str, pair: bool, reads: set[str]) -> str:
     return f"{left} {op} {value}"
 
 
-def _condition(text: str, pair: bool, reads: set[str]) -> str:
+def _condition(text: str, pair: bool, reads: dict[str, str]) -> str:
     """The expression a condition states: true when it holds."""
     return " or ".join(
         "(" + " and ".join(f"({_conjunct(c, pair, reads)})" for c in _CONJUNCTS.split(alternative)) + ")"
@@ -323,13 +341,13 @@ def _condition(text: str, pair: bool, reads: set[str]) -> str:
     )
 
 
-def _placeholder(text: str, pair: bool, reads: set[str]) -> str:
+def _placeholder(text: str, pair: bool, reads: dict[str, str]) -> str:
     """The expression whose ``str`` quotes one placeholder."""
     floor = _FLOOR_QUOTIENT.fullmatch(text)
     quotient = floor or _QUOTIENT.fullmatch(text)
     if quotient:  # rounded down after ``//``, else up
         numerator, _ = _term(quotient[1], pair, reads)
-        reads.add("pp")
+        _env("pp", reads)
         if floor:
             return f"{numerator} // pp.nanoseconds + {quotient[2] or 0}"
         return f"-(-{numerator} // pp.nanoseconds) + {quotient[2] or 0}"
@@ -346,7 +364,7 @@ def _placeholder(text: str, pair: bool, reads: set[str]) -> str:
     return value  # a count or an integer, through str
 
 
-def _template(text: str, pair: bool, reads: set[str]) -> str:
+def _template(text: str, pair: bool, reads: dict[str, str]) -> str:
     """An expression that renders a message template: its text ``%``-formatted
     with its placeholders (which compiles faster than an f-string)."""
     parts = _PLACEHOLDER.split(text)  # literal, placeholder, literal, ...
@@ -357,7 +375,7 @@ def _template(text: str, pair: bool, reads: set[str]) -> str:
     return f"{literal} % ({', '.join(values)},)" if values else literal
 
 
-def _text(text: str | tuple[tuple[str, str] | str, ...], pair: bool, reads: set[str]) -> str:
+def _text(text: str | tuple[tuple[str, str] | str, ...], pair: bool, reads: dict[str, str]) -> str:
     """The expression for a template or for guarded alternatives."""
     if isinstance(text, str):
         return _template(text, pair, reads)
@@ -368,44 +386,26 @@ def _text(text: str | tuple[tuple[str, str] | str, ...], pair: bool, reads: set[
     )
 
 
-def _key_part(read: str) -> str:
-    """The expression of one read's value in a rule's key: a plain value
-    whose hash is C code (an int, a str, None, a bool, a tuple of names),
-    never an enumeration member or a record, whose hashes run Python code."""
-    if read in ("rtt", "pp"):  # -1 when absent: a duration is never negative
-        return f"-1 if {read} is None else {read}.nanoseconds"
-    side, _, path = read.rpartition(" ")
-    value = f"{side[0]}.{path}" if side else f"q.{path}"
-    default = _PARAMETERS[path]
-    if isinstance(default, Duration):
-        return f"{value}.nanoseconds"
-    if isinstance(default, Count):
-        return f"{value}.value"
-    if isinstance(default, enum.Enum):
-        return f"{value}._value_"
-    return value
-
-
-def _compile(rule: Rule) -> tuple[Callable, Callable, set[str]]:
+def _compile(rule: Rule) -> tuple[Callable, Callable, dict[str, str]]:
     """``rule.outcome``, ``rule.key`` and everything the rule reads."""
     pair = rule.scope is RuleScope.PAIR
-    reads: set[str] = set()
+    reads: dict[str, str] = {}
     condition = _condition(rule.condition, pair, reads)
-    text_reads: set[str] = set()
+    text_reads: dict[str, str] = {}
     texts = f"{_text(rule.message, pair, text_reads)}, {_text(rule.suggestion, pair, text_reads)}"
     lines = []
     if rule.exemption is not None:
         lines.append(f"if {_condition(rule.exemption, pair, text_reads)}: return EXEMPT")
-    if text_reads - reads:
-        unread = sorted(text_reads - reads)
+    if text_reads.keys() - reads:
+        unread = sorted(text_reads.keys() - reads)
         raise ValueError(f"rule {rule.id}: its texts or exemption read {unread}; its condition does not")
-    if pair and reads & {"rtt", "pp"}:
+    if pair and reads.keys() & {"rtt", "pp"}:
         raise ValueError(f"rule {rule.id}: a pair rule reads no rtt or pp")
     lines += [f"if {need} is None: return NO_{need.upper()}" for need in ("rtt", "pp") if need in reads]
     lines += [f"if not ({condition}): return None", f"return {texts}"]
     namespace = dict(_NAMESPACE)
     params = "w, r" if pair else "q, rtt, pp"
-    key = ", ".join([str(rule.id), *map(_key_part, sorted(reads))])
+    key = ", ".join([str(rule.id), *(reads[read] for read in sorted(reads))])
     exec(
         f"def rule_{rule.id}({params}):\n" + "".join(f"    {line}\n" for line in lines)
         + f"def key_{rule.id}({params}):\n    return ({key},)\n",

@@ -4,12 +4,12 @@ Profile documents follow the README grammar: its policy table gives the
 policy elements, their parameters and the values each parameter takes.
 Half of the documents keep to the grammar; the other half are noisy, with
 out-of-grammar values, repeated and unknown elements, empty or missing
-profile names and foreign roots.  Any document may also hold unknown
-elements inside ``<qos>``, a policy, a duration or a value element, which
-the parser notes and otherwise ignores.  Environment documents use the
-README's keys, noisy ones with values of any JSON type.  Either file may
-instead be raw bytes, or a document encoded as Latin-1, so input that is
-not UTF-8 is covered too.
+profile names, foreign roots and unknown children of ``<dds>``.  Any
+document may also hold unknown elements inside ``<qos>``, a policy, a
+duration or a value element, which the parser notes and otherwise ignores.
+Environment documents use the README's keys, noisy ones with values of any
+JSON type.  Either file may instead be raw bytes, or a document encoded as
+Latin-1, so input that is not UTF-8 is covered too.
 """
 
 from __future__ import annotations
@@ -176,7 +176,13 @@ def _profile_documents(draw) -> str:
     body = _element("profiles", "".join(draw(_endpoints(name, noise)) for name in chosen))
     roots = [body, body, _element("dds", body)]
     if noise.noisy:
-        roots += ["<bogus/>", _element("dds", body * 2)]
+        roots += [
+            "<bogus/>",
+            _element("dds", body * 2),
+            # An unknown child of <dds> before and after <profiles>: its note comes in document order.
+            _element("dds", "<log_config/>" + body),
+            _element("dds", body + "<log_config/>"),
+        ]
     return draw(st.sampled_from(roots))
 
 

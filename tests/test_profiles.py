@@ -500,9 +500,23 @@ def _writer_qos(policy: str):
             "<deadline><period><sec>1_0</sec></period></deadline>",
             "deadline.period.sec: expected an integer, got '1_0'",
         ),
+        # The other value errors of the leaf parsers.
+        (
+            "<writer_data_lifecycle><autodispose_unregistered_instances>yes"
+            "</autodispose_unregistered_instances></writer_data_lifecycle>",
+            "writer_data_lifecycle.autodispose_unregistered_instances: expected true or false, got 'yes'",
+        ),
+        (
+            "<user_data><value>abc</value></user_data>",
+            "user_data.value: expected a hex string, got 'abc'",
+        ),
+        (
+            "<resource_limits><max_samples>-2</max_samples></resource_limits>",
+            "resource_limits.max_samples: count must be nonnegative, -1, or UNLIMITED",
+        ),
     ],
     ids=["underscore", "non-ascii-digits", "depth-past-long", "400-digit-strength",
-         "strength-below-long", "60-digit-count", "underscore-sec"],
+         "strength-below-long", "60-digit-count", "underscore-sec", "bool-token", "odd-hex", "negative-count"],
 )
 def test_integer_outside_the_xml_schema_form_or_the_long_range_is_load_error(policy, error):
     with pytest.raises(ProfileLoadError) as excinfo:
@@ -1601,6 +1615,24 @@ _POLICY_SECONDS = {
         ),
         0,
         1,
+    ),
+    # Its <history> ends with a spaced end tag, and the first exact one lies
+    # in a comment after a <durability>, which is an element: no copy of the
+    # <history> is stored, so the second <qos> reads its <durability> too.
+    "element_before_end_tag_in_comment": (
+        _profiles(
+            *(
+                _qos_endpoint(
+                    "data_writer",
+                    name,
+                    f"<qos>{_HISTORY.replace('</history>', '</history >')}"
+                    f"<durability><kind>TRANSIENT</kind></durability><!-- </history> -->{end}</qos>",
+                )
+                for name, end in (("w", ""), ("v", "<ownership/>"))
+            )
+        ),
+        2,
+        2,
     ),
     "latin_1_crlf": (
         _profiles(

@@ -19,10 +19,11 @@ note.  Both sides therefore also run ``check`` on one fixed noisy document,
 endpoint, ``<qos>``, a policy and a duration, and none inside ``<topic>``;
 its notes come in document order.  No workload fails to load either, so
 both sides run ``check`` on each of ``LOAD_ERROR_DOCUMENTS``, whose one
-error line goes to stderr; one of them has an empty ``profile_name``
-before a second ``<profiles>``, so the first error in document order
-wins.  No workload pairs by ``--pair`` directive either, so both sides
-run ``check`` on ``DIRECTIVE_DOCUMENT`` with the directives of
+error line goes to stderr; one of them breaks a policy's own constraint (a
+``<history>`` depth of 0), and one has an empty ``profile_name`` before a
+second ``<profiles>``, so the first error in document order wins.  No
+workload pairs by ``--pair`` directive either, so both sides run
+``check`` on ``DIRECTIVE_DOCUMENT`` with the directives of
 ``DIRECTIVES``, in JSON and in human text: a writer paired with a reader
 of another topic and with a topic-less reader, a directive that repeats a
 topic pair, and a directive given twice.  No workload repeats a ``<qos>``
@@ -103,6 +104,12 @@ LOAD_ERROR_DOCUMENTS = {
     "bad_integer.xml": (
         '<profiles>\n  <data_writer profile_name="w">\n'
         "    <qos><history><kind>KEEP_LAST</kind><depth>1_000</depth></history></qos>\n"
+        "  </data_writer>\n</profiles>\n"
+    ),
+    # A policy's own constraint, checked as the policy is built.
+    "depth_zero.xml": (
+        '<profiles>\n  <data_writer profile_name="w">\n'
+        "    <qos><history><depth>0</depth></history></qos>\n"
         "  </data_writer>\n</profiles>\n"
     ),
     "nanosec.xml": (
