@@ -371,11 +371,13 @@ def _one_line(text: str) -> str:
 
 
 def _human_report(report: Report, color: bool) -> str:
-    # Each level label is built once per report, and each endpoint's text once.
-    # Both tables key on identity: an Enum hash runs Python code, and an
-    # EndpointProfile hash hashes its whole QoS; one EndpointProfile names its
-    # endpoint in every finding.  The report keeps every key alive, so no id
-    # is reused while rendering.
+    # Built once per report: each level label, each endpoint's text, and the
+    # text of each entities tuple (a pair's findings share one tuple).  The
+    # tables key on identity: an Enum hash runs Python code, and an
+    # EndpointProfile hash hashes its whole QoS.  The report keeps every key
+    # alive, so no id is reused while rendering.  The rest of a line is
+    # formatted per row: a cache keyed on the rule id, identifier and severity,
+    # or on the message and suggestion, costs more to look up than to format.
     labels = {
         id(severity): (
             f"{_ANSI[severity.level]}{severity.level.upper()}{_ANSI_RESET}"
@@ -385,15 +387,18 @@ def _human_report(report: Report, color: bool) -> str:
         for severity in Severity
     }
     texts: dict[int, str] = {}
+    entity_texts: dict[int, str] = {}
 
     def entity_list(entities: tuple[EndpointProfile, ...]) -> str:
+        """The text of ``entities``, kept in ``entity_texts``; a row looks there first."""
         parts = []
         for e in entities:
             text = texts.get(id(e))
             if text is None:
                 text = texts[id(e)] = _one_line(str(e))
             parts.append(text)
-        return " + ".join(parts)
+        text = entity_texts[id(entities)] = " + ".join(parts)
+        return text
 
     lines: list[str] = []
     env = report.environment.echo()
@@ -421,8 +426,8 @@ def _human_report(report: Report, color: bool) -> str:
             rows = stage_lines.get(v.stage)
             if rows is not None:
                 rows.append(
-                    f"  {labels[id(v.severity)]} [rule {v.rule_id} {v.identifier}] {entity_list(v.entities)} "
-                    f"— {v.message}; {v.suggestion}"
+                    f"  {labels[id(v.severity)]} [rule {v.rule_id} {v.identifier}] "
+                    f"{entity_texts.get(id(v.entities)) or entity_list(v.entities)} — {v.message}; {v.suggestion}"
                 )
         for stage, rows in stage_lines.items():
             if rows:
@@ -434,8 +439,8 @@ def _human_report(report: Report, color: bool) -> str:
         lines.append("skipped checks (undecidable with the given inputs)")
         for s in report.skipped:
             lines.append(
-                f"  SKIP [rule {s.rule_id} {s.identifier}] {entity_list(s.entities)} "
-                f"— {s.reason.value}"
+                f"  SKIP [rule {s.rule_id} {s.identifier}] "
+                f"{entity_texts.get(id(s.entities)) or entity_list(s.entities)} — {s.reason.value}"
             )
         lines.append("")
 
@@ -450,7 +455,8 @@ def _human_report(report: Report, color: bool) -> str:
         f"summary: {counts['errors']} error(s), {counts['warnings']} warning(s), "
         f"{counts['infos']} info(s), {counts['skipped']} skipped"
     )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, joined with the rest: one copy of the report
+    return "\n".join(lines)
 
 
 def _json_section(value: object) -> str:

@@ -808,17 +808,6 @@ def pair_topic(writer: EndpointProfile, reader: EndpointProfile) -> str | None:
     return writer.topic_name if writer.topic_name == reader.topic_name else None
 
 
-def _finding(
-    rule: Rule, result: SkipReason | tuple[str, str],
-    entities: tuple[EndpointProfile, ...], topic_name: str | None,
-) -> Finding:
-    """The finding a rule's non-clean ``outcome`` result stands for."""
-    if isinstance(result, SkipReason):
-        return SkippedRule(rule.id, rule.identifier, rule.stage, entities, result)
-    message, suggestion = result
-    return Violation(rule.id, rule.identifier, rule.stage, rule.severity, entities, topic_name, message, suggestion)
-
-
 def evaluate_rule(
     rule: Rule,
     *,
@@ -837,8 +826,7 @@ def evaluate_rule(
     if rule.scope is RuleScope.PAIR:
         if writer is None or reader is None:
             raise ValueError(f"rule {rule.id} is pair-scoped and needs both endpoints")
-        result = rule.outcome(writer.qos, reader.qos)
-        entities, topic_name = (writer, reader), pair_topic(writer, reader)
+        args, entities, topic_name = (writer.qos, reader.qos), (writer, reader), pair_topic(writer, reader)
     else:
         if writer is not None and reader is not None:
             raise ValueError(f"rule {rule.id} is single-endpoint but got a pair")
@@ -849,9 +837,9 @@ def evaluate_rule(
         endpoint = writer if writer is not None else reader
         if endpoint is None:
             raise ValueError(f"rule {rule.id} needs an endpoint")
-        result = rule.outcome(endpoint.qos, rtt, pp)
-        entities, topic_name = (endpoint,), endpoint.topic_name
-    return None if result is None else _finding(rule, result, entities, topic_name)
+        args, entities, topic_name = (endpoint.qos, rtt, pp), (endpoint,), endpoint.topic_name
+    findings = _findings((rule,), args, entities, topic_name, {})
+    return findings[0] if findings else None
 
 
 def applicable_to(rule: Rule, kind: EndpointKind) -> bool:
@@ -883,6 +871,33 @@ Memo = dict[tuple, SkipReason | tuple[str, str] | None]
 _UNSEEN = object()
 
 
+def _findings(
+    rules: tuple[Rule, ...], args: tuple, entities: tuple[EndpointProfile, ...], topic_name: str | None, memo: Memo
+) -> list[Finding]:
+    """The findings of ``rules`` on ``args``, the arguments of their ``outcome``:
+    the one place a result becomes a finding.
+
+    Each rule's result is looked up by its key in ``memo``, and computed and
+    kept there the first time; a run passes one memo to every call.
+    """
+    findings = []
+    for rule in rules:
+        key = rule.key(*args)
+        result = memo.get(key, _UNSEEN)
+        if result is _UNSEEN:
+            result = memo[key] = rule.outcome(*args)
+        if result is None:
+            continue
+        if result.__class__ is SkipReason:
+            findings.append(SkippedRule(rule.id, rule.identifier, rule.stage, entities, result))
+        else:
+            message, suggestion = result
+            findings.append(Violation(
+                rule.id, rule.identifier, rule.stage, rule.severity, entities, topic_name, message, suggestion
+            ))
+    return findings
+
+
 def evaluate_endpoint_rules(
     endpoint: EndpointProfile,
     stage: int,
@@ -890,26 +905,13 @@ def evaluate_endpoint_rules(
     pp: Duration | None = None,
     memo: Memo | None = None,
 ) -> list[Finding]:
-    """The findings of every scope-applicable single-endpoint rule of a stage.
-
-    Each rule's result is looked up by its key in ``memo``, and computed and
-    kept there the first time; a run passes one memo to every call.
-    """
-    if memo is None:
-        memo = {}
-    q = endpoint.qos
-    entities = (endpoint,)
-    topic_name = endpoint.topic_name
-    findings = []
+    """The findings of every scope-applicable single-endpoint rule of a stage,
+    each rule's result looked up in ``memo`` (a fresh one when None)."""
     # _APPLICABLE holds only the rules whose scope admits this kind.
-    for rule in _APPLICABLE.get((stage, endpoint.endpoint_kind), ()):
-        key = rule.key(q, rtt, pp)
-        result = memo.get(key, _UNSEEN)
-        if result is _UNSEEN:
-            result = memo[key] = rule.outcome(q, rtt, pp)
-        if result is not None:
-            findings.append(_finding(rule, result, entities, topic_name))
-    return findings
+    return _findings(
+        _APPLICABLE.get((stage, endpoint.endpoint_kind), ()), (endpoint.qos, rtt, pp),
+        (endpoint,), endpoint.topic_name, {} if memo is None else memo,
+    )
 
 
 def evaluate_pair_rules(
@@ -921,17 +923,7 @@ def evaluate_pair_rules(
         raise ValueError(f"{writer.profile_name!r} is not a DataWriter")
     if reader.endpoint_kind is not EndpointKind.DATA_READER:
         raise ValueError(f"{reader.profile_name!r} is not a DataReader")
-    if memo is None:
-        memo = {}
-    w, r = writer.qos, reader.qos
-    entities = (writer, reader)
-    topic_name = pair_topic(writer, reader)
-    findings = []
-    for rule in _BY_STAGE[2]:
-        key = rule.key(w, r)
-        result = memo.get(key, _UNSEEN)
-        if result is _UNSEEN:
-            result = memo[key] = rule.outcome(w, r)
-        if result is not None:
-            findings.append(_finding(rule, result, entities, topic_name))
-    return findings
+    return _findings(
+        _BY_STAGE[2], (writer.qos, reader.qos), (writer, reader), pair_topic(writer, reader),
+        {} if memo is None else memo,
+    )

@@ -399,10 +399,14 @@ def test_cli_phases_times_one_round(fixtures):
     assert done.returncode == 0, done.stderr
     mode, header, side = done.stdout.splitlines()
     assert "bytecode" in mode and mode.endswith("; 1 round(s)")
-    assert header.split() == ["median", "ms", "start", "import", "main", "exit", "exit", "codes"]
+    assert header.split() == ["median", "ms", "start", "import", "main", "exit", "peak", "MB", "exit", "codes"]
     assert side.startswith("working tree ")
-    *phases, code = side.removeprefix("working tree").split()
+    *phases, peak, code = side.removeprefix("working tree").split()
     assert len(phases) == 4 and all(float(ms) > 0 for ms in phases)
+    if Path("/proc/self/status").exists():
+        assert float(peak) > 0
+    else:
+        assert peak == "n/a"
     assert code == "1"
 
 

@@ -6,6 +6,7 @@ import json
 import sys
 import tracemalloc
 from json.encoder import encode_basestring
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -745,10 +746,13 @@ _durations = st.one_of(st.integers(1, 10**6), st.integers(1, 10**9).map(lambda n
 
 
 @st.composite
-def _reports(draw) -> Report:
+def _reports(draw, pooled: bool = False) -> Report:
     # A small pool of endpoints, so the rows name the same entity many times,
     # and distinct entities may share a profile name (never empty: an
-    # EndpointProfile rejects that).
+    # EndpointProfile rejects that).  ``pooled`` draws rule ids, identifiers,
+    # severities, messages and suggestions from pools of 2-3 values too, so
+    # rows share one field and differ in another: a renderer that keys a
+    # cache on fewer fields than it renders shows one row as another.
     endpoint = st.builds(
         lambda name, kind, location: EndpointProfile(name, kind, default_qos(kind), None, location),
         st.sampled_from(["w", "r"]) | _text.filter(bool),
@@ -757,10 +761,14 @@ def _reports(draw) -> Report:
     )
     pool = draw(st.lists(endpoint, min_size=1, max_size=4))
     entities = st.lists(st.sampled_from(pool), min_size=1, max_size=2).map(tuple)
-    violation = st.builds(
-        Violation, _ints, _text, _ints, st.sampled_from(Severity), entities, _topics, _text, _text
-    )
-    skip = st.builds(SkippedRule, _ints, _text, _ints, entities, st.sampled_from(SkipReason))
+    ids, identifiers, severities, messages, suggestions = _ints, _text, st.sampled_from(Severity), _text, _text
+    if pooled:
+        ids, identifiers, severities, messages, suggestions = (
+            st.sampled_from(draw(st.lists(values, min_size=2, max_size=3, unique=True)))
+            for values in (ids, identifiers, severities, messages, suggestions)
+        )
+    violation = st.builds(Violation, ids, identifiers, _ints, severities, entities, _topics, messages, suggestions)
+    skip = st.builds(SkippedRule, ids, identifiers, _ints, entities, st.sampled_from(SkipReason))
     pairing = st.builds(Pairing, _text, _text, st.sampled_from(PairOrigin), _topics)
     note = st.builds(ParseDiagnostic, _text, _ints, _text)
     environment = st.builds(
@@ -788,25 +796,40 @@ def test_json_report_matches_json_dumps_of_the_reference_payload(report):
     assert render_report(report, "json") == expected + "\n"
 
 
-def test_json_report_peaks_near_two_copies_of_itself(tmp_path):
-    # The wide workload at seed 7: about 1.1 M characters of findings.  The
-    # rows plus the report joined once peak at 2.10 times the report's own
-    # size; joining each section first, then the report, peaks at 3.09.
+def _peak_over_size(workload_name: str, fmt: str, directory: Path) -> float:
+    """Render ``workload_name`` at seed 7 as ``fmt``: the traced peak of the
+    render over the size of the report it returns, which has a million or
+    more characters."""
     workloads = perfbench_workloads()
-    workload = workloads.generate("wide", 7)
-    written = workloads.write(workload, str(tmp_path))
-    profile_set = load_profile_files(written.inputs)
-    report = run_pipeline(
-        profile_set, load_environment(json.dumps(workload.env)), build_pairing_plan(profile_set, [])
-    )
+    workload = workloads.generate(workload_name, 7)
+    workloads.write(workload, str(directory))
+    # Every document goes to profiles/, the directory ``check`` is given.
+    profile_set = load_profile_files([str(p) for p in sorted((directory / "profiles").glob("*.xml"))])
+    environment = None if workload.env is None else load_environment(json.dumps(workload.env))
+    report = run_pipeline(profile_set, environment, build_pairing_plan(profile_set, []))
     tracemalloc.start()
     try:
-        output = render_report(report, "json")
+        output = render_report(report, fmt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(output) > 1_000_000
-    assert peak / sys.getsizeof(output) < 2.5
+    return peak / sys.getsizeof(output)
+
+
+def test_json_report_peaks_near_two_copies_of_itself(tmp_path):
+    # The wide workload: about 1.1 M characters of findings.  The rows plus
+    # the report joined once peak at 2.10 times the report's own size;
+    # joining each section first, then the report, peaks at 3.09.
+    assert _peak_over_size("wide", "json", tmp_path) < 2.5
+
+
+def test_human_report_peaks_near_two_copies_of_itself(tmp_path):
+    # The dense workload: about 2.4 M characters in 7 351 finding lines.  The
+    # lines plus the report joined once peak at 2.25 times the report's own
+    # size; joining, then adding the final newline, copies the report again
+    # and peaks at 3.12.
+    assert _peak_over_size("dense", "human", tmp_path) < 2.5
 
 
 # -- human rendering -----------------------------------------------------------
@@ -893,8 +916,18 @@ def _staged(report: Report) -> Report:
     return replace(report, violations=tuple(replace(v, stage=v.stage % 5) for v in report.violations))
 
 
+def _assert_human_matches_the_reference(report: Report) -> None:
+    for color in (True, False):
+        assert render_report(report, "human", color=color) == _reference_human(report, color)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_reports().map(_staged))
 def test_human_report_matches_the_reference_rendering(report):
-    for color in (True, False):
-        assert render_report(report, "human", color=color) == _reference_human(report, color)
+    _assert_human_matches_the_reference(report)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_reports(pooled=True).map(_staged))
+def test_human_report_matches_the_reference_rendering_on_pooled_fields(report):
+    _assert_human_matches_the_reference(report)

@@ -16,15 +16,21 @@ device.  This process stamps the spawn and the return of ``wait4``.  So:
 * exit: ``main`` returning to the process being reaped (``run``'s exit
   path, ``atexit``, the interpreter's shutdown).
 
+After its last stamp the wrapper also reads the run's peak resident set
+(``VmHWM`` in ``/proc/self/status``), so the peak is the CLI's own, not
+that of the process that started it; where that file is missing, the
+peak column reads n/a.
+
 With ``--base``, the ``src/`` tree of that revision is extracted with
 ``git archive`` (as ``compare_reports.py`` does) and runs alternate with
 the working tree's, which side goes first alternating too, after one
 unrecorded warm-up run per side.  This
 process and its children are pinned to one CPU.  The median of each
-phase, in ms, is printed per side, with the exit codes seen and the
-bytecode mode: under ``PYTHONDONTWRITEBYTECODE`` every run compiles the
-package from source, which shows in import.  Needs only the standard
-library (and git for ``--base``).
+phase, in ms, and of the peak, in MB (MiB), is printed per side, with
+the exit codes seen and the bytecode mode: under
+``PYTHONDONTWRITEBYTECODE`` every run compiles the package from source,
+which shows in import.  Needs only the standard library (and git for
+``--base``).
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ PHASES = ("start", "import", "main", "exit")
 
 # Run as ``python -c WRAPPER STAMPS ARGS...``.  The stamp file is opened
 # before the first stamp and written after ``main`` returns, so neither
-# the open nor the import of ``os`` counts in any phase but start.
+# the open nor the import of ``os`` counts in any phase but start.  The
+# peak RSS in KiB, when it can be read, follows the stamps.
 WRAPPER = """\
 import os, sys, time
 _fd = os.open(sys.argv.pop(1), os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
@@ -58,6 +65,11 @@ def _stamped_main(argv=None):
         return _main(argv)
     finally:
         _stamps.append(time.monotonic_ns())
+        try:
+            with open("/proc/self/status", "rb") as _status:
+                _stamps.extend(line.split()[1].decode() for line in _status if line.startswith(b"VmHWM:"))
+        except OSError:
+            pass
         os.write(_fd, " ".join(map(str, _stamps)).encode())
         os.close(_fd)
 cli.main = _stamped_main
@@ -83,8 +95,9 @@ def bytecode_mode() -> str:
     return "bytecode written and reused (PYTHONDONTWRITEBYTECODE unset)"
 
 
-def run_once(src: str, args: list[str], stamps_path: str) -> tuple[int, dict[str, float]]:
-    """One fresh CLI run with ``src`` on the path: exit code and phase ms."""
+def run_once(src: str, args: list[str], stamps_path: str) -> tuple[int, dict[str, float], float | None]:
+    """One fresh CLI run with ``src`` on the path: exit code, phase ms and
+    peak RSS in MB (None where it cannot be read)."""
     env = {**os.environ, "PYTHONPATH": src}
     spawned = time.monotonic_ns()
     proc = subprocess.Popen(
@@ -96,24 +109,26 @@ def run_once(src: str, args: list[str], stamps_path: str) -> tuple[int, dict[str
     code = os.waitstatus_to_exitcode(status)
     with open(stamps_path, encoding="ascii") as handle:
         stamps = [int(field) for field in handle.read().split()]
-    if len(stamps) != 3:
+    if len(stamps) not in (3, 4):
         raise RuntimeError(f"run exited {code} without stamping main's return (stamps: {stamps})")
+    peak = stamps.pop() / 1024 if len(stamps) == 4 else None
     edges = [spawned, *stamps, reaped]
-    return code, {phase: (end - begin) / 1e6 for phase, begin, end in zip(PHASES, edges, edges[1:])}
+    return code, {phase: (end - begin) / 1e6 for phase, begin, end in zip(PHASES, edges, edges[1:])}, peak
 
 
 def measure(sides: dict[str, str], args: list[str], rounds: int, directory: str) -> dict[str, dict]:
     """Alternate the sides for ``rounds`` rounds after one warm-up each;
     every other round runs them in reverse order."""
     stamps_path = os.path.join(directory, "stamps")
-    results = {label: {"codes": set(), **{phase: [] for phase in PHASES}} for label in sides}
+    results = {label: {"codes": set(), "peak": [], **{phase: [] for phase in PHASES}} for label in sides}
     order = list(sides.items())
     for _, src in order:
         run_once(src, args, stamps_path)
     for round_ in range(rounds):
         for label, src in order if round_ % 2 == 0 else order[::-1]:
-            code, phases = run_once(src, args, stamps_path)
+            code, phases, peak = run_once(src, args, stamps_path)
             results[label]["codes"].add(code)
+            results[label]["peak"].append(peak)
             for phase, ms in phases.items():
                 results[label][phase].append(ms)
     return results
@@ -136,10 +151,11 @@ def main(argv: list[str] | None = None) -> int:
         sides["working tree"] = str(ROOT / "src")
         results = measure(sides, args.args, args.rounds, workdir)
     width = max(map(len, results))
-    print(f"{'median ms':<{width}}  " + "  ".join(f"{phase:>7}" for phase in PHASES) + "  exit codes")
+    print(f"{'median ms':<{width}}  " + "  ".join(f"{phase:>7}" for phase in PHASES) + "  peak MB  exit codes")
     for label, result in results.items():
         medians = "  ".join(f"{statistics.median(result[phase]):7.2f}" for phase in PHASES)
-        print(f"{label:<{width}}  {medians}  {' '.join(map(str, sorted(result['codes'])))}")
+        peak = "n/a" if None in result["peak"] else f"{statistics.median(result['peak']):.1f}"
+        print(f"{label:<{width}}  {medians}  {peak:>7}  {' '.join(map(str, sorted(result['codes'])))}")
     return 0
 
 
