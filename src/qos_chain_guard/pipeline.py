@@ -221,8 +221,14 @@ def build_pairing_plan(
     return tuple(plan)
 
 
-class Report(Record):
-    """Aggregate of one validation run, ordered deterministically."""
+class Report(Record, uncompared=("summary",)):
+    """Aggregate of one validation run, ordered deterministically.
+
+    ``summary`` holds the violations per level and the skips.  It is counted
+    once, when the report is built, from ``violations`` and ``skipped``,
+    whatever value is passed for it (a copy passes the old counts): a
+    ``check`` reads it for the exit code and for the report.
+    """
 
     tool_version: str
     inputs: tuple[str, ...]
@@ -232,16 +238,16 @@ class Report(Record):
     parse_diagnostics: tuple[ParseDiagnostic, ...]
     violations: tuple[Violation, ...]
     skipped: tuple[SkippedRule, ...]
+    summary: dict[str, int] | None = None
 
-    @property
-    def summary(self) -> dict[str, int]:
+    def _check(self) -> None:
         levels = [v.severity.level for v in self.violations]
-        return {
+        Report.summary.__set__(self, {
             "errors": levels.count("error"),
             "warnings": levels.count("warning"),
             "infos": levels.count("info"),
             "skipped": len(self.skipped),
-        }
+        })
 
     def count_at_or_above(self, level: str) -> int:
         """Diagnostics at or above a report level (error > warning > info)."""
@@ -289,15 +295,17 @@ def run_pipeline(
     """Run all three stages over the profile set and assemble the report.
 
     Rule messages, suggestions and skip reasons depend only on the QoS,
-    ``rtt`` and ``pp`` (see ``rules``), so each stage evaluates once per
-    class: stage 2 per (writer QoS, reader QoS), and stages 1 and 3 per
+    ``rtt`` and ``pp`` (see ``rules``), so stages 1 and 3 evaluate once per
     (endpoint kind, QoS, publish period), in one pass over the endpoints
     that looks each class up once for both.  The findings of the member
     evaluated are stamped onto every other member with that member's own
     entities and topic.  Classes key on QoS identity; ``parse_profiles``
     interns equal profiles, and an equal but distinct profile only costs
     one more evaluation.  Within a class evaluation, each rule's result is
-    looked up in one memo per run by what the rule reads.
+    looked up in one memo per run by what the rule reads.  Stage 2 is one
+    ``evaluate_pair_rules`` call over every pair, through the same memo,
+    which computes each RxO rule once per (rule, writer values, reader
+    values).
 
     The report order comes from the order of evaluation, with no sort:
     every finding goes to its rule's list, endpoints are visited in name
@@ -316,7 +324,9 @@ def run_pipeline(
     for name in sorted(profiles):
         endpoint = profiles[name]
         pp = env.publish_period_for(name)
-        key = (endpoint.endpoint_kind, id(endpoint.qos), pp)
+        # Hashed in C: the kind's value, and pp's nanoseconds (None when
+        # infinite, -1 when absent), where the members and Duration hash in Python.
+        key = (endpoint.endpoint_kind._value_, id(endpoint.qos), -1 if pp is None else pp.nanoseconds)
         findings = by_class.get(key)
         if findings is None:
             # The member evaluated first: its findings already name it.
@@ -326,15 +336,8 @@ def run_pipeline(
         else:
             _file(findings, violations, skipped, (endpoint,), endpoint.topic_name)
 
-    by_pair_class: dict[tuple[int, int], list[Finding]] = {}
-    for writer, reader in sorted(((profiles[p.writer], profiles[p.reader]) for p in plan), key=_pair_order):
-        key = (id(writer.qos), id(reader.qos))
-        findings = by_pair_class.get(key)
-        if findings is None:
-            findings = by_pair_class[key] = evaluate_pair_rules(writer, reader, memo=memo)
-            _file(findings, violations, skipped)
-        else:
-            _file(findings, violations, skipped, (writer, reader), pair_topic(writer, reader))
+    pairs = sorted(((profiles[p.writer], profiles[p.reader]) for p in plan), key=_pair_order)
+    _file(evaluate_pair_rules(pairs, memo=memo), violations, skipped)
 
     return Report(
         tool_version=__version__,

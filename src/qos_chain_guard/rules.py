@@ -64,11 +64,12 @@ Clean is the absence of a finding.  ``Rule.outcome`` takes its inputs
 directly, ``(qos, rtt, pp)`` for an endpoint rule and ``(writer qos, reader
 qos)`` for a pair rule, which reads neither environment input (else
 ``ValueError`` at import).  ``evaluate_rule`` returns a ``Violation``, a
-``SkippedRule`` or None; ``evaluate_endpoint_rules`` and
-``evaluate_pair_rules`` check scope, name the entities and find the topic
-once per call, and return the findings of a stage in rule order.  A finding
-names each endpoint by its ``EndpointProfile``: ``(endpoint,)`` or
-``(writer, reader)``.
+``SkippedRule`` or None; ``evaluate_endpoint_rules`` checks scope, names the
+entity and finds the topic once per call, and returns the findings of a
+stage in rule order.  ``evaluate_pair_rules`` is the whole of stage 2: it
+takes a run's pairs and returns their findings pair by pair, each pair's in
+rule order.  A finding names each endpoint by its ``EndpointProfile``:
+``(endpoint,)`` or ``(writer, reader)``.
 
 Keys: the compiler also derives ``Rule.key``, called like ``outcome``, in
 the same ``exec``.  It returns the rule id and the value of each read, as
@@ -79,6 +80,15 @@ the compiler records the read.  By the invariant, equal keys mean
 equal ``outcome`` results, so the stage evaluators keep each result in a
 memo by its key and compute it once per distinct key; ``run_pipeline``
 passes one memo per run, and a call without one uses a fresh one.
+
+A pair rule's key is its id, its reader reads and its writer reads, so it
+splits into a writer half (the id and the writer reads) and a reader half.
+``writer_halves`` and ``reader_halves``, compiled from the same reads,
+return all eight halves of one endpoint's QoS in one call.
+``evaluate_pair_rules`` calls them once per distinct QoS and keeps a row
+of results per writer half, by reader half, so the key work is paid per
+endpoint QoS, not per pair: per pair and rule it does one row lookup.
+
 Findings are frozen slotted records (``model.Record``), since a report
 builds one per endpoint or pair a rule fires on.
 """
@@ -89,7 +99,7 @@ import enum
 import math
 import re
 from collections import Counter
-from typing import Callable
+from typing import Callable, Iterable
 
 from .model import (
     Count,
@@ -166,8 +176,9 @@ class Rule:
     the (message, suggestion) of a violation; ``reads`` holds what the rule
     reads, and ``requires_env`` the environment inputs among them.
     ``key``, called like ``outcome``, returns the rule id and the value of
-    each read: equal keys mean equal outcomes.  A plain class, not a
-    record: nothing compares, hashes or copies a rule.
+    each read: equal keys mean equal outcomes.  ``key_parts`` maps each read
+    to its expression in the key.  A plain class, not a record: nothing
+    compares, hashes or copies a rule.
     """
 
     def __init__(
@@ -177,8 +188,8 @@ class Rule:
         self.id, self.identifier, self.stage, self.severity = id, identifier, stage, severity
         self.scope, self.condition = scope, condition
         self.message, self.suggestion, self.exemption = message, suggestion, exemption
-        self.outcome, self.key, reads = _compile(self)
-        self.reads = frozenset(reads)
+        self.outcome, self.key, self.key_parts = _compile(self)
+        self.reads = frozenset(self.key_parts)
         self.requires_env = self.reads & {"rtt", "pp"}
 
     def __repr__(self) -> str:
@@ -412,6 +423,28 @@ def _compile(rule: Rule) -> tuple[Callable, Callable, dict[str, str]]:
         namespace,
     )
     return namespace[f"rule_{rule.id}"], namespace[f"key_{rule.id}"], reads
+
+
+def _compile_halves(rules: tuple[Rule, ...]) -> tuple[Callable, Callable]:
+    """``writer_halves(w)`` and ``reader_halves(r)``: each returns one half of
+    every pair rule's key, in rule order, from one endpoint's QoS.
+
+    A rule's key is its id, its reader reads, then its writer reads (the
+    reads sorted by name), so a writer half is the id and the writer reads,
+    and a reader half the reader reads, a single read as its bare value.
+    """
+    functions = []
+    for side, param in (("writer", "w"), ("reader", "r")):
+        halves = []
+        for rule in rules:
+            parts = [rule.key_parts[read] for read in sorted(rule.key_parts) if read.startswith(f"{side} ")]
+            if side == "writer":
+                parts.insert(0, str(rule.id))
+            halves.append(parts[0] if len(parts) == 1 else "(" + "".join(f"{part}, " for part in parts) + ")")
+        namespace: dict = {}
+        exec(f"def {side}_halves({param}):\n    return ({', '.join(halves)},)\n", namespace)
+        functions.append(namespace[f"{side}_halves"])
+    return tuple(functions)
 
 
 # -- the catalog -------------------------------------------------------------
@@ -800,6 +833,9 @@ def rules_for_stage(stage: int) -> tuple[Rule, ...]:
     return _BY_STAGE.get(stage, ())
 
 
+writer_halves, reader_halves = _compile_halves(_BY_STAGE[2])
+
+
 # -- evaluation --------------------------------------------------------------
 
 
@@ -856,9 +892,10 @@ def applicable_to(rule: Rule, kind: EndpointKind) -> bool:
     return kind is wanted
 
 
-# Stage-1/3 rules that apply to each endpoint kind, in id order.
-_APPLICABLE: dict[tuple[int, EndpointKind], tuple[Rule, ...]] = {
-    (stage, kind): tuple(rule for rule in rules_for_stage(stage) if applicable_to(rule, kind))
+# Stage-1/3 rules that apply to each endpoint kind, in id order, by (stage,
+# the kind's value): a string hashes in C, an Enum member in Python.
+_APPLICABLE: dict[tuple[int, str], tuple[Rule, ...]] = {
+    (stage, kind._value_): tuple(rule for rule in rules_for_stage(stage) if applicable_to(rule, kind))
     for stage in (1, 3)
     for kind in EndpointKind
 }
@@ -866,8 +903,9 @@ _APPLICABLE: dict[tuple[int, EndpointKind], tuple[Rule, ...]] = {
 
 # A rule's entity-free results by its key: None (clean), a SkipReason, or a
 # violation's (message, suggestion).  One map serves every rule, since each
-# key starts with its rule's id.
-Memo = dict[tuple, SkipReason | tuple[str, str] | None]
+# key starts with its rule's id; a pair rule's results sit in a row under
+# each writer half, by reader half.
+Memo = dict[tuple, SkipReason | tuple[str, str] | None | dict]
 _UNSEEN = object()
 
 
@@ -909,21 +947,65 @@ def evaluate_endpoint_rules(
     each rule's result looked up in ``memo`` (a fresh one when None)."""
     # _APPLICABLE holds only the rules whose scope admits this kind.
     return _findings(
-        _APPLICABLE.get((stage, endpoint.endpoint_kind), ()), (endpoint.qos, rtt, pp),
+        _APPLICABLE.get((stage, endpoint.endpoint_kind._value_), ()), (endpoint.qos, rtt, pp),
         (endpoint,), endpoint.topic_name, {} if memo is None else memo,
     )
 
 
 def evaluate_pair_rules(
-    writer: EndpointProfile, reader: EndpointProfile, memo: Memo | None = None
+    pairs: Iterable[tuple[EndpointProfile, EndpointProfile]], memo: Memo | None = None
 ) -> list[Finding]:
-    """The findings of the stage-2 RxO rules (20-27) for one writer/reader pair,
-    each rule's result looked up in ``memo`` as ``evaluate_endpoint_rules`` does."""
-    if writer.endpoint_kind is not EndpointKind.DATA_WRITER:
-        raise ValueError(f"{writer.profile_name!r} is not a DataWriter")
-    if reader.endpoint_kind is not EndpointKind.DATA_READER:
-        raise ValueError(f"{reader.profile_name!r} is not a DataReader")
-    return _findings(
-        _BY_STAGE[2], (writer.qos, reader.qos), (writer, reader), pair_topic(writer, reader),
-        {} if memo is None else memo,
-    )
+    """The findings of the stage-2 RxO rules (20-27) on each (writer, reader)
+    pair, pair by pair in the order given and in rule order within a pair.
+
+    Each distinct writer or reader QoS has its halves of every rule's key
+    computed once, and each rule's result is kept in ``memo`` (a fresh one
+    when None) in the row of its writer half, by its reader half: it is
+    computed once per distinct pair of halves.  The halves and rows are
+    found by QoS identity in tables that live only in this call, which holds
+    each QoS it looks up, so no id is reused while they do.
+    """
+    memo = {} if memo is None else memo
+    rules = _BY_STAGE[2]
+    rows_by_writer: dict[int, list[dict]] = {}
+    halves_by_reader: dict[int, tuple] = {}
+    held = []  # each QoS keyed by identity, alive until the call returns
+    findings: list[Finding] = []
+    append = findings.append
+    writer_kind, reader_kind = EndpointKind.DATA_WRITER, EndpointKind.DATA_READER
+    for writer, reader in pairs:
+        if writer.endpoint_kind is not writer_kind:
+            raise ValueError(f"{writer.profile_name!r} is not a DataWriter")
+        if reader.endpoint_kind is not reader_kind:
+            raise ValueError(f"{reader.profile_name!r} is not a DataReader")
+        w, r = writer.qos, reader.qos
+        rows = rows_by_writer.get(id(w))
+        if rows is None:
+            rows = rows_by_writer[id(w)] = []
+            for half in writer_halves(w):
+                row = memo.get(half)
+                if row is None:
+                    row = memo[half] = {}
+                rows.append(row)
+            held.append(w)
+        halves = halves_by_reader.get(id(r))
+        if halves is None:
+            halves = halves_by_reader[id(r)] = reader_halves(r)
+            held.append(r)
+        entities = (writer, reader)  # one tuple for the pair's findings
+        # pair_topic, written out: a call per pair costs more than the test
+        topic_name = writer.topic_name if writer.topic_name == reader.topic_name else None
+        for rule, row, half in zip(rules, rows, halves):
+            result = row.get(half, _UNSEEN)
+            if result is _UNSEEN:
+                result = row[half] = rule.outcome(w, r)
+            if result is None:
+                continue
+            if result.__class__ is SkipReason:
+                append(SkippedRule(rule.id, rule.identifier, rule.stage, entities, result))
+            else:
+                message, suggestion = result
+                append(Violation(
+                    rule.id, rule.identifier, rule.stage, rule.severity, entities, topic_name, message, suggestion
+                ))
+    return findings

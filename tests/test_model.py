@@ -168,7 +168,7 @@ def test_history_depth_must_be_positive():
 
 
 @pytest.mark.parametrize("attribute", list(POLICIES))
-def test_policy_declaration_builds_a_frozen_importable_dataclass(attribute):
+def test_policy_declaration_builds_a_frozen_importable_record(attribute):
     import qos_chain_guard.model as model
 
     cls = POLICIES[attribute]

@@ -57,7 +57,9 @@ from qos_chain_guard.rules import (
     applicable_to,
     evaluate_endpoint_rules,
     evaluate_pair_rules,
+    reader_halves,
     rules_for_stage,
+    writer_halves,
 )
 
 from support import (
@@ -225,7 +227,7 @@ def test_skip_accounting_per_endpoint():
             ]
     assert evaluate_endpoint_rules(r, 1) == []
     assert len(rules_for_stage(2)) == 8
-    assert evaluate_pair_rules(w, r) == []
+    assert evaluate_pair_rules([(w, r)]) == []
     # Stage totals over one writer + one reader + one pair: 23 + 21 + 8.
     writer_rules = sum(
         1 for s in (1, 3) for rule in rules_for_stage(s) if applicable_to(rule, w.endpoint_kind)
@@ -452,6 +454,24 @@ def test_fail_level_counting():
     assert report.count_at_or_above("info") == 3
 
 
+def test_summary_is_counted_from_the_findings_of_each_new_report():
+    ps = profile_set(
+        writer("w1", reliability=reliability(ReliabilityKind.BEST_EFFORT), topic="t"),
+        reader("r1", reliability=reliability(ReliabilityKind.RELIABLE), topic="t"),
+    )
+    report = run_pipeline(ps)
+    levels = [v.severity.level for v in report.violations]
+    assert report.summary == {
+        "errors": levels.count("error"), "warnings": levels.count("warning"),
+        "infos": levels.count("info"), "skipped": len(report.skipped),
+    }
+    assert report.summary["errors"] == 1 and len(report.skipped) > 2
+    # A copy with other findings counts its own, whatever summary it is handed.
+    emptied = replace(report, violations=(), skipped=report.skipped[:2])
+    assert emptied.summary == {"errors": 0, "warnings": 0, "infos": 0, "skipped": 2}
+    assert emptied.count_at_or_above("info") == 0
+
+
 # -- report order --------------------------------------------------------------
 
 
@@ -604,7 +624,7 @@ def _reference_outcomes(ps: ProfileSet, env: EnvironmentModel, plan) -> list:
             pp = env.publish_period_for(endpoint.profile_name)
             outcomes += evaluate_endpoint_rules(endpoint, stage, rtt=env.rtt, pp=pp)
     for pairing in plan:
-        outcomes += evaluate_pair_rules(ps.profiles[pairing.writer], ps.profiles[pairing.reader])
+        outcomes += evaluate_pair_rules([(ps.profiles[pairing.writer], ps.profiles[pairing.reader])])
     return outcomes
 
 
@@ -651,28 +671,42 @@ def test_class_evaluation_runs_once_per_class(monkeypatch):
     plan = build_pairing_plan(ps, [("cam_b", "strict_b")])
     # Classes by value, so an evaluation per member would show as a repeat.
     evaluated: dict[int, list] = {1: [], 2: [], 3: []}
-    endpoint_rules, pair_rules = pipeline.evaluate_endpoint_rules, pipeline.evaluate_pair_rules
+    endpoint_rules = pipeline.evaluate_endpoint_rules
 
     def counted_endpoint_rules(endpoint, stage, rtt=None, pp=None, memo=None):
         evaluated[stage].append((endpoint.endpoint_kind, endpoint.qos, pp))
         return endpoint_rules(endpoint, stage, rtt=rtt, pp=pp, memo=memo)
 
-    def counted_pair_rules(writer, reader, memo=None):
-        evaluated[2].append((writer.qos, reader.qos))
-        return pair_rules(writer, reader, memo=memo)
+    # Stage 2 computes each rule's result once per (rule, writer half, reader half).
+    def counted_outcome(index, rule):
+        outcome = rule.outcome
+
+        def counted(w, r):
+            evaluated[2].append((rule.id, writer_halves(w)[index], reader_halves(r)[index]))
+            return outcome(w, r)
+
+        return counted
 
     monkeypatch.setattr(pipeline, "evaluate_endpoint_rules", counted_endpoint_rules)
-    monkeypatch.setattr(pipeline, "evaluate_pair_rules", counted_pair_rules)
+    for index, rule in enumerate(rules_for_stage(2)):
+        monkeypatch.setattr(rule, "outcome", counted_outcome(index, rule))
     run_pipeline(ps, env, plan)
 
     endpoint_classes = {
         (e.endpoint_kind, e.qos, env.publish_period_for(e.profile_name)) for e in ps.profiles.values()
     }
-    pair_classes = {(ps.profiles[p.writer].qos, ps.profiles[p.reader].qos) for p in plan}
-    # Fewer classes than members, or the gate would show nothing.
-    assert (len(endpoint_classes), len(pair_classes)) == (4, 2)
+    pair_halves = {
+        (rule.id, w_half, r_half)
+        for p in plan
+        for rule, w_half, r_half in zip(
+            rules_for_stage(2), writer_halves(ps.profiles[p.writer].qos), reader_halves(ps.profiles[p.reader].qos)
+        )
+    }
+    # Fewer classes than members, or the gate would show nothing: 10 results
+    # against 16 for one per pair class and rule, and 24 for one per pair and rule.
+    assert (len(endpoint_classes), len(pair_halves)) == (4, 10)
     assert (len(ps.profiles), len(plan)) == (6, 3)
-    for stage, classes in ((1, endpoint_classes), (2, pair_classes), (3, endpoint_classes)):
+    for stage, classes in ((1, endpoint_classes), (2, pair_halves), (3, endpoint_classes)):
         assert len(evaluated[stage]) == len(classes)
         assert set(evaluated[stage]) == classes
 

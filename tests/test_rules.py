@@ -30,8 +30,10 @@ from qos_chain_guard.rules import (
     evaluate_pair_rules,
     evaluate_rule,
     get_rule,
+    reader_halves,
     rule_catalog,
     rules_for_stage,
+    writer_halves,
 )
 
 from catalog_fixture import EXPECTED_CATALOG, EXPECTED_ENV
@@ -431,12 +433,15 @@ def test_scope_mismatch_is_a_programmer_error():
 
 def test_evaluate_pair_rules_covers_stage_two():
     assert [rule.id for rule in rules_for_stage(2)] == list(range(20, 28))
-    assert evaluate_pair_rules(writer(), reader()) == []
+    assert evaluate_pair_rules([(writer(), reader())]) == []
+    assert evaluate_pair_rules([]) == []
 
 
 def test_evaluate_pair_rules_rejects_kind_mismatch():
     with pytest.raises(ValueError):
-        evaluate_pair_rules(reader(), reader())
+        evaluate_pair_rules([(reader(), reader())])
+    with pytest.raises(ValueError):
+        evaluate_pair_rules([(writer(), reader()), (writer(), writer())])
 
 
 # -- the stage evaluators against the per-rule path ----------------------------
@@ -455,7 +460,7 @@ def test_evaluate_pair_rules_matches_evaluate_rule(rule_id):
         for reader_topic in ("scan", "other"):  # a shared topic, and none
             w, r = writer(**case.writer), reader(topic=reader_topic, **case.reader)
             expected = [evaluate_rule(rule, writer=w, reader=r) for rule in rules_for_stage(2)]
-            assert evaluate_pair_rules(w, r) == [o for o in expected if o is not None]
+            assert evaluate_pair_rules([(w, r)]) == [o for o in expected if o is not None]
 
 
 @pytest.mark.parametrize("rule_id", sorted(RULE_FIXTURES))
@@ -481,7 +486,7 @@ def test_evaluate_endpoint_rules_matches_evaluate_rule(rule_id):
 def test_findings_name_the_endpoint_objects():
     violating, _ = RULE_FIXTURES[20]
     w, r = writer(**violating.writer), reader(**violating.reader)
-    pair = evaluate_pair_rules(w, r)[0].entities
+    pair = evaluate_pair_rules([(w, r)])[0].entities
     assert pair[0] is w and pair[1] is r
     (entity,) = evaluate_endpoint_rules(r, 3)[0].entities  # skipped: no pp
     assert entity is r
@@ -534,12 +539,42 @@ def test_keyed_endpoint_results_match_each_rules_outcome(base, other):
 def test_keyed_pair_results_match_each_rules_outcome(w, r, other_w, other_r):
     memo: dict = {}
     states = [(s, r) for s in _one_field_changes(w, other_w)] + [(w, s) for s in _one_field_changes(r, other_r)]
+    pairs, all_expected = [], []
     for writer_record, reader_record in states:
         w_endpoint = build_endpoint(writer_record, EndpointKind.DATA_WRITER, "w")
         r_endpoint = build_endpoint(reader_record, EndpointKind.DATA_READER, "r")
         expected = [evaluate_rule(rule, writer=w_endpoint, reader=r_endpoint) for rule in rules_for_stage(2)]
-        found = evaluate_pair_rules(w_endpoint, r_endpoint, memo=memo)
-        assert found == [o for o in expected if o is not None], (writer_record, reader_record)
+        expected = [o for o in expected if o is not None]
+        found = evaluate_pair_rules([(w_endpoint, r_endpoint)], memo=memo)
+        assert found == expected, (writer_record, reader_record)
+        pairs.append((w_endpoint, r_endpoint))
+        all_expected += expected
+    # All the states in one call: its tables by identity, and the findings in pair order.
+    assert evaluate_pair_rules(pairs) == all_expected
+
+
+def test_key_halves_reproduce_each_pair_rules_key():
+    cases = [case for fixture in RULE_FIXTURES.values() for case in fixture]
+    writers, readers = [writer(**case.writer) for case in cases], [reader(**case.reader) for case in cases]
+    assert len(writers) > 50 and len({repr(w.qos) for w in writers}) > 10  # several, and distinct
+    for w in writers:
+        for r in readers:
+            for rule, w_half, r_half in zip(rules_for_stage(2), writer_halves(w.qos), reader_halves(r.qos)):
+                reader_reads = sum(read.startswith("reader ") for read in rule.reads)
+                reader_values = (r_half,) if reader_reads == 1 else r_half
+                assert w_half[0] == rule.id and len(reader_values) == reader_reads
+                assert (w_half[0], *reader_values, *w_half[1:]) == rule.key(w.qos, r.qos), rule.id
+
+
+def _assert_c_hashed(key: tuple) -> None:
+    """Every value in ``key``, through nested tuples, has a hash written in C."""
+    values = list(key)
+    while values:
+        value = values.pop()
+        if type(value) is tuple:
+            values += value
+        else:
+            assert type(value) in (int, bool, str, type(None)), (key, value)
 
 
 def test_keys_hold_only_values_with_c_hashes():
@@ -547,13 +582,8 @@ def test_keys_hold_only_values_with_c_hashes():
     for rule in rule_catalog():
         key = rule.key(w.qos, r.qos) if rule.scope is RuleScope.PAIR else rule.key(w.qos, ms(100), None)
         assert key[0] == rule.id and len(key) == 1 + len(rule.reads)
-        values = list(key)
-        while values:
-            value = values.pop()
-            if type(value) is tuple:
-                values += value
-            else:
-                assert type(value) in (int, bool, str, type(None)), (rule.id, value)
+        _assert_c_hashed(key)
+    _assert_c_hashed(writer_halves(w.qos) + reader_halves(r.qos))
 
 
 # -- finding records ------------------------------------------------------------
