@@ -8,9 +8,13 @@ schema in ``profiles`` and the condition operands in ``rules`` all derive
 from them.
 
 Every record of the package, here and in the other modules, is a
-``Record``: a frozen slotted class with value equality.  The standard
-library's record decorator is not used: importing it loads ``inspect``, and
-each class it builds costs about a millisecond, at every start-up.
+``Record``: a frozen class with value equality.  Most are slotted classes.
+The findings (``rules.Violation`` and ``rules.SkippedRule``) are
+tuple-backed: construction is a check's most frequent record operation,
+and one ``tuple.__new__`` call builds a finding in two fifths of the time
+a slotted ``__init__`` takes.  The standard library's record
+decorator is not used: importing it loads ``inspect``, and each class it
+builds costs about a millisecond, at every start-up.
 
 Durations and counts carry explicit infinity sentinels, kind enumerations
 expose the RxO orderings, and ``resolve_defaults`` fills absent policies
@@ -21,6 +25,7 @@ value.
 from __future__ import annotations
 
 import enum
+from _collections import _tuplegetter
 from operator import attrgetter
 from typing import Callable
 
@@ -52,11 +57,15 @@ def shorten_literal(value: object) -> str:
 
 class _RecordType(type):
     """The metaclass of ``Record``: a subclass's annotated names become its
-    fields, in order, each a slot, and its class-body values their defaults.
+    fields, in order, and its class-body values their defaults.
 
-    The class keyword ``uncompared`` names fields that equality and hashing
-    leave out.  A body's ``_check(self)`` validates each new instance, and a
-    body may define its own ``__init__``.
+    Each field is a slot; in a class with ``tuple`` among its bases, each
+    is an item of the tuple, read through a C ``_tuplegetter``.  A tuple
+    subtype cannot declare non-empty slots, so its ``__slots__`` is set
+    after the class is made, and still lists its fields.  The class keyword
+    ``uncompared`` names fields that equality and hashing leave out.  A
+    body's ``_check(self)`` validates each new instance, and a slotted
+    record's body may define its own ``__init__``.
     """
 
     def __new__(meta, name: str, bases: tuple, namespace: dict, *, uncompared: tuple = ()):
@@ -64,11 +73,19 @@ class _RecordType(type):
             return super().__new__(meta, name, bases, namespace)
         names = tuple(namespace.get("__annotations__", ()))
         defaults = tuple(namespace.pop(field) for field in names if field in namespace)
-        namespace["__slots__"] = names
         namespace["_compared"] = tuple(field for field in names if field not in uncompared)
+        check = namespace.get("_check")
+        if tuple in bases:
+            namespace["__slots__"] = ()
+            namespace.update((field, _tuplegetter(index, None)) for index, field in enumerate(names))
+            cls = super().__new__(meta, name, bases, namespace)
+            cls.__slots__ = names
+            cls.__new__ = staticmethod(_constructor(cls, defaults, check))
+            return cls
+        namespace["__slots__"] = names
         cls = super().__new__(meta, name, bases, namespace)
         if "__init__" not in namespace:
-            cls.__init__ = _init(cls, defaults, namespace.get("_check"))
+            cls.__init__ = _constructor(cls, defaults, check)
         return cls
 
 
@@ -81,22 +98,33 @@ def _methods(cls: _RecordType, source: str, namespace: dict, *names: str) -> lis
     return methods
 
 
-def _init(cls: _RecordType, defaults: tuple, check: Callable | None) -> Callable:
-    """``cls.__init__``: its fields as parameters, ``defaults`` for the last.
+def _constructor(cls: _RecordType, defaults: tuple, check: Callable | None) -> Callable:
+    """``cls.__init__``, or ``cls.__new__`` for a tuple-backed record: its
+    fields as parameters, ``defaults`` for the last.
 
     Construction is a check's most frequent record operation, so each class
-    gets its own, which sets each slot through its member descriptor: about
-    half the cost of an ``object.__setattr__`` call by name.
+    gets its own.  A slotted record's sets each slot through its member
+    descriptor: about half the cost of an ``object.__setattr__`` call by
+    name.  A tuple-backed record's is one ``tuple.__new__`` call, which the
+    evaluators also make directly.
     """
     names = cls.__slots__
-    namespace: dict[str, object] = {f"set_{name}": getattr(cls, name).__set__ for name in names}
-    lines = [f"def __init__(self, {', '.join(names)}):", *(f"    set_{name}(self, {name})" for name in names)]
+    params = ", ".join(names)
+    tupled = issubclass(cls, tuple)
+    if tupled:
+        method, namespace = "__new__", {"new": tuple.__new__}
+        lines = [f"def __new__(cls, {params}):", f"    self = new(cls, ({params},))"]
+    else:
+        method, namespace = "__init__", {f"set_{name}": getattr(cls, name).__set__ for name in names}
+        lines = [f"def __init__(self, {params}):", *(f"    set_{name}(self, {name})" for name in names)]
     if check is not None:
         namespace["check"] = check
         lines.append("    check(self)")
-    [init] = _methods(cls, "\n".join(lines), namespace, "__init__")
-    init.__defaults__ = defaults or None
-    return init
+    if tupled:
+        lines.append("    return self")
+    [constructor] = _methods(cls, "\n".join(lines), namespace, method)
+    constructor.__defaults__ = defaults or None
+    return constructor
 
 
 def _comparisons(cls: _RecordType) -> _RecordType:
@@ -105,14 +133,16 @@ def _comparisons(cls: _RecordType) -> _RecordType:
     Each reads the compared fields into a tuple, whose comparison skips the
     fields two records share; that is faster than any method written once
     for every record.  Made on a class's first comparison or hash, so the
-    records a run never compares cost nothing.
+    records a run never compares cost nothing.  A tuple-backed record is
+    unequal to any other class outright: with ``NotImplemented``, a plain
+    tuple would compare its items with the record's fields.
     """
     mine = "".join(f"self.{name}, " for name in cls._compared)
     eq, hash_ = _methods(
         cls,
         "def __eq__(self, other):\n"
         "    if other.__class__ is not self.__class__:\n"
-        "        return NotImplemented\n"
+        f"        return {'False' if issubclass(cls, tuple) else 'NotImplemented'}\n"
         f"    return ({mine}) == ({mine.replace('self.', 'other.')})\n"
         "def __hash__(self):\n"
         f"    return hash(({mine}))\n",
@@ -125,7 +155,7 @@ def _comparisons(cls: _RecordType) -> _RecordType:
 
 
 class Record(metaclass=_RecordType):
-    """A frozen slotted value record.
+    """A frozen value record, slotted or tuple-backed.
 
     ``repr`` lists every field; equality needs the same class and equal
     compared fields, and the hash is over those same fields.  Assigning or
@@ -140,6 +170,9 @@ class Record(metaclass=_RecordType):
 
     def __eq__(self, other: object) -> bool:
         return _comparisons(type(self)).__eq__(self, other)
+
+    # The inverse of ``__eq__``, also where ``tuple.__ne__`` would come next.
+    __ne__ = object.__ne__
 
     def __hash__(self) -> int:
         return _comparisons(type(self)).__hash__(self)

@@ -69,28 +69,34 @@ entity and finds the topic once per call, and returns the findings of a
 stage in rule order.  ``evaluate_pair_rules`` is the whole of stage 2: it
 takes a run's pairs and returns their findings pair by pair, each pair's in
 rule order.  A finding names each endpoint by its ``EndpointProfile``:
-``(endpoint,)`` or ``(writer, reader)``.
+``(endpoint,)`` or ``(writer, reader)``.  A result becomes a finding in
+``_findings`` for stages 1 and 3 and in the pair loop of
+``evaluate_pair_rules`` for stage 2, where a call per pair costs more than
+the loop's work; ``evaluate_rule`` goes through its rule's stage's.
 
-Keys: the compiler also derives ``Rule.key``, called like ``outcome``, in
-the same ``exec``.  It returns the rule id and the value of each read, as
-plain values whose hashes are C code (``Duration.nanoseconds``,
-``Count.value``, an enumeration's ``_value_``, bools, ints and name tuples,
--1 for an absent ``rtt`` or ``pp``); each read's expression is built where
-the compiler records the read.  By the invariant, equal keys mean
-equal ``outcome`` results, so the stage evaluators keep each result in a
-memo by its key and compute it once per distinct key; ``run_pipeline``
-passes one memo per run, and a call without one uses a fresh one.
+Keys: the compiler also derives ``Rule.key`` for a single-endpoint rule,
+called like ``outcome``, in the same ``exec``.  It returns the rule id and
+the value of each read, as plain values whose hashes are C code
+(``Duration.nanoseconds``, ``Count.value``, an enumeration's ``_value_``,
+bools, ints and name tuples, -1 for an absent ``rtt`` or ``pp``); each
+read's expression is built where the compiler records the read.  By the
+invariant, equal keys mean equal ``outcome`` results, so the stage
+evaluators keep each result in a memo by its key and compute it once per
+distinct key; ``run_pipeline`` passes one memo per run, and a call
+without one uses a fresh one.
 
-A pair rule's key is its id, its reader reads and its writer reads, so it
-splits into a writer half (the id and the writer reads) and a reader half.
+A pair rule's key is its id, its reader reads and its writer reads, which
+stage 2 splits into a writer half (the id and the writer reads) and a
+reader half, its one key form: a pair rule has no ``Rule.key``.
 ``writer_halves`` and ``reader_halves``, compiled from the same reads,
 return all eight halves of one endpoint's QoS in one call.
 ``evaluate_pair_rules`` calls them once per distinct QoS and keeps a row
 of results per writer half, by reader half, so the key work is paid per
 endpoint QoS, not per pair: per pair and rule it does one row lookup.
 
-Findings are frozen slotted records (``model.Record``), since a report
-builds one per endpoint or pair a rule fires on.
+Findings are frozen tuple-backed records (``model.Record``), since a report
+builds one per endpoint or pair a rule fires on: one ``tuple.__new__``
+call each.
 """
 
 from __future__ import annotations
@@ -141,7 +147,7 @@ class SkipReason(enum.Enum):
     INFINITE_LIFESPAN_EXEMPTION = "InfiniteLifespanExemption"
 
 
-class Violation(Record):
+class Violation(Record, tuple):
     """One rule firing on an endpoint or a pair: its level, message and repair."""
 
     rule_id: int
@@ -154,7 +160,7 @@ class Violation(Record):
     suggestion: str
 
 
-class SkippedRule(Record):
+class SkippedRule(Record, tuple):
     """One rule left undecided on an endpoint or a pair, and why."""
 
     rule_id: int
@@ -176,9 +182,10 @@ class Rule:
     the (message, suggestion) of a violation; ``reads`` holds what the rule
     reads, and ``requires_env`` the environment inputs among them.
     ``key``, called like ``outcome``, returns the rule id and the value of
-    each read: equal keys mean equal outcomes.  ``key_parts`` maps each read
-    to its expression in the key.  A plain class, not a record: nothing
-    compares, hashes or copies a rule.
+    each read: equal keys mean equal outcomes; it is None for a pair rule,
+    keyed by its halves (``writer_halves``, ``reader_halves``).
+    ``key_parts`` maps each read to its expression in the key.  A plain
+    class, not a record: nothing compares, hashes or copies a rule.
     """
 
     def __init__(
@@ -397,8 +404,9 @@ def _text(text: str | tuple[tuple[str, str] | str, ...], pair: bool, reads: dict
     )
 
 
-def _compile(rule: Rule) -> tuple[Callable, Callable, dict[str, str]]:
-    """``rule.outcome``, ``rule.key`` and everything the rule reads."""
+def _compile(rule: Rule) -> tuple[Callable, Callable | None, dict[str, str]]:
+    """``rule.outcome``, ``rule.key`` (None for a pair rule, keyed by its
+    halves instead) and everything the rule reads."""
     pair = rule.scope is RuleScope.PAIR
     reads: dict[str, str] = {}
     condition = _condition(rule.condition, pair, reads)
@@ -416,13 +424,12 @@ def _compile(rule: Rule) -> tuple[Callable, Callable, dict[str, str]]:
     lines += [f"if not ({condition}): return None", f"return {texts}"]
     namespace = dict(_NAMESPACE)
     params = "w, r" if pair else "q, rtt, pp"
-    key = ", ".join([str(rule.id), *(reads[read] for read in sorted(reads))])
-    exec(
-        f"def rule_{rule.id}({params}):\n" + "".join(f"    {line}\n" for line in lines)
-        + f"def key_{rule.id}({params}):\n    return ({key},)\n",
-        namespace,
-    )
-    return namespace[f"rule_{rule.id}"], namespace[f"key_{rule.id}"], reads
+    source = f"def rule_{rule.id}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    if not pair:
+        key = ", ".join([str(rule.id), *(reads[read] for read in sorted(reads))])
+        source += f"def key_{rule.id}(q, rtt, pp):\n    return ({key},)\n"
+    exec(source, namespace)
+    return namespace[f"rule_{rule.id}"], namespace.get(f"key_{rule.id}"), reads
 
 
 def _compile_halves(rules: tuple[Rule, ...]) -> tuple[Callable, Callable]:
@@ -854,15 +861,18 @@ def evaluate_rule(
 ) -> Finding | None:
     """Evaluate one rule: a Violation, a SkippedRule, or None when clean.
 
-    A single-endpoint rule takes exactly one endpoint, a pair rule both.  A
-    rule is skipped when its exemption applies or when a required
+    A single-endpoint rule takes exactly one endpoint, a pair rule of the
+    catalog both, which it evaluates as stage 2 does, keyed by its halves.
+    A rule is skipped when its exemption applies or when a required
     environment input is absent (rtt checked before pp); a scope mismatch
     is a programming error and raises ValueError.
     """
     if rule.scope is RuleScope.PAIR:
         if writer is None or reader is None:
             raise ValueError(f"rule {rule.id} is pair-scoped and needs both endpoints")
-        args, entities, topic_name = (writer.qos, reader.qos), (writer, reader), pair_topic(writer, reader)
+        if _BY_ID.get(rule.id) is not rule:
+            raise ValueError(f"rule {rule.id} is a pair rule outside the catalog")
+        findings = [f for f in evaluate_pair_rules([(writer, reader)]) if f.rule_id == rule.id]
     else:
         if writer is not None and reader is not None:
             raise ValueError(f"rule {rule.id} is single-endpoint but got a pair")
@@ -873,8 +883,7 @@ def evaluate_rule(
         endpoint = writer if writer is not None else reader
         if endpoint is None:
             raise ValueError(f"rule {rule.id} needs an endpoint")
-        args, entities, topic_name = (endpoint.qos, rtt, pp), (endpoint,), endpoint.topic_name
-    findings = _findings((rule,), args, entities, topic_name, {})
+        findings = _findings((rule,), (endpoint.qos, rtt, pp), (endpoint,), endpoint.topic_name, {})
     return findings[0] if findings else None
 
 
@@ -912,13 +921,15 @@ _UNSEEN = object()
 def _findings(
     rules: tuple[Rule, ...], args: tuple, entities: tuple[EndpointProfile, ...], topic_name: str | None, memo: Memo
 ) -> list[Finding]:
-    """The findings of ``rules`` on ``args``, the arguments of their ``outcome``:
-    the one place a result becomes a finding.
+    """The findings of single-endpoint ``rules`` on ``args``, the arguments
+    of their ``outcome``: where a stage-1 or stage-3 result becomes a
+    finding (``evaluate_pair_rules`` holds stage 2's).
 
     Each rule's result is looked up by its key in ``memo``, and computed and
     kept there the first time; a run passes one memo to every call.
     """
     findings = []
+    new = tuple.__new__  # a finding in one C call
     for rule in rules:
         key = rule.key(*args)
         result = memo.get(key, _UNSEEN)
@@ -927,12 +938,12 @@ def _findings(
         if result is None:
             continue
         if result.__class__ is SkipReason:
-            findings.append(SkippedRule(rule.id, rule.identifier, rule.stage, entities, result))
+            findings.append(new(SkippedRule, (rule.id, rule.identifier, rule.stage, entities, result)))
         else:
             message, suggestion = result
-            findings.append(Violation(
+            findings.append(new(Violation, (
                 rule.id, rule.identifier, rule.stage, rule.severity, entities, topic_name, message, suggestion
-            ))
+            )))
     return findings
 
 
@@ -956,7 +967,8 @@ def evaluate_pair_rules(
     pairs: Iterable[tuple[EndpointProfile, EndpointProfile]], memo: Memo | None = None
 ) -> list[Finding]:
     """The findings of the stage-2 RxO rules (20-27) on each (writer, reader)
-    pair, pair by pair in the order given and in rule order within a pair.
+    pair, pair by pair in the order given and in rule order within a pair:
+    where a stage-2 result becomes a finding, in the pair loop itself.
 
     Each distinct writer or reader QoS has its halves of every rule's key
     computed once, and each rule's result is kept in ``memo`` (a fresh one
@@ -971,7 +983,7 @@ def evaluate_pair_rules(
     halves_by_reader: dict[int, tuple] = {}
     held = []  # each QoS keyed by identity, alive until the call returns
     findings: list[Finding] = []
-    append = findings.append
+    append, new = findings.append, tuple.__new__
     writer_kind, reader_kind = EndpointKind.DATA_WRITER, EndpointKind.DATA_READER
     for writer, reader in pairs:
         if writer.endpoint_kind is not writer_kind:
@@ -1002,10 +1014,10 @@ def evaluate_pair_rules(
             if result is None:
                 continue
             if result.__class__ is SkipReason:
-                append(SkippedRule(rule.id, rule.identifier, rule.stage, entities, result))
+                append(new(SkippedRule, (rule.id, rule.identifier, rule.stage, entities, result)))
             else:
                 message, suggestion = result
-                append(Violation(
+                append(new(Violation, (
                     rule.id, rule.identifier, rule.stage, rule.severity, entities, topic_name, message, suggestion
-                ))
+                )))
     return findings

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +19,10 @@ from qos_chain_guard.model import (
     HistoryKind,
     LivelinessKind,
     OwnershipKind,
+    Record,
     ReliabilityKind,
 )
+from qos_chain_guard.pipeline import _file
 from qos_chain_guard.rules import (
     Rule,
     RuleScope,
@@ -429,6 +434,11 @@ def test_scope_mismatch_is_a_programmer_error():
         evaluate_rule(get_rule(1), writer=writer(), reader=reader())
     with pytest.raises(ValueError):
         evaluate_rule(get_rule(1))  # no endpoint
+    with pytest.raises(ValueError, match="is not a DataWriter"):
+        evaluate_rule(get_rule(20), writer=reader(), reader=reader())  # stage 2 checks each kind
+    outside = _rule(RuleScope.PAIR, "writer history.depth > reader history.depth", message="m")
+    with pytest.raises(ValueError, match="outside the catalog"):  # stage 2 keys on the catalog's halves
+        evaluate_rule(outside, writer=writer(), reader=reader())
 
 
 def test_evaluate_pair_rules_covers_stage_two():
@@ -495,11 +505,12 @@ def test_findings_name_the_endpoint_objects():
 
 # -- keyed results --------------------------------------------------------------
 #
-# The stage evaluators look each rule's result up by ``Rule.key``.  A key that
-# misses something the rule reads hands one input the result of another that
-# differs only there.  So each example is a state from the differential
-# test's value pools, then each copy of it with one field taken from a second
-# state, all evaluated through one memo.
+# The stage evaluators look each rule's result up by its key: ``Rule.key``, or
+# a pair rule's writer and reader halves.  A key that misses something the
+# rule reads hands one input the result of another that differs only there.
+# So each example is a state from the differential test's value pools, then
+# each copy of it with one field taken from a second state, all evaluated
+# through one memo.
 
 
 def _one_field_changes(base: dict, other: dict) -> list[dict]:
@@ -553,17 +564,24 @@ def test_keyed_pair_results_match_each_rules_outcome(w, r, other_w, other_r):
     assert evaluate_pair_rules(pairs) == all_expected
 
 
+def _pair_key(rule, w, r) -> tuple:
+    """A pair rule's whole key, from ``Rule.key_parts`` alone: its id, then
+    each read's expression evaluated on ``(w, r)``, the reads sorted by name."""
+    return (rule.id, *(eval(rule.key_parts[read], {"w": w, "r": r}) for read in sorted(rule.key_parts)))
+
+
 def test_key_halves_reproduce_each_pair_rules_key():
     cases = [case for fixture in RULE_FIXTURES.values() for case in fixture]
     writers, readers = [writer(**case.writer) for case in cases], [reader(**case.reader) for case in cases]
     assert len(writers) > 50 and len({repr(w.qos) for w in writers}) > 10  # several, and distinct
+    assert all(rule.key is None for rule in rules_for_stage(2))  # stage 2 keys on the halves alone
     for w in writers:
         for r in readers:
             for rule, w_half, r_half in zip(rules_for_stage(2), writer_halves(w.qos), reader_halves(r.qos)):
                 reader_reads = sum(read.startswith("reader ") for read in rule.reads)
                 reader_values = (r_half,) if reader_reads == 1 else r_half
                 assert w_half[0] == rule.id and len(reader_values) == reader_reads
-                assert (w_half[0], *reader_values, *w_half[1:]) == rule.key(w.qos, r.qos), rule.id
+                assert (w_half[0], *reader_values, *w_half[1:]) == _pair_key(rule, w.qos, r.qos), rule.id
 
 
 def _assert_c_hashed(key: tuple) -> None:
@@ -580,7 +598,7 @@ def _assert_c_hashed(key: tuple) -> None:
 def test_keys_hold_only_values_with_c_hashes():
     w, r = writer(), reader()
     for rule in rule_catalog():
-        key = rule.key(w.qos, r.qos) if rule.scope is RuleScope.PAIR else rule.key(w.qos, ms(100), None)
+        key = _pair_key(rule, w.qos, r.qos) if rule.scope is RuleScope.PAIR else rule.key(w.qos, ms(100), None)
         assert key[0] == rule.id and len(key) == 1 + len(rule.reads)
         _assert_c_hashed(key)
     _assert_c_hashed(writer_halves(w.qos) + reader_halves(r.qos))
@@ -621,3 +639,53 @@ def test_findings_are_frozen_slotted_value_records():
     assert moved == Violation(21, "RELIAB↔RELIAB", 2, Severity.CRITICAL, (), None, "m", "s")
     assert moved != violation and violation.topic_name == "scan"
     assert replace(skip, reason=SkipReason.MISSING_ENV_PP).reason is SkipReason.MISSING_ENV_PP
+
+
+def test_findings_are_tuples_equal_only_to_findings_of_their_class():
+    violation = Violation(21, "RELIAB↔RELIAB", 2, Severity.CRITICAL, (), "scan", "m", "s")
+    skip = SkippedRule(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT)
+
+    class Twin(Record, tuple):  # SkippedRule's fields, another class
+        rule_id: int
+        identifier: str
+        stage: int
+        entities: tuple
+        reason: SkipReason
+
+    twin = Twin(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT)
+    assert tuple(twin) == tuple(skip) and twin.reason is skip.reason
+    for finding in (violation, skip):
+        fields = tuple(getattr(finding, name) for name in finding.__slots__)
+        assert isinstance(finding, tuple) and tuple(finding) == fields
+        assert finding != fields and fields != finding and not finding == fields and not fields == finding
+        assert copy.copy(finding) == finding and pickle.loads(pickle.dumps(finding)) == finding
+    assert violation != skip and skip != twin and twin != skip and not skip == twin
+
+
+def test_evaluators_and_filing_build_the_findings_the_constructors_build():
+    fixture = RULE_FIXTURES[21][0]
+    w, r = writer(**fixture.writer), reader(**fixture.reader)
+    built = evaluate_endpoint_rules(w, 1) + evaluate_pair_rules([(w, r)]) + evaluate_endpoint_rules(w, 3)
+    assert {type(f) for f in built} == {Violation, SkippedRule} and {f.stage for f in built} == {1, 2, 3}
+    other = reader("r2", topic="other")
+    for f in built:
+        rule = get_rule(f.rule_id)
+        result = rule.outcome(w.qos, r.qos) if rule.stage == 2 else rule.outcome(w.qos, None, None)
+        fields = dict(rule_id=rule.id, identifier=rule.identifier, stage=rule.stage)
+        fields["entities"] = (w, r) if rule.stage == 2 else (w,)
+        if type(f) is SkippedRule:
+            expected = SkippedRule(**fields, reason=result)
+        else:
+            message, suggestion = result
+            expected = Violation(
+                **fields, severity=rule.severity, topic_name="scan", message=message, suggestion=suggestion
+            )
+        assert f == expected and repr(f) == repr(expected)
+        violations, skipped = defaultdict(list), defaultdict(list)
+        _file([f], violations, skipped)
+        _file([f], violations, skipped, (other,), "other")
+        kept, moved = violations[f.rule_id] or skipped[f.rule_id]
+        assert kept is f
+        changes = dict(entities=(other,), topic_name="other") if type(f) is Violation else dict(entities=(other,))
+        expected = replace(f, **changes)
+        assert type(moved) is type(f) and moved == expected and repr(moved) == repr(expected)
