@@ -199,11 +199,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise
         return _write_output(printed.getvalue(), EXIT_CLEAN)
     command = {"check": _cmd_check, "rules": _cmd_rules, "graph": _cmd_graph}[args.command]
+    # A command makes no reference cycles that grow with its input (what it
+    # builds is freed by reference counting), so the cyclic collector is
+    # paused, process-wide, while it runs, and turned back on only if it was.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         output, code = command(args)
     except (ProfileLoadError, PairingError, EnvironmentLoadError) as exc:
         print(f"qos-chain-guard: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
     return _write_output(output, code)
 
 
@@ -213,10 +221,9 @@ def run() -> None:
     Once ``main`` is done the process is about to end, so the heap is
     frozen: the interpreter's collections at shutdown then skip it instead
     of walking all that ``check`` imported and built.  ``atexit`` handlers
-    still run.  Not before ``main``: with nothing left in the oldest
-    generation, full collections would fire more often during the check.
-    ``main`` itself, and the Python API, leave the collector as they find
-    it.
+    still run.  ``main`` itself pauses the collector only while its
+    command runs, and turns it back on if it was on; the Python API does
+    not touch it.
     """
     try:
         code = main()

@@ -445,7 +445,7 @@ def _human_report(report: Report, color: bool) -> str:
         for s in report.skipped:
             lines.append(
                 f"  SKIP [rule {s.rule_id} {s.identifier}] "
-                f"{entity_texts.get(id(s.entities)) or entity_list(s.entities)} — {s.reason.value}"
+                f"{entity_texts.get(id(s.entities)) or entity_list(s.entities)} — {s.reason._value_}"
             )
         lines.append("")
 
@@ -523,7 +523,7 @@ def _json_report(report: Report) -> str:
         f'      "level": {enc(v.severity.level)},\n'
         f'      "message": {enc(v.message)},\n'
         f'      "rule_id": {v.rule_id},\n'
-        f'      "severity": {enc(v.severity.value)},\n'
+        f'      "severity": {enc(v.severity._value_)},\n'
         f'      "stage": {v.stage},\n'
         f'      "suggestion": {enc(v.suggestion)},\n'
         f'      "topic": {topic(v.topic_name)}\n'
@@ -537,7 +537,7 @@ def _json_report(report: Report) -> str:
     )
     _add_json_rows(out, (
         "    {\n"
-        f'      "origin": {enc(p.origin.value)},\n'
+        f'      "origin": {enc(p.origin._value_)},\n'
         f'      "reader": {enc(p.reader)},\n'
         f'      "topic": {topic(p.topic_name)},\n'
         f'      "writer": {enc(p.writer)}\n'
@@ -557,7 +557,7 @@ def _json_report(report: Report) -> str:
         "    {\n"
         f'      "entities": [\n{entities(s.entities)}\n      ],\n'
         f'      "identifier": {enc(s.identifier)},\n'
-        f'      "reason": {enc(s.reason.value)},\n'
+        f'      "reason": {enc(s.reason._value_)},\n'
         f'      "rule_id": {s.rule_id},\n'
         f'      "stage": {s.stage}\n'
         "    }"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -12,8 +14,10 @@ from pathlib import Path
 import pytest
 
 import qos_chain_guard
-from qos_chain_guard import __version__
+from qos_chain_guard import __version__, cli
 from qos_chain_guard.cli import main
+
+from support import perfbench_workloads
 
 CLEAN_XML = """<profiles>
   <data_writer profile_name="clean_w"><topic><name>clean/scan</name></topic></data_writer>
@@ -388,6 +392,87 @@ def test_main_leaves_the_collector_alone(fixtures, capsys):
         main(["check"])
     capsys.readouterr()
     assert gc.get_freeze_count() == 0
+
+
+def _main_or_usage_error(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return ("usage error", exc.code)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_on_or_off_as_it_found_it(fixtures, tmp_path, capsys, collecting):
+    bad = tmp_path / "bad.xml"
+    bad.write_text("<profiles><data_writer>", encoding="utf-8")
+    runs = [
+        (["check", fixtures["clean"]], 0),
+        (["check", fixtures["critical"]], 1),
+        (["check", str(bad)], 2),
+        (["check"], ("usage error", 2)),
+        (["rules"], 0),
+    ]
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code in runs:
+            assert _main_or_usage_error(argv) == code
+            assert gc.isenabled() is collecting, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_main_pauses_the_collector_while_the_check_runs(fixtures, monkeypatch, capsys):
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return run_pipeline(*args, **kwargs)
+
+    run_pipeline = cli.run_pipeline
+    monkeypatch.setattr(cli, "run_pipeline", recording)
+    assert gc.isenabled()
+    assert main(["check", fixtures["critical"]]) == 1
+    assert seen == [False]
+    assert gc.isenabled()
+    capsys.readouterr()
+
+
+def _cyclic_garbage(argv):
+    """The exit code of ``main(argv)`` and how many objects it leaves that
+    only the cyclic collector can free."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return code, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("workload_name", ["wide", "class-heavy", "dense", "desk"])
+def test_a_check_makes_no_cyclic_garbage_that_grows_with_its_input(fixtures, tmp_path, workload_name):
+    # What makes pausing the collector safe: the records, findings and
+    # report a check builds are freed by reference counting, so the cyclic
+    # garbage a run leaves is the same on a perfbench workload (seed 7,
+    # hundreds of endpoints) as on a two-endpoint file, report format for
+    # report format, and the same again when a load error ends the run.
+    workloads = perfbench_workloads()
+    workload = workloads.generate(workload_name, 7)
+    argv = workloads.check_argv(workload, workloads.write(workload, str(tmp_path / workload_name)))
+    small = ["check", fixtures["critical"], "--format", workload.fmt]
+    bad = tmp_path / "bad.xml"
+    bad.write_text("<profiles><data_writer>", encoding="utf-8")
+    code, garbage = _cyclic_garbage(argv)
+    assert code == 1
+    assert _cyclic_garbage(small) == (1, garbage)
+    # The load error comes after every file of the workload has been read.
+    code, garbage = _cyclic_garbage(["check", str(bad)])
+    assert code == 2
+    inputs = argv[1:argv.index("--format")]
+    assert _cyclic_garbage(["check", *inputs, str(bad)]) == (2, garbage)
 
 
 def test_cli_phases_times_one_round(fixtures):

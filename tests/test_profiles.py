@@ -1161,7 +1161,7 @@ def test_tree_matches_the_reference_builder_on_fuzz_documents(text):
 
 
 @pytest.mark.parametrize("workload", ["wide", "class-heavy", "dense", "desk"])
-def test_tree_matches_the_reference_builder_on_benchmark_documents(workload):
+def test_walker_matches_the_reference_builder_on_benchmark_documents(workload):
     workloads = perfbench_workloads()
     for endpoints in workloads.generate(workload, 7).files:
         _assert_parses_as_the_reference(workloads.emit_document(endpoints))
