@@ -64,8 +64,7 @@ class _RecordType(type):
     subtype cannot declare non-empty slots, so its ``__slots__`` is set
     after the class is made, and still lists its fields.  The class keyword
     ``uncompared`` names fields that equality and hashing leave out.  A
-    body's ``_check(self)`` validates each new instance, and a slotted
-    record's body may define its own ``__init__``.
+    body's ``_check(self)`` validates each new instance.
     """
 
     def __new__(meta, name: str, bases: tuple, namespace: dict, *, uncompared: tuple = ()):
@@ -84,8 +83,7 @@ class _RecordType(type):
             return cls
         namespace["__slots__"] = names
         cls = super().__new__(meta, name, bases, namespace)
-        if "__init__" not in namespace:
-            cls.__init__ = _constructor(cls, defaults, check)
+        cls.__init__ = _constructor(cls, defaults, check)
         return cls
 
 

@@ -29,7 +29,6 @@ from .model import (
 from .profiles import ParseDiagnostic, ProfileSet
 from .rules import (
     Finding,
-    Memo,
     Severity,
     SkippedRule,
     Violation,
@@ -78,23 +77,13 @@ class EnvironmentModel(Record):
     positive.
     """
 
-    rtt: Duration | None
-    default_publish_period: Duration | None
-    per_profile_publish_period: dict[str, Duration]
+    rtt: Duration | None = None
+    default_publish_period: Duration | None = None
+    per_profile_publish_period: dict[str, Duration] | None = None
 
-    def __init__(
-        self,
-        rtt: Duration | None = None,
-        default_publish_period: Duration | None = None,
-        per_profile_publish_period: dict[str, Duration] | None = None,
-    ) -> None:
-        # Written by hand: the publish-period table defaults to a new dict per model.
-        if per_profile_publish_period is None:
-            per_profile_publish_period = {}
-        set_field = object.__setattr__
-        set_field(self, "rtt", rtt)
-        set_field(self, "default_publish_period", default_publish_period)
-        set_field(self, "per_profile_publish_period", per_profile_publish_period)
+    def _check(self) -> None:
+        if self.per_profile_publish_period is None:  # a new table per model
+            EnvironmentModel.per_profile_publish_period.__set__(self, {})
         for label, value in self._named_durations():
             if value.is_infinite:
                 raise EnvironmentLoadError(f"{label}: must be finite")
@@ -302,9 +291,8 @@ def run_pipeline(
     evaluated are stamped onto every other member with that member's own
     entities and topic.  Classes key on QoS identity; ``parse_profiles``
     interns equal profiles, and an equal but distinct profile only costs
-    one more evaluation.  Within a class evaluation, each rule's result is
-    looked up in one memo per run by what the rule reads.  Stage 2 is one
-    ``evaluate_pair_rules`` call over every pair, through the same memo,
+    one more evaluation.  This class cache is the one cache of stages 1
+    and 3.  Stage 2 is one ``evaluate_pair_rules`` call over every pair,
     which computes each RxO rule once per (rule, writer values, reader
     values).
 
@@ -317,7 +305,6 @@ def run_pipeline(
     env = environment if environment is not None else EnvironmentModel()
     plan = pairings if pairings is not None else build_pairing_plan(profile_set)
     profiles = profile_set.profiles
-    memo: Memo = {}
     violations: dict[int, list[Violation]] = {rule.id: [] for rule in rule_catalog()}
     skipped: dict[int, list[SkippedRule]] = {rule.id: [] for rule in rule_catalog()}
 
@@ -331,14 +318,14 @@ def run_pipeline(
         findings = by_class.get(key)
         if findings is None:
             # The member evaluated first: its findings already name it.
-            findings = by_class[key] = evaluate_endpoint_rules(endpoint, 1, rtt=env.rtt, pp=pp, memo=memo)
-            findings += evaluate_endpoint_rules(endpoint, 3, rtt=env.rtt, pp=pp, memo=memo)
+            findings = by_class[key] = evaluate_endpoint_rules(endpoint, 1, rtt=env.rtt, pp=pp)
+            findings += evaluate_endpoint_rules(endpoint, 3, rtt=env.rtt, pp=pp)
             _file(findings, violations, skipped)
         else:
             _file(findings, violations, skipped, (endpoint,), endpoint.topic_name)
 
     pairs = sorted(((profiles[p.writer], profiles[p.reader]) for p in plan), key=_pair_order)
-    _file(evaluate_pair_rules(pairs, memo=memo), violations, skipped)
+    _file(evaluate_pair_rules(pairs), violations, skipped)
 
     return Report(
         tool_version=__version__,

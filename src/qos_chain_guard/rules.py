@@ -74,25 +74,19 @@ rule order.  A finding names each endpoint by its ``EndpointProfile``:
 ``evaluate_pair_rules`` for stage 2, where a call per pair costs more than
 the loop's work; ``evaluate_rule`` goes through its rule's stage's.
 
-Keys: the compiler also derives ``Rule.key`` for a single-endpoint rule,
-called like ``outcome``, in the same ``exec``.  It returns the rule id and
-the value of each read, as plain values whose hashes are C code
-(``Duration.nanoseconds``, ``Count.value``, an enumeration's ``_value_``,
-bools, ints and name tuples, -1 for an absent ``rtt`` or ``pp``); each
-read's expression is built where the compiler records the read.  By the
-invariant, equal keys mean equal ``outcome`` results, so the stage
-evaluators keep each result in a memo by its key and compute it once per
-distinct key; ``run_pipeline`` passes one memo per run, and a call
-without one uses a fresh one.
-
-A pair rule's key is its id, its reader reads and its writer reads, which
-stage 2 splits into a writer half (the id and the writer reads) and a
-reader half, its one key form: a pair rule has no ``Rule.key``.
-``writer_halves`` and ``reader_halves``, compiled from the same reads,
-return all eight halves of one endpoint's QoS in one call.
-``evaluate_pair_rules`` calls them once per distinct QoS and keeps a row
-of results per writer half, by reader half, so the key work is paid per
-endpoint QoS, not per pair: per pair and rule it does one row lookup.
+Keys: stage 2 keys each pair rule's result on what the rule reads, split
+into a writer half (the rule id and the writer reads) and a reader half.
+The compiler records each read's expression in ``Rule.key_parts``, as a
+plain value whose hash is C code (``Duration.nanoseconds``,
+``Count.value``, an enumeration's ``_value_``, bools, ints and name
+tuples).  ``writer_halves`` and ``reader_halves``, compiled from those
+parts, return all eight halves of one endpoint's QoS in one call.  By the
+invariant, equal halves mean equal ``outcome`` results, so
+``evaluate_pair_rules`` calls them once per distinct QoS and keeps a row of
+results per writer half, by reader half: the key work is paid per endpoint
+QoS, not per pair, and per pair and rule it does one row lookup.  Stages 1
+and 3 keep no results of their own: ``run_pipeline`` evaluates them once
+per QoS class.
 
 Findings are frozen tuple-backed records (``model.Record``), since a report
 builds one per endpoint or pair a rule fires on: one ``tuple.__new__``
@@ -181,11 +175,10 @@ class Rule:
     reader qos)`` for a pair rule, returns None (clean), a SkipReason, or
     the (message, suggestion) of a violation; ``reads`` holds what the rule
     reads, and ``requires_env`` the environment inputs among them.
-    ``key``, called like ``outcome``, returns the rule id and the value of
-    each read: equal keys mean equal outcomes; it is None for a pair rule,
-    keyed by its halves (``writer_halves``, ``reader_halves``).
-    ``key_parts`` maps each read to its expression in the key.  A plain
-    class, not a record: nothing compares, hashes or copies a rule.
+    ``key_parts`` maps each read to the expression of its plain value, from
+    which stage 2's key halves are built (``writer_halves``,
+    ``reader_halves``).  A plain class, not a record: nothing compares,
+    hashes or copies a rule.
     """
 
     def __init__(
@@ -195,7 +188,7 @@ class Rule:
         self.id, self.identifier, self.stage, self.severity = id, identifier, stage, severity
         self.scope, self.condition = scope, condition
         self.message, self.suggestion, self.exemption = message, suggestion, exemption
-        self.outcome, self.key, self.key_parts = _compile(self)
+        self.outcome, self.key_parts = _compile(self)
         self.reads = frozenset(self.key_parts)
         self.requires_env = self.reads & {"rtt", "pp"}
 
@@ -210,7 +203,7 @@ class Rule:
 # check then costs what a hand-written one would.  The texts are the
 # catalog's own constants, never input.  Each helper records what it reads in
 # ``reads``: ``policy.param`` paths (``writer ``/``reader `` prefixed in pair
-# rules), ``rtt`` and ``pp``, each mapped to its expression in the rule's key.
+# rules), ``rtt`` and ``pp``, each mapped to the expression of its plain value.
 
 # ``policy.param`` -> the parameter's OMG default, which gives its type.
 _PARAMETERS = {
@@ -253,7 +246,7 @@ def _plain(value: str, default: object) -> str:
 
 
 def _env(name: str, reads: dict[str, str]) -> None:
-    """Record a read of ``rtt`` or ``pp``: -1 in the key when absent, as a duration is never negative."""
+    """Record a read of ``rtt`` or ``pp``: -1 when absent, as a duration is never negative."""
     reads[name] = f"-1 if {name} is None else {name}.nanoseconds"
 
 
@@ -404,9 +397,8 @@ def _text(text: str | tuple[tuple[str, str] | str, ...], pair: bool, reads: dict
     )
 
 
-def _compile(rule: Rule) -> tuple[Callable, Callable | None, dict[str, str]]:
-    """``rule.outcome``, ``rule.key`` (None for a pair rule, keyed by its
-    halves instead) and everything the rule reads."""
+def _compile(rule: Rule) -> tuple[Callable, dict[str, str]]:
+    """``rule.outcome`` and everything the rule reads."""
     pair = rule.scope is RuleScope.PAIR
     reads: dict[str, str] = {}
     condition = _condition(rule.condition, pair, reads)
@@ -424,12 +416,8 @@ def _compile(rule: Rule) -> tuple[Callable, Callable | None, dict[str, str]]:
     lines += [f"if not ({condition}): return None", f"return {texts}"]
     namespace = dict(_NAMESPACE)
     params = "w, r" if pair else "q, rtt, pp"
-    source = f"def rule_{rule.id}({params}):\n" + "".join(f"    {line}\n" for line in lines)
-    if not pair:
-        key = ", ".join([str(rule.id), *(reads[read] for read in sorted(reads))])
-        source += f"def key_{rule.id}(q, rtt, pp):\n    return ({key},)\n"
-    exec(source, namespace)
-    return namespace[f"rule_{rule.id}"], namespace.get(f"key_{rule.id}"), reads
+    exec(f"def rule_{rule.id}({params}):\n" + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace[f"rule_{rule.id}"], reads
 
 
 def _compile_halves(rules: tuple[Rule, ...]) -> tuple[Callable, Callable]:
@@ -883,7 +871,7 @@ def evaluate_rule(
         endpoint = writer if writer is not None else reader
         if endpoint is None:
             raise ValueError(f"rule {rule.id} needs an endpoint")
-        findings = _findings((rule,), (endpoint.qos, rtt, pp), (endpoint,), endpoint.topic_name, {})
+        findings = _findings((rule,), (endpoint.qos, rtt, pp), (endpoint,), endpoint.topic_name)
     return findings[0] if findings else None
 
 
@@ -910,31 +898,18 @@ _APPLICABLE: dict[tuple[int, str], tuple[Rule, ...]] = {
 }
 
 
-# A rule's entity-free results by its key: None (clean), a SkipReason, or a
-# violation's (message, suggestion).  One map serves every rule, since each
-# key starts with its rule's id; a pair rule's results sit in a row under
-# each writer half, by reader half.
-Memo = dict[tuple, SkipReason | tuple[str, str] | None | dict]
-_UNSEEN = object()
-
-
 def _findings(
-    rules: tuple[Rule, ...], args: tuple, entities: tuple[EndpointProfile, ...], topic_name: str | None, memo: Memo
+    rules: tuple[Rule, ...], args: tuple, entities: tuple[EndpointProfile, ...], topic_name: str | None
 ) -> list[Finding]:
     """The findings of single-endpoint ``rules`` on ``args``, the arguments
     of their ``outcome``: where a stage-1 or stage-3 result becomes a
-    finding (``evaluate_pair_rules`` holds stage 2's).
-
-    Each rule's result is looked up by its key in ``memo``, and computed and
-    kept there the first time; a run passes one memo to every call.
-    """
+    finding (``evaluate_pair_rules`` holds stage 2's).  Each rule's
+    ``outcome`` runs once per call; ``run_pipeline`` makes one call per
+    stage and QoS class."""
     findings = []
     new = tuple.__new__  # a finding in one C call
     for rule in rules:
-        key = rule.key(*args)
-        result = memo.get(key, _UNSEEN)
-        if result is _UNSEEN:
-            result = memo[key] = rule.outcome(*args)
+        result = rule.outcome(*args)
         if result is None:
             continue
         if result.__class__ is SkipReason:
@@ -948,37 +923,33 @@ def _findings(
 
 
 def evaluate_endpoint_rules(
-    endpoint: EndpointProfile,
-    stage: int,
-    rtt: Duration | None = None,
-    pp: Duration | None = None,
-    memo: Memo | None = None,
+    endpoint: EndpointProfile, stage: int, rtt: Duration | None = None, pp: Duration | None = None
 ) -> list[Finding]:
-    """The findings of every scope-applicable single-endpoint rule of a stage,
-    each rule's result looked up in ``memo`` (a fresh one when None)."""
+    """The findings of every scope-applicable single-endpoint rule of a stage."""
     # _APPLICABLE holds only the rules whose scope admits this kind.
     return _findings(
         _APPLICABLE.get((stage, endpoint.endpoint_kind._value_), ()), (endpoint.qos, rtt, pp),
-        (endpoint,), endpoint.topic_name, {} if memo is None else memo,
+        (endpoint,), endpoint.topic_name,
     )
 
 
-def evaluate_pair_rules(
-    pairs: Iterable[tuple[EndpointProfile, EndpointProfile]], memo: Memo | None = None
-) -> list[Finding]:
+_UNSEEN = object()  # a result not computed yet: None is a clean one
+
+
+def evaluate_pair_rules(pairs: Iterable[tuple[EndpointProfile, EndpointProfile]]) -> list[Finding]:
     """The findings of the stage-2 RxO rules (20-27) on each (writer, reader)
     pair, pair by pair in the order given and in rule order within a pair:
     where a stage-2 result becomes a finding, in the pair loop itself.
 
     Each distinct writer or reader QoS has its halves of every rule's key
-    computed once, and each rule's result is kept in ``memo`` (a fresh one
-    when None) in the row of its writer half, by its reader half: it is
-    computed once per distinct pair of halves.  The halves and rows are
-    found by QoS identity in tables that live only in this call, which holds
-    each QoS it looks up, so no id is reused while they do.
+    computed once, and each rule's result is kept in ``memo`` in the row of
+    its writer half, by its reader half: it is computed once per distinct
+    pair of halves in the call.  The halves and rows are found by QoS
+    identity.  All these tables live only in this call, which holds each
+    QoS it looks up, so no id is reused while they do.
     """
-    memo = {} if memo is None else memo
     rules = _BY_STAGE[2]
+    memo: dict[tuple, dict] = {}  # a row of results by reader half, per writer half
     rows_by_writer: dict[int, list[dict]] = {}
     halves_by_reader: dict[int, tuple] = {}
     held = []  # each QoS keyed by identity, alive until the call returns

@@ -536,6 +536,39 @@ def test_check_loads_neither_the_graph_nor_the_web_stack(fixtures):
     assert result["after_graph"] == ["qos_chain_guard.chain"]
 
 
+# Run in a fresh interpreter: import the CLI with ``exec`` recorded.  Prints,
+# as JSON, the module that passed each source string and the functions the
+# source defines.
+_EXEC_PROBE = """
+import builtins, json, re, sys
+
+original, sources = builtins.exec, []
+
+def recorded(source, *args, **kwargs):
+    if isinstance(source, str):
+        sources.append([sys._getframe(1).f_globals["__name__"], re.findall(r"^def (\\w+)\\(", source, re.M)])
+    return original(source, *args, **kwargs)
+
+builtins.exec = recorded
+import qos_chain_guard.cli
+builtins.exec = original
+print(json.dumps(sources))
+"""
+
+
+def test_import_compiles_one_function_per_rule_and_two_for_stage_2():
+    # The start-up path compiles each rule's outcome, then stage 2's halves,
+    # and nothing else for the rules: no per-rule key function.
+    src = str(Path(qos_chain_guard.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", _EXEC_PROBE],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    defined = [names for module, names in json.loads(probe.stdout) if module == "qos_chain_guard.rules"]
+    assert defined == [[f"rule_{n}"] for n in range(1, 42)] + [["writer_halves"], ["reader_halves"]]
+
+
 def test_every_public_name_resolves():
     from qos_chain_guard import ChainGraph, chain_graph, export_chain_graph
     from qos_chain_guard import chain

@@ -123,6 +123,12 @@ def test_sub_nanosecond_environment_values_name_the_resolution(text):
         load_environment(text)
 
 
+def test_each_environment_model_gets_its_own_publish_period_table():
+    first, second = EnvironmentModel(), EnvironmentModel()
+    assert first.per_profile_publish_period == {} and first == EnvironmentModel(None, None, {})
+    assert first.per_profile_publish_period is not second.per_profile_publish_period
+
+
 def test_infinite_environment_durations_are_rejected():
     with pytest.raises(EnvironmentLoadError, match="finite"):
         EnvironmentModel(rtt=Duration.infinite())
@@ -673,9 +679,9 @@ def test_class_evaluation_runs_once_per_class(monkeypatch):
     evaluated: dict[int, list] = {1: [], 2: [], 3: []}
     endpoint_rules = pipeline.evaluate_endpoint_rules
 
-    def counted_endpoint_rules(endpoint, stage, rtt=None, pp=None, memo=None):
+    def counted_endpoint_rules(endpoint, stage, rtt=None, pp=None):
         evaluated[stage].append((endpoint.endpoint_kind, endpoint.qos, pp))
-        return endpoint_rules(endpoint, stage, rtt=rtt, pp=pp, memo=memo)
+        return endpoint_rules(endpoint, stage, rtt=rtt, pp=pp)
 
     # Stage 2 computes each rule's result once per (rule, writer half, reader half).
     def counted_outcome(index, rule):

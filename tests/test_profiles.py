@@ -1207,7 +1207,7 @@ _BAD_DEPTH = "<history><depth>0</depth></history>"
         "infinite_duration", "unnamed_endpoint",
     ],
 )
-def test_tree_matches_the_reference_builder_on_fixed_documents(text):
+def test_walker_matches_the_reference_builder_on_fixed_documents(text):
     _assert_parses_as_the_reference(text)
 
 

@@ -505,12 +505,12 @@ def test_findings_name_the_endpoint_objects():
 
 # -- keyed results --------------------------------------------------------------
 #
-# The stage evaluators look each rule's result up by its key: ``Rule.key``, or
-# a pair rule's writer and reader halves.  A key that misses something the
-# rule reads hands one input the result of another that differs only there.
-# So each example is a state from the differential test's value pools, then
-# each copy of it with one field taken from a second state, all evaluated
-# through one memo.
+# Stage 2 looks each rule's result up by the rule's writer and reader halves.
+# A key that misses something the rule reads hands one input the result of
+# another that differs only there.  So each example is a state from the
+# differential test's value pools, then each copy of it with one field taken
+# from a second state, each checked against the rules one by one.  Stages 1
+# and 3 keep no results by key; their test pins the same states.
 
 
 def _one_field_changes(base: dict, other: dict) -> list[dict]:
@@ -530,7 +530,6 @@ _endpoint_states = st.builds(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_endpoint_states, _endpoint_states)
 def test_keyed_endpoint_results_match_each_rules_outcome(base, other):
-    memo: dict = {}
     for state in _one_field_changes(base, other):
         rtt, pp = _duration(state["rtt"]), _duration(state["pp"])
         for kind, side in ((EndpointKind.DATA_WRITER, "writer"), (EndpointKind.DATA_READER, "reader")):
@@ -541,14 +540,13 @@ def test_keyed_endpoint_results_match_each_rules_outcome(base, other):
                     for rule in rules_for_stage(stage)
                     if applicable_to(rule, kind)
                 ]
-                found = evaluate_endpoint_rules(endpoint, stage, rtt=rtt, pp=pp, memo=memo)
+                found = evaluate_endpoint_rules(endpoint, stage, rtt=rtt, pp=pp)
                 assert found == [o for o in expected if o is not None], (kind, state)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(qos_records(), qos_records(), qos_records(), qos_records())
 def test_keyed_pair_results_match_each_rules_outcome(w, r, other_w, other_r):
-    memo: dict = {}
     states = [(s, r) for s in _one_field_changes(w, other_w)] + [(w, s) for s in _one_field_changes(r, other_r)]
     pairs, all_expected = [], []
     for writer_record, reader_record in states:
@@ -556,11 +554,12 @@ def test_keyed_pair_results_match_each_rules_outcome(w, r, other_w, other_r):
         r_endpoint = build_endpoint(reader_record, EndpointKind.DATA_READER, "r")
         expected = [evaluate_rule(rule, writer=w_endpoint, reader=r_endpoint) for rule in rules_for_stage(2)]
         expected = [o for o in expected if o is not None]
-        found = evaluate_pair_rules([(w_endpoint, r_endpoint)], memo=memo)
+        found = evaluate_pair_rules([(w_endpoint, r_endpoint)])
         assert found == expected, (writer_record, reader_record)
         pairs.append((w_endpoint, r_endpoint))
         all_expected += expected
-    # All the states in one call: its tables by identity, and the findings in pair order.
+    # All the states in one call: its tables by identity, the findings in pair
+    # order, and the rows that the halves of different states share.
     assert evaluate_pair_rules(pairs) == all_expected
 
 
@@ -574,7 +573,6 @@ def test_key_halves_reproduce_each_pair_rules_key():
     cases = [case for fixture in RULE_FIXTURES.values() for case in fixture]
     writers, readers = [writer(**case.writer) for case in cases], [reader(**case.reader) for case in cases]
     assert len(writers) > 50 and len({repr(w.qos) for w in writers}) > 10  # several, and distinct
-    assert all(rule.key is None for rule in rules_for_stage(2))  # stage 2 keys on the halves alone
     for w in writers:
         for r in readers:
             for rule, w_half, r_half in zip(rules_for_stage(2), writer_halves(w.qos), reader_halves(r.qos)):
@@ -597,8 +595,8 @@ def _assert_c_hashed(key: tuple) -> None:
 
 def test_keys_hold_only_values_with_c_hashes():
     w, r = writer(), reader()
-    for rule in rule_catalog():
-        key = _pair_key(rule, w.qos, r.qos) if rule.scope is RuleScope.PAIR else rule.key(w.qos, ms(100), None)
+    for rule in rules_for_stage(2):
+        key = _pair_key(rule, w.qos, r.qos)
         assert key[0] == rule.id and len(key) == 1 + len(rule.reads)
         _assert_c_hashed(key)
     _assert_c_hashed(writer_halves(w.qos) + reader_halves(r.qos))
