@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from ._version import __version__
 from .pipeline import (
@@ -103,7 +103,8 @@ def _use_color(mode: str) -> bool:
         return True
     if mode == "off":
         return False
-    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+    # No stdout (descriptor 1 closed at start-up) is no terminal.
+    return sys.stdout is not None and sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
@@ -113,7 +114,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
             with open(args.env, encoding="utf-8") as handle:
                 environment = load_environment(handle.read())
         except OSError as exc:
-            raise EnvironmentLoadError(f"cannot read environment file {args.env}: {exc}") from exc
+            reason = exc.strerror or exc
+            raise EnvironmentLoadError(f"cannot read environment file {args.env}: {reason}") from exc
         except UnicodeDecodeError as exc:
             raise EnvironmentLoadError(
                 f"cannot read environment file {args.env}: not valid UTF-8 ({exc.reason})"
@@ -161,11 +163,11 @@ def _cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
     return export_chain_graph(args.format), EXIT_CLEAN
 
 
-def _discard_stdout() -> None:
-    """Point stdout at the null device, so that the interpreter's flush at
-    exit drops the unwritten rest instead of failing a second time."""
+def _discard(stream: TextIO) -> None:
+    """Point ``stream`` at the null device, so that the interpreter's flush
+    at exit drops the unwritten rest instead of failing a second time."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):  # not backed by a descriptor
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -173,15 +175,29 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+def _print_error(message: str) -> None:
+    """Write one error line to stderr.  A stderr that is missing or cannot
+    be written loses the line, and the caller's exit code stands."""
+    if sys.stderr is None:  # descriptor 2 closed at start-up
+        return
+    try:
+        print(f"qos-chain-guard: error: {message}", file=sys.stderr, flush=True)
+    except OSError:  # a closed descriptor, a full disk
+        _discard(sys.stderr)
+
+
 def _write_output(output: str, code: int) -> int:
     """Write ``output`` to stdout and return ``code``, or EXIT_USAGE with
     one error line when stdout cannot be written."""
+    if sys.stdout is None:  # descriptor 1 closed at start-up
+        _print_error("cannot write output: stdout is closed")
+        return EXIT_USAGE
     try:
         sys.stdout.write(output)
         sys.stdout.flush()
     except OSError as exc:  # a full disk, a closed pipe
-        print(f"qos-chain-guard: error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        _discard_stdout()
+        _print_error(f"cannot write output: {exc.strerror or exc}")
+        _discard(sys.stdout)
         return EXIT_USAGE
     return code
 
@@ -207,7 +223,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         output, code = command(args)
     except (ProfileLoadError, PairingError, EnvironmentLoadError) as exc:
-        print(f"qos-chain-guard: error: {exc}", file=sys.stderr)
+        _print_error(str(exc))
         return EXIT_USAGE
     finally:
         if collecting:

@@ -9,12 +9,13 @@ from them.
 
 Every record of the package, here and in the other modules, is a
 ``Record``: a frozen class with value equality.  Most are slotted classes.
-The findings (``rules.Violation`` and ``rules.SkippedRule``) are
-tuple-backed: construction is a check's most frequent record operation,
-and one ``tuple.__new__`` call builds a finding in two fifths of the time
-a slotted ``__init__`` takes.  The standard library's record
-decorator is not used: importing it loads ``inspect``, and each class it
-builds costs about a millisecond, at every start-up.
+The findings (``rules.Violation`` and ``rules.SkippedRule``) and the
+pairings (``pipeline.Pairing``) are tuple-backed: construction is a
+check's most frequent record operation, and one ``tuple.__new__`` call
+builds one in two fifths of the time a slotted ``__init__`` takes.  The
+standard library's record decorator is not used: importing it loads
+``inspect``, and each class it builds costs about a millisecond, at every
+start-up.
 
 Durations and counts carry explicit infinity sentinels, kind enumerations
 expose the RxO orderings, and ``resolve_defaults`` fills absent policies

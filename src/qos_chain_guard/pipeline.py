@@ -166,9 +166,10 @@ class PairOrigin(enum.Enum):
     EXPLICIT_DIRECTIVE = "directive"
 
 
-class Pairing(Record):
+class Pairing(Record, tuple):
     """One writer/reader pair to check, by profile name, with how it was
-    paired and the topic the two share (None across topics)."""
+    paired and the topic the two share (None across topics).  Tuple-backed,
+    like the findings: a plan builds one per pair, in one C call."""
 
     writer: str
     reader: str
@@ -186,12 +187,11 @@ def build_pairing_plan(
     kind-mismatched pair raises PairingError.
     """
     plan: list[Pairing] = []
+    new, origin = tuple.__new__, PairOrigin.TOPIC_INDEX  # a pairing in one C call
     index = profile_set.topic_index
     for topic in sorted(t for t in index if t is not None):
         writers, readers = index[topic]
-        for writer in writers:
-            for reader in readers:
-                plan.append(Pairing(writer, reader, PairOrigin.TOPIC_INDEX, topic))
+        plan += [new(Pairing, (writer, reader, origin, topic)) for writer in writers for reader in readers]
     # A directive repeats a topic pair exactly when the two share a topic,
     # so only directives need remembering.
     seen: set[tuple[str, str]] = set()
@@ -325,7 +325,7 @@ def run_pipeline(
         else:
             _file(findings, violations, skipped, (endpoint,), endpoint.topic_name)
 
-    pairs = sorted(((profiles[p.writer], profiles[p.reader]) for p in plan), key=_pair_order)
+    pairs = sorted(((profiles[writer], profiles[reader]) for writer, reader, _, _ in plan), key=_pair_order)
     _file(evaluate_pair_rules(pairs), violations, skipped)
 
     return Report(
@@ -367,9 +367,13 @@ def _human_report(report: Report, color: bool) -> str:
     # text of each entities tuple (a pair's findings share one tuple).  The
     # tables key on identity: an Enum hash runs Python code, and an
     # EndpointProfile hash hashes its whole QoS.  The report keeps every key
-    # alive, so no id is reused while rendering.  The rest of a line is
-    # formatted per row: a cache keyed on the rule id, identifier and severity,
-    # or on the message and suggestion, costs more to look up than to format.
+    # alive, so no id is reused while rendering.  A violation line's head,
+    # up to its entities, is kept per rule id (an int: equal ids print
+    # alike) with the identifier and severity it was built from, and reused
+    # while a row's are those very objects: the evaluators and ``_file``
+    # take both from one Rule, so a rule's rows share them.  A tuple key
+    # built and hashed per row would cost more than formatting the head.
+    # The message and suggestion are formatted per row.
     labels = {
         id(severity): (
             f"{_ANSI[severity.level]}{severity.level.upper()}{_ANSI_RESET}"
@@ -415,13 +419,19 @@ def _human_report(report: Report, color: bool) -> str:
         # a stage with no title is not rendered.  A violation is a tuple, and
         # unpacking it is cheaper than seven field reads.
         stage_lines: dict[int, list[str]] = {stage: [] for stage in _STAGE_TITLES}
+        heads: dict[int, tuple] = {}  # rule id -> (identifier, severity, head)
         for rule_id, identifier, stage, severity, entities, _, message, suggestion in report.violations:
             rows = stage_lines.get(stage)
-            if rows is not None:
-                rows.append(
-                    f"  {labels[id(severity)]} [rule {rule_id} {identifier}] "
-                    f"{entity_texts.get(id(entities)) or entity_list(entities)} — {message}; {suggestion}"
+            if rows is None:
+                continue
+            head = heads.get(rule_id)
+            if head is None or head[0] is not identifier or head[1] is not severity:
+                head = heads[rule_id] = (
+                    identifier, severity, f"  {labels[id(severity)]} [rule {rule_id} {identifier}] "
                 )
+            rows.append(
+                f"{head[2]}{entity_texts.get(id(entities)) or entity_list(entities)} — {message}; {suggestion}"
+            )
         for stage, rows in stage_lines.items():
             if rows:
                 lines.append(_STAGE_TITLES[stage])
@@ -430,10 +440,10 @@ def _human_report(report: Report, color: bool) -> str:
 
     if report.skipped:
         lines.append("skipped checks (undecidable with the given inputs)")
-        for s in report.skipped:
+        for rule_id, identifier, _, entities, reason in report.skipped:
             lines.append(
-                f"  SKIP [rule {s.rule_id} {s.identifier}] "
-                f"{entity_texts.get(id(s.entities)) or entity_list(s.entities)} — {s.reason._value_}"
+                f"  SKIP [rule {rule_id} {identifier}] "
+                f"{entity_texts.get(id(entities)) or entity_list(entities)} — {reason._value_}"
             )
         lines.append("")
 
@@ -496,26 +506,59 @@ def _json_report(report: Report) -> str:
             parts.append(text)
         return ",\n".join(parts)
 
-    def topic(name: str | None) -> str:
-        return "null" if name is None else enc(name)
+    # A row's text between its entities and its message, and between its
+    # message and its suggestion (for a skip, before and after its reason),
+    # is kept per rule id with the fields it was built from, and reused
+    # while a row's are those very objects, as ``_human_report`` reuses a
+    # line's head.
+    def violation_rows() -> Iterable[str]:
+        chunks: dict[int, tuple] = {}  # rule id -> (identifier, stage, severity, chunk, chunk)
+        for rule_id, identifier, stage, severity, refs, topic_name, message, suggestion in report.violations:
+            c = chunks.get(rule_id)
+            if c is None or c[0] is not identifier or c[1] is not stage or c[2] is not severity:
+                c = chunks[rule_id] = (
+                    identifier, stage, severity,
+                    "\n      ],\n"
+                    f'      "identifier": {enc(identifier)},\n'
+                    f'      "level": {enc(severity.level)},\n'
+                    '      "message": ',
+                    ",\n"
+                    f'      "rule_id": {rule_id},\n'
+                    f'      "severity": {enc(severity._value_)},\n'
+                    f'      "stage": {stage},\n'
+                    '      "suggestion": ',
+                )
+            yield (
+                '    {\n      "entities": [\n'
+                f"{entities(refs)}{c[3]}{enc(message)}{c[4]}{enc(suggestion)},\n"
+                f'      "topic": {"null" if topic_name is None else enc(topic_name)}\n'
+                "    }"
+            )
+
+    def skip_rows() -> Iterable[str]:
+        chunks: dict[int, tuple] = {}  # rule id -> (identifier, stage, chunk, chunk)
+        for rule_id, identifier, stage, refs, reason in report.skipped:
+            c = chunks.get(rule_id)
+            if c is None or c[0] is not identifier or c[1] is not stage:
+                c = chunks[rule_id] = (
+                    identifier, stage,
+                    "\n      ],\n"
+                    f'      "identifier": {enc(identifier)},\n'
+                    '      "reason": ',
+                    ",\n"
+                    f'      "rule_id": {rule_id},\n'
+                    f'      "stage": {stage}\n'
+                    "    }",
+                )
+            yield (
+                '    {\n      "entities": [\n'
+                f"{entities(refs)}{c[2]}{enc(reason._value_)}{c[3]}"
+            )
 
     # One list of pieces, joined once: no section is copied on its own
     # before the report is, so the peak is about the rows plus the report.
     out = ["{\n", f'  "assumptions": {_json_section(list(report.assumptions))},\n', '  "diagnostics": ']
-    _add_json_rows(out, (
-        "    {\n"
-        f'      "entities": [\n{entities(v.entities)}\n      ],\n'
-        f'      "identifier": {enc(v.identifier)},\n'
-        f'      "level": {enc(v.severity.level)},\n'
-        f'      "message": {enc(v.message)},\n'
-        f'      "rule_id": {v.rule_id},\n'
-        f'      "severity": {enc(v.severity._value_)},\n'
-        f'      "stage": {v.stage},\n'
-        f'      "suggestion": {enc(v.suggestion)},\n'
-        f'      "topic": {topic(v.topic_name)}\n'
-        "    }"
-        for v in report.violations
-    ))
+    _add_json_rows(out, violation_rows())
     out.append(
         f',\n  "environment": {_json_section(report.environment.echo())},\n'
         f'  "inputs": {_json_section(list(report.inputs))},\n'
@@ -523,12 +566,12 @@ def _json_report(report: Report) -> str:
     )
     _add_json_rows(out, (
         "    {\n"
-        f'      "origin": {enc(p.origin._value_)},\n'
-        f'      "reader": {enc(p.reader)},\n'
-        f'      "topic": {topic(p.topic_name)},\n'
-        f'      "writer": {enc(p.writer)}\n'
+        f'      "origin": {enc(origin._value_)},\n'
+        f'      "reader": {enc(reader)},\n'
+        f'      "topic": {"null" if topic_name is None else enc(topic_name)},\n'
+        f'      "writer": {enc(writer)}\n'
         "    }"
-        for p in report.pairings
+        for writer, reader, origin, topic_name in report.pairings
     ))
     parse_diagnostics = [
         {"path": d.path, "line": d.line, "level": d.level, "message": d.message}
@@ -539,16 +582,7 @@ def _json_report(report: Report) -> str:
         '  "schema_version": 1,\n'
         '  "skipped": '
     )
-    _add_json_rows(out, (
-        "    {\n"
-        f'      "entities": [\n{entities(s.entities)}\n      ],\n'
-        f'      "identifier": {enc(s.identifier)},\n'
-        f'      "reason": {enc(s.reason._value_)},\n'
-        f'      "rule_id": {s.rule_id},\n'
-        f'      "stage": {s.stage}\n'
-        "    }"
-        for s in report.skipped
-    ))
+    _add_json_rows(out, skip_rows())
     tool = {"name": "qos-chain-guard", "version": report.tool_version}
     out.append(
         f',\n  "summary": {_json_section(report.summary)},\n'

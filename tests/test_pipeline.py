@@ -190,6 +190,19 @@ def test_directives_deduplicate_against_topic_pairs():
     assert plan[0].origin is PairOrigin.TOPIC_INDEX
 
 
+def test_plan_builds_the_pairings_the_constructor_builds():
+    ps = profile_set(
+        writer("w1", topic="scan"), reader("r1", topic="scan"), reader("r2", topic=None), reader("r3", topic="odom")
+    )
+    plan = build_pairing_plan(ps, [("w1", "r2"), ("w1", "r1")])
+    expected = (
+        Pairing(writer="w1", reader="r1", origin=PairOrigin.TOPIC_INDEX, topic_name="scan"),
+        Pairing(writer="w1", reader="r2", origin=PairOrigin.EXPLICIT_DIRECTIVE, topic_name=None),
+    )
+    assert plan == expected
+    assert [type(p) for p in plan] == [Pairing, Pairing] and list(map(repr, plan)) == list(map(repr, expected))
+
+
 def test_directive_errors():
     ps = profile_set(writer("w1", topic=None), reader("r1", topic=None), reader("r2", topic=None))
     with pytest.raises(PairingError, match="unknown profile"):
@@ -807,7 +820,7 @@ def _reports(draw, pooled: bool = False) -> Report:
     # A small pool of endpoints, so the rows name the same entity many times,
     # and distinct entities may share a profile name (never empty: an
     # EndpointProfile rejects that).  ``pooled`` draws rule ids, identifiers,
-    # severities, messages and suggestions from pools of 2-3 values too, so
+    # stages, severities, messages and suggestions from pools of 2-3 values, so
     # rows share one field and differ in another: a renderer that keys a
     # cache on fewer fields than it renders shows one row as another.
     endpoint = st.builds(
@@ -818,14 +831,15 @@ def _reports(draw, pooled: bool = False) -> Report:
     )
     pool = draw(st.lists(endpoint, min_size=1, max_size=4))
     entities = st.lists(st.sampled_from(pool), min_size=1, max_size=2).map(tuple)
-    ids, identifiers, severities, messages, suggestions = _ints, _text, st.sampled_from(Severity), _text, _text
+    ids, identifiers, stages, severities = _ints, _text, _ints, st.sampled_from(Severity)
+    messages, suggestions = _text, _text
     if pooled:
-        ids, identifiers, severities, messages, suggestions = (
+        ids, identifiers, stages, severities, messages, suggestions = (
             st.sampled_from(draw(st.lists(values, min_size=2, max_size=3, unique=True)))
-            for values in (ids, identifiers, severities, messages, suggestions)
+            for values in (ids, identifiers, stages, severities, messages, suggestions)
         )
-    violation = st.builds(Violation, ids, identifiers, _ints, severities, entities, _topics, messages, suggestions)
-    skip = st.builds(SkippedRule, ids, identifiers, _ints, entities, st.sampled_from(SkipReason))
+    violation = st.builds(Violation, ids, identifiers, stages, severities, entities, _topics, messages, suggestions)
+    skip = st.builds(SkippedRule, ids, identifiers, stages, entities, st.sampled_from(SkipReason))
     pairing = st.builds(Pairing, _text, _text, st.sampled_from(PairOrigin), _topics)
     note = st.builds(ParseDiagnostic, _text, _ints, _text)
     environment = st.builds(
@@ -846,11 +860,21 @@ def _reports(draw, pooled: bool = False) -> Report:
     )
 
 
+def _assert_json_matches_the_reference(report: Report) -> None:
+    expected = json.dumps(_reference_payload(report), indent=2, sort_keys=True, ensure_ascii=False)
+    assert render_report(report, "json") == expected + "\n"
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_reports())
 def test_json_report_matches_json_dumps_of_the_reference_payload(report):
-    expected = json.dumps(_reference_payload(report), indent=2, sort_keys=True, ensure_ascii=False)
-    assert render_report(report, "json") == expected + "\n"
+    _assert_json_matches_the_reference(report)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_reports(pooled=True))
+def test_json_report_matches_json_dumps_of_the_reference_payload_on_pooled_fields(report):
+    _assert_json_matches_the_reference(report)
 
 
 def _peak_over_size(workload_name: str, fmt: str, directory: Path) -> float:

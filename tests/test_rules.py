@@ -22,7 +22,7 @@ from qos_chain_guard.model import (
     Record,
     ReliabilityKind,
 )
-from qos_chain_guard.pipeline import _file
+from qos_chain_guard.pipeline import PairOrigin, Pairing, _file
 from qos_chain_guard.rules import (
     Rule,
     RuleScope,
@@ -675,11 +675,12 @@ def test_findings_are_tuples_equal_only_to_findings_of_their_class():
 
     twin = Twin(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT)
     assert tuple(twin) == tuple(skip) and twin.reason is skip.reason
-    for finding in (violation, skip):
-        fields = tuple(getattr(finding, name) for name in finding.__slots__)
-        assert isinstance(finding, tuple) and tuple(finding) == fields
-        assert finding != fields and fields != finding and not finding == fields and not fields == finding
-        assert copy.copy(finding) == finding and pickle.loads(pickle.dumps(finding)) == finding
+    pairing = Pairing("w", "r", PairOrigin.TOPIC_INDEX, "scan")  # tuple-backed too
+    for record in (violation, skip, pairing):
+        fields = tuple(getattr(record, name) for name in record.__slots__)
+        assert isinstance(record, tuple) and tuple(record) == fields
+        assert record != fields and fields != record and not record == fields and not fields == record
+        assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
     assert violation != skip and skip != twin and twin != skip and not skip == twin
 
 
