@@ -157,8 +157,10 @@ class Record(metaclass=_RecordType):
     """A frozen value record, slotted or tuple-backed.
 
     ``repr`` lists every field; equality needs the same class and equal
-    compared fields, and the hash is over those same fields.  Assigning or
-    deleting a field raises ``AttributeError``.
+    compared fields, and the hash is over those same fields, so a record
+    that holds a dict, a list or a mappingproxy does not hash (``TypeError``):
+    ``EnvironmentModel``, ``ProfileSet``, ``ProfileDocument`` and
+    ``Report``.  Assigning or deleting a field raises ``AttributeError``.
     """
 
     __slots__ = ()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring
 from types import MappingProxyType
@@ -31,7 +32,6 @@ from .profiles import ParseDiagnostic, ProfileSet
 from .rules import (
     LEVELS,
     Finding,
-    Severity,
     SkippedRule,
     Violation,
     evaluate_endpoint_rules,
@@ -237,8 +237,11 @@ class Report(Record, uncompared=("summary",)):
     summary: dict[str, int] | None = None
 
     def _check(self) -> None:
-        levels = [v.severity.level for v in self.violations]
-        summary = {f"{level}s": levels.count(level) for level in LEVELS}
+        by_rule = Counter(v.rule_id for v in self.violations)
+        summary = {
+            f"{level}s": sum(by_rule[rule.id] for rule in rule_catalog() if rule.severity.level == level)
+            for level in LEVELS
+        }
         summary["skipped"] = len(self.skipped)
         Report.summary.__set__(self, summary)
 
@@ -267,14 +270,10 @@ def _file(
     for f in findings:
         if type(f) is Violation:
             violations[f.rule_id].append(
-                f if entities is None else new(Violation, (
-                    f.rule_id, f.identifier, f.stage, f.severity, entities, topic_name, f.message, f.suggestion
-                ))
+                f if entities is None else new(Violation, (f.rule_id, entities, topic_name, f.message, f.suggestion))
             )
         else:
-            skipped[f.rule_id].append(
-                f if entities is None else new(SkippedRule, (f.rule_id, f.identifier, f.stage, entities, f.reason))
-            )
+            skipped[f.rule_id].append(f if entities is None else new(SkippedRule, (f.rule_id, entities, f.reason)))
 
 
 def run_pipeline(
@@ -363,25 +362,10 @@ def _one_line(text: str) -> str:
 
 
 def _human_report(report: Report, color: bool) -> str:
-    # Built once per report: each level label, each endpoint's text, and the
-    # text of each entities tuple (a pair's findings share one tuple).  The
-    # tables key on identity: an Enum hash runs Python code, and an
-    # EndpointProfile hash hashes its whole QoS.  The report keeps every key
-    # alive, so no id is reused while rendering.  A violation line's head,
-    # up to its entities, is kept per rule id (an int: equal ids print
-    # alike) with the identifier and severity it was built from, and reused
-    # while a row's are those very objects: the evaluators and ``_file``
-    # take both from one Rule, so a rule's rows share them.  A tuple key
-    # built and hashed per row would cost more than formatting the head.
-    # The message and suggestion are formatted per row.
-    labels = {
-        id(severity): (
-            f"{_ANSI[severity.level]}{severity.level.upper()}{_ANSI_RESET}"
-            if color
-            else severity.level.upper()
-        )
-        for severity in Severity
-    }
+    # Built once per report: each endpoint's text, and the text of each
+    # entities tuple (a pair's findings share one tuple).  The tables key
+    # on identity: an EndpointProfile hash hashes its whole QoS.  The report
+    # keeps every key alive, so no id is reused while rendering.
     texts: dict[int, str] = {}
     entity_texts: dict[int, str] = {}
 
@@ -412,26 +396,25 @@ def _human_report(report: Report, color: bool) -> str:
         lines.append(f"note: {assumption}")
     lines.append("")
 
+    # From the catalog, by rule id: the list of its stage's lines, and the
+    # head of its violation and skip lines, up to the entities.  The one
+    # place the color choice enters.
+    stage_lines: dict[int, list[str]] = {stage: [] for stage in _STAGE_TITLES}
+    heads: dict[int, tuple] = {}
+    for rule in rule_catalog():
+        level = rule.severity.level
+        label = f"{_ANSI[level]}{level.upper()}{_ANSI_RESET}" if color else level.upper()
+        tag = f"[rule {rule.id} {rule.identifier}] "
+        heads[rule.id] = (stage_lines[rule.stage].append, f"  {label} {tag}", f"  SKIP {tag}")
+
     if not report.violations:
         lines.append("no violations found")
     else:
-        # One walk: each violation's line goes under its stage's title, and
-        # a stage with no title is not rendered.  A violation is a tuple, and
-        # unpacking it is cheaper than seven field reads.
-        stage_lines: dict[int, list[str]] = {stage: [] for stage in _STAGE_TITLES}
-        heads: dict[int, tuple] = {}  # rule id -> (identifier, severity, head)
-        for rule_id, identifier, stage, severity, entities, _, message, suggestion in report.violations:
-            rows = stage_lines.get(stage)
-            if rows is None:
-                continue
-            head = heads.get(rule_id)
-            if head is None or head[0] is not identifier or head[1] is not severity:
-                head = heads[rule_id] = (
-                    identifier, severity, f"  {labels[id(severity)]} [rule {rule_id} {identifier}] "
-                )
-            rows.append(
-                f"{head[2]}{entity_texts.get(id(entities)) or entity_list(entities)} — {message}; {suggestion}"
-            )
+        # One walk: each violation's line goes under its stage's title.  A
+        # violation is a tuple, and unpacking it is cheaper than field reads.
+        for rule_id, entities, _, message, suggestion in report.violations:
+            add, head, _ = heads[rule_id]
+            add(f"{head}{entity_texts.get(id(entities)) or entity_list(entities)} — {message}; {suggestion}")
         for stage, rows in stage_lines.items():
             if rows:
                 lines.append(_STAGE_TITLES[stage])
@@ -440,10 +423,9 @@ def _human_report(report: Report, color: bool) -> str:
 
     if report.skipped:
         lines.append("skipped checks (undecidable with the given inputs)")
-        for rule_id, identifier, _, entities, reason in report.skipped:
+        for rule_id, entities, reason in report.skipped:
             lines.append(
-                f"  SKIP [rule {rule_id} {identifier}] "
-                f"{entity_texts.get(id(entities)) or entity_list(entities)} — {reason._value_}"
+                f"{heads[rule_id][2]}{entity_texts.get(id(entities)) or entity_list(entities)} — {reason._value_}"
             )
         lines.append("")
 
@@ -477,6 +459,31 @@ def _add_json_rows(out: list[str], rows: Iterable[str]) -> None:
     out.append("[]" if separator == "[\n" else "\n  ]")
 
 
+# A JSON row's text from its entities to its message and from its message
+# to its suggestion, by rule id; for a skip, to and from its reason.
+_VIOLATION_JSON: dict[int, tuple[str, str]] = {
+    rule.id: (
+        "\n      ],\n"
+        f'      "identifier": {encode_basestring(rule.identifier)},\n'
+        f'      "level": {encode_basestring(rule.severity.level)},\n'
+        '      "message": ',
+        ",\n"
+        f'      "rule_id": {rule.id},\n'
+        f'      "severity": {encode_basestring(rule.severity._value_)},\n'
+        f'      "stage": {rule.stage},\n'
+        '      "suggestion": ',
+    )
+    for rule in rule_catalog()
+}
+_SKIP_JSON: dict[int, tuple[str, str]] = {
+    rule.id: (
+        f'\n      ],\n      "identifier": {encode_basestring(rule.identifier)},\n      "reason": ',
+        f',\n      "rule_id": {rule.id},\n      "stage": {rule.stage}\n    }}',
+    )
+    for rule in rule_catalog()
+}
+
+
 def _json_report(report: Report) -> str:
     """The report as the bytes of ``json.dumps(payload, indent=2, sort_keys=True,
     ensure_ascii=False)``.
@@ -506,54 +513,20 @@ def _json_report(report: Report) -> str:
             parts.append(text)
         return ",\n".join(parts)
 
-    # A row's text between its entities and its message, and between its
-    # message and its suggestion (for a skip, before and after its reason),
-    # is kept per rule id with the fields it was built from, and reused
-    # while a row's are those very objects, as ``_human_report`` reuses a
-    # line's head.
     def violation_rows() -> Iterable[str]:
-        chunks: dict[int, tuple] = {}  # rule id -> (identifier, stage, severity, chunk, chunk)
-        for rule_id, identifier, stage, severity, refs, topic_name, message, suggestion in report.violations:
-            c = chunks.get(rule_id)
-            if c is None or c[0] is not identifier or c[1] is not stage or c[2] is not severity:
-                c = chunks[rule_id] = (
-                    identifier, stage, severity,
-                    "\n      ],\n"
-                    f'      "identifier": {enc(identifier)},\n'
-                    f'      "level": {enc(severity.level)},\n'
-                    '      "message": ',
-                    ",\n"
-                    f'      "rule_id": {rule_id},\n'
-                    f'      "severity": {enc(severity._value_)},\n'
-                    f'      "stage": {stage},\n'
-                    '      "suggestion": ',
-                )
+        for rule_id, refs, topic_name, message, suggestion in report.violations:
+            before, between = _VIOLATION_JSON[rule_id]
             yield (
                 '    {\n      "entities": [\n'
-                f"{entities(refs)}{c[3]}{enc(message)}{c[4]}{enc(suggestion)},\n"
+                f"{entities(refs)}{before}{enc(message)}{between}{enc(suggestion)},\n"
                 f'      "topic": {"null" if topic_name is None else enc(topic_name)}\n'
                 "    }"
             )
 
     def skip_rows() -> Iterable[str]:
-        chunks: dict[int, tuple] = {}  # rule id -> (identifier, stage, chunk, chunk)
-        for rule_id, identifier, stage, refs, reason in report.skipped:
-            c = chunks.get(rule_id)
-            if c is None or c[0] is not identifier or c[1] is not stage:
-                c = chunks[rule_id] = (
-                    identifier, stage,
-                    "\n      ],\n"
-                    f'      "identifier": {enc(identifier)},\n'
-                    '      "reason": ',
-                    ",\n"
-                    f'      "rule_id": {rule_id},\n'
-                    f'      "stage": {stage}\n'
-                    "    }",
-                )
-            yield (
-                '    {\n      "entities": [\n'
-                f"{entities(refs)}{c[2]}{enc(reason._value_)}{c[3]}"
-            )
+        for rule_id, refs, reason in report.skipped:
+            before, after = _SKIP_JSON[rule_id]
+            yield f'    {{\n      "entities": [\n{entities(refs)}{before}{enc(reason._value_)}{after}'
 
     # One list of pieces, joined once: no section is copied on its own
     # before the report is, so the peak is about the rows plus the report.

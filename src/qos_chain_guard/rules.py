@@ -64,12 +64,13 @@ Clean is the absence of a finding.  ``Rule.outcome`` takes its inputs
 directly, ``(qos, rtt, pp)`` for an endpoint rule and ``(writer qos, reader
 qos)`` for a pair rule, which reads neither environment input and has no
 exemption (else ``ValueError`` at import), so stage 2 never skips.
-``evaluate_rule`` returns a ``Violation``, a ``SkippedRule`` or None, and
-checks scope by the endpoint's kind through ``applicable_to``, as
-``evaluate_endpoint_rules`` does, which names the entity and finds the
-topic once per call, and returns the findings of a stage in rule order.
-``evaluate_pair_rules`` is the whole of stage 2: it takes a run's pairs
-and returns their findings pair by pair, each pair's in rule order.  A finding names each endpoint by its ``EndpointProfile``:
+``evaluate_rule`` takes a rule of the catalog, returns a ``Violation``, a
+``SkippedRule`` or None, and checks scope by the endpoint's kind through
+``applicable_to``, as ``evaluate_endpoint_rules`` does, which names the
+entity and finds the topic once per call, and returns the findings of a
+stage in rule order.  ``evaluate_pair_rules`` is the whole of stage 2: it
+takes a run's pairs and returns their findings pair by pair, each pair's in
+rule order.  A finding names each endpoint by its ``EndpointProfile``:
 ``(endpoint,)`` or ``(writer, reader)``.  A result becomes a finding in
 ``_findings`` for stages 1 and 3 and in the pair loop of
 ``evaluate_pair_rules`` for stage 2, where a call per pair costs more than
@@ -91,7 +92,10 @@ per QoS class.
 
 Findings are frozen tuple-backed records (``model.Record``), since a report
 builds one per endpoint or pair a rule fires on: one ``tuple.__new__``
-call each.
+call each.  A finding holds its rule's id and nothing else of the rule:
+its ``identifier``, ``stage`` and ``severity`` are read from the catalog
+by that id, the one source of each, and its constructor rejects an id the
+catalog lacks.
 """
 
 from __future__ import annotations
@@ -100,6 +104,7 @@ import enum
 import math
 import re
 from collections import Counter
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .model import (
@@ -146,27 +151,40 @@ class SkipReason(enum.Enum):
     INFINITE_LIFESPAN_EXEMPTION = "InfiniteLifespanExemption"
 
 
+def _in_catalog(finding: Finding) -> None:
+    """A finding's ``_check``: its rule id names a catalog rule."""
+    if finding.rule_id.__class__ is not int or finding.rule_id not in _BY_ID:
+        raise ValueError(f"no rule {finding.rule_id!r} in the catalog")
+
+
+def _from_catalog(name: str) -> property:
+    """A finding's read-only ``name``: its rule's, looked up in the catalog by id."""
+    read = attrgetter(name)
+    return property(lambda finding: read(_BY_ID[finding.rule_id]), doc=f"The rule's {name}, from the catalog.")
+
+
 class Violation(Record, tuple):
-    """One rule firing on an endpoint or a pair: its level, message and repair."""
+    """One rule firing on an endpoint or a pair: its message and repair."""
 
     rule_id: int
-    identifier: str
-    stage: int
-    severity: Severity
     entities: tuple[EndpointProfile, ...]
     topic_name: str | None
     message: str
     suggestion: str
+
+    _check = _in_catalog
+    identifier, stage, severity = map(_from_catalog, ("identifier", "stage", "severity"))
 
 
 class SkippedRule(Record, tuple):
     """One rule left undecided on an endpoint or a pair, and why."""
 
     rule_id: int
-    identifier: str
-    stage: int
     entities: tuple[EndpointProfile, ...]
     reason: SkipReason
+
+    _check = _in_catalog
+    identifier, stage = map(_from_catalog, ("identifier", "stage"))
 
 
 Finding = Violation | SkippedRule
@@ -853,20 +871,22 @@ def evaluate_rule(
     rtt: Duration | None = None,
     pp: Duration | None = None,
 ) -> Finding | None:
-    """Evaluate one rule: a Violation, a SkippedRule, or None when clean.
+    """Evaluate one rule of the catalog: a Violation, a SkippedRule, or None
+    when clean.
 
     A single-endpoint rule takes one endpoint, a DataWriter as ``writer`` or
     a DataReader as ``reader``, of a kind it is ``applicable_to``; a pair
-    rule of the catalog both, which it evaluates as stage 2 does, keyed by
-    its halves.  A rule is skipped when its exemption applies or when a
-    required environment input is absent (rtt checked before pp); any other
-    call is a programming error and raises ValueError.
+    rule both, which it evaluates as stage 2 does, keyed by its halves.  A
+    rule is skipped when its exemption applies or when a required
+    environment input is absent (rtt checked before pp); any other call,
+    such as one with a rule built outside the catalog, is a programming
+    error and raises ValueError.
     """
+    if _BY_ID.get(rule.id) is not rule:
+        raise ValueError(f"rule {rule.id} is outside the catalog")
     if rule.scope is RuleScope.PAIR:
         if writer is None or reader is None:
             raise ValueError(f"rule {rule.id} is pair-scoped and needs both endpoints")
-        if _BY_ID.get(rule.id) is not rule:
-            raise ValueError(f"rule {rule.id} is a pair rule outside the catalog")
         findings = [f for f in evaluate_pair_rules([(writer, reader)]) if f.rule_id == rule.id]
     else:
         if (writer is None) is (reader is None):
@@ -910,12 +930,10 @@ def _findings(
         if result is None:
             continue
         if result.__class__ is SkipReason:
-            findings.append(new(SkippedRule, (rule.id, rule.identifier, rule.stage, entities, result)))
+            findings.append(new(SkippedRule, (rule.id, entities, result)))
         else:
             message, suggestion = result
-            findings.append(new(Violation, (
-                rule.id, rule.identifier, rule.stage, rule.severity, entities, topic_name, message, suggestion
-            )))
+            findings.append(new(Violation, (rule.id, entities, topic_name, message, suggestion)))
     return findings
 
 
@@ -983,7 +1001,5 @@ def evaluate_pair_rules(pairs: Iterable[tuple[EndpointProfile, EndpointProfile]]
             if result is None:
                 continue
             message, suggestion = result
-            append(new(Violation, (
-                rule.id, rule.identifier, rule.stage, rule.severity, entities, topic_name, message, suggestion
-            )))
+            append(new(Violation, (rule.id, entities, topic_name, message, suggestion)))
     return findings

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import gc
+import importlib
 import io
 import json
 import os
@@ -567,6 +568,22 @@ def test_cli_phases_times_one_round(fixtures):
     else:
         assert peak == "n/a"
     assert code == "1"
+
+
+def test_cli_phases_reads_no_bytecode_where_it_writes_none(monkeypatch, tmp_path):
+    # PYTHONDONTWRITEBYTECODE stops writing bytecode, not reading it: a
+    # stale __pycache__ would still be read, and the import timed short.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    cli_phases = importlib.import_module("cli_phases")
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert "PYTHONPYCACHEPREFIX" not in cli_phases.child_env("src", str(tmp_path))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = cli_phases.child_env("src", str(tmp_path))
+    assert env["PYTHONPATH"] == "src" and env["PYTHONDONTWRITEBYTECODE"] == "1"
+    prefix = Path(env["PYTHONPYCACHEPREFIX"])
+    assert prefix.is_dir() and not any(prefix.iterdir()) and prefix.is_relative_to(tmp_path)
+    assert "neither written nor read" in cli_phases.bytecode_mode()
 
 
 # Run in a fresh interpreter: ``check`` on argv[1], then ``graph``.  Prints

@@ -281,9 +281,7 @@ def test_missing_env_skip_reasons():
     # Both inputs missing: rtt is reported first.
     w = writer(reliability=reliability(ReliabilityKind.RELIABLE), history=hist(depth=1))
     outcome = evaluate_rule(get_rule(29), writer=w)
-    assert outcome == SkippedRule(
-        29, get_rule(29).identifier, 3, outcome.entities, SkipReason.MISSING_ENV_RTT
-    )
+    assert outcome == SkippedRule(29, outcome.entities, SkipReason.MISSING_ENV_RTT)
     outcome = evaluate_rule(get_rule(29), writer=w, rtt=ms(100))
     assert isinstance(outcome, SkippedRule)
     assert outcome.reason is SkipReason.MISSING_ENV_PP
@@ -448,6 +446,15 @@ def test_scope_mismatch_is_a_programmer_error():
     outside = _rule(RuleScope.PAIR, "writer history.depth > reader history.depth", message="m")
     with pytest.raises(ValueError, match="outside the catalog"):  # stage 2 keys on the catalog's halves
         evaluate_rule(outside, writer=writer(), reader=reader())
+    # A finding names its rule by id alone, so each scope takes catalog rules only.
+    six = get_rule(6)
+    copy_of_6 = Rule(
+        six.id, six.identifier, six.stage, six.severity, six.scope, six.condition,
+        message=six.message, suggestion=six.suggestion,
+    )
+    for outside in (_rule(), _rule(RuleScope.EITHER), copy_of_6):
+        with pytest.raises(ValueError, match="outside the catalog"):
+            evaluate_rule(outside, writer=writer(history=hist(depth=2)), rtt=ms(100), pp=ms(10))
 
 
 def test_evaluate_rule_checks_the_endpoint_kind_not_the_keyword():
@@ -629,51 +636,39 @@ def test_keys_hold_only_values_with_c_hashes():
 
 
 def test_findings_are_frozen_slotted_value_records():
-    violation = Violation(21, "RELIAB↔RELIAB", 2, Severity.CRITICAL, (), "scan", "m", "s")
-    skip = SkippedRule(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT)
+    violation = Violation(21, (), "scan", "m", "s")
+    skip = SkippedRule(6, (), SkipReason.MISSING_ENV_RTT)
     for finding in (violation, skip):
         assert not hasattr(finding, "__dict__")
-        with pytest.raises(AttributeError):
-            finding.rule_id = 1
-        with pytest.raises(AttributeError):
-            del finding.stage
-    assert list(Violation.__slots__) == [
-        "rule_id", "identifier", "stage", "severity", "entities", "topic_name", "message", "suggestion",
-    ]
-    assert list(SkippedRule.__slots__) == ["rule_id", "identifier", "stage", "entities", "reason"]
-    assert repr(violation) == (
-        "Violation(rule_id=21, identifier='RELIAB↔RELIAB', stage=2, severity=<Severity.CRITICAL: "
-        "'critical'>, entities=(), topic_name='scan', message='m', suggestion='s')"
-    )
-    assert repr(skip) == (
-        "SkippedRule(rule_id=6, identifier='HIST→DURABL', stage=1, entities=(), "
-        "reason=<SkipReason.MISSING_ENV_RTT: 'MissingEnvRTT'>)"
-    )
-    same = Violation(
-        rule_id=21, identifier="RELIAB↔RELIAB", stage=2, severity=Severity.CRITICAL,
-        entities=(), topic_name="scan", message="m", suggestion="s",
-    )
+        for name in ("rule_id", "identifier", "stage"):
+            with pytest.raises(AttributeError):
+                setattr(finding, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(finding, name)
+    assert list(Violation.__slots__) == ["rule_id", "entities", "topic_name", "message", "suggestion"]
+    assert list(SkippedRule.__slots__) == ["rule_id", "entities", "reason"]
+    assert repr(violation) == "Violation(rule_id=21, entities=(), topic_name='scan', message='m', suggestion='s')"
+    assert repr(skip) == "SkippedRule(rule_id=6, entities=(), reason=<SkipReason.MISSING_ENV_RTT: 'MissingEnvRTT'>)"
+    same = Violation(rule_id=21, entities=(), topic_name="scan", message="m", suggestion="s")
     assert same == violation and hash(same) == hash(violation) and same is not violation
-    assert SkippedRule(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT) == skip
+    assert SkippedRule(6, (), SkipReason.MISSING_ENV_RTT) == skip
     assert len({violation, same, skip}) == 2
     moved = replace(violation, topic_name=None)
-    assert moved == Violation(21, "RELIAB↔RELIAB", 2, Severity.CRITICAL, (), None, "m", "s")
+    assert moved == Violation(21, (), None, "m", "s")
     assert moved != violation and violation.topic_name == "scan"
     assert replace(skip, reason=SkipReason.MISSING_ENV_PP).reason is SkipReason.MISSING_ENV_PP
 
 
 def test_findings_are_tuples_equal_only_to_findings_of_their_class():
-    violation = Violation(21, "RELIAB↔RELIAB", 2, Severity.CRITICAL, (), "scan", "m", "s")
-    skip = SkippedRule(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT)
+    violation = Violation(21, (), "scan", "m", "s")
+    skip = SkippedRule(6, (), SkipReason.MISSING_ENV_RTT)
 
     class Twin(Record, tuple):  # SkippedRule's fields, another class
         rule_id: int
-        identifier: str
-        stage: int
         entities: tuple
         reason: SkipReason
 
-    twin = Twin(6, "HIST→DURABL", 1, (), SkipReason.MISSING_ENV_RTT)
+    twin = Twin(6, (), SkipReason.MISSING_ENV_RTT)
     assert tuple(twin) == tuple(skip) and twin.reason is skip.reason
     pairing = Pairing("w", "r", PairOrigin.TOPIC_INDEX, "scan")  # tuple-backed too
     for record in (violation, skip, pairing):
@@ -693,15 +688,12 @@ def test_evaluators_and_filing_build_the_findings_the_constructors_build():
     for f in built:
         rule = get_rule(f.rule_id)
         result = rule.outcome(w.qos, r.qos) if rule.stage == 2 else rule.outcome(w.qos, None, None)
-        fields = dict(rule_id=rule.id, identifier=rule.identifier, stage=rule.stage)
-        fields["entities"] = (w, r) if rule.stage == 2 else (w,)
+        fields = dict(rule_id=rule.id, entities=(w, r) if rule.stage == 2 else (w,))
         if type(f) is SkippedRule:
             expected = SkippedRule(**fields, reason=result)
         else:
             message, suggestion = result
-            expected = Violation(
-                **fields, severity=rule.severity, topic_name="scan", message=message, suggestion=suggestion
-            )
+            expected = Violation(**fields, topic_name="scan", message=message, suggestion=suggestion)
         assert f == expected and repr(f) == repr(expected)
         violations, skipped = defaultdict(list), defaultdict(list)
         _file([f], violations, skipped)
@@ -711,3 +703,28 @@ def test_evaluators_and_filing_build_the_findings_the_constructors_build():
         changes = dict(entities=(other,), topic_name="other") if type(f) is Violation else dict(entities=(other,))
         expected = replace(f, **changes)
         assert type(moved) is type(f) and moved == expected and repr(moved) == repr(expected)
+
+
+def test_a_finding_reads_its_rules_identifier_stage_and_severity_from_the_catalog():
+    for rule in rule_catalog():
+        violation = Violation(rule.id, (), None, "m", "s")
+        skip = SkippedRule(rule.id, (), SkipReason.MISSING_ENV_RTT)
+        assert (violation.identifier, violation.stage, violation.severity) == (
+            rule.identifier, rule.stage, rule.severity
+        )
+        assert (skip.identifier, skip.stage) == (rule.identifier, rule.stage)
+        assert not hasattr(skip, "severity")
+    fixture = RULE_FIXTURES[21][0]
+    w, r = writer(**fixture.writer), reader(**fixture.reader)
+    for f in evaluate_endpoint_rules(w, 1) + evaluate_pair_rules([(w, r)]) + evaluate_endpoint_rules(w, 3):
+        rule = get_rule(f.rule_id)
+        assert (f.identifier, f.stage) == (rule.identifier, rule.stage)
+        assert type(f) is SkippedRule or f.severity is rule.severity
+
+
+@pytest.mark.parametrize("rule_id", [0, 42, 99, -1, "21", 21.0, True, None])
+def test_a_finding_of_a_rule_outside_the_catalog_is_refused(rule_id):
+    with pytest.raises(ValueError, match="in the catalog"):
+        Violation(rule_id, (), None, "m", "s")
+    with pytest.raises(ValueError, match="in the catalog"):
+        SkippedRule(rule_id, (), SkipReason.MISSING_ENV_RTT)

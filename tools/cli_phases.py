@@ -27,10 +27,12 @@ the working tree's, which side goes first alternating too, after one
 unrecorded warm-up run per side.  This
 process and its children are pinned to one CPU.  The median of each
 phase, in ms, and of the peak, in MB (MiB), is printed per side, with
-the exit codes seen and the bytecode mode: under
-``PYTHONDONTWRITEBYTECODE`` every run compiles the package from source,
-which shows in import.  Needs only the standard library (and git for
-``--base``).
+the exit codes seen and the bytecode mode.  ``PYTHONDONTWRITEBYTECODE``
+stops a run writing bytecode, not reading it, so under it every run also
+gets an empty ``PYTHONPYCACHEPREFIX``: no run reads a cached file, and
+each compiles the package, and the standard library modules that are not
+frozen, from source, which shows in import and start.  Needs only the
+standard library (and git for ``--base``).
 """
 
 from __future__ import annotations
@@ -91,14 +93,27 @@ def pin_to_one_cpu() -> str:
 
 def bytecode_mode() -> str:
     if os.environ.get("PYTHONDONTWRITEBYTECODE"):
-        return "bytecode not written (PYTHONDONTWRITEBYTECODE set): each run compiles from source"
+        return (
+            "bytecode neither written nor read (PYTHONDONTWRITEBYTECODE set, an empty PYTHONPYCACHEPREFIX):"
+            " each run compiles from source"
+        )
     return "bytecode written and reused (PYTHONDONTWRITEBYTECODE unset)"
 
 
-def run_once(src: str, args: list[str], stamps_path: str) -> tuple[int, dict[str, float], float | None]:
-    """One fresh CLI run with ``src`` on the path: exit code, phase ms and
-    peak RSS in MB (None where it cannot be read)."""
+def child_env(src: str, directory: str) -> dict[str, str]:
+    """The environment of a run with ``src`` on the path.  Under
+    ``PYTHONDONTWRITEBYTECODE`` the bytecode cache is an empty directory in
+    ``directory``, which no run writes to, so no run reads bytecode either."""
     env = {**os.environ, "PYTHONPATH": src}
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        env["PYTHONPYCACHEPREFIX"] = os.path.join(directory, "empty_pycache")
+        os.makedirs(env["PYTHONPYCACHEPREFIX"], exist_ok=True)
+    return env
+
+
+def run_once(env: dict[str, str], args: list[str], stamps_path: str) -> tuple[int, dict[str, float], float | None]:
+    """One fresh CLI run in ``env``: exit code, phase ms and peak RSS in MB
+    (None where it cannot be read)."""
     spawned = time.monotonic_ns()
     proc = subprocess.Popen(
         [sys.executable, "-c", WRAPPER, stamps_path, *args],
@@ -121,12 +136,12 @@ def measure(sides: dict[str, str], args: list[str], rounds: int, directory: str)
     every other round runs them in reverse order."""
     stamps_path = os.path.join(directory, "stamps")
     results = {label: {"codes": set(), "peak": [], **{phase: [] for phase in PHASES}} for label in sides}
-    order = list(sides.items())
-    for _, src in order:
-        run_once(src, args, stamps_path)
+    order = [(label, child_env(src, directory)) for label, src in sides.items()]
+    for _, env in order:
+        run_once(env, args, stamps_path)
     for round_ in range(rounds):
-        for label, src in order if round_ % 2 == 0 else order[::-1]:
-            code, phases, peak = run_once(src, args, stamps_path)
+        for label, env in order if round_ % 2 == 0 else order[::-1]:
+            code, phases, peak = run_once(env, args, stamps_path)
             results[label]["codes"].add(code)
             results[label]["peak"].append(peak)
             for phase, ms in phases.items():
