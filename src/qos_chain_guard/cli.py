@@ -111,7 +111,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     files = _collect_input_files(args.inputs)
     if args.env is not None:
         try:
-            with open(args.env, encoding="utf-8") as handle:
+            with open(args.env, encoding="utf-8-sig") as handle:  # a leading BOM is not JSON
                 environment = load_environment(handle.read())
         except OSError as exc:
             reason = exc.strerror or exc

@@ -66,6 +66,19 @@ def _ms_to_duration(value: object, label: str) -> Duration:
     return duration
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict; a repeated key is a load error, as a
+    repeated XML element is, not a value silently replaced."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise EnvironmentLoadError(f"duplicate key {shorten_literal(key)} in the environment file")
+            seen.add(key)
+    return data
+
+
 def _duration_to_ms(d: Duration) -> int | float:
     ms = d.nanoseconds / NANOSECONDS_PER_MILLISECOND
     return int(ms) if ms.is_integer() else ms
@@ -129,10 +142,13 @@ def load_environment(text: str) -> EnvironmentModel:
     """Parse the environment JSON document.
 
     Accepted shape: {"rtt_ms": number, "default_publish_period_ms": number,
-    "publish_period_ms": {profile_name: number}}; every key optional.
+    "publish_period_ms": {profile_name: number}}; every key optional, and
+    none repeated in its object.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except EnvironmentLoadError:
+        raise
     except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
         raise EnvironmentLoadError(f"environment file is not valid JSON: {exc}") from exc
     except RecursionError:

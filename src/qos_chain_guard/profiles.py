@@ -48,17 +48,21 @@ order, and so do load errors: the first one met wins, except that malformed
 XML or an entity declaration anywhere in the document wins over it.
 
 One ``QosTable`` per ``load_profile_files`` call, passed through
-``parse_document`` for every file, maps an endpoint kind and the source of
-a quiet <qos> or policy element (its UTF-8 bytes from its start tag up to
-its end tag) to the object parsed from it.  Expat is fed in pieces that end
-after each plain ``<qos>`` start tag.  If that start event fired in an
-endpoint whose kind's table holds the source, the endpoint gets the stored
-object and the rest is fed with the handlers off: expat still reads every
-byte, so errors, lines and offsets do not change.  In a <qos> read in full,
-each plain policy start tag after only text is its next child, sliced and
-looked up once, by the scanner that finds it.  An element read in full is
-stored as it closes, so repeats within one document are skipped too, unless
-it noted something: each copy of a noisy element notes on its own lines.
+``parse_document`` for every file, maps the source of a quiet <qos> or
+policy element (its UTF-8 bytes from its start tag up to its end tag) to
+the object parsed from it: a <qos> by endpoint kind, since it holds
+<reliability>, and a policy element by the parser that reads it, which the
+kinds share for every policy but <reliability>, the one whose OMG default
+differs by kind.  Expat is fed in pieces that end after each plain
+``<qos>`` start tag.  If that start event fired in an endpoint whose kind
+holds the source, the endpoint gets the stored object and the rest is fed
+with the handlers off: expat still reads every byte, so errors, lines and
+offsets do not change.  In a <qos> read in full, each plain policy start
+tag after only text is its next child, sliced and looked up once, by the
+scanner that finds it; a miss is fed with the handlers that read it whole
+already set.  An element read in full is stored as it closes, so repeats
+within one document are skipped too, unless it noted something: each copy
+of a noisy element notes on its own lines.
 ``parse_profiles`` then resolves once per distinct (kind, endpoint and
 topic ``QosProfile``).
 ``load_profile_files`` reads every file before it compares profile names,
@@ -459,17 +463,29 @@ _parse_topic_name = _leaf(lambda node, *_: node.text or None)
 
 # The elements above the policies, as nested tables: each maps a child's tag
 # to its own table, if it is read child by child, or to the parser of it whole.
-# A <qos> table holds its kind's policy parsers; the kinds' defaults differ.
+# A <qos> table holds its kind's policy parsers: one per default policy
+# object, so the kinds share every parser but reliability's.  Keyed by
+# identity, since hashing a policy would compile its class's comparisons at
+# import.
 _ENDPOINT_READS = {}
+_PARSERS: dict[int, Parser] = {}
 for _kind in EndpointKind:
-    _policies = {tag: _policy_parser(tag, getattr(default_qos(_kind), tag)) for tag in POLICY_SCHEMA}
+    _policies = {}
+    for _tag in POLICY_SCHEMA:
+        _default = getattr(default_qos(_kind), _tag)
+        if id(_default) not in _PARSERS:
+            _PARSERS[id(_default)] = _policy_parser(_tag, _default)
+        _policies[_tag] = _PARSERS[id(_default)]
     _ENDPOINT_READS[_kind.value] = {"topic": {"name": _parse_topic_name, "qos": _policies}, "qos": _policies}
 _DOCUMENT_READS = {"dds": {"profiles": _ENDPOINT_READS}, "profiles": _ENDPOINT_READS}
 
-# A run's QoS table: each endpoint kind's quiet <qos> and policy elements,
-# parsed, by source.  Entity declarations are rejected, so a source reads the
-# same anywhere; it opens with its start tag, so the two kinds never clash.
-QosTable = dict[EndpointKind, dict[bytes, object]]
+# A run's QoS table: for each endpoint kind, a map from "qos" and from each
+# policy tag to the quiet elements of that tag read so far, parsed, by
+# source.  A kind's <qos> entries are its own, since a QosProfile holds
+# reliability; a policy's entries are its parser's, so both kinds' maps hold
+# one table for each policy but reliability.  Entity declarations are
+# rejected, so a source reads the same anywhere.
+QosTable = dict[EndpointKind, dict[str, dict[bytes, object]]]
 _POLICY_TAGS = {tag.encode(): tag for tag in POLICY_SCHEMA}
 _END_TAGS = {tag: f"</{tag}>".encode() for tag in POLICY_SCHEMA}
 # Shared by every endpoint without a <qos>: profiles are frozen.
@@ -490,8 +506,9 @@ def _parser(path: str) -> expat.XMLParserType:
 
 class _Frame:
     """An open element read child by child: ``reads`` is its table, ``values``
-    what its closed children read, ``parsed`` its endpoint kind's table, and
-    ``extra`` an endpoint's name or a <qos>'s ``(start, source, notes before)``."""
+    what its closed children read, ``parsed`` its endpoint kind's map in the
+    QoS table, and ``extra`` an endpoint's name or a <qos>'s ``(start,
+    source, notes before)``."""
 
     __slots__ = ("tag", "line", "reads", "values", "parsed", "extra")
 
@@ -515,8 +532,13 @@ class _Walker:
         if set_deferral is not None:
             set_deferral(False)
         self.data, self.view, self.path = data, memoryview(data), path
+        if not table:  # each kind's map is made once per table
+            by_parser: dict[Parser, dict[bytes, object]] = {}
+            for kind in EndpointKind:
+                policies = _ENDPOINT_READS[kind.value]["qos"]
+                table[kind] = {"qos": {}} | {tag: by_parser.setdefault(parse, {}) for tag, parse in policies.items()}
         # Two enum hashes per document, not one per endpoint.
-        self.parsed = {tag: table.setdefault(kind, {}) for tag, kind in ENDPOINT_TAGS.items()}
+        self.parsed = {tag: table[kind] for tag, kind in ENDPOINT_TAGS.items()}
         self.stack, self.nodes = [], []  # the open frames, and the open elements read whole
         self.candidate = self.skip_to = self.closed = -1
         self.source, self.missed = None, False
@@ -555,6 +577,7 @@ class _Walker:
         is fed with the handlers off, a miss is read in full and stored under
         its source if it closes at the end tag found and notes nothing."""
         data, qos = self.data, self.stack[-1]
+        tables = qos.parsed
         read = fed  # how far the <qos>'s children are known
         while True:
             start = data.find(b"<", read)
@@ -566,19 +589,21 @@ class _Walker:
             if end < 0:
                 break
             source = data[start:end]
-            found = qos.parsed.get(source)
+            stored = tables[tag]
+            found = stored.get(source)
             read = end + len(end_tag)
             if found is not None:
                 qos.values[tag] = found
                 continue
             fed = self.skip(fed, start)
             noted = len(self.diags)
+            self.read_whole(qos.reads[tag], qos)  # so its start tag opens the first node
             self.parser.Parse(self.view[start:read], False)
             fed = read
             if self.closed != end or self.stack[-1] is not qos:
                 break  # the end tag found was not its own
             if len(self.diags) == noted:
-                qos.parsed[source] = qos.values[tag]
+                stored[source] = qos.values[tag]
         return self.skip(fed, read)
 
     def read_frames(self) -> None:
@@ -591,15 +616,17 @@ class _Walker:
         read, parsed = frame.reads.get(tag), frame.parsed
         if read is None or tag in frame.values or tag in ENDPOINT_TAGS:
             if self.rejects(tag, attrs, frame, read):
-                return self.read_whole(tag, None, frame)  # and drop it
-            parsed = self.parsed[tag]
+                read = None  # drop it
+            else:
+                parsed = self.parsed[tag]
         if type(read) is not dict:
-            return self.read_whole(tag, read, frame)
+            self.read_whole(read, frame)
+            return self.whole_start(tag, attrs)
         start = self.parser.CurrentByteIndex
         # Only a <qos> is looked up here, in the slice ``run`` made; ``read_policies`` looks up its children.
         source = self.source if start == self.candidate else None
         if source is not None:
-            found = parsed.get(source)
+            found = parsed["qos"].get(source)
             if found is not None:
                 frame.values[tag] = found
                 self.skip_to = start + len(source) + 6  # past </qos>
@@ -633,7 +660,7 @@ class _Walker:
             start, source, noted = frame.extra
             # Stored unless it noted something or its source ends short of its end tag.
             if source is not None and len(self.diags) == noted and self.parser.CurrentByteIndex == start + len(source):
-                frame.parsed[source] = values
+                frame.parsed["qos"][source] = values
         elif tag in ENDPOINT_TAGS:
             topic = values.get("topic", {})
             qos, topic_qos = values.get("qos", _NO_QOS), topic.get("qos", _NO_QOS)
@@ -643,20 +670,22 @@ class _Walker:
             raise ProfileLoadError("<dds> root contains no <profiles> element", self.path, frame.line)
         self.stack[-1].values[tag] = values
 
-    def read_whole(self, tag: str, parse: Parser | None, frame: _Frame) -> None:
-        """Build ``<tag>`` as ``_Element`` nodes, for ``parse`` to read as it closes (None drops it)."""
+    def read_whole(self, parse: Parser | None, frame: _Frame) -> None:
+        """Build the element whose start tag is next as ``_Element`` nodes,
+        for ``parse`` to read into ``frame`` as it closes (None drops it)."""
         self.whole = (parse, frame)
-        self.whole_start(tag, None)
         parser = self.parser
         parser.StartElementHandler, parser.EndElementHandler = self.whole_start, self.whole_end
-        parser.CharacterDataHandler = self.text
 
-    def whole_start(self, tag: str, attrs: dict[str, str] | None) -> None:
+    def whole_start(self, tag: str, attrs: dict[str, str]) -> None:
         node = _Element()
         node.tag, node.line, node.raw = tag, self.parser.CurrentLineNumber, []  # its runs of text, until it closes
-        if self.nodes:
-            self.nodes[-1].append(node)
-        self.nodes.append(node)
+        nodes = self.nodes
+        if nodes:
+            nodes[-1].append(node)
+        else:  # from its start tag on: text expat held back from before it is not its own
+            self.parser.CharacterDataHandler = self.text
+        nodes.append(node)
 
     def text(self, data: str) -> None:
         self.nodes[-1].raw.append(data)
@@ -762,8 +791,9 @@ def parse_profiles(documents: list[ProfileDocument]) -> ProfileSet:
 def load_profile_files(paths: list[str]) -> ProfileSet:
     """Read and parse UTF-8 XML files into one ProfileSet.
 
-    The files share one QoS table, made for this call: a ``<qos>`` or
-    policy element repeated in them is read once per endpoint kind.
+    The files share one QoS table, made for this call: a ``<qos>``
+    repeated in them is read once per endpoint kind, and a policy element
+    once (``<reliability>`` once per kind).
     """
     table: QosTable = {}
     documents = []

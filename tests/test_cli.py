@@ -255,6 +255,34 @@ def test_non_utf8_environment_file_exits_2(fixtures, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"rtt_ms": 10, "rtt_ms": 20}', "rtt_ms"), ('{"publish_period_ms": {"w": 5, "w": 7}}', "w")],
+    ids=["top-level", "publish-period"],
+)
+def test_a_repeated_environment_key_exits_2(fixtures, tmp_path, capsys, text, key):
+    env = tmp_path / "env.json"
+    env.write_text(text, encoding="utf-8")
+    assert main(["check", fixtures["clean"], "--env", str(env)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qos-chain-guard: error: duplicate key '{key}' in the environment file\n"
+
+
+def test_a_byte_order_mark_is_read_as_absent(tmp_path, capsys):
+    profile, env = tmp_path / "bom.xml", tmp_path / "env.json"
+    argv = ["check", str(profile), "--env", str(env), "--format", "json", "--fail-on", "warning"]
+    writer = '<profiles><data_writer profile_name="w"><topic><name>t</name></topic></data_writer></profiles>'
+    runs = []
+    for encoding in ("utf-8", "utf-8-sig"):  # without a BOM, then with one
+        profile.write_text(writer, encoding=encoding)
+        env.write_text('{"rtt_ms": 100, "default_publish_period_ms": 50}', encoding=encoding)
+        runs.append((main(argv), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    code, (out, err) = runs[1]
+    assert code == 1 and err == "" and json.loads(out)["environment"]["rtt_ms"] == 100
+
+
 def test_deeply_nested_environment_file_exits_2(fixtures, tmp_path, capsys):
     env = tmp_path / "env.json"
     env.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

@@ -1309,18 +1309,22 @@ def test_a_repeated_qos_resolves_by_kind_within_and_across_documents(tmp_path):
     )
     # One more <qos> that differs from the others only in its last value.
     deeper = _TABLE_QOS.replace("<depth>4</depth>", "<depth>5</depth>")
+    # A <reliability> that only a writer holds before a reader's distinct <qos> repeats it.
+    slower = _TABLE_QOS.replace("<sec>1</sec>", "<sec>2</sec>")
     second = _profiles(
         _endpoint("data_reader", "r2", _TABLE_QOS),
         _endpoint("data_writer", "w3", _TABLE_QOS),
         _endpoint("data_writer", "w4", deeper),
+        _endpoint("data_writer", "w5", slower),
+        _endpoint("data_reader", "r3", slower.replace("<depth>4</depth>", "<depth>6</depth>")),
     )
     ps = _assert_loads_as_the_reference(_written(tmp_path, [first, second]))
     assert ps.profiles["w4"].qos.history.depth == 5
     # <reliability> without <kind>, and no <qos> at all, take each kind's default kind.
     kinds = {name: e.qos.reliability.kind.name for name, e in ps.profiles.items()}
     assert kinds == {
-        **dict.fromkeys(["w1", "w2", "w3", "w4", "bare_w"], "RELIABLE"),
-        **dict.fromkeys(["r1", "r2", "bare_r"], "BEST_EFFORT"),
+        **dict.fromkeys(["w1", "w2", "w3", "w4", "w5", "bare_w"], "RELIABLE"),
+        **dict.fromkeys(["r1", "r2", "r3", "bare_r"], "BEST_EFFORT"),
     }
     assert ps.profiles["w1"].qos is ps.profiles["w3"].qos and ps.profiles["r1"].qos is ps.profiles["r2"].qos
 
@@ -1527,9 +1531,11 @@ def test_a_repeated_qos_makes_no_node_for_its_children(tmp_path, monkeypatch):
     # Each document's frames: the document's (no tag), its <profiles>,
     # endpoints and topics; only the first document's topic <qos> are read,
     # one per kind.  The elements read whole: the topic names, and the six
-    # elements of each <qos> read.
+    # elements of each <qos> read, but for the reader's <history>, which
+    # the kinds share.
     frames = Counter({None: 2, "profiles": 2, "data_writer": 2, "data_reader": 2, "topic": 4, "qos": 2})
-    elements = Counter(dict.fromkeys(["reliability", "max_blocking_time", "sec", "history", "kind", "depth"], 2))
+    elements = Counter(dict.fromkeys(["reliability", "max_blocking_time", "sec"], 2))
+    elements.update(["history", "kind", "depth"])
     assert Counter(node.tag for node in built) == frames + elements + Counter(name=4)
 
 
@@ -1560,9 +1566,10 @@ def test_what_follows_a_skipped_copy_reads_as_before(tmp_path, case):
 
 # -- a repeated policy element skipped ----------------------------------------
 #
-# A quiet policy element is stored when it closes, so a copy under the same
-# endpoint kind, in the same document or a later one, is skipped when it is
-# the next child of a <qos> read in full.  The first document below stores
+# A quiet policy element is stored when it closes, so a copy under either
+# endpoint kind (only the same one for <reliability>, whose default differs
+# by kind), in the same document or a later one, is skipped when it is the
+# next child of a <qos> read in full.  The first document below stores
 # two quiet writer policies; the <qos> of each second document differs from
 # its, so only policy elements repeat.
 
@@ -1582,7 +1589,7 @@ _POLICY_SECONDS = {
     "in_comment": (_profiles(_qos_endpoint("data_writer", "w", f"<qos>{_DURABLE}<!-- {_HISTORY} -->{_HISTORY}</qos>")), 0, 1),
     "in_cdata": (_profiles(_qos_endpoint("data_writer", "w", f"<qos>{_DURABLE}<![CDATA[{_HISTORY}]]>{_HISTORY}</qos>")), 0, 1),
     "spaced": (_profiles(_qos_endpoint("data_writer", "w", f"<qos>{_DURABLE}{_HISTORY.replace('<history>', '<history >')}</qos>")), 0, 1),
-    "other_kind": (_profiles(_qos_endpoint("data_reader", "r", f"<qos>{_DURABLE}{_HISTORY}</qos>")), 1, 1),
+    "other_kind": (_profiles(_qos_endpoint("data_reader", "r", f"<qos>{_DURABLE}{_HISTORY}</qos>")), 0, 0),
     # The first </history> lies in a comment, so neither copy is stored, and
     # the <qos>'s later children are read in full.
     "comment_inside": (
@@ -1653,24 +1660,30 @@ def test_a_policy_copy_skips_only_where_it_loads_as_the_reference(tmp_path, case
     assert (read["durability"], read["history"]) == (durability, history)
 
 
-def test_a_quiet_policy_is_parsed_once_per_kind_and_load(tmp_path, monkeypatch):
-    parsed = []
-    for tag, reads in profiles._ENDPOINT_READS.items():
-        parse = reads["qos"]["history"]
-        monkeypatch.setitem(reads["qos"], "history", lambda *args, parse=parse, tag=tag: parsed.append(tag) or parse(*args))
-    # Three distinct <qos> per kind, each with the same <history>.
+def test_a_quiet_policy_is_parsed_once_per_parser_and_load(tmp_path, monkeypatch):
+    # The kinds share each policy's parser but reliability's, whose default differs.
+    parsed, counting = [], {}
+    for reads in profiles._ENDPOINT_READS.values():
+        for tag in ("history", "reliability"):
+            parse = reads["qos"][tag]
+            if parse not in counting:
+                counting[parse] = lambda *args, parse=parse, tag=tag: parsed.append(tag) or parse(*args)
+            monkeypatch.setitem(reads["qos"], tag, counting[parse])
+    assert len(counting) == 3
+    # Three distinct <qos> per kind, each with the same <history> and <reliability>.
+    blocking = "<reliability><max_blocking_time><sec>2</sec></max_blocking_time></reliability>"
     within = _profiles(
         *(
-            _qos_endpoint(tag, f"{tag}_{i}", f"<qos>{before}{_HISTORY}</qos>")
+            _qos_endpoint(tag, f"{tag}_{i}", f"<qos>{before}{_HISTORY}{blocking}</qos>")
             for tag in ("data_writer", "data_reader")
             for i, before in enumerate(("", _DURABLE, "<ownership></ownership>"))
         )
     )
     paths = _written(tmp_path, [within, _renamed(within, "again_")])
     _assert_loads_as_the_reference(paths)
-    assert Counter(parsed) == {"data_writer": 1, "data_reader": 1}
+    assert Counter(parsed) == {"history": 1, "reliability": 2}
     profiles.load_profile_files(paths)
-    assert Counter(parsed) == {"data_writer": 2, "data_reader": 2}
+    assert Counter(parsed) == {"history": 2, "reliability": 4}
     # A <qos> repeated within one document is one object too.
     a, b = parse_document(_profiles(_endpoint("data_writer", "a", _TABLE_QOS), _endpoint("data_writer", "b", _TABLE_QOS))).endpoints
     assert a.topic_qos is a.endpoint_qos is b.topic_qos is b.endpoint_qos

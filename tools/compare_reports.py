@@ -39,7 +39,9 @@ under a reader, after a ``<qos >`` start tag, after a commented-out copy,
 inside CDATA, with a comment holding ``</qos>``, and with non-ASCII
 partition names.  The two files of ``POLICY_SKIP_DOCUMENTS`` do the same for
 policy elements in distinct ``<qos>``: repeats within the first file, one
-in a comment and a noisy one among them, then in the second (ISO-8859-1,
+in a comment and a noisy one among them, and a ``<reliability>`` without
+``<kind>`` under a writer, then under a reader, which must not take the
+writer's RELIABLE default; then in the second (ISO-8859-1,
 CRLF) under a reader, after ``<history >``, after a commented-out copy,
 beside a copy in CDATA, holding a comment with ``</history>``, ending with
 ``</history >`` before CDATA that holds ``</history>``, and noisy.
@@ -231,6 +233,8 @@ _DEPTH = "<history><depth>8</depth></history>"
 _LIMIT = "<resource_limits><max_samples_per_instance>4</max_samples_per_instance></resource_limits>"
 _DURABLE = "<durability><kind>TRANSIENT_LOCAL</kind></durability>"
 _NOISY_DEPTH = "<history><bogus/><depth>6</depth></history>"
+# Without <kind>: the one policy whose default, and so whose value, differs by endpoint kind.
+_BLOCKING = "<reliability><max_blocking_time><sec>2</sec></max_blocking_time></reliability>"
 POLICY_SKIP_DOCUMENTS = {
     "policy_a.xml": "<profiles>\n"
     + _skip_endpoint("data_writer", "pa_plain", f"<qos>{_DEPTH}{_LIMIT}</qos>")
@@ -238,6 +242,8 @@ POLICY_SKIP_DOCUMENTS = {
     + _skip_endpoint("data_writer", "pa_commented", f"<qos><!-- {_DEPTH} --><history><depth>9</depth></history>{_LIMIT}</qos>")
     + _skip_endpoint("data_writer", "pa_noisy", f"<qos>{_NOISY_DEPTH}{_DURABLE}</qos>")
     + _skip_endpoint("data_writer", "pa_noisy_again", f"<qos>{_LIMIT}{_NOISY_DEPTH}</qos>")
+    + _skip_endpoint("data_writer", "pa_blocking", f"<qos>{_BLOCKING}{_LIMIT}</qos>")
+    + _skip_endpoint("data_reader", "pa_blocking_reader", f"<qos>{_DURABLE}{_BLOCKING}</qos>")
     + "</profiles>\n",
     "policy_b.xml": (
         '<?xml version="1.0" encoding="ISO-8859-1"?>\n<profiles>\n'
